@@ -5,7 +5,8 @@ The shipped config marks several shock values as "calibrated": they are
 not free inputs but solutions that make each scenario reproduce its
 published targets. This script re-derives all of them from the targets
 and verifies the shipped literals match to 1e-9, so the dataset's
-provenance is checkable by running one file.
+provenance is checkable by running one file. The test suite runs the
+same derivations through :func:`derivations`.
 """
 
 from robolabor import (
@@ -22,66 +23,67 @@ STAGED_SHARES = (0.42, 0.58, 0.67, 0.78, 0.89, 1.0)
 TERMINAL_DISPLACED = 50_000
 
 
-def emit(label, value, shipped):
-    ok = abs(value - shipped) <= 1e-9 * max(1.0, abs(shipped))
-    status = "ok" if ok else "MISMATCH"
-    print(f"  {label:<42} {value:.12g}  [{status}]")
-    return ok
-
-
-def main():
-    cfg = load_config("default")
+def derivations(cfg):
+    """Yield ``(heading, label, re-derived value, shipped value)`` per literal."""
     labor = cfg.baseline.total_labor_force
-    checks = []
 
-    print("baseline: exposure share from 3.2% displacement at r=1.05, sigma=0.8")
+    heading = "baseline: exposure share from 3.2% displacement at r=1.05, sigma=0.8"
     scenario = cfg.scenario("baseline")
-    checks.append(emit("exposure_share", implied_exposure(0.032, 1.05, 0.8),
-                       scenario.exposure_override))
-    print()
+    yield (heading, "exposure_share", implied_exposure(0.032, 1.05, 0.8),
+           scenario.exposure_override)
 
-    print("high_adoption: growth from the 2.5% gain, exposure from 4.1% "
-          "displacement")
+    heading = ("high_adoption: growth from the 2.5% gain, exposure from 4.1% "
+               "displacement")
     scenario = cfg.scenario("high_adoption")
-    checks.append(emit("robotics_growth", 1.025 ** 2 - 1,
-                       scenario.robotics_growth))
-    checks.append(emit("exposure_share", implied_exposure(0.041, 1.25, 0.65),
-                       scenario.exposure_override))
-    print()
+    yield heading, "robotics_growth", 1.025 ** 2 - 1, scenario.robotics_growth
+    yield (heading, "exposure_share", implied_exposure(0.041, 1.25, 0.65),
+           scenario.exposure_override)
 
-    print("low_adoption: growth from the 1.2% gain, cost ratio from 1.9% "
-          "displacement at sigma=0.5")
+    heading = ("low_adoption: growth from the 1.2% gain, cost ratio from 1.9% "
+               "displacement at sigma=0.5")
     scenario = cfg.scenario("low_adoption")
-    checks.append(emit("robotics_growth", 1.012 ** 2 - 1,
-                       scenario.robotics_growth))
-    checks.append(emit("cost_ratio_path", implied_cost_ratio(0.019, 0.5),
-                       scenario.cost_ratio_path))
-    print()
+    yield heading, "robotics_growth", 1.012 ** 2 - 1, scenario.robotics_growth
+    yield (heading, "cost_ratio_path", implied_cost_ratio(0.019, 0.5),
+           scenario.cost_ratio_path)
 
-    print("productivity_spillover: growth from the 2.1% gain with the TFP "
-          "channel on, cost ratio from 3.0% displacement")
+    heading = ("productivity_spillover: growth from the 2.1% gain with the TFP "
+               "channel on, cost ratio from 3.0% displacement")
     scenario = cfg.scenario("productivity_spillover")
     # tight tolerance so the printed digits match the stored literal
-    checks.append(emit("robotics_growth",
-                       implied_robotics_growth(
-                           0.021, 0.5, tfp_boost_per_pct=0.002,
-                           solver=SolverConfig(0.0, 1.0,
-                                               relative_tolerance=1e-13)),
-                       scenario.robotics_growth))
-    checks.append(emit("cost_ratio_path", implied_cost_ratio(0.030, 0.65),
-                       scenario.cost_ratio_path))
-    print()
+    growth = implied_robotics_growth(
+        0.021, 0.5, tfp_boost_per_pct=0.002,
+        solver=SolverConfig(0.0, 1.0, relative_tolerance=1e-13))
+    yield heading, "robotics_growth", growth, scenario.robotics_growth
+    yield (heading, "cost_ratio_path", implied_cost_ratio(0.030, 0.65),
+           scenario.cost_ratio_path)
 
-    print("staged_adoption: cost path tracking the staged displacement shares")
+    heading = "staged_adoption: cost path tracking the staged displacement shares"
     scenario = cfg.scenario("staged_adoption")
     sigma = cfg.params.sigma
     for index, share in enumerate(STAGED_SHARES):
         rate = share * TERMINAL_DISPLACED / labor
-        value = implied_cost_ratio(rate, sigma)
-        checks.append(emit(f"cost_ratio_path[{index}] ({2025 + index})", value,
-                           scenario.cost_ratio_path[index]))
-    checks.append(emit("displacement target", TERMINAL_DISPLACED / labor,
-                       scenario.targets.displacement))
+        yield (heading, f"cost_ratio_path[{index}] ({2025 + index})",
+               implied_cost_ratio(rate, sigma), scenario.cost_ratio_path[index])
+    yield (heading, "displacement target", TERMINAL_DISPLACED / labor,
+           scenario.targets.displacement)
+
+
+def matches(value, shipped):
+    return abs(value - shipped) <= 1e-9 * max(1.0, abs(shipped))
+
+
+def main():
+    checks = []
+    current = None
+    for heading, label, value, shipped in derivations(load_config("default")):
+        if heading != current:
+            if current is not None:
+                print()
+            print(heading)
+            current = heading
+        ok = matches(value, shipped)
+        print(f"  {label:<42} {value:.12g}  [{'ok' if ok else 'MISMATCH'}]")
+        checks.append(ok)
     print()
 
     if all(checks):

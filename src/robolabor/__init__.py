@@ -54,8 +54,6 @@ from .engine import (
     TargetSet,
     YearRecord,
     compare_to_targets,
-    run_comparative_static,
-    run_dynamic,
     run_scenario,
 )
 from .errors import (
@@ -111,8 +109,8 @@ __all__ = [
     "round_half_away",
     # engine
     "SimulationMode", "TargetSet", "RawShocks", "Scenario", "YearRecord",
-    "ResultSummary", "TargetGap", "SimulationResult", "run_comparative_static",
-    "run_dynamic", "run_scenario", "compare_to_targets",
+    "ResultSummary", "TargetGap", "SimulationResult", "run_scenario",
+    "compare_to_targets",
     # calibration
     "SolverConfig", "CalibrationReport", "bisect", "solve_tfp_level",
     "implied_theta", "implied_sigma", "implied_exposure", "implied_cost_ratio",

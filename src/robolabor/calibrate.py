@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import (
-    DomainError,
     MaxIterationsError,
     NoSignChangeError,
     UnattainableTargetError,
+    _require,
 )
 
 __all__ = [
@@ -40,11 +40,6 @@ RATIO_SPACE_NOTE = (
     "all calibration is performed in ratio space: targets are fractional "
     "changes against the frozen baseline year"
 )
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise DomainError(message)
 
 
 @dataclass(frozen=True)

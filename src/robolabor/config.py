@@ -10,6 +10,7 @@ column. ``dump_config`` emits YAML that loads back to an equal
 from __future__ import annotations
 
 import importlib.resources
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -17,7 +18,7 @@ from typing import Any
 import yaml
 
 from .core import EconomyState, ModelParams, StaticTheta, ThetaMode, ThetaRamp
-from .engine import RawShocks, Scenario, TargetSet
+from .engine import RawShocks, Scenario, TargetSet, _effective_params
 from .errors import ConfigError, DomainError
 from .sectors import (
     JobCreationModel,
@@ -26,6 +27,7 @@ from .sectors import (
     LaborBaseline,
     Readiness,
     SectorProfile,
+    _check_sector_table,
 )
 
 __all__ = [
@@ -103,7 +105,13 @@ def _as_list(node: Any, path: str) -> list:
 def _as_float(node: Any, path: str) -> float:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise ConfigError(f"expected a number, got {node!r}", path=path)
-    return float(node)
+    try:
+        value = float(node)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {node!r}", path=path)
+    return value
 
 
 def _as_int(node: Any, path: str) -> int:
@@ -260,15 +268,7 @@ def _parse_sector(node: Any, path: str) -> SectorProfile:
 def _parse_sectors(node: Any, path: str) -> tuple[SectorProfile, ...]:
     sectors = tuple(_parse_sector(entry, f"{path}[{i}]")
                     for i, entry in enumerate(_as_list(node, path)))
-    names = [s.name for s in sectors]
-    if len(set(names)) != len(names):
-        raise ConfigError("sector names must be unique", path=path)
-    if sum(s.residual for s in sectors) > 1:
-        raise ConfigError("at most one residual sector is allowed", path=path)
-    total = sum(s.employment_share for s in sectors)
-    if total > 1 + 1e-9:
-        raise ConfigError(
-            f"sector employment shares sum to {total:.6g}, must be <= 1", path=path)
+    _domain_checked(lambda: _check_sector_table(sectors), path)
     return sectors
 
 
@@ -439,6 +439,8 @@ def loads_config(text: str, source: str = "<string>") -> RunConfig:
     scenarios = tuple(_parse_scenario(entry, f"scenarios[{i}]")
                       for i, entry in enumerate(
                           _as_list(data.get("scenarios", []), "scenarios")))
+    for i, scenario in enumerate(scenarios):
+        _domain_checked(lambda: _effective_params(scenario, params), f"scenarios[{i}]")
     names = [s.name for s in scenarios]
     if len(set(names)) != len(names):
         raise ConfigError("scenario names must be unique", path="scenarios")

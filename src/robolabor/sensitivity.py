@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 from .core import EconomyState, ModelParams, StaticTheta, ThetaRamp
 from .engine import Scenario, SimulationResult, run_scenario
-from .errors import DomainError, ModelError
+from .errors import ModelError, _require
 from .sectors import LaborBaseline, SectorProfile
 
 __all__ = [
@@ -43,11 +43,6 @@ _DEFAULT_METRIC = {
     "exposure_share": "displacement",
     "tfp_boost": "output_gain",
 }
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise DomainError(message)
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,6 @@ from robolabor import (
     production_output,
     remittance_impact,
     robotics_output_gain,
-    run_comparative_static,
-    run_dynamic,
     run_scenario,
     theta_at,
     tfp_step,
@@ -193,8 +191,8 @@ class TestAcceptance:
                      cost_ratio_path=1.05, theta_override=StaticTheta(0.5))
         static = Scenario(mode=SimulationMode.COMPARATIVE_STATIC, **shock)
         dynamic = Scenario(mode=SimulationMode.DYNAMIC, **shock)
-        left = run_comparative_static(static, params, state0, baseline, sectors)
-        right = run_dynamic(dynamic, params, state0, baseline, sectors)
+        left = run_scenario(static, params, state0, baseline, sectors)
+        right = run_scenario(dynamic, params, state0, baseline, sectors)
         assert left.records == right.records
         assert left.summary == right.summary
 

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior through cli_dispatch, including exit codes."""
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -89,6 +90,45 @@ class TestSimulate:
                              str(tmp_path / "absent.yaml")])
         assert code == 1
         assert "cannot read config file" in capsys.readouterr().err
+
+
+class TestGoldenOutput:
+    """``simulate --config default`` output is pinned byte for byte.
+
+    A change to any digest below changes a result file users compare
+    against; it must come with a note of which bytes changed and why.
+    """
+
+    DIGESTS = {
+        "baseline_timeseries.csv":
+            "797e232c5877c43a90eb7e55488a7c1ef77c0a4d27fc41427cb1854e101b1406",
+        "figure1_data.csv":
+            "2f799916b8c699e2f327e56b3aae6203c83ec9c4fe7a4d4a322c3316e6eee609",
+        "high_adoption_timeseries.csv":
+            "c35ccb06f3909406c3751149c002961222a4a3793dc9a985654393c96fa59953",
+        "low_adoption_timeseries.csv":
+            "4372989dc081d5517cdd8f235b7595ae452b26d4851daea0910348073d96fc06",
+        "null_shock_timeseries.csv":
+            "65ca13087d3a459bbe0181423e4df13ff9b0cc34b72acbdee5f0a54df11b3825",
+        "productivity_spillover_timeseries.csv":
+            "ba27998fa810f8bfcc7a98632332660a409cb60782b478707dddd9a58a0cb7b1",
+        "staged_adoption_timeseries.csv":
+            "5fe40e28d99f60ae63f314ce10a3435225d485001b8f3cf29a453c8b0d0619d9",
+        "summary.csv":
+            "0d22872b08d99934f32c5d0947ab9501d9bd27b6012636d99f1299374a2f73d6",
+        "summary.json":
+            "6f5b60508e0836d380484b8db135cfcbd8c66b772f802c7abb080c6a4e3c7ecc",
+    }
+    STDOUT = "12c63afd7e209660f5f8db13c8b02c7ae6b304a556cc82d6dc191f175410d791"
+
+    def test_default_simulate_bytes(self, tmp_path, capsys):
+        assert cli_dispatch(["simulate", "--config", "default",
+                             "--out", str(tmp_path)]) == 0
+        written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in tmp_path.iterdir()}
+        assert written == self.DIGESTS
+        stdout = capsys.readouterr().out
+        assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == self.STDOUT
 
 
 class TestCalibrate:

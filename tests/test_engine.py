@@ -17,8 +17,6 @@ from robolabor import (
     ThetaRamp,
     compare_to_targets,
     remittance_impact,
-    run_comparative_static,
-    run_dynamic,
     run_scenario,
 )
 
@@ -117,8 +115,8 @@ class TestDynamic:
                                             sectors):
         static = static_scenario(name="oneshot")
         dynamic = static_scenario(name="oneshot", mode=SimulationMode.DYNAMIC)
-        a = run_comparative_static(static, params, state0, baseline, sectors)
-        b = run_dynamic(dynamic, params, state0, baseline, sectors)
+        a = run_scenario(static, params, state0, baseline, sectors)
+        b = run_scenario(dynamic, params, state0, baseline, sectors)
         assert a.records == b.records
         assert a.summary == b.summary
         assert a.sector_rates == b.sector_rates
@@ -136,14 +134,14 @@ class TestDynamic:
                             horizon=(2025, 2029), robotics_growth=0.05,
                             cost_ratio_path=1.0, theta_override=StaticTheta(0.5),
                             tfp_enabled=True)
-        result = run_dynamic(scenario, params, state0, baseline)
+        result = run_scenario(scenario, params, state0, baseline)
         assert result.records[-1].tfp == pytest.approx(1.01 ** 5, rel=1e-12)
 
     def test_theta_ramp_schedule_over_horizon(self, params, state0, baseline):
         scenario = Scenario(name="ramp", mode=SimulationMode.DYNAMIC,
                             horizon=(2025, 2030), robotics_growth=0.05,
                             cost_ratio_path=1.0)
-        result = run_dynamic(scenario, params, state0, baseline)
+        result = run_scenario(scenario, params, state0, baseline)
         thetas = [record.theta for record in result.records]
         assert thetas[0] == 0.4
         assert thetas[-1] == 0.6
@@ -157,7 +155,7 @@ class TestDynamic:
                             horizon=(2024, 2030),
                             robotics_growth=(0.05, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
                             cost_ratio_path=1.0)
-        result = run_dynamic(scenario, params, state0, baseline)
+        result = run_scenario(scenario, params, state0, baseline)
         # indices 5 and 6 share the clamped elasticity and a frozen stock
         assert result.records[5].output_gain_vs_baseline == \
             result.records[6].output_gain_vs_baseline
@@ -165,13 +163,13 @@ class TestDynamic:
         assert result.records[4].output_gain_vs_baseline != \
             result.records[5].output_gain_vs_baseline
 
-    def test_falling_cost_path_is_rejected(self, params, state0, baseline):
-        scenario = Scenario(name="fall", mode=SimulationMode.DYNAMIC,
-                            horizon=(2025, 2026), robotics_growth=0.05,
-                            cost_ratio_path=(1.05, 1.02),
-                            theta_override=StaticTheta(0.5))
-        with pytest.raises(DomainError, match="cost_ratio_path"):
-            run_dynamic(scenario, params, state0, baseline)
+    def test_falling_cost_path_is_rejected(self):
+        with pytest.raises(DomainError, match="cost_ratio_path must not fall over "
+                                              "the horizon, got 1.05 then 1.02"):
+            Scenario(name="fall", mode=SimulationMode.DYNAMIC,
+                     horizon=(2025, 2026), robotics_growth=0.05,
+                     cost_ratio_path=(1.05, 1.02),
+                     theta_override=StaticTheta(0.5))
 
     def test_higher_sigma_displaces_more(self, params, state0, baseline):
         low = run_scenario(static_scenario(sigma_override=0.5), params, state0,
@@ -240,14 +238,6 @@ class TestTargetComparison:
 
 
 class TestScenarioValidation:
-    def test_mode_dispatch_guards(self, params, state0, baseline):
-        static = static_scenario()
-        dynamic = static_scenario(mode=SimulationMode.DYNAMIC)
-        with pytest.raises(DomainError):
-            run_comparative_static(dynamic, params, state0, baseline)
-        with pytest.raises(DomainError):
-            run_dynamic(static, params, state0, baseline)
-
     def test_static_requires_single_year(self):
         with pytest.raises(DomainError):
             static_scenario(horizon=(2025, 2030))
@@ -285,7 +275,8 @@ class TestScenarioValidation:
                                                           baseline):
         # alpha 0.35 + theta 0.7 leaves no labor share
         scenario = static_scenario(theta_override=StaticTheta(0.7))
-        with pytest.raises(DomainError, match="alpha"):
+        with pytest.raises(DomainError, match=r"^alpha \+ theta must stay below 1, "
+                                              r"got 0\.35 \+ 0\.7$"):
             run_scenario(scenario, params, state0, baseline)
 
     def test_ramp_override_end_checked_too(self, params, state0, baseline):

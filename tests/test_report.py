@@ -179,6 +179,46 @@ class TestJsonPayloads:
         assert null_entry["raw_gdp_gain"] is None
         assert "target_comparison" not in null_entry
 
+    def test_json_numbers_carry_at_most_12_significant_digits(self, bundle,
+                                                              tmp_path):
+        write_outputs(bundle, tmp_path, formats=["json"])
+        numbers = []
+        for name in ("summary.json", "calibration.json"):
+            json.loads((tmp_path / name).read_text(), parse_float=numbers.append,
+                       parse_int=numbers.append)
+        assert len(numbers) > 100
+        for text in numbers:
+            mantissa = text.lstrip("-").split("e")[0].replace(".", "")
+            assert len(mantissa.strip("0")) <= 12, text
+        # the same digits the CSV files carry
+        payload = json.loads((tmp_path / "summary.json").read_text())
+        entry = next(e for e in payload["scenarios"] if e["scenario"] == "baseline")
+        assert entry["displacement_rate"] == 0.032
+        assert format_number(entry["gdp_gain"]) == \
+            format_number(bundle.results[0].summary.gdp_gain)
+
+    def test_json_layout_matches_the_standard_encoder(self):
+        import math
+        from robolabor.report import _json_chunks
+
+        def rounded(node):
+            if isinstance(node, float) and math.isfinite(node):
+                return float(format(node, ".12g"))
+            if isinstance(node, dict):
+                return {key: rounded(value) for key, value in node.items()}
+            if isinstance(node, (list, tuple)):
+                return [rounded(value) for value in node]
+            return node
+
+        payload = {"floats": [0.1 + 0.2, -0.0, 1e300, 5.4e12, 1e16, 68159.99999997951,
+                              math.nan, math.inf, -math.inf],
+                   "nested": {"a": {}, "b": [], "c": [[], {"d": (1, 2.5)}],
+                              "ratio": 0.03199999999999037},
+                   "scalars": [None, True, False, 3, "caf\u00e9 \"q\""],
+                   "empty": {}}
+        for node in (payload, [], {}, [0.1 + 0.2, "x"]):
+            assert "".join(_json_chunks(node)) == json.dumps(rounded(node), indent=2)
+
     def test_calibration_payload(self, bundle, tmp_path):
         write_outputs(bundle, tmp_path, formats=["json"])
         payload = json.loads((tmp_path / "calibration.json").read_text())

@@ -1,0 +1,246 @@
+"""Bad input is rejected once, at the boundary, naming the field.
+
+Every rule a run depends on is checked when a scenario, parameter set or
+config is built, or before the first simulated year. A run that starts
+therefore finishes, and no error names an engine-internal variable.
+"""
+
+import math
+from dataclasses import replace
+
+import pytest
+
+from robolabor import (
+    ConfigError,
+    DomainError,
+    EconomyState,
+    LaborBaseline,
+    ModelParams,
+    Scenario,
+    SimulationMode,
+    StaticTheta,
+    loads_config,
+    run_scenario,
+)
+from robolabor.cli import cli_dispatch
+
+# names the engine uses internally; user-facing errors must not lean on them
+INTERNAL = ("robot_cost", "labor must", "displaced_cumulative", "adoption_growth_pct")
+
+CONFIG = """
+params:
+  alpha: 0.35
+  theta: {{mode: static, value: 0.5}}
+  sigma: 0.65
+baseline:
+  total_labor_force: 1000
+  expat_share: 0.9
+  sector_shares: {{services: 0.5}}
+  min_wage: 1000
+  low_wage_headcount: 100
+  remittance_base: {remittance_base}
+scenarios:
+  - name: ok
+    mode: comparative_static
+    horizon: [2030, 2030]
+  - name: s1
+    mode: dynamic
+    horizon: [2030, 2031]
+    robotics_growth: {growth}
+    cost_ratio_path: {cost}
+    tfp_enabled: {tfp}
+{extra}"""
+
+
+def config_text(remittance_base="1.0e+9", growth="0.05", cost="1.05", tfp="false",
+                extra=""):
+    return CONFIG.format(remittance_base=remittance_base, growth=growth, cost=cost,
+                         tfp=tfp, extra=extra)
+
+
+def scenario(**overrides):
+    fields = dict(name="case", mode=SimulationMode.DYNAMIC, horizon=(2030, 2031),
+                  robotics_growth=0.05, cost_ratio_path=1.05,
+                  theta_override=StaticTheta(0.5))
+    fields.update(overrides)
+    return Scenario(**fields)
+
+
+def config_error(text) -> ConfigError:
+    with pytest.raises(ConfigError) as info:
+        loads_config(text)
+    return info.value
+
+
+def assert_user_facing(message: str) -> None:
+    for name in INTERNAL:
+        assert name not in message
+
+
+def test_reference_config_loads():
+    config = loads_config(config_text())
+    assert [s.name for s in config.scenarios] == ["ok", "s1"]
+
+
+class TestScenarioRules:
+    """Rules that need only the scenario, run on every construction."""
+
+    @pytest.mark.parametrize("field", ["robotics_growth", "cost_ratio_path",
+                                       "sigma_override", "exposure_override"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_numbers(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            scenario(**{field: value})
+
+    def test_non_finite_path_entry(self):
+        with pytest.raises(DomainError, match="cost_ratio_path entries must be finite"):
+            scenario(cost_ratio_path=(1.05, math.inf))
+
+    def test_negative_growth_with_spillover(self):
+        with pytest.raises(DomainError, match="robotics_growth must be >= 0 when "
+                                              "tfp_enabled") as info:
+            scenario(robotics_growth=(0.05, -0.01), tfp_enabled=True)
+        assert_user_facing(str(info.value))
+
+    def test_negative_growth_without_spillover_still_runs(self, params, state0,
+                                                          baseline):
+        result = run_scenario(scenario(robotics_growth=-0.01), params, state0,
+                              baseline)
+        assert result.summary.gdp_gain < 0
+
+    def test_cost_ratio_below_one(self):
+        with pytest.raises(DomainError, match="cost_ratio_path entries must be "
+                                              ">= 1, got 0.9") as info:
+            scenario(cost_ratio_path=0.9)
+        assert_user_facing(str(info.value))
+
+    def test_rules_rerun_on_replace(self):
+        base = scenario(tfp_enabled=True)
+        with pytest.raises(DomainError, match="tfp_enabled"):
+            replace(base, robotics_growth=-0.01)
+
+
+class TestScenarioAgainstParams:
+    """Rules that need the scenario and the parameters run before year one."""
+
+    def test_terminal_cost_ratio_must_leave_a_workforce(self, params, state0,
+                                                        baseline):
+        bad = scenario(cost_ratio_path=1e300, sigma_override=2.0,
+                       exposure_override=1.0)
+        with pytest.raises(DomainError, match="cost_ratio_path reaches 1e\\+300") \
+                as info:
+            run_scenario(bad, params, state0, baseline)
+        assert_user_facing(str(info.value))
+
+    def test_huge_ratio_fine_below_full_exposure(self, params, state0, baseline):
+        result = run_scenario(scenario(cost_ratio_path=1e300, sigma_override=2.0,
+                                       exposure_override=0.5),
+                              params, state0, baseline)
+        assert result.summary.displacement_rate == 0.5
+
+
+class TestModelInputs:
+    @pytest.mark.parametrize("field", ["sigma", "tfp_boost_per_adoption_pct"])
+    def test_params_reject_non_finite(self, field):
+        fields = dict(alpha=0.35, theta=StaticTheta(0.5), sigma=0.65)
+        fields[field] = math.inf
+        with pytest.raises(DomainError, match=f"{field} must be finite and >= 0"):
+            ModelParams(**fields)
+
+    @pytest.mark.parametrize("field", ["tfp", "capital", "labor", "robotics",
+                                       "wage", "robot_cost"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_state_rejects_non_finite(self, field, value):
+        fields = dict(year=2024, tfp=1.0, capital=1.0, labor=1.0, robotics=1.0,
+                      wage=1.0, robot_cost=1.0)
+        fields[field] = value
+        with pytest.raises(DomainError, match=f"{field} must be positive and finite"):
+            EconomyState(**fields)
+
+    @pytest.mark.parametrize("field", ["total_labor_force", "min_wage",
+                                       "low_wage_headcount", "remittance_base",
+                                       "remittance_reference_rate"])
+    def test_baseline_rejects_non_finite(self, field):
+        fields = dict(total_labor_force=1000.0, expat_share=0.9,
+                      sector_shares={"services": 0.5}, min_wage=1000.0,
+                      low_wage_headcount=100.0, remittance_base=1e9)
+        fields[field] = math.inf
+        with pytest.raises(DomainError, match=field):
+            LaborBaseline(**fields)
+
+
+class TestConfigBoundary:
+    """The same defects through a config file fail at load with a dotted path."""
+
+    @pytest.mark.parametrize("value", [".inf", "-.inf", ".nan"])
+    def test_non_finite_growth(self, value):
+        error = config_error(config_text(growth=value))
+        assert error.path == "scenarios[1].robotics_growth"
+        assert "finite" in str(error)
+
+    @pytest.mark.parametrize("value", [".inf", ".nan"])
+    def test_non_finite_cost_ratio(self, value):
+        error = config_error(config_text(cost=f"[1.05, {value}]"))
+        assert error.path == "scenarios[1].cost_ratio_path[1]"
+
+    @pytest.mark.parametrize("value", [".inf", ".nan"])
+    def test_non_finite_remittance_base(self, value):
+        error = config_error(config_text(remittance_base=value))
+        assert error.path == "baseline.remittance_base"
+
+    def test_integer_too_large_for_a_float(self):
+        error = config_error(config_text(remittance_base="1" + "0" * 400))
+        assert error.path == "baseline.remittance_base"
+        assert "finite" in str(error)
+
+    @pytest.mark.parametrize("path, old, new", [
+        ("params.sigma", "sigma: 0.65", "sigma: .inf"),
+        ("params.theta.value", "value: 0.5", "value: .nan"),
+    ])
+    def test_non_finite_params(self, path, old, new):
+        assert config_error(config_text().replace(old, new)).path == path
+
+    def test_non_finite_sector_field(self):
+        extra = """sectors:
+  - {name: a, employment_share: 0.2, risk_multiplier: .inf,
+     automation_potential: 0.5, readiness: low}
+"""
+        assert config_error(config_text(extra=extra)).path == \
+            "sectors[0].risk_multiplier"
+
+    def test_negative_growth_with_spillover(self):
+        error = config_error(config_text(growth="[0.05, -0.01]", tfp="true"))
+        assert error.path == "scenarios[1]"
+        assert "robotics_growth must be >= 0 when tfp_enabled" in str(error)
+        assert_user_facing(str(error))
+
+    def test_cost_ratio_below_one(self):
+        error = config_error(config_text(cost="0.9"))
+        assert error.path == "scenarios[1]"
+        assert "cost_ratio_path entries must be >= 1" in str(error)
+        assert_user_facing(str(error))
+
+    def test_falling_cost_path(self):
+        error = config_error(config_text(cost="[1.05, 1.02]"))
+        assert error.path == "scenarios[1]"
+        assert "cost_ratio_path must not fall" in str(error)
+
+    def test_terminal_cost_ratio_checked_at_load(self):
+        text = config_text(cost="1.0e+300", extra="""    sigma: 2
+    exposure_share: 1.0
+""")
+        error = config_error(text)
+        assert error.path == "scenarios[1]"
+        assert "cost_ratio_path reaches 1e+300" in str(error)
+        assert_user_facing(str(error))
+
+    def test_theta_override_checked_at_load(self):
+        error = config_error(config_text(extra="    theta: {mode: static, value: 0.7}\n"))
+        assert error.path == "scenarios[1]"
+        assert "alpha + theta must stay below 1, got 0.35 + 0.7" in str(error)
+
+    def test_validate_command_rejects_with_path(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text(config_text(cost="[1.05, 1.02]"))
+        assert cli_dispatch(["validate", "--config", str(path)]) == 1
+        assert "scenarios[1]: cost_ratio_path must not fall" in capsys.readouterr().err
