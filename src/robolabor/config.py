@@ -41,6 +41,10 @@ __all__ = [
 
 _FORMATS = ("csv", "json")
 
+# libyaml's C parser when PyYAML was built with it. Both loaders share
+# PyYAML's SafeConstructor and Resolver, so they build the same document.
+_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
 
 @dataclass(frozen=True)
 class OutputOptions:
@@ -416,12 +420,16 @@ def _parse_output(node: Any, names: set[str], path: str) -> OutputOptions:
 def loads_config(text: str, source: str = "<string>") -> RunConfig:
     """Parse and validate config YAML from a string."""
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         problem = getattr(exc, "problem", None) or str(exc)
         raise ConfigError(f"invalid YAML in {source}{where}: {problem}") from exc
+    except ValueError as exc:
+        # the constructor's int() and date() calls: an integer past Python's
+        # digit limit, or an impossible calendar date
+        raise ConfigError(f"invalid YAML in {source}: {exc}") from exc
     if data is None:
         raise ConfigError(f"{source} is empty")
     data = _as_map(data, "<root>")
@@ -440,7 +448,8 @@ def loads_config(text: str, source: str = "<string>") -> RunConfig:
                       for i, entry in enumerate(
                           _as_list(data.get("scenarios", []), "scenarios")))
     for i, scenario in enumerate(scenarios):
-        _domain_checked(lambda: _effective_params(scenario, params), f"scenarios[{i}]")
+        _domain_checked(lambda: _effective_params(scenario, params, state),
+                        f"scenarios[{i}]")
     names = [s.name for s in scenarios]
     if len(set(names)) != len(names):
         raise ConfigError("scenario names must be unique", path="scenarios")

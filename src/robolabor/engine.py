@@ -41,7 +41,7 @@ from .core import (
     tfp_step,
     theta_at,
 )
-from .errors import _require
+from .errors import DomainError, _require
 from .sectors import (
     HeadcountBreakdown,
     JobCreationModel,
@@ -266,15 +266,16 @@ class SimulationResult:
     target_comparison: tuple[TargetGap, ...] | None = None
 
 
-def _effective_params(scenario: Scenario,
-                      params: ModelParams) -> tuple[float, ThetaMode, float]:
-    """Resolve the scenario overrides; check the rules that need both inputs.
+def _effective_params(scenario: Scenario, params: ModelParams,
+                      state0: EconomyState) -> tuple[float, ThetaMode, float]:
+    """Resolve the scenario overrides; check the rules that need all inputs.
 
     Returns ``(sigma, theta schedule, exposure_share)``. Every value of the
-    schedule must keep ``alpha + theta < 1``, and the terminal cost ratio,
-    the path's largest, must leave part of the workforce employed. With
-    these and the scenario's own rules, every simulated year stays inside
-    the model's domain, short of a float overflow in the compounded stocks.
+    schedule must keep ``alpha + theta < 1``, the terminal cost ratio, the
+    path's largest, must leave part of the workforce employed, and the
+    robotics stock and TFP, compounded from ``state0`` by the growth path,
+    must stay positive and finite floats. With these and the scenario's own
+    rules, every simulated year stays inside the model's domain.
     """
     sigma = scenario.sigma_override if scenario.sigma_override is not None else params.sigma
     theta_mode = scenario.theta_override if scenario.theta_override is not None else params.theta
@@ -287,6 +288,21 @@ def _effective_params(scenario: Scenario,
     _require(labor_demand_ratio(terminal, sigma, exposure) > 0,
              f"cost_ratio_path reaches {terminal}, which displaces the whole "
              f"workforce at sigma {sigma} and exposure_share {exposure}")
+    # compound exactly as run_scenario does, so a pass here is a pass there;
+    # the TFP line is tfp_step's arithmetic without its per-call checks
+    boost = params.tfp_boost_per_adoption_pct
+    robotics = state0.robotics
+    tfp = state0.tfp
+    for year, g_t in enumerate(scenario.growth_path(), start=scenario.horizon[0]):
+        robotics = robotics * (1.0 + g_t)
+        if scenario.tfp_enabled:
+            tfp = tfp * (1.0 + boost * (100.0 * g_t))
+        if not 0 < robotics < math.inf:
+            raise DomainError(f"robotics_growth compounds the robotics stock to "
+                              f"{robotics} by {year}, outside the float range")
+        if tfp == math.inf:
+            raise DomainError(f"robotics_growth compounds TFP to {tfp} by {year} "
+                              f"through tfp_enabled, outside the float range")
     return sigma, theta_mode, exposure
 
 
@@ -301,7 +317,7 @@ def run_scenario(scenario: Scenario, params: ModelParams, state0: EconomyState,
     one record per horizon year; a comparative-static scenario is the
     single-year case.
     """
-    sigma, theta_mode, exposure = _effective_params(scenario, params)
+    sigma, theta_mode, exposure = _effective_params(scenario, params, state0)
 
     start, end = scenario.horizon
     n_years = scenario.n_years

@@ -90,8 +90,9 @@ class SectorProfile:
         else:
             _require(self.risk_multiplier is not None,
                      f"{self.name}: risk_multiplier is required for non-residual sectors")
-            _require(self.risk_multiplier >= 0,
-                     f"{self.name}: risk_multiplier must be >= 0, got {self.risk_multiplier}")
+            _require(0 <= self.risk_multiplier < math.inf,
+                     f"{self.name}: risk_multiplier must be finite and >= 0, "
+                     f"got {self.risk_multiplier}")
         _require(0 <= self.automation_potential <= 1,
                  f"{self.name}: automation_potential must lie in [0, 1], "
                  f"got {self.automation_potential}")
@@ -289,7 +290,8 @@ class JobCreationRatio:
     ratio: float = 0.23
 
     def __post_init__(self) -> None:
-        _require(self.ratio >= 0, f"ratio must be >= 0, got {self.ratio}")
+        _require(0 <= self.ratio < math.inf,
+                 f"ratio must be finite and >= 0, got {self.ratio}")
 
 
 @dataclass(frozen=True)
@@ -303,8 +305,8 @@ class JobCreationRamp:
     terminal_ratio: float = 0.64
 
     def __post_init__(self) -> None:
-        _require(self.terminal_ratio >= 0,
-                 f"terminal_ratio must be >= 0, got {self.terminal_ratio}")
+        _require(0 <= self.terminal_ratio < math.inf,
+                 f"terminal_ratio must be finite and >= 0, got {self.terminal_ratio}")
 
 
 JobCreationModel = Union[JobCreationRatio, JobCreationRamp]

@@ -1,6 +1,7 @@
 """Strict config parsing, dotted error paths, YAML round trips."""
 
 import pytest
+import yaml
 
 from robolabor import (
     ConfigError,
@@ -14,6 +15,7 @@ from robolabor import (
     load_config,
     loads_config,
 )
+from robolabor import config as config_module
 from robolabor.config import to_dict
 
 MINIMAL = """
@@ -355,3 +357,61 @@ class TestRoundTrip:
     def test_minimal_round_trips(self):
         config = loads_config(ONE_SCENARIO)
         assert loads_config(dump_config(config)) == config
+
+
+# scalars whose resolution depends on the resolver, not on the parser
+SCALARS = """
+name: "Doha – الدوحة"
+hex: 0x1F
+octal: 0o17
+legacy_octal: 017
+inf: .inf
+negative_inf: -.Inf
+exponent: 1.0e+9
+date: 2024-02-29
+stamp: 2024-02-29T12:30:00Z
+flags: [yes, no, on, off, true, ~]
+"""
+
+
+LOADER_TEXTS = {
+    "bundled": lambda: default_config_path().read_text(encoding="utf-8"),
+    "minimal": lambda: ONE_SCENARIO,
+    "dumped": lambda: dump_config(load_config("default")),
+    "scalars": lambda: SCALARS,
+}
+
+
+needs_libyaml = pytest.mark.skipif(not yaml.__with_libyaml__,
+                                   reason="PyYAML built without libyaml")
+
+
+class TestLoaders:
+    """libyaml's parser and the pure-Python one give the same results."""
+
+    def test_libyaml_is_used_when_present(self):
+        expected = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+        assert config_module._LOADER is expected
+
+    @needs_libyaml
+    @pytest.mark.parametrize("name", LOADER_TEXTS)
+    def test_same_document(self, name):
+        text = LOADER_TEXTS[name]()
+        assert (yaml.load(text, Loader=yaml.CSafeLoader)
+                == yaml.load(text, Loader=yaml.SafeLoader))
+
+    @pytest.mark.parametrize("name", ["bundled", "minimal", "dumped"])
+    def test_fallback_gives_the_same_config(self, name, monkeypatch):
+        text = LOADER_TEXTS[name]()
+        expected = loads_config(text)
+        monkeypatch.setattr(config_module, "_LOADER", yaml.SafeLoader)
+        assert loads_config(text) == expected
+
+    @pytest.mark.parametrize("loader", ["SafeLoader",
+                                        pytest.param("CSafeLoader", marks=needs_libyaml)])
+    def test_malformed_yaml_reports_line_and_column(self, loader, monkeypatch):
+        monkeypatch.setattr(config_module, "_LOADER", getattr(yaml, loader))
+        with pytest.raises(ConfigError, match="invalid YAML in custom.yaml at "
+                                              "line 3, column 10: "):
+            loads_config("params: 1\nbaseline: [unclosed\nscenarios: {",
+                         source="custom.yaml")

@@ -14,9 +14,13 @@ from robolabor import (
     ConfigError,
     DomainError,
     EconomyState,
+    JobCreationRamp,
+    JobCreationRatio,
     LaborBaseline,
     ModelParams,
+    Readiness,
     Scenario,
+    SectorProfile,
     SimulationMode,
     StaticTheta,
     loads_config,
@@ -139,6 +143,36 @@ class TestScenarioAgainstParams:
         assert result.summary.displacement_rate == 0.5
 
 
+class TestCompoundedStocks:
+    """A growth path whose compounded stock leaves the float range is
+    rejected before the first simulated year."""
+
+    LONG = (2019, 2100)
+
+    @pytest.mark.parametrize("growth, reached", [(1e4, "inf by 2096"),
+                                                 (-0.999999, "0.0 by 2072")])
+    def test_robotics_stock_leaves_the_range(self, params, state0, baseline,
+                                             growth, reached):
+        bad = scenario(horizon=self.LONG, robotics_growth=growth)
+        with pytest.raises(DomainError, match="robotics_growth compounds the "
+                                              f"robotics stock to {reached}"):
+            run_scenario(bad, params, state0, baseline)
+
+    def test_stock_just_inside_the_range_runs(self, params, state0, baseline):
+        # 5001 ** 82 is about 2e303
+        result = run_scenario(scenario(horizon=self.LONG, robotics_growth=5e3),
+                              params, state0, baseline)
+        assert math.isfinite(result.summary.gdp_gain)
+
+    def test_tfp_overflow(self, params, state0, baseline):
+        # the stock stays finite (11 ** 82 is about 2e85); TFP grows by 1 + 1000 g
+        boosted = replace(params, tfp_boost_per_adoption_pct=10.0)
+        bad = scenario(horizon=self.LONG, robotics_growth=10.0, tfp_enabled=True)
+        with pytest.raises(DomainError, match="robotics_growth compounds TFP to "
+                                              "inf by 2096 through tfp_enabled"):
+            run_scenario(bad, boosted, state0, baseline)
+
+
 class TestModelInputs:
     @pytest.mark.parametrize("field", ["sigma", "tfp_boost_per_adoption_pct"])
     def test_params_reject_non_finite(self, field):
@@ -167,6 +201,20 @@ class TestModelInputs:
         fields[field] = math.inf
         with pytest.raises(DomainError, match=field):
             LaborBaseline(**fields)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
+    @pytest.mark.parametrize("model, field", [(JobCreationRatio, "ratio"),
+                                              (JobCreationRamp, "terminal_ratio")])
+    def test_job_creation_rejects_non_finite(self, model, field, value):
+        with pytest.raises(DomainError, match=f"{field} must be finite and >= 0"):
+            model(value)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
+    def test_sector_rejects_non_finite_risk_multiplier(self, value):
+        with pytest.raises(DomainError, match="a: risk_multiplier must be finite "
+                                              "and >= 0"):
+            SectorProfile(name="a", employment_share=0.2, risk_multiplier=value,
+                          automation_potential=0.5, readiness=Readiness.LOW)
 
 
 class TestConfigBoundary:
@@ -239,8 +287,49 @@ class TestConfigBoundary:
         assert error.path == "scenarios[1]"
         assert "alpha + theta must stay below 1, got 0.35 + 0.7" in str(error)
 
+    def test_robotics_stock_overflow_checked_at_load(self):
+        text = config_text(growth="1.0e+4").replace("horizon: [2030, 2031]",
+                                                    "horizon: [2019, 2100]")
+        error = config_error(text)
+        assert error.path == "scenarios[1]"
+        assert "robotics_growth compounds the robotics stock to inf" in str(error)
+
+    def test_tfp_overflow_checked_at_load(self):
+        text = (config_text(growth="10.0", tfp="true")
+                .replace("horizon: [2030, 2031]", "horizon: [2019, 2100]")
+                .replace("sigma: 0.65", "sigma: 0.65\n  tfp_boost_per_adoption_pct: 10"))
+        error = config_error(text)
+        assert error.path == "scenarios[1]"
+        assert "robotics_growth compounds TFP to inf" in str(error)
+
     def test_validate_command_rejects_with_path(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
         path.write_text(config_text(cost="[1.05, 1.02]"))
         assert cli_dispatch(["validate", "--config", str(path)]) == 1
         assert "scenarios[1]: cost_ratio_path must not fall" in capsys.readouterr().err
+
+    def test_validate_command_rejects_overflowing_growth(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text(config_text(growth="1.0e+4").replace(
+            "horizon: [2030, 2031]", "horizon: [2019, 2100]"))
+        assert cli_dispatch(["validate", "--config", str(path)]) == 1
+        assert "scenarios[1]: robotics_growth compounds" in capsys.readouterr().err
+
+
+class TestYamlConstructorErrors:
+    """Scalars the YAML constructor cannot build fail as config errors."""
+
+    CASES = {"huge_integer": "params: " + "1" * 5000,
+             "impossible_date": "a: 2024-13-45"}
+
+    @pytest.mark.parametrize("text", CASES.values(), ids=CASES.keys())
+    def test_loads_config(self, text):
+        with pytest.raises(ConfigError, match="invalid YAML in custom.yaml: "):
+            loads_config(text, source="custom.yaml")
+
+    @pytest.mark.parametrize("text", CASES.values(), ids=CASES.keys())
+    def test_validate_command(self, text, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        assert cli_dispatch(["validate", "--config", str(path)]) == 1
+        assert f"invalid YAML in {path}: " in capsys.readouterr().err
