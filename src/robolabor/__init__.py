@@ -14,9 +14,11 @@ Same inputs, same outputs, bit for bit: no randomness, no hidden state.
 from __future__ import annotations
 
 from .calibrate import (
+    SUPPORTED_PAIRS,
     CalibrationReport,
     SolverConfig,
     bisect,
+    calibrate_scenario,
     implied_cost_ratio,
     implied_exposure,
     implied_robotics_growth,
@@ -112,7 +114,8 @@ __all__ = [
     "ResultSummary", "TargetGap", "SimulationResult", "run_scenario",
     "compare_to_targets",
     # calibration
-    "SolverConfig", "CalibrationReport", "bisect", "solve_tfp_level",
+    "SolverConfig", "CalibrationReport", "SUPPORTED_PAIRS", "calibrate_scenario",
+    "bisect", "solve_tfp_level",
     "implied_theta", "implied_sigma", "implied_exposure", "implied_cost_ratio",
     "implied_robotics_growth",
     # sensitivity

@@ -1,11 +1,12 @@
 """Solvers that recover unstated inputs from published outcomes.
 
-Closed forms exist for every single-parameter inversion of the model (theta
-from an output gain, sigma from a displacement rate, the exposure share or
-cost ratio from a displacement target, TFP from an observed output level).
-Those are preferred. A deterministic midpoint bisection is kept for
-composite targets where several channels interact, such as backing out an
-adoption rate that reproduces a gain with the TFP spillover switched on.
+:func:`calibrate_scenario`, which the ``calibrate`` command calls, bisects
+over :func:`~robolabor.engine.run_scenario`, so a solved value reproduces its
+target in the model the engine runs and the residual is the engine's gap.
+An output level is an identity in TFP at the initial state, solved by
+:func:`solve_tfp_level`. The closed forms (``implied_*``) are library
+helpers: each inverts one single-year channel under the assumptions its
+docstring states, and agrees with the engine only where those hold.
 
 All solves are in ratio space: targets are fractional changes against the
 frozen baseline year.
@@ -14,26 +15,19 @@ frozen baseline year.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
-from .errors import (
-    MaxIterationsError,
-    NoSignChangeError,
-    UnattainableTargetError,
-    _require,
-)
+from .core import EconomyState, ModelParams, StaticTheta, production_output, theta_at
+from .engine import Scenario, run_scenario
+from .errors import (CalibrationError, MaxIterationsError, NoSignChangeError,
+                     UnattainableTargetError, _require)
+from .sectors import LaborBaseline
 
 __all__ = [
-    "SolverConfig",
-    "CalibrationReport",
-    "bisect",
-    "solve_tfp_level",
-    "implied_theta",
-    "implied_sigma",
-    "implied_exposure",
-    "implied_cost_ratio",
-    "implied_robotics_growth",
+    "SolverConfig", "CalibrationReport", "SUPPORTED_PAIRS", "calibrate_scenario",
+    "bisect", "solve_tfp_level", "implied_theta", "implied_sigma", "implied_exposure",
+    "implied_cost_ratio", "implied_robotics_growth",
 ]
 
 RATIO_SPACE_NOTE = (
@@ -72,14 +66,7 @@ class CalibrationReport:
     iterations: int
 
     def to_dict(self) -> dict:
-        return {
-            "target_name": self.target_name,
-            "target_value": self.target_value,
-            "parameter": self.parameter,
-            "value": self.value,
-            "residual": self.residual,
-            "iterations": self.iterations,
-        }
+        return asdict(self)
 
 
 def bisect(f: Callable[[float], float], target: float, config: SolverConfig) -> float:
@@ -244,3 +231,66 @@ def implied_robotics_growth(gain_target: float, theta: float,
     if solver is None:
         solver = SolverConfig(lo=0.0, hi=1.0)
     return bisect(forward, gain_target, solver)
+
+
+# (target, parameter) -> the Scenario field the solved value replaces, how the
+# value is wrapped, and the bracket searched; theta's upper end is further
+# capped below 1 - alpha. A scalar replaces a whole path.
+_ENGINE_SOLVES = {
+    ("gain", "theta"): ("theta_override", StaticTheta, 1e-9, 1.0),
+    ("displacement", "sigma"): ("sigma_override", float, 0.0, 20.0),
+    ("displacement", "exposure"): ("exposure_override", float, 0.0, 1.0),
+    ("displacement", "cost_ratio"): ("cost_ratio_path", float, 1.0, 10.0),
+    ("gain", "robotics_growth"): ("robotics_growth", float, 0.0, 1.0),
+}
+_METRICS = {"gain": "gdp_gain", "displacement": "displacement_rate"}
+
+SUPPORTED_PAIRS = (*_ENGINE_SOLVES, ("output", "tfp"))
+
+
+def calibrate_scenario(scenario: Scenario, params: ModelParams, state0: EconomyState,
+                       baseline: LaborBaseline, target_name: str, target_value: float,
+                       parameter: str) -> CalibrationReport:
+    """Solve one scenario input so the engine reproduces a target outcome.
+
+    ``gain`` is the summary ``gdp_gain`` and ``displacement`` the terminal
+    ``displacement_rate`` of a run without a sector table, with the solved
+    value in place of the scenario's field or whole path. ``iterations``
+    counts engine runs; ``residual`` is the engine's gap at the solved value.
+    ``output`` solves TFP at the initial state and runs no engine. Raises
+    :class:`UnattainableTargetError` when the target lies outside what the
+    engine reaches over the parameter's bracket.
+    """
+    if (target_name, parameter) == ("output", "tfp"):
+        theta0 = theta_at(0, scenario.theta_override or params.theta)
+        value = solve_tfp_level(target_value, state0.capital, state0.labor,
+                                state0.robotics, params.alpha, theta0)
+        output = production_output(replace(state0, tfp=value), params.alpha, theta0)
+        return CalibrationReport(target_name, target_value, parameter, value,
+                                 output - target_value, 0)
+    if (target_name, parameter) not in _ENGINE_SOLVES:
+        raise CalibrationError(f"cannot solve {parameter!r} from target {target_name!r}")
+    field, wrap, lo, hi = _ENGINE_SOLVES[target_name, parameter]
+    if parameter == "theta":
+        hi = min(hi, (1.0 - params.alpha) * (1.0 - 1e-9))
+    metric = _METRICS[target_name]
+    runs: list[tuple[float, float]] = []
+
+    def engine_metric(x: float) -> float:
+        trial = replace(scenario, **{field: wrap(x)})
+        runs.append((x, getattr(run_scenario(trial, params, state0, baseline).summary,
+                                metric)))
+        return runs[-1][1]
+
+    try:
+        value = bisect(engine_metric, target_value,
+                       SolverConfig(lo=lo, hi=hi, relative_tolerance=1e-12))
+    except NoSignChangeError:
+        reached = dict(runs)
+        low, high = sorted((reached[lo], reached[hi]))
+        raise UnattainableTargetError(
+            f"{target_name}={target_value:g} is out of reach by solving {parameter}: "
+            f"over {parameter} in [{lo:.6g}, {hi:.6g}] scenario {scenario.name} "
+            f"gives {target_name} from {low:.6g} to {high:.6g}") from None
+    return CalibrationReport(target_name, target_value, parameter, value,
+                             dict(runs)[value] - target_value, len(runs))

@@ -17,24 +17,11 @@ import json
 import sys
 from typing import Sequence
 
-from .calibrate import (
-    CalibrationReport,
-    SolverConfig,
-    bisect,
-    implied_cost_ratio,
-    implied_exposure,
-    implied_sigma,
-    implied_theta,
-    solve_tfp_level,
-)
-from .config import RunConfig, load_config
-from .core import (
-    EconomyState,
-    labor_demand_ratio,
-    production_output,
-    robotics_output_gain,
-    theta_at,
-)
+from .calibrate import SUPPORTED_PAIRS, calibrate_scenario
+# perfbench/spans.py wraps these names on this module when it traces a CLI run
+from .calibrate import (bisect, implied_cost_ratio, implied_exposure,  # noqa: F401
+                        implied_sigma, implied_theta, solve_tfp_level)
+from .config import load_config
 from .engine import run_scenario
 from .errors import ModelError, ValidationError
 from .report import (
@@ -52,8 +39,8 @@ EXIT_VALIDATION = 1
 EXIT_DOMAIN = 2
 EXIT_USAGE = 64
 
-_TARGET_NAMES = ("gain", "displacement", "output")
-_SOLVE_NAMES = ("theta", "sigma", "exposure", "cost_ratio", "robotics_growth", "tfp")
+_TARGET_NAMES = tuple(dict.fromkeys(target for target, _ in SUPPORTED_PAIRS))
+_SOLVE_NAMES = tuple(dict.fromkeys(parameter for _, parameter in SUPPORTED_PAIRS))
 
 
 class _UsageError(Exception):
@@ -139,78 +126,24 @@ def _parse_target(text: str) -> tuple[str, float]:
     name, sep, raw = text.partition("=")
     if not sep:
         raise _UsageError(f"--target expects NAME=VALUE, got {text!r}")
-    name = name.strip()
-    if name not in _TARGET_NAMES:
-        raise _UsageError(
-            f"--target name must be one of {', '.join(_TARGET_NAMES)}, got {name!r}")
     try:
         value = float(raw)
     except ValueError:
         raise _UsageError(f"--target value must be a number, got {raw!r}") from None
-    return name, value
+    return name.strip(), value
 
 
 def _cmd_calibrate(args) -> int:
     config = load_config(args.config)
     target_name, target_value = _parse_target(args.target)
     scenario = config.scenario(args.scenario)
-    params = config.params
-    state = config.initial_state
-    sigma = (scenario.sigma_override if scenario.sigma_override is not None
-             else params.sigma)
-    theta_mode = (scenario.theta_override if scenario.theta_override is not None
-                  else params.theta)
-    theta0 = theta_at(0, theta_mode)
-    exposure = (scenario.exposure_override if scenario.exposure_override is not None
-                else params.exposure_share)
-    growth = scenario.growth_path()[0]
-    ratio = scenario.cost_path()[0]
-    boost = params.tfp_boost_per_adoption_pct if scenario.tfp_enabled else 0.0
-
-    iterations = 0
-    if target_name == "gain" and args.solve == "theta":
-        value = implied_theta(target_value, growth)
-        residual = robotics_output_gain(growth, value) - target_value
-    elif target_name == "gain" and args.solve == "robotics_growth":
-        calls = 0
-
-        def forward(g: float) -> float:
-            nonlocal calls
-            calls += 1
-            return (1.0 + boost * 100.0 * g) * (1.0 + g) ** theta0 - 1.0
-
-        if boost == 0.0:
-            value = (1.0 + target_value) ** (1.0 / theta0) - 1.0
-        else:
-            value = bisect(forward, target_value, SolverConfig(lo=0.0, hi=1.0))
-            iterations = calls
-        residual = forward(value) - target_value
-    elif target_name == "displacement" and args.solve == "sigma":
-        value = implied_sigma(target_value, ratio)
-        residual = (1.0 - labor_demand_ratio(ratio, value, 1.0)) - target_value
-    elif target_name == "displacement" and args.solve == "exposure":
-        value = implied_exposure(target_value, ratio, sigma)
-        residual = (1.0 - labor_demand_ratio(ratio, sigma, value)) - target_value
-    elif target_name == "displacement" and args.solve == "cost_ratio":
-        value = implied_cost_ratio(target_value, sigma, exposure)
-        residual = (1.0 - labor_demand_ratio(value, sigma, exposure)) - target_value
-    elif target_name == "output" and args.solve == "tfp":
-        value = solve_tfp_level(target_value, state.capital, state.labor,
-                                state.robotics, params.alpha, theta0)
-        probe = EconomyState(year=state.year, tfp=value, capital=state.capital,
-                             labor=state.labor, robotics=state.robotics,
-                             wage=state.wage, robot_cost=state.robot_cost)
-        residual = production_output(probe, params.alpha, theta0) - target_value
-    else:
-        raise _UsageError(
-            f"cannot solve {args.solve!r} from target {target_name!r}; supported: "
-            "gain->theta, gain->robotics_growth, displacement->sigma, "
-            "displacement->exposure, displacement->cost_ratio, output->tfp")
-
-    report = CalibrationReport(target_name=target_name, target_value=target_value,
-                               parameter=args.solve, value=value,
-                               residual=residual, iterations=iterations)
-    print(f"solved {args.solve} = {value:.6g} against {target_name}={target_value:g} "
+    if (target_name, args.solve) not in SUPPORTED_PAIRS:
+        pairs = ", ".join(f"{target}->{parameter}" for target, parameter in SUPPORTED_PAIRS)
+        raise _UsageError(f"cannot solve {args.solve!r} from target {target_name!r}; "
+                          f"supported: {pairs}")
+    report = calibrate_scenario(scenario, config.params, config.initial_state,
+                                config.baseline, target_name, target_value, args.solve)
+    print(f"solved {args.solve} = {report.value:.6g} against {target_name}={target_value:g} "
           f"(scenario {scenario.name})", file=sys.stderr)
     print(json.dumps(report.to_dict(), indent=2))
     return EXIT_OK

@@ -274,8 +274,10 @@ def _effective_params(scenario: Scenario, params: ModelParams,
     schedule must keep ``alpha + theta < 1``, the terminal cost ratio, the
     path's largest, must leave part of the workforce employed, and the
     robotics stock and TFP, compounded from ``state0`` by the growth path,
-    must stay positive and finite floats. With these and the scenario's own
-    rules, every simulated year stays inside the model's domain.
+    must stay positive and finite floats, and TFP times the stock to the
+    power of the year's theta must stay finite. With these and the
+    scenario's own rules, every simulated year stays inside the model's
+    domain.
     """
     sigma = scenario.sigma_override if scenario.sigma_override is not None else params.sigma
     theta_mode = scenario.theta_override if scenario.theta_override is not None else params.theta
@@ -293,6 +295,7 @@ def _effective_params(scenario: Scenario, params: ModelParams,
     boost = params.tfp_boost_per_adoption_pct
     robotics = state0.robotics
     tfp = state0.tfp
+    overflow = None
     for year, g_t in enumerate(scenario.growth_path(), start=scenario.horizon[0]):
         robotics = robotics * (1.0 + g_t)
         if scenario.tfp_enabled:
@@ -303,6 +306,16 @@ def _effective_params(scenario: Scenario, params: ModelParams,
         if tfp == math.inf:
             raise DomainError(f"robotics_growth compounds TFP to {tfp} by {year} "
                               f"through tfp_enabled, outside the float range")
+        # TFP is finite here and theta lies in (0, 1], so TFP times
+        # robotics**theta can overflow only once TFP times the stock does
+        if overflow is None and tfp * robotics == math.inf:
+            theta_t = theta_at(year - scenario.horizon[0], theta_mode)
+            if tfp * robotics ** theta_t == math.inf:
+                overflow = f"the power {theta_t} to inf by {year}"
+    # a stock that leaves the range anywhere is reported first
+    if overflow is not None:
+        raise DomainError(f"robotics_growth compounds TFP times the robotics stock to "
+                          f"{overflow}, outside the float range")
     return sigma, theta_mode, exposure
 
 

@@ -1,19 +1,24 @@
-"""Closed-form inversions and the bisection fallback."""
+"""Closed-form inversions, bisection, and solves through the engine."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 from mpmath import mp
 
 from robolabor import (
+    SUPPORTED_PAIRS,
+    CalibrationError,
     CalibrationReport,
     DomainError,
     MaxIterationsError,
     NoSignChangeError,
     SolverConfig,
+    StaticTheta,
     UnattainableTargetError,
     bisect,
+    calibrate_scenario,
     implied_cost_ratio,
     implied_exposure,
     implied_robotics_growth,
@@ -22,6 +27,7 @@ from robolabor import (
     labor_demand_ratio,
     production_output,
     robotics_output_gain,
+    run_scenario,
     solve_tfp_level,
 )
 from robolabor.core import EconomyState
@@ -272,3 +278,124 @@ class TestRoundTripProperties:
         gain = (1.0 + boost * 100.0 * growth) * (1.0 + growth) ** theta - 1.0
         solved = implied_robotics_growth(gain, theta, tfp_boost_per_pct=boost)
         assert solved == pytest.approx(growth, rel=1e-6)
+
+
+# the substitution rule of each solvable parameter, written out independently
+# of the solver: the solved value replaces the field, or the whole path
+SUBSTITUTE = {
+    "theta": lambda s, v: replace(s, theta_override=StaticTheta(v)),
+    "sigma": lambda s, v: replace(s, sigma_override=v),
+    "exposure": lambda s, v: replace(s, exposure_override=v),
+    "cost_ratio": lambda s, v: replace(s, cost_ratio_path=v),
+    "robotics_growth": lambda s, v: replace(s, robotics_growth=v),
+}
+TARGET_OF = {"theta": "gain", "robotics_growth": "gain", "sigma": "displacement",
+             "exposure": "displacement", "cost_ratio": "displacement"}
+METRIC = {"gain": "gdp_gain", "displacement": "displacement_rate"}
+# a value inside each bracket whose engine metric becomes the target
+PROBE = {"theta": 0.45, "sigma": 0.7, "exposure": 0.6, "cost_ratio": 1.04,
+         "robotics_growth": 0.03}
+
+
+def engine_metric(cfg, scenario, parameter, value):
+    trial = SUBSTITUTE[parameter](scenario, value)
+    summary = run_scenario(trial, cfg.params, cfg.initial_state, cfg.baseline).summary
+    return getattr(summary, METRIC[TARGET_OF[parameter]])
+
+
+def configured(cfg, scenario, parameter):
+    """The value of a solvable parameter the scenario runs with."""
+    params = cfg.params
+    return {
+        "theta": getattr(scenario.theta_override or params.theta, "value", None),
+        "sigma": (params.sigma if scenario.sigma_override is None
+                  else scenario.sigma_override),
+        "exposure": (params.exposure_share if scenario.exposure_override is None
+                     else scenario.exposure_override),
+        "cost_ratio": scenario.cost_ratio_path,
+        "robotics_growth": scenario.robotics_growth,
+    }[parameter]
+
+
+def solve(cfg, name, target_name, target, parameter):
+    return calibrate_scenario(cfg.scenario(name), cfg.params, cfg.initial_state,
+                              cfg.baseline, target_name, target, parameter)
+
+
+class TestCalibrateScenario:
+    @pytest.mark.parametrize("parameter", sorted(SUBSTITUTE))
+    @pytest.mark.parametrize("name", ["baseline", "low_adoption",
+                                      "productivity_spillover", "staged_adoption"])
+    def test_residual_is_the_engine_gap(self, cfg, name, parameter):
+        scenario = cfg.scenario(name)
+        target = engine_metric(cfg, scenario, parameter, PROBE[parameter])
+        report = solve(cfg, name, TARGET_OF[parameter], target, parameter)
+        gap = engine_metric(cfg, scenario, parameter, report.value) - target
+        assert report.residual == gap
+        assert abs(gap) <= 1e-12
+        assert report.value == pytest.approx(PROBE[parameter], rel=1e-9)
+        assert report.iterations > 2
+
+    @pytest.mark.parametrize("name, parameter", [
+        (name, parameter)
+        for name in ("baseline", "high_adoption", "low_adoption",
+                     "productivity_spillover", "staged_adoption")
+        for parameter in sorted(SUBSTITUTE)
+        # staged_adoption runs a theta ramp and a cost path, not one value
+        if (name, parameter) not in {("staged_adoption", "theta"),
+                                     ("staged_adoption", "cost_ratio")}])
+    def test_bundled_scenarios_give_back_their_values(self, cfg, name, parameter):
+        scenario = cfg.scenario(name)
+        value = configured(cfg, scenario, parameter)
+        target = engine_metric(cfg, scenario, parameter, value)
+        report = solve(cfg, name, TARGET_OF[parameter], target, parameter)
+        assert report.value == pytest.approx(value, rel=1e-9)
+
+    def test_calibrated_literals_reproduce(self, cfg):
+        # the solves the bundled dataset's comments describe, against the
+        # published targets
+        cases = [("baseline", "displacement", 0.032, "exposure", 0.835941455612),
+                 ("baseline", "displacement", 0.032, "sigma", 0.8),
+                 ("low_adoption", "displacement", 0.019, "cost_ratio", 1.03911110280),
+                 ("productivity_spillover", "gain", 0.021, "robotics_growth",
+                  0.0300307881761)]
+        for name, target_name, target, parameter, value in cases:
+            report = solve(cfg, name, target_name, target, parameter)
+            assert report.value == pytest.approx(value, rel=1e-9), (name, parameter)
+
+    def test_dynamic_scenario_solves_against_its_horizon(self, cfg):
+        # the single-year closed forms miss the six-year ramp and spillover
+        assert solve(cfg, "staged_adoption", "displacement", 0.02,
+                     "exposure").value == pytest.approx(0.852, rel=1e-9)
+        assert solve(cfg, "staged_adoption", "displacement", 0.03,
+                     "sigma").value == pytest.approx(0.833477, rel=1e-6)
+        assert solve(cfg, "staged_adoption", "gain", 0.03,
+                     "robotics_growth").value == pytest.approx(0.0061733, rel=1e-4)
+
+    def test_out_of_reach_target(self, cfg):
+        # at theta near 0 the six years of TFP spillover already give 6.2%
+        with pytest.raises(UnattainableTargetError) as info:
+            solve(cfg, "staged_adoption", "gain", 0.03, "theta")
+        message = str(info.value)
+        assert "solving theta" in message
+        assert "theta in [1e-09, 0.65]" in message
+        assert "gives gain from 0.0615202 to 0.284004" in message
+        assert "f - target" not in message
+
+    def test_theta_bracket_stays_below_one_minus_alpha(self, cfg):
+        # the engine rejects alpha + theta >= 1, so the bracket ends below it
+        with pytest.raises(UnattainableTargetError, match=r"theta in \[1e-09, 0.65\]"):
+            solve(cfg, "baseline", "gain", 0.5, "theta")
+
+    def test_output_solves_tfp_at_the_initial_state(self, cfg):
+        state = cfg.initial_state
+        report = solve(cfg, "baseline", "output", 2.0, "tfp")
+        output = production_output(replace(state, tfp=report.value), cfg.params.alpha, 0.5)
+        assert report.residual == output - 2.0
+        assert abs(report.residual) < 1e-12
+        assert report.iterations == 0
+
+    def test_unsupported_pair(self, cfg):
+        assert ("gain", "sigma") not in SUPPORTED_PAIRS
+        with pytest.raises(CalibrationError, match="cannot solve 'sigma'"):
+            solve(cfg, "baseline", "gain", 0.015, "sigma")

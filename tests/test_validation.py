@@ -172,6 +172,25 @@ class TestCompoundedStocks:
                                               "inf by 2096 through tfp_enabled"):
             run_scenario(bad, boosted, state0, baseline)
 
+    def test_tfp_times_stock_overflow(self, params, state0, baseline):
+        # both stocks stay finite (5001 ** 82 is about 2e303, 1001 ** 82 about
+        # 1e246), but TFP times the stock to the power theta does not
+        bad = Scenario(name="x", mode="dynamic", horizon=self.LONG,
+                       robotics_growth=5000.0, tfp_enabled=True)
+        with pytest.raises(DomainError, match="robotics_growth compounds TFP times the "
+                                              "robotics stock to the power 0.6 to inf "
+                                              "by 2078"):
+            run_scenario(bad, params, state0, baseline)
+
+    def test_tfp_times_stock_just_inside_the_range_runs(self, params, state0, baseline):
+        # TFP times the whole stock overflows (about 1e349), TFP times the
+        # stock to the power 0.6 stays near 1e268
+        ok = Scenario(name="x", mode="dynamic", horizon=self.LONG,
+                      robotics_growth=300.0, tfp_enabled=True)
+        result = run_scenario(ok, params, state0, baseline)
+        assert math.isfinite(result.summary.gdp_gain)
+        assert math.isfinite(result.records[-1].output)
+
 
 class TestModelInputs:
     @pytest.mark.parametrize("field", ["sigma", "tfp_boost_per_adoption_pct"])
@@ -301,6 +320,15 @@ class TestConfigBoundary:
         error = config_error(text)
         assert error.path == "scenarios[1]"
         assert "robotics_growth compounds TFP to inf" in str(error)
+
+    def test_tfp_times_stock_overflow_checked_at_load(self):
+        text = (config_text(growth="5000.0", tfp="true")
+                .replace("horizon: [2030, 2031]", "horizon: [2019, 2100]")
+                .replace("sigma: 0.65", "sigma: 0.65\n  tfp_boost_per_adoption_pct: 0.002"))
+        error = config_error(text)
+        assert error.path == "scenarios[1]"
+        assert "robotics_growth compounds TFP times the robotics stock" in str(error)
+        assert_user_facing(str(error))
 
     def test_validate_command_rejects_with_path(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
