@@ -1,5 +1,7 @@
 """Strict config parsing, dotted error paths, YAML round trips."""
 
+import copy
+
 import pytest
 import yaml
 
@@ -415,3 +417,190 @@ class TestLoaders:
                                               "line 3, column 10: "):
             loads_config("params: 1\nbaseline: [unclosed\nscenarios: {",
                          source="custom.yaml")
+
+
+# every key of every section set, so each one can be broken or removed alone
+FULL = {
+    "dataset_version": 2,
+    "params": {"alpha": 0.35, "theta": {"mode": "static", "value": 0.5}, "sigma": 0.65,
+               "tfp_boost_per_adoption_pct": 0.003, "exposure_share": 0.9},
+    "initial_state": {"year": 2025, "tfp": 1.1, "capital": 1.2, "labor": 900.0,
+                      "robotics": 1.3, "wage": 1100.0, "robot_cost": 1.4},
+    "baseline": {"total_labor_force": 1000.0, "expat_share": 0.9,
+                 "sector_shares": {"a": 0.2, "rest": 0.3}, "min_wage": 1000.0,
+                 "low_wage_headcount": 100.0, "remittance_base": 1.0e+9,
+                 "remittance_decline_band": [0.1, 0.2],
+                 "remittance_reference_rate": 0.04},
+    "sectors": [
+        {"name": "a", "employment_share": 0.2, "risk_multiplier": 1.5,
+         "automation_potential": 0.5, "readiness": "low", "readiness_score": 4.0,
+         "residual": False, "notes": "prefab"},
+        {"name": "rest", "employment_share": 0.3, "risk_multiplier": None,
+         "automation_potential": 0.4, "readiness": "high", "residual": True},
+    ],
+    "tasks": {"construction": [{"name": "bricklaying", "displacement_risk": 0.1,
+                                "automation_potential": 0.3, "readiness": "moderate",
+                                "notes": "site work"}]},
+    "scenarios": [
+        {"name": "s1", "mode": "dynamic", "horizon": [2030, 2031],
+         "robotics_growth": [0.05, 0.06], "cost_ratio_path": [1.05, 1.1],
+         "sigma": 0.7, "theta": {"mode": "ramp", "start": 0.4, "end": 0.5, "ramp_years": 3},
+         "exposure_share": 0.8, "tfp_enabled": True,
+         "job_creation": {"mode": "ramp", "terminal_ratio": 0.6}, "key_driver": "k",
+         "targets": {"gdp_gain": 0.01, "displacement": 0.02},
+         "raw_shocks": {"robotics_growth": 0.05, "cost_ratio": 1.1}},
+    ],
+    "output": {"directory": "res", "formats": ["json"], "figure_scenario": "s1"},
+}
+
+NUMBER = "expected a number, got 'x'"
+
+# (location in FULL, replacement value, error path, error message)
+WRONG_TYPES = [
+    (("dataset_version",), 1.5, "dataset_version", "expected an integer, got 1.5"),
+    (("params",), "x", "params", "expected a mapping, got str"),
+    (("params", "alpha"), "x", "params.alpha", NUMBER),
+    (("params", "theta"), "x", "params.theta", "expected a mapping, got str"),
+    (("params", "theta", "mode"), 1, "params.theta.mode", "expected a string, got 1"),
+    (("params", "theta", "value"), "x", "params.theta.value", NUMBER),
+    (("params", "sigma"), "x", "params.sigma", NUMBER),
+    (("params", "tfp_boost_per_adoption_pct"), "x",
+     "params.tfp_boost_per_adoption_pct", NUMBER),
+    (("params", "exposure_share"), "x", "params.exposure_share", NUMBER),
+    (("initial_state",), "x", "initial_state", "expected a mapping, got str"),
+    (("initial_state", "year"), 1.5, "initial_state.year", "expected an integer, got 1.5"),
+    *[(("initial_state", key), "x", f"initial_state.{key}", NUMBER)
+      for key in ("tfp", "capital", "labor", "robotics", "wage", "robot_cost")],
+    (("baseline",), "x", "baseline", "expected a mapping, got str"),
+    *[(("baseline", key), "x", f"baseline.{key}", NUMBER)
+      for key in ("total_labor_force", "expat_share", "min_wage", "low_wage_headcount",
+                  "remittance_base", "remittance_reference_rate")],
+    (("baseline", "sector_shares"), "x", "baseline.sector_shares",
+     "expected a mapping, got str"),
+    (("baseline", "sector_shares", "a"), "x", "baseline.sector_shares.a", NUMBER),
+    (("baseline", "sector_shares"), {1: 0.2}, "baseline.sector_shares",
+     "expected a string, got 1"),
+    (("baseline", "remittance_decline_band"), "x", "baseline.remittance_decline_band",
+     "expected a list, got str"),
+    (("baseline", "remittance_decline_band", 1), "x",
+     "baseline.remittance_decline_band[1]", NUMBER),
+    (("sectors",), "x", "sectors", "expected a list, got str"),
+    (("sectors", 0), "x", "sectors[0]", "expected a mapping, got str"),
+    (("sectors", 0, "name"), 1, "sectors[0].name", "expected a string, got 1"),
+    *[(("sectors", 0, key), "x", f"sectors[0].{key}", NUMBER)
+      for key in ("employment_share", "risk_multiplier", "automation_potential",
+                  "readiness_score")],
+    (("sectors", 0, "readiness"), 1, "sectors[0].readiness", "expected a string, got 1"),
+    (("sectors", 0, "readiness"), "x", "sectors[0].readiness",
+     "readiness must be one of ['low', 'moderate', 'high'], got 'x'"),
+    (("sectors", 0, "residual"), "x", "sectors[0].residual", "expected a boolean, got 'x'"),
+    (("sectors", 0, "notes"), 1, "sectors[0].notes", "expected a string, got 1"),
+    (("scenarios",), "x", "scenarios", "expected a list, got str"),
+    (("scenarios", 0), "x", "scenarios[0]", "expected a mapping, got str"),
+    (("scenarios", 0, "name"), 1, "scenarios[0].name", "expected a string, got 1"),
+    (("scenarios", 0, "mode"), 1, "scenarios[0].mode", "expected a string, got 1"),
+    (("scenarios", 0, "horizon"), "x", "scenarios[0].horizon", "expected a list, got str"),
+    (("scenarios", 0, "horizon", 1), "x", "scenarios[0].horizon[1]",
+     "expected an integer, got 'x'"),
+    *[(("scenarios", 0, key), "x", f"scenarios[0].{key}", NUMBER)
+      for key in ("robotics_growth", "cost_ratio_path", "sigma", "exposure_share")],
+    *[(("scenarios", 0, key, 1), "x", f"scenarios[0].{key}[1]", NUMBER)
+      for key in ("robotics_growth", "cost_ratio_path")],
+    (("scenarios", 0, "theta"), "x", "scenarios[0].theta", "expected a mapping, got str"),
+    *[(("scenarios", 0, "theta", key), "x", f"scenarios[0].theta.{key}", NUMBER)
+      for key in ("start", "end")],
+    (("scenarios", 0, "theta", "ramp_years"), 1.5, "scenarios[0].theta.ramp_years",
+     "expected an integer, got 1.5"),
+    (("scenarios", 0, "tfp_enabled"), "x", "scenarios[0].tfp_enabled",
+     "expected a boolean, got 'x'"),
+    (("scenarios", 0, "job_creation"), "x", "scenarios[0].job_creation",
+     "expected a mapping, got str"),
+    (("scenarios", 0, "job_creation", "mode"), 1, "scenarios[0].job_creation.mode",
+     "expected a string, got 1"),
+    (("scenarios", 0, "job_creation", "terminal_ratio"), "x",
+     "scenarios[0].job_creation.terminal_ratio", NUMBER),
+    (("scenarios", 0, "job_creation"), {"mode": "ratio", "ratio": "x"},
+     "scenarios[0].job_creation.ratio", NUMBER),
+    (("scenarios", 0, "key_driver"), 1, "scenarios[0].key_driver",
+     "expected a string, got 1"),
+    (("scenarios", 0, "targets"), "x", "scenarios[0].targets", "expected a mapping, got str"),
+    *[(("scenarios", 0, "targets", key), "x", f"scenarios[0].targets.{key}", NUMBER)
+      for key in ("gdp_gain", "displacement")],
+    (("scenarios", 0, "raw_shocks"), "x", "scenarios[0].raw_shocks",
+     "expected a mapping, got str"),
+    *[(("scenarios", 0, "raw_shocks", key), "x", f"scenarios[0].raw_shocks.{key}", NUMBER)
+      for key in ("robotics_growth", "cost_ratio")],
+    (("output",), "x", "output", "expected a mapping, got str"),
+    (("output", "directory"), 1, "output.directory", "expected a string, got 1"),
+    (("output", "formats"), "x", "output.formats", "expected a list, got str"),
+    (("output", "formats", 0), 1, "output.formats[0]", "expected a string, got 1"),
+    (("output", "figure_scenario"), 1, "output.figure_scenario", "expected a string, got 1"),
+]
+
+# (location of the block in FULL, the key left out)
+REQUIRED = [
+    ((), "params"), ((), "baseline"),
+    *[(("params",), key) for key in ("alpha", "theta", "sigma")],
+    *[(("params", "theta"), key) for key in ("mode", "value")],
+    *[(("scenarios", 0, "theta"), key) for key in ("start", "end", "ramp_years")],
+    *[(("baseline",), key) for key in ("total_labor_force", "expat_share", "sector_shares",
+                                       "min_wage", "low_wage_headcount", "remittance_base")],
+    *[(("sectors", 0), key) for key in ("name", "employment_share", "risk_multiplier",
+                                        "automation_potential", "readiness")],
+    *[(("scenarios", 0), key) for key in ("name", "mode", "horizon")],
+    (("scenarios", 0, "job_creation"), "mode"),
+]
+
+
+def _block_path(location) -> str:
+    path = ""
+    for key in location:
+        path += f"[{key}]" if isinstance(key, int) else f".{key}"
+    return path.lstrip(".") or "<root>"
+
+
+def _edited(location, value=None, delete=False) -> str:
+    data = copy.deepcopy(FULL)
+    node = data
+    for key in location[:-1]:
+        node = node[key]
+    if delete:
+        del node[location[-1]]
+    else:
+        node[location[-1]] = value
+    return yaml.safe_dump(data, sort_keys=False)
+
+
+class TestErrorPaths:
+    """Each malformed key fails alone, at its dotted path, with a stable message."""
+
+    def test_full_config_loads(self):
+        config = loads_config(yaml.safe_dump(FULL))
+        assert config.scenario("s1").theta_override == ThetaRamp(0.4, 0.5, 3)
+
+    @pytest.mark.parametrize("location,value,path,message", WRONG_TYPES,
+                             ids=[f"{_block_path(c[0])}={c[1]!r}" for c in WRONG_TYPES])
+    def test_wrong_type(self, location, value, path, message):
+        with pytest.raises(ConfigError) as excinfo:
+            loads_config(_edited(location, value))
+        assert excinfo.value.path == path
+        assert str(excinfo.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("location,key", REQUIRED,
+                             ids=[f"{_block_path(loc)}-{key}" for loc, key in REQUIRED])
+    def test_missing_required_key(self, location, key):
+        path = _block_path(location)
+        with pytest.raises(ConfigError) as excinfo:
+            loads_config(_edited((*location, key), delete=True))
+        assert excinfo.value.path == path
+        assert str(excinfo.value) == f"{path}: missing required key {key!r}"
+
+
+class TestRoundTripCoverage:
+    @pytest.mark.parametrize("text", [yaml.safe_dump(FULL), MINIMAL],
+                             ids=["every_optional_set", "every_optional_left_out"])
+    def test_round_trip_and_idempotent_dump(self, text):
+        config = loads_config(text)
+        once = dump_config(config)
+        assert loads_config(once) == config
+        assert dump_config(loads_config(once)) == once
