@@ -1,24 +1,30 @@
 """Config ingestion, validation and emission.
 
 Configs are YAML mappings with a fixed schema (see docs/config_schema.md).
-Validation is strict: unknown keys are rejected, every error names the
-offending field by its dotted path, and parse failures carry line and
-column. ``dump_config`` emits YAML that loads back to an equal
-:class:`RunConfig`, so configs round-trip.
+Each section is read into the dataclass that declares it: the fields are
+the allowed keys, a field without a default is required, and each value is
+converted by the field's declared type. Validation is strict: unknown keys
+are rejected, every error names the offending field by its dotted path,
+and parse failures carry line and column. ``dump_config`` emits YAML that
+loads back to an equal :class:`RunConfig`, so configs round-trip.
 """
 
 from __future__ import annotations
 
+import enum
+import functools
 import importlib.resources
 import math
-from dataclasses import dataclass
+import types
+from collections.abc import Mapping
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
 from .core import EconomyState, ModelParams, StaticTheta, ThetaMode, ThetaRamp
-from .engine import RawShocks, Scenario, TargetSet, _effective_params
+from .engine import Scenario, _effective_params
 from .errors import ConfigError, DomainError
 from .sectors import (
     JobCreationModel,
@@ -63,14 +69,10 @@ class RunConfig:
     initial_state: EconomyState
     baseline: LaborBaseline
     sectors: tuple[SectorProfile, ...] = ()
-    tasks: dict[str, tuple[dict, ...]] = None  # type: ignore[assignment]
+    tasks: dict[str, tuple[dict, ...]] = field(default_factory=dict)
     scenarios: tuple[Scenario, ...] = ()
     output: OutputOptions = OutputOptions()
     dataset_version: int = 1
-
-    def __post_init__(self) -> None:
-        if self.tasks is None:
-            object.__setattr__(self, "tasks", {})
 
     def scenario(self, name: str) -> Scenario:
         """Look up a scenario by name; raises ConfigError when absent."""
@@ -82,11 +84,29 @@ class RunConfig:
                           path="scenarios")
 
 
+# the dataclass each value of a ``mode`` key selects, per tagged union
+_MODES = {
+    ThetaMode: {"static": StaticTheta, "ramp": ThetaRamp},
+    JobCreationModel: {"ratio": JobCreationRatio, "ramp": JobCreationRamp},
+}
+_MODE_OF = {cls: mode for table in _MODES.values() for mode, cls in table.items()}
+
+# YAML keys that differ from the field they fill
+_KEYS = {"sigma_override": "sigma", "theta_override": "theta",
+         "exposure_override": "exposure_share", "job_creation_model": "job_creation"}
+
+# the free-form rows of the ``tasks`` section
+_TASK_KEYS = frozenset({"name", "displacement_risk", "automation_potential", "readiness",
+                        "notes"})
+
+_Converter = Callable[[Any, str], Any]
+
+
 # ---------------------------------------------------------------------------
 # parsing helpers
 # ---------------------------------------------------------------------------
 
-def _check_keys(node: dict, allowed: set[str], path: str) -> None:
+def _check_keys(node: dict, allowed: frozenset[str], path: str) -> None:
     unknown = sorted(set(node) - allowed)
     if unknown:
         raise ConfigError(
@@ -149,131 +169,131 @@ def _domain_checked(builder, path: str):
         raise ConfigError(str(exc), path=path) from exc
 
 
-def _parse_theta(node: Any, path: str) -> ThetaMode:
+def _enum(cls: type[enum.Enum], key: str) -> _Converter:
+    values = [member.value for member in cls]
+
+    def convert(node: Any, path: str) -> enum.Enum:
+        text = _as_str(node, path)
+        try:
+            return cls(text)
+        except ValueError:
+            raise ConfigError(f"{key} must be one of {values}, got {text!r}",
+                              path=path) from None
+    return convert
+
+
+def _tagged(table: dict[str, type], key: str) -> _Converter:
+    modes = " or ".join(map(repr, table))
+
+    def convert(node: Any, path: str) -> Any:
+        node = _as_map(node, path)
+        mode = _as_str(_get(node, "mode", path), f"{path}.mode")
+        if mode not in table:
+            raise ConfigError(f"{key} mode must be {modes}, got {mode!r}",
+                              path=f"{path}.mode")
+        return _build(table[mode], node, path)
+    return convert
+
+
+_SCALARS: dict[Any, _Converter] = {float: _as_float, int: _as_int, bool: _as_bool,
+                                  str: _as_str}
+
+
+def _converter(tp: Any, key: str) -> _Converter:
+    """Compile the function that reads a value declared as ``tp`` under ``key``."""
+    if tp in _SCALARS:
+        return _SCALARS[tp]
+    if tp in _MODES:
+        return _tagged(_MODES[tp], key)
+    if is_dataclass(tp):
+        return functools.partial(_build, tp)
+    if isinstance(tp, type) and issubclass(tp, enum.Enum):
+        return _enum(tp, key)
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (Union, types.UnionType):
+        if type(None) in args:
+            rest = tuple(a for a in args if a is not type(None))
+            inner = _converter(Union[rest], key)
+            return lambda node, path: None if node is None else inner(node, path)
+        # the one other union: a scalar, or a list with one entry per year
+        scalar, per_year = (_converter(a, key) for a in args)
+        return lambda node, path: (per_year if isinstance(node, list)
+                                   else scalar)(node, path)
+    if origin is tuple and args[-1] is Ellipsis:
+        item = _converter(args[0], key)
+        return lambda node, path: tuple(item(v, f"{path}[{i}]")
+                                        for i, v in enumerate(_as_list(node, path)))
+    if origin is tuple:
+        items = [_converter(a, key) for a in args]
+
+        def fixed(node: Any, path: str) -> tuple:
+            node = _as_list(node, path)
+            if len(node) != len(items):
+                raise ConfigError(f"expected exactly {len(items)} entries", path=path)
+            return tuple(convert(v, f"{path}[{i}]")
+                         for i, (convert, v) in enumerate(zip(items, node)))
+        return fixed
+    if origin is Mapping:
+        name, value = (_converter(a, key) for a in args)
+        return lambda node, path: {name(k, path): value(v, f"{path}.{k}")
+                                   for k, v in _as_map(node, path).items()}
+    raise TypeError(f"no config reader for {tp!r}")
+
+
+def _keys(cls: type) -> frozenset[str]:
+    """The keys a config section read into ``cls`` accepts."""
+    keys = frozenset(_KEYS.get(f.name, f.name) for f in fields(cls))
+    return keys | {"mode"} if cls in _MODE_OF else keys
+
+
+@functools.cache
+def _plan(cls: type) -> tuple[frozenset[str], tuple]:
+    """Accepted keys, and per field its name, key, converter and whether it is required.
+
+    Built once per class, on first use, so reading a value never inspects
+    type hints.
+    """
+    hints = get_type_hints(cls)
+    plan = []
+    for f in fields(cls):
+        key = _KEYS.get(f.name, f.name)
+        required = f.default is MISSING and f.default_factory is MISSING
+        plan.append((f.name, key, _converter(hints[f.name], key), required))
+    return _keys(cls), tuple(plan)
+
+
+def _build(cls: type, node: Any, path: str, defaults: dict | None = None) -> Any:
+    """Read the mapping ``node`` into the dataclass ``cls``.
+
+    A key left out takes its value from ``defaults``, else the field's own
+    default; a field with neither is a required key.
+    """
     node = _as_map(node, path)
-    mode = _as_str(_get(node, "mode", path), f"{path}.mode")
-    if mode == "static":
-        _check_keys(node, {"mode", "value"}, path)
-        value = _as_float(_get(node, "value", path), f"{path}.value")
-        return _domain_checked(lambda: StaticTheta(value), path)
-    if mode == "ramp":
-        _check_keys(node, {"mode", "start", "end", "ramp_years"}, path)
-        start = _as_float(_get(node, "start", path), f"{path}.start")
-        end = _as_float(_get(node, "end", path), f"{path}.end")
-        years = _as_int(_get(node, "ramp_years", path), f"{path}.ramp_years")
-        return _domain_checked(lambda: ThetaRamp(start, end, years), path)
-    raise ConfigError(f"theta mode must be 'static' or 'ramp', got {mode!r}",
-                      path=f"{path}.mode")
+    keys, plan = _plan(cls)
+    _check_keys(node, keys, path)
+    kwargs = {}
+    for name, key, convert, required in plan:
+        if key in node:
+            kwargs[name] = convert(node[key], f"{path}.{key}")
+        elif defaults is not None and name in defaults:
+            kwargs[name] = defaults[name]
+        elif required:
+            raise ConfigError(f"missing required key {key!r}", path=path)
+    return _domain_checked(lambda: cls(**kwargs), path)
 
 
-def _parse_params(node: Any, path: str) -> ModelParams:
-    node = _as_map(node, path)
-    _check_keys(node, {"alpha", "theta", "sigma", "tfp_boost_per_adoption_pct",
-                       "exposure_share"}, path)
-    alpha = _as_float(_get(node, "alpha", path), f"{path}.alpha")
-    theta = _parse_theta(_get(node, "theta", path), f"{path}.theta")
-    sigma = _as_float(_get(node, "sigma", path), f"{path}.sigma")
-    boost = _as_float(node.get("tfp_boost_per_adoption_pct", 0.002),
-                      f"{path}.tfp_boost_per_adoption_pct")
-    exposure = _as_float(node.get("exposure_share", 1.0), f"{path}.exposure_share")
-    return _domain_checked(
-        lambda: ModelParams(alpha=alpha, theta=theta, sigma=sigma,
-                            tfp_boost_per_adoption_pct=boost,
-                            exposure_share=exposure), path)
+def _build_all(cls: type, node: Any, path: str) -> tuple:
+    return tuple(_build(cls, entry, f"{path}[{i}]")
+                 for i, entry in enumerate(_as_list(node, path)))
 
 
-def _parse_baseline(node: Any, path: str) -> LaborBaseline:
-    node = _as_map(node, path)
-    _check_keys(node, {"total_labor_force", "expat_share", "sector_shares",
-                       "min_wage", "low_wage_headcount", "remittance_base",
-                       "remittance_decline_band", "remittance_reference_rate"}, path)
-    shares_node = _as_map(_get(node, "sector_shares", path), f"{path}.sector_shares")
-    shares = {}
-    for name, value in shares_node.items():
-        shares[_as_str(name, f"{path}.sector_shares")] = _as_float(
-            value, f"{path}.sector_shares.{name}")
-    band_node = _as_list(node.get("remittance_decline_band", [0.12, 0.18]),
-                         f"{path}.remittance_decline_band")
-    if len(band_node) != 2:
-        raise ConfigError("expected exactly two entries",
-                          path=f"{path}.remittance_decline_band")
-    band = tuple(_as_float(v, f"{path}.remittance_decline_band[{i}]")
-                 for i, v in enumerate(band_node))
-    return _domain_checked(lambda: LaborBaseline(
-        total_labor_force=_as_float(_get(node, "total_labor_force", path),
-                                    f"{path}.total_labor_force"),
-        expat_share=_as_float(_get(node, "expat_share", path), f"{path}.expat_share"),
-        sector_shares=shares,
-        min_wage=_as_float(_get(node, "min_wage", path), f"{path}.min_wage"),
-        low_wage_headcount=_as_float(_get(node, "low_wage_headcount", path),
-                                     f"{path}.low_wage_headcount"),
-        remittance_base=_as_float(_get(node, "remittance_base", path),
-                                  f"{path}.remittance_base"),
-        remittance_decline_band=band,
-        remittance_reference_rate=_as_float(
-            node.get("remittance_reference_rate", 0.032),
-            f"{path}.remittance_reference_rate"),
-    ), path)
+def _block(data: dict, key: str) -> Any:
+    """An optional top-level block; left out or null, it reads as empty."""
+    node = data.get(key)
+    return {} if node is None else node
 
 
-def _parse_state(node: Any, baseline: LaborBaseline, path: str) -> EconomyState:
-    if node is None:
-        return EconomyState(year=2024, tfp=1.0, capital=1.0,
-                            labor=baseline.total_labor_force, robotics=1.0,
-                            wage=baseline.min_wage, robot_cost=1.0)
-    node = _as_map(node, path)
-    _check_keys(node, {"year", "tfp", "capital", "labor", "robotics", "wage",
-                       "robot_cost"}, path)
-    return _domain_checked(lambda: EconomyState(
-        year=_as_int(node.get("year", 2024), f"{path}.year"),
-        tfp=_as_float(node.get("tfp", 1.0), f"{path}.tfp"),
-        capital=_as_float(node.get("capital", 1.0), f"{path}.capital"),
-        labor=_as_float(node.get("labor", baseline.total_labor_force), f"{path}.labor"),
-        robotics=_as_float(node.get("robotics", 1.0), f"{path}.robotics"),
-        wage=_as_float(node.get("wage", baseline.min_wage), f"{path}.wage"),
-        robot_cost=_as_float(node.get("robot_cost", 1.0), f"{path}.robot_cost"),
-    ), path)
-
-
-def _parse_readiness(node: Any, path: str) -> Readiness:
-    text = _as_str(node, path)
-    try:
-        return Readiness(text)
-    except ValueError:
-        raise ConfigError(
-            f"readiness must be one of {[r.value for r in Readiness]}, got {text!r}",
-            path=path) from None
-
-
-def _parse_sector(node: Any, path: str) -> SectorProfile:
-    node = _as_map(node, path)
-    _check_keys(node, {"name", "employment_share", "risk_multiplier",
-                       "automation_potential", "readiness", "readiness_score",
-                       "residual", "notes"}, path)
-    multiplier_node = _get(node, "risk_multiplier", path)
-    multiplier = (None if multiplier_node is None
-                  else _as_float(multiplier_node, f"{path}.risk_multiplier"))
-    score = node.get("readiness_score")
-    return _domain_checked(lambda: SectorProfile(
-        name=_as_str(_get(node, "name", path), f"{path}.name"),
-        employment_share=_as_float(_get(node, "employment_share", path),
-                                   f"{path}.employment_share"),
-        risk_multiplier=multiplier,
-        automation_potential=_as_float(_get(node, "automation_potential", path),
-                                       f"{path}.automation_potential"),
-        readiness=_parse_readiness(_get(node, "readiness", path), f"{path}.readiness"),
-        readiness_score=(None if score is None
-                         else _as_float(score, f"{path}.readiness_score")),
-        residual=_as_bool(node.get("residual", False), f"{path}.residual"),
-        notes=_as_str(node.get("notes", ""), f"{path}.notes"),
-    ), path)
-
-
-def _parse_sectors(node: Any, path: str) -> tuple[SectorProfile, ...]:
-    sectors = tuple(_parse_sector(entry, f"{path}[{i}]")
-                    for i, entry in enumerate(_as_list(node, path)))
-    _domain_checked(lambda: _check_sector_table(sectors), path)
-    return sectors
+_readiness = _enum(Readiness, "readiness")
 
 
 def _parse_tasks(node: Any, path: str) -> dict[str, tuple[dict, ...]]:
@@ -285,11 +305,10 @@ def _parse_tasks(node: Any, path: str) -> dict[str, tuple[dict, ...]]:
         for i, entry in enumerate(_as_list(entries, f"{path}.{domain}")):
             epath = f"{path}.{domain}[{i}]"
             entry = _as_map(entry, epath)
-            _check_keys(entry, {"name", "displacement_risk", "automation_potential",
-                                "readiness", "notes"}, epath)
+            _check_keys(entry, _TASK_KEYS, epath)
             row = {"name": _as_str(_get(entry, "name", epath), f"{epath}.name"),
-                   "readiness": _parse_readiness(_get(entry, "readiness", epath),
-                                                 f"{epath}.readiness").value}
+                   "readiness": _readiness(_get(entry, "readiness", epath),
+                                           f"{epath}.readiness").value}
             for key in ("displacement_risk", "automation_potential"):
                 if key in entry:
                     value = _as_float(entry[key], f"{epath}.{key}")
@@ -302,115 +321,6 @@ def _parse_tasks(node: Any, path: str) -> dict[str, tuple[dict, ...]]:
             rows.append(row)
         tasks[domain] = tuple(rows)
     return tasks
-
-
-def _parse_job_creation(node: Any, path: str) -> JobCreationModel:
-    node = _as_map(node, path)
-    mode = _as_str(_get(node, "mode", path), f"{path}.mode")
-    if mode == "ratio":
-        _check_keys(node, {"mode", "ratio"}, path)
-        return _domain_checked(
-            lambda: JobCreationRatio(_as_float(node.get("ratio", 0.23),
-                                               f"{path}.ratio")), path)
-    if mode == "ramp":
-        _check_keys(node, {"mode", "terminal_ratio"}, path)
-        return _domain_checked(
-            lambda: JobCreationRamp(_as_float(node.get("terminal_ratio", 0.64),
-                                              f"{path}.terminal_ratio")), path)
-    raise ConfigError(f"job_creation mode must be 'ratio' or 'ramp', got {mode!r}",
-                      path=f"{path}.mode")
-
-
-def _parse_path_values(node: Any, path: str):
-    if isinstance(node, list):
-        return tuple(_as_float(v, f"{path}[{i}]") for i, v in enumerate(node))
-    return _as_float(node, path)
-
-
-def _parse_scenario(node: Any, path: str) -> Scenario:
-    node = _as_map(node, path)
-    _check_keys(node, {"name", "mode", "horizon", "robotics_growth",
-                       "cost_ratio_path", "sigma", "theta", "exposure_share",
-                       "tfp_enabled", "job_creation", "key_driver", "targets",
-                       "raw_shocks"}, path)
-    horizon_node = _as_list(_get(node, "horizon", path), f"{path}.horizon")
-    if len(horizon_node) != 2:
-        raise ConfigError("horizon must be a [start, end] pair", path=f"{path}.horizon")
-    horizon = tuple(_as_int(v, f"{path}.horizon[{i}]")
-                    for i, v in enumerate(horizon_node))
-    sigma = node.get("sigma")
-    theta = node.get("theta")
-    exposure = node.get("exposure_share")
-    targets_node = node.get("targets")
-    targets = None
-    if targets_node is not None:
-        targets_node = _as_map(targets_node, f"{path}.targets")
-        _check_keys(targets_node, {"gdp_gain", "displacement"}, f"{path}.targets")
-        targets = _domain_checked(lambda: TargetSet(
-            gdp_gain=(None if "gdp_gain" not in targets_node else
-                      _as_float(targets_node["gdp_gain"], f"{path}.targets.gdp_gain")),
-            displacement=(None if "displacement" not in targets_node else
-                          _as_float(targets_node["displacement"],
-                                    f"{path}.targets.displacement")),
-        ), f"{path}.targets")
-    raw_node = node.get("raw_shocks")
-    raw = None
-    if raw_node is not None:
-        raw_node = _as_map(raw_node, f"{path}.raw_shocks")
-        _check_keys(raw_node, {"robotics_growth", "cost_ratio"}, f"{path}.raw_shocks")
-        raw = _domain_checked(lambda: RawShocks(
-            robotics_growth=(None if "robotics_growth" not in raw_node else
-                             _as_float(raw_node["robotics_growth"],
-                                       f"{path}.raw_shocks.robotics_growth")),
-            cost_ratio=(None if "cost_ratio" not in raw_node else
-                        _as_float(raw_node["cost_ratio"],
-                                  f"{path}.raw_shocks.cost_ratio")),
-        ), f"{path}.raw_shocks")
-    return _domain_checked(lambda: Scenario(
-        name=_as_str(_get(node, "name", path), f"{path}.name"),
-        mode=_as_str(_get(node, "mode", path), f"{path}.mode"),
-        horizon=horizon,
-        robotics_growth=_parse_path_values(node.get("robotics_growth", 0.0),
-                                           f"{path}.robotics_growth"),
-        cost_ratio_path=_parse_path_values(node.get("cost_ratio_path", 1.0),
-                                           f"{path}.cost_ratio_path"),
-        sigma_override=None if sigma is None else _as_float(sigma, f"{path}.sigma"),
-        theta_override=None if theta is None else _parse_theta(theta, f"{path}.theta"),
-        exposure_override=(None if exposure is None
-                           else _as_float(exposure, f"{path}.exposure_share")),
-        tfp_enabled=_as_bool(node.get("tfp_enabled", False), f"{path}.tfp_enabled"),
-        job_creation_model=(_parse_job_creation(node["job_creation"],
-                                                f"{path}.job_creation")
-                            if "job_creation" in node else JobCreationRatio()),
-        key_driver=_as_str(node.get("key_driver", ""), f"{path}.key_driver"),
-        targets=targets,
-        raw_shocks=raw,
-    ), path)
-
-
-def _parse_output(node: Any, names: set[str], path: str) -> OutputOptions:
-    if node is None:
-        return OutputOptions()
-    node = _as_map(node, path)
-    _check_keys(node, {"directory", "formats", "figure_scenario"}, path)
-    formats_node = node.get("formats", list(_FORMATS))
-    formats = tuple(_as_str(v, f"{path}.formats[{i}]")
-                    for i, v in enumerate(_as_list(formats_node, f"{path}.formats")))
-    if not formats:
-        raise ConfigError("formats must be nonempty", path=f"{path}.formats")
-    for fmt in formats:
-        if fmt not in _FORMATS:
-            raise ConfigError(f"format must be one of {list(_FORMATS)}, got {fmt!r}",
-                              path=f"{path}.formats")
-    figure = node.get("figure_scenario")
-    if figure is not None:
-        figure = _as_str(figure, f"{path}.figure_scenario")
-        if figure not in names:
-            raise ConfigError(f"figure_scenario {figure!r} names no configured scenario",
-                              path=f"{path}.figure_scenario")
-    return OutputOptions(directory=_as_str(node.get("directory", "out"),
-                                           f"{path}.directory"),
-                         formats=formats, figure_scenario=figure)
 
 
 # ---------------------------------------------------------------------------
@@ -433,27 +343,36 @@ def loads_config(text: str, source: str = "<string>") -> RunConfig:
     if data is None:
         raise ConfigError(f"{source} is empty")
     data = _as_map(data, "<root>")
-    _check_keys(data, {"dataset_version", "params", "initial_state", "baseline",
-                       "sectors", "tasks", "scenarios", "output"}, "<root>")
+    _check_keys(data, _keys(RunConfig), "<root>")
     version = _as_int(data.get("dataset_version", 1), "dataset_version")
     if version < 1:
         raise ConfigError(f"must be >= 1, got {version}", path="dataset_version")
-    params = _parse_params(_get(data, "params", "<root>"), "params")
-    baseline = _parse_baseline(_get(data, "baseline", "<root>"), "baseline")
-    state = _parse_state(data.get("initial_state"), baseline, "initial_state")
-    sectors = (_parse_sectors(data["sectors"], "sectors")
-               if "sectors" in data else ())
+    params = _build(ModelParams, _get(data, "params", "<root>"), "params")
+    baseline = _build(LaborBaseline, _get(data, "baseline", "<root>"), "baseline")
+    state = _build(EconomyState, _block(data, "initial_state"), "initial_state", defaults={
+        "year": 2024, "tfp": 1.0, "capital": 1.0, "labor": baseline.total_labor_force,
+        "robotics": 1.0, "wage": baseline.min_wage, "robot_cost": 1.0})
+    sectors = _build_all(SectorProfile, data.get("sectors", []), "sectors")
+    _domain_checked(lambda: _check_sector_table(sectors), "sectors")
     tasks = _parse_tasks(data.get("tasks", {}), "tasks")
-    scenarios = tuple(_parse_scenario(entry, f"scenarios[{i}]")
-                      for i, entry in enumerate(
-                          _as_list(data.get("scenarios", []), "scenarios")))
+    scenarios = _build_all(Scenario, data.get("scenarios", []), "scenarios")
     for i, scenario in enumerate(scenarios):
         _domain_checked(lambda: _effective_params(scenario, params, state),
                         f"scenarios[{i}]")
     names = [s.name for s in scenarios]
     if len(set(names)) != len(names):
         raise ConfigError("scenario names must be unique", path="scenarios")
-    output = _parse_output(data.get("output"), set(names), "output")
+    output = _build(OutputOptions, _block(data, "output"), "output")
+    if not output.formats:
+        raise ConfigError("formats must be nonempty", path="output.formats")
+    for fmt in output.formats:
+        if fmt not in _FORMATS:
+            raise ConfigError(f"format must be one of {list(_FORMATS)}, got {fmt!r}",
+                              path="output.formats")
+    figure = output.figure_scenario
+    if figure is not None and figure not in names:
+        raise ConfigError(f"figure_scenario {figure!r} names no configured scenario",
+                          path="output.figure_scenario")
     return RunConfig(params=params, initial_state=state, baseline=baseline,
                      sectors=sectors, tasks=tasks, scenarios=scenarios,
                      output=output, dataset_version=version)
@@ -477,112 +396,29 @@ def load_config(path: str | Path) -> RunConfig:
     return loads_config(text, source=str(path))
 
 
-def _theta_dict(theta: ThetaMode) -> dict:
-    if isinstance(theta, StaticTheta):
-        return {"mode": "static", "value": theta.value}
-    return {"mode": "ramp", "start": theta.start, "end": theta.end,
-            "ramp_years": theta.ramp_years}
-
-
-def _path_value(value):
-    return list(value) if isinstance(value, tuple) else value
-
-
-def _scenario_dict(s: Scenario) -> dict:
-    out: dict[str, Any] = {
-        "name": s.name,
-        "mode": s.mode.value,
-        "horizon": list(s.horizon),
-        "robotics_growth": _path_value(s.robotics_growth),
-        "cost_ratio_path": _path_value(s.cost_ratio_path),
-    }
-    if s.sigma_override is not None:
-        out["sigma"] = s.sigma_override
-    if s.theta_override is not None:
-        out["theta"] = _theta_dict(s.theta_override)
-    if s.exposure_override is not None:
-        out["exposure_share"] = s.exposure_override
-    out["tfp_enabled"] = s.tfp_enabled
-    model = s.job_creation_model
-    if isinstance(model, JobCreationRatio):
-        out["job_creation"] = {"mode": "ratio", "ratio": model.ratio}
-    else:
-        out["job_creation"] = {"mode": "ramp", "terminal_ratio": model.terminal_ratio}
-    if s.key_driver:
-        out["key_driver"] = s.key_driver
-    if s.targets is not None:
-        targets = {}
-        if s.targets.gdp_gain is not None:
-            targets["gdp_gain"] = s.targets.gdp_gain
-        if s.targets.displacement is not None:
-            targets["displacement"] = s.targets.displacement
-        out["targets"] = targets
-    if s.raw_shocks is not None:
-        raw = {}
-        if s.raw_shocks.robotics_growth is not None:
-            raw["robotics_growth"] = s.raw_shocks.robotics_growth
-        if s.raw_shocks.cost_ratio is not None:
-            raw["cost_ratio"] = s.raw_shocks.cost_ratio
-        out["raw_shocks"] = raw
-    return out
-
-
-def _sector_dict(s: SectorProfile) -> dict:
-    out: dict[str, Any] = {
-        "name": s.name,
-        "employment_share": s.employment_share,
-        "risk_multiplier": s.risk_multiplier,
-        "automation_potential": s.automation_potential,
-        "readiness": s.readiness.value,
-    }
-    if s.readiness_score is not None:
-        out["readiness_score"] = s.readiness_score
-    if s.residual:
-        out["residual"] = True
-    if s.notes:
-        out["notes"] = s.notes
-    return out
+def _plain(value: Any) -> Any:
+    """Plain-data form of a config value; a field equal to its default is left out."""
+    if is_dataclass(value):
+        out = {"mode": _MODE_OF[type(value)]} if type(value) in _MODE_OF else {}
+        for f in fields(value):
+            item = getattr(value, f.name)
+            default = (f.default if f.default_factory is MISSING
+                       else f.default_factory())
+            if item != default:
+                out[_KEYS.get(f.name, f.name)] = _plain(item)
+        return out
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    if isinstance(value, Mapping):
+        return {k: _plain(v) for k, v in value.items()}
+    return value
 
 
 def to_dict(config: RunConfig) -> dict:
     """Plain-data form of a config, as ``loads_config`` would accept."""
-    state = config.initial_state
-    baseline = config.baseline
-    return {
-        "dataset_version": config.dataset_version,
-        "params": {
-            "alpha": config.params.alpha,
-            "theta": _theta_dict(config.params.theta),
-            "sigma": config.params.sigma,
-            "tfp_boost_per_adoption_pct": config.params.tfp_boost_per_adoption_pct,
-            "exposure_share": config.params.exposure_share,
-        },
-        "initial_state": {
-            "year": state.year, "tfp": state.tfp, "capital": state.capital,
-            "labor": state.labor, "robotics": state.robotics, "wage": state.wage,
-            "robot_cost": state.robot_cost,
-        },
-        "baseline": {
-            "total_labor_force": baseline.total_labor_force,
-            "expat_share": baseline.expat_share,
-            "sector_shares": dict(baseline.sector_shares),
-            "min_wage": baseline.min_wage,
-            "low_wage_headcount": baseline.low_wage_headcount,
-            "remittance_base": baseline.remittance_base,
-            "remittance_decline_band": list(baseline.remittance_decline_band),
-            "remittance_reference_rate": baseline.remittance_reference_rate,
-        },
-        "sectors": [_sector_dict(s) for s in config.sectors],
-        "tasks": {domain: [dict(row) for row in rows]
-                  for domain, rows in config.tasks.items()},
-        "scenarios": [_scenario_dict(s) for s in config.scenarios],
-        "output": {
-            "directory": config.output.directory,
-            "formats": list(config.output.formats),
-            **({"figure_scenario": config.output.figure_scenario}
-               if config.output.figure_scenario else {}),
-        },
-    }
+    return _plain(config)
 
 
 def dump_config(config: RunConfig) -> str:

@@ -155,7 +155,11 @@ class Scenario:
     def __post_init__(self) -> None:
         _require(bool(_NAME_RE.match(self.name)),
                  f"scenario name must match [A-Za-z0-9_-]+, got {self.name!r}")
-        mode = SimulationMode(self.mode)
+        try:
+            mode = SimulationMode(self.mode)
+        except ValueError:
+            raise DomainError(f"mode must be one of {[m.value for m in SimulationMode]}, "
+                              f"got {self.mode!r}") from None
         object.__setattr__(self, "mode", mode)
         horizon = tuple(self.horizon)
         _require(len(horizon) == 2, "horizon must be a (start, end) pair")

@@ -1,15 +1,24 @@
 """Strict config parsing, dotted error paths, YAML round trips."""
 
 import copy
+import re
+from pathlib import Path
 
 import pytest
 import yaml
 
 from robolabor import (
     ConfigError,
+    EconomyState,
     JobCreationRamp,
     JobCreationRatio,
+    LaborBaseline,
+    ModelParams,
+    OutputOptions,
     Readiness,
+    RunConfig,
+    Scenario,
+    SectorProfile,
     StaticTheta,
     ThetaRamp,
     default_config_path,
@@ -604,3 +613,44 @@ class TestRoundTripCoverage:
         once = dump_config(config)
         assert loads_config(once) == config
         assert dump_config(loads_config(once)) == once
+
+
+SCHEMA_DOC = Path(__file__).resolve().parents[1] / "docs" / "config_schema.md"
+
+# the key table under each section heading of the schema doc, and what fills it
+DOC_SECTIONS = {
+    "Top level": RunConfig,
+    "`params`": ModelParams,
+    "`initial_state`": EconomyState,
+    "`baseline`": LaborBaseline,
+    "`sectors`": SectorProfile,
+    "`tasks`": None,
+    "`scenarios`": Scenario,
+    "`output`": OutputOptions,
+}
+
+
+def _doc_key_tables() -> dict[str, set[str]]:
+    tables: dict[str, set[str]] = {}
+    heading = None
+    for line in SCHEMA_DOC.read_text(encoding="utf-8").splitlines():
+        if line.startswith("## "):
+            heading = line[3:].strip()
+        elif line.startswith("|"):
+            key = re.match(r"\|\s*`([a-z_]+)`\s*\|", line)
+            if key:
+                tables.setdefault(heading, set()).add(key.group(1))
+    return tables
+
+
+class TestSchemaDoc:
+    """Each key table in the schema doc lists exactly the keys the reader accepts."""
+
+    def test_every_section_has_a_table(self):
+        assert set(_doc_key_tables()) == set(DOC_SECTIONS)
+
+    @pytest.mark.parametrize("heading", DOC_SECTIONS)
+    def test_table_lists_the_accepted_keys(self, heading):
+        cls = DOC_SECTIONS[heading]
+        accepted = config_module._TASK_KEYS if cls is None else config_module._keys(cls)
+        assert _doc_key_tables()[heading] == accepted

@@ -6,10 +6,15 @@ therefore finishes, and no error names an engine-internal variable.
 """
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import robolabor
 from robolabor import (
     ConfigError,
     DomainError,
@@ -342,6 +347,35 @@ class TestConfigBoundary:
             "horizon: [2030, 2031]", "horizon: [2019, 2100]"))
         assert cli_dispatch(["validate", "--config", str(path)]) == 1
         assert "scenarios[1]: robotics_growth compounds" in capsys.readouterr().err
+
+
+class TestUnknownMode:
+    """A scenario mode outside the enum is a config error, not a crash."""
+
+    MODES = "['comparative_static', 'dynamic']"
+    TEXT = config_text().replace("mode: comparative_static", "mode: bogus")
+
+    def test_scenario_built_in_code(self):
+        with pytest.raises(DomainError, match=r"mode must be one of .*'bogus'"):
+            scenario(mode="bogus")
+
+    def test_loads_config(self):
+        error = config_error(self.TEXT)
+        assert error.path == "scenarios[0].mode"
+        assert str(error) == f"scenarios[0].mode: mode must be one of {self.MODES}, got 'bogus'"
+
+    def test_validate_command(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text(self.TEXT)
+        src = str(Path(robolabor.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-m", "robolabor.cli", "validate",
+                              "--config", str(path)],
+                             capture_output=True, text=True, env=env, timeout=60)
+        assert run.returncode == 1
+        assert "scenarios[0].mode: mode must be one of" in run.stderr
+        assert "Traceback" not in run.stderr
 
 
 class TestYamlConstructorErrors:
