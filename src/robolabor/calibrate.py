@@ -47,11 +47,11 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         _require(self.lo < self.hi,
-                 f"bracket must satisfy lo < hi, got [{self.lo}, {self.hi}]")
+                 "bracket must satisfy lo < hi, got [{}, {}]", self.lo, self.hi)
         _require(self.relative_tolerance > 0,
-                 f"relative_tolerance must be positive, got {self.relative_tolerance}")
+                 "relative_tolerance must be positive, got {}", self.relative_tolerance)
         _require(self.max_iterations >= 1,
-                 f"max_iterations must be >= 1, got {self.max_iterations}")
+                 "max_iterations must be >= 1, got {}", self.max_iterations)
 
 
 @dataclass(frozen=True)
@@ -124,14 +124,14 @@ def solve_tfp_level(observed_output: float, capital: float, labor: float,
     ``A = Y / (K**alpha * L**(1-alpha-theta) * R**theta)``.
     """
     _require(observed_output > 0,
-             f"observed_output must be positive, got {observed_output}")
+             "observed_output must be positive, got {}", observed_output)
     for name, value in (("capital", capital), ("labor", labor), ("robotics", robotics)):
-        _require(value > 0, f"{name} must be positive, got {value}")
-    _require(0 < alpha < 1, f"alpha must lie in (0, 1), got {alpha}")
-    _require(0 < theta <= 1, f"theta must lie in (0, 1], got {theta}")
+        _require(value > 0, "{} must be positive, got {}", name, value)
+    _require(0 < alpha < 1, "alpha must lie in (0, 1), got {}", alpha)
+    _require(0 < theta <= 1, "theta must lie in (0, 1], got {}", theta)
     labor_exponent = 1.0 - alpha - theta
     _require(labor_exponent > 0,
-             f"labor exponent 1 - alpha - theta must be positive, got {labor_exponent}")
+             "labor exponent 1 - alpha - theta must be positive, got {}", labor_exponent)
     return observed_output / (
         capital ** alpha * labor ** labor_exponent * robotics ** theta)
 
@@ -142,9 +142,9 @@ def implied_theta(output_gain: float, robotics_growth: float) -> float:
     Inverts ``(1+g)**theta - 1 = gain``:
     ``theta = ln(1 + gain) / ln(1 + g)``. A zero gain returns exactly 0.0.
     """
-    _require(output_gain > -1, f"output_gain must exceed -1, got {output_gain}")
+    _require(output_gain > -1, "output_gain must exceed -1, got {}", output_gain)
     _require(robotics_growth > -1,
-             f"robotics_growth must exceed -1, got {robotics_growth}")
+             "robotics_growth must exceed -1, got {}", robotics_growth)
     _require(robotics_growth != 0, "robotics_growth must be nonzero")
     if output_gain == 0:
         return 0.0
@@ -157,9 +157,9 @@ def implied_sigma(displacement: float, cost_ratio_change: float) -> float:
     Inverts ``1 - r**(-sigma) = d``: ``sigma = -ln(1 - d) / ln(r)``.
     """
     _require(0 <= displacement < 1,
-             f"displacement must lie in [0, 1), got {displacement}")
+             "displacement must lie in [0, 1), got {}", displacement)
     _require(cost_ratio_change > 0,
-             f"cost_ratio_change must be positive, got {cost_ratio_change}")
+             "cost_ratio_change must be positive, got {}", cost_ratio_change)
     _require(cost_ratio_change != 1, "cost_ratio_change must differ from 1")
     return -math.log1p(-displacement) / math.log(cost_ratio_change)
 
@@ -172,10 +172,10 @@ def implied_exposure(displacement_target: float, cost_ratio_change: float,
     :class:`UnattainableTargetError` when even full exposure falls short.
     """
     _require(0 <= displacement_target < 1,
-             f"displacement_target must lie in [0, 1), got {displacement_target}")
+             "displacement_target must lie in [0, 1), got {}", displacement_target)
     _require(cost_ratio_change > 1,
-             f"cost_ratio_change must exceed 1, got {cost_ratio_change}")
-    _require(sigma > 0, f"sigma must be positive, got {sigma}")
+             "cost_ratio_change must exceed 1, got {}", cost_ratio_change)
+    _require(sigma > 0, "sigma must be positive, got {}", sigma)
     if displacement_target == 0:
         return 0.0
     response = 1.0 - cost_ratio_change ** (-sigma)
@@ -195,10 +195,10 @@ def implied_cost_ratio(displacement_target: float, sigma: float,
     ``r = (1 - target/exposure)**(-1/sigma)``.
     """
     _require(0 <= displacement_target < 1,
-             f"displacement_target must lie in [0, 1), got {displacement_target}")
-    _require(sigma > 0, f"sigma must be positive, got {sigma}")
+             "displacement_target must lie in [0, 1), got {}", displacement_target)
+    _require(sigma > 0, "sigma must be positive, got {}", sigma)
     _require(0 < exposure_share <= 1,
-             f"exposure_share must lie in (0, 1], got {exposure_share}")
+             "exposure_share must lie in (0, 1], got {}", exposure_share)
     if displacement_target == 0:
         return 1.0
     if displacement_target >= exposure_share:
@@ -218,10 +218,10 @@ def implied_robotics_growth(gain_target: float, theta: float,
     ``(1 + boost * 100g) * (1+g)**theta - 1``, a composite of two channels,
     and the solve falls back to bisection.
     """
-    _require(gain_target > -1, f"gain_target must exceed -1, got {gain_target}")
-    _require(0 < theta <= 1, f"theta must lie in (0, 1], got {theta}")
+    _require(gain_target > -1, "gain_target must exceed -1, got {}", gain_target)
+    _require(0 < theta <= 1, "theta must lie in (0, 1], got {}", theta)
     _require(tfp_boost_per_pct >= 0,
-             f"tfp_boost_per_pct must be >= 0, got {tfp_boost_per_pct}")
+             "tfp_boost_per_pct must be >= 0, got {}", tfp_boost_per_pct)
     if tfp_boost_per_pct == 0:
         return (1.0 + gain_target) ** (1.0 / theta) - 1.0
 

@@ -13,8 +13,8 @@ with an exposure share bounding how much of the workforce competes with
 automation at all.
 
 Everything in this module is scalar and pure. State is carried in frozen
-dataclasses; all validation happens eagerly at construction or call time and
-raises :class:`~robolabor.errors.DomainError`.
+dataclasses; the public classes and helpers validate eagerly, at construction
+or call time, and raise :class:`~robolabor.errors.DomainError`.
 """
 
 from __future__ import annotations
@@ -73,11 +73,11 @@ class EconomyState:
         year = _require_integer(self.year, "year")
         object.__setattr__(self, "year", year)
         _require(YEAR_MIN <= year <= YEAR_MAX,
-                 f"year must lie in [{YEAR_MIN}, {YEAR_MAX}], got {year}")
+                 "year must lie in [{}, {}], got {}", YEAR_MIN, YEAR_MAX, year)
         for name in ("tfp", "capital", "labor", "robotics", "wage", "robot_cost"):
             value = getattr(self, name)
             _require(0 < value < math.inf,
-                     f"{name} must be positive and finite, got {value}")
+                     "{} must be positive and finite, got {}", name, value)
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ class StaticTheta:
 
     def __post_init__(self) -> None:
         _require(0 < self.value <= 1,
-                 f"theta must lie in (0, 1], got {self.value}")
+                 "theta must lie in (0, 1], got {}", self.value)
 
 
 @dataclass(frozen=True)
@@ -106,10 +106,10 @@ class ThetaRamp:
     def __post_init__(self) -> None:
         ramp_years = _require_integer(self.ramp_years, "ramp_years")
         object.__setattr__(self, "ramp_years", ramp_years)
-        _require(ramp_years >= 1, f"ramp_years must be >= 1, got {ramp_years}")
+        _require(ramp_years >= 1, "ramp_years must be >= 1, got {}", ramp_years)
         for name in ("start", "end"):
             value = getattr(self, name)
-            _require(0 < value <= 1, f"theta {name} must lie in (0, 1], got {value}")
+            _require(0 < value <= 1, "theta {} must lie in (0, 1], got {}", name, value)
 
 
 ThetaMode = Union[StaticTheta, ThetaRamp]
@@ -148,18 +148,18 @@ class ModelParams:
     exposure_share: float = 1.0
 
     def __post_init__(self) -> None:
-        _require(0 < self.alpha < 1, f"alpha must lie in (0, 1), got {self.alpha}")
+        _require(0 < self.alpha < 1, "alpha must lie in (0, 1), got {}", self.alpha)
         if not isinstance(self.theta, (StaticTheta, ThetaRamp)):
             raise DomainError(
                 f"theta must be StaticTheta or ThetaRamp, got {type(self.theta).__name__}")
         for value in _theta_extremes(self.theta):
             _require(self.alpha + value < 1,
-                     f"alpha + theta must stay below 1, got {self.alpha} + {value}")
+                     "alpha + theta must stay below 1, got {} + {}", self.alpha, value)
         for name in ("sigma", "tfp_boost_per_adoption_pct"):
             value = getattr(self, name)
-            _require(0 <= value < math.inf, f"{name} must be finite and >= 0, got {value}")
+            _require(0 <= value < math.inf, "{} must be finite and >= 0, got {}", name, value)
         _require(0 <= self.exposure_share <= 1,
-                 f"exposure_share must lie in [0, 1], got {self.exposure_share}")
+                 "exposure_share must lie in [0, 1], got {}", self.exposure_share)
 
 
 def production_output(state: EconomyState, alpha: float, theta: float) -> float:
@@ -179,11 +179,11 @@ def production_output(state: EconomyState, alpha: float, theta: float) -> float:
     float
         Output in the same units as ``state.tfp`` times factor powers.
     """
-    _require(0 < alpha < 1, f"alpha must lie in (0, 1), got {alpha}")
-    _require(0 < theta <= 1, f"theta must lie in (0, 1], got {theta}")
+    _require(0 < alpha < 1, "alpha must lie in (0, 1), got {}", alpha)
+    _require(0 < theta <= 1, "theta must lie in (0, 1], got {}", theta)
     labor_exponent = 1.0 - alpha - theta
     _require(labor_exponent > 0,
-             f"labor exponent 1 - alpha - theta must be positive, got {labor_exponent}")
+             "labor exponent 1 - alpha - theta must be positive, got {}", labor_exponent)
     return (state.tfp
             * state.capital ** alpha
             * state.labor ** labor_exponent
@@ -197,8 +197,8 @@ def robotics_output_gain(robotics_growth: float, theta: float) -> float:
     response of a Cobb-Douglas output to scaling one factor.
     """
     _require(robotics_growth > -1,
-             f"robotics_growth must exceed -1, got {robotics_growth}")
-    _require(0 < theta <= 1, f"theta must lie in (0, 1], got {theta}")
+             "robotics_growth must exceed -1, got {}", robotics_growth)
+    _require(0 < theta <= 1, "theta must lie in (0, 1], got {}", theta)
     return (1.0 + robotics_growth) ** theta - 1.0
 
 
@@ -217,10 +217,10 @@ def labor_demand_ratio(cost_ratio_change: float, sigma: float,
     At ``cost_ratio_change == 1`` the ratio is exactly 1.0.
     """
     _require(cost_ratio_change > 0,
-             f"cost_ratio_change must be positive, got {cost_ratio_change}")
-    _require(sigma >= 0, f"sigma must be >= 0, got {sigma}")
+             "cost_ratio_change must be positive, got {}", cost_ratio_change)
+    _require(sigma >= 0, "sigma must be >= 0, got {}", sigma)
     _require(0 <= exposure_share <= 1,
-             f"exposure_share must lie in [0, 1], got {exposure_share}")
+             "exposure_share must lie in [0, 1], got {}", exposure_share)
     return 1.0 - exposure_share * (1.0 - cost_ratio_change ** (-sigma))
 
 
@@ -232,7 +232,7 @@ def theta_at(year_index: float, theta: ThetaMode) -> float:
     ``ramp_years`` onward; intermediate indices interpolate linearly.
     """
     index = _require_integer(year_index, "year_index")
-    _require(index >= 0, f"year_index must be >= 0, got {index}")
+    _require(index >= 0, "year_index must be >= 0, got {}", index)
     if isinstance(theta, StaticTheta):
         return theta.value
     if not isinstance(theta, ThetaRamp):
@@ -254,8 +254,8 @@ def tfp_step(tfp_prev: float, adoption_growth_pct: float,
     the default boost, one percentage point of adoption growth lifts TFP by
     0.2 percent. Growth of zero returns ``tfp_prev`` unchanged.
     """
-    _require(tfp_prev > 0, f"tfp_prev must be positive, got {tfp_prev}")
+    _require(tfp_prev > 0, "tfp_prev must be positive, got {}", tfp_prev)
     _require(adoption_growth_pct >= 0,
-             f"adoption_growth_pct must be >= 0, got {adoption_growth_pct}")
-    _require(boost_per_pct >= 0, f"boost_per_pct must be >= 0, got {boost_per_pct}")
+             "adoption_growth_pct must be >= 0, got {}", adoption_growth_pct)
+    _require(boost_per_pct >= 0, "boost_per_pct must be >= 0, got {}", boost_per_pct)
     return tfp_prev * (1.0 + boost_per_pct * adoption_growth_pct)

@@ -17,6 +17,10 @@ Two gain metrics are reported and they answer different questions:
 
 Comparative statics are one-year dynamics: running ``mode=dynamic`` over a
 single year reproduces the comparative-static result field by field.
+
+``_effective_params`` proves the model's domain for the whole horizon once,
+before the first year. The year loop is then unchecked arithmetic, and it
+must give the same floats as the public helpers of ``core`` and ``sectors``.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from .core import (
     _theta_extremes,
     labor_demand_ratio,
     production_output,
-    tfp_step,
     theta_at,
 )
 from .errors import DomainError, _require
@@ -51,8 +54,6 @@ from .sectors import (
     SectorProfile,
     disaggregate_displacement,
     displacement_headcounts,
-    job_creation,
-    remittance_impact,
 )
 
 __all__ = [
@@ -86,10 +87,10 @@ class TargetSet:
     def __post_init__(self) -> None:
         if self.gdp_gain is not None:
             _require(-1 < self.gdp_gain < math.inf,
-                     f"gdp_gain target must be finite and exceed -1, got {self.gdp_gain}")
+                     "gdp_gain target must be finite and exceed -1, got {}", self.gdp_gain)
         if self.displacement is not None:
             _require(0 <= self.displacement < 1,
-                     f"displacement target must lie in [0, 1), got {self.displacement}")
+                     "displacement target must lie in [0, 1), got {}", self.displacement)
 
 
 @dataclass(frozen=True)
@@ -103,10 +104,10 @@ class RawShocks:
         if self.robotics_growth is not None:
             _require(-1 < self.robotics_growth < math.inf,
                      "raw robotics_growth must be finite and exceed -1, "
-                     f"got {self.robotics_growth}")
+                     "got {}", self.robotics_growth)
         if self.cost_ratio is not None:
             _require(0 < self.cost_ratio < math.inf,
-                     f"raw cost_ratio must be positive and finite, got {self.cost_ratio}")
+                     "raw cost_ratio must be positive and finite, got {}", self.cost_ratio)
 
 
 def _path_values(scenario: "Scenario", name: str, n_years: int) -> tuple[float, ...]:
@@ -118,12 +119,12 @@ def _path_values(scenario: "Scenario", name: str, n_years: int) -> tuple[float, 
     if isinstance(path, (tuple, list)):
         values = tuple(float(v) for v in path)
         _require(len(values) == n_years,
-                 f"{name} needs {n_years} entries, got {len(values)}")
+                 "{} needs {} entries, got {}", name, n_years, len(values))
         object.__setattr__(scenario, name, values)
     else:
         values = (float(path),)
     for v in values:
-        _require(math.isfinite(v), f"{name} entries must be finite, got {v}")
+        _require(math.isfinite(v), "{} entries must be finite, got {}", name, v)
     return values
 
 
@@ -154,7 +155,7 @@ class Scenario:
 
     def __post_init__(self) -> None:
         _require(bool(_NAME_RE.match(self.name)),
-                 f"scenario name must match [A-Za-z0-9_-]+, got {self.name!r}")
+                 "scenario name must match [A-Za-z0-9_-]+, got {!r}", self.name)
         try:
             mode = SimulationMode(self.mode)
         except ValueError:
@@ -165,36 +166,36 @@ class Scenario:
         _require(len(horizon) == 2, "horizon must be a (start, end) pair")
         start, end = horizon
         _require(float(start).is_integer() and float(end).is_integer(),
-                 f"horizon years must be integers, got {horizon}")
+                 "horizon years must be integers, got {}", horizon)
         start, end = int(start), int(end)
         _require(YEAR_MIN <= start <= end <= YEAR_MAX,
-                 f"horizon must satisfy {YEAR_MIN} <= start <= end <= {YEAR_MAX}, "
-                 f"got {horizon}")
+                 "horizon must satisfy {} <= start <= end <= {}, "
+                 "got {}", YEAR_MIN, YEAR_MAX, horizon)
         object.__setattr__(self, "horizon", (start, end))
         if mode is SimulationMode.COMPARATIVE_STATIC:
             _require(start == end,
                      "comparative_static scenarios take a single-year horizon")
         n_years = end - start + 1
         for g in _path_values(self, "robotics_growth", n_years):
-            _require(g > -1, f"robotics_growth must exceed -1, got {g}")
+            _require(g > -1, "robotics_growth must exceed -1, got {}", g)
             if self.tfp_enabled:
                 _require(g >= 0,
-                         f"robotics_growth must be >= 0 when tfp_enabled, got {g}")
+                         "robotics_growth must be >= 0 when tfp_enabled, got {}", g)
         ratios = _path_values(self, "cost_ratio_path", n_years)
-        _require(ratios[0] >= 1, f"cost_ratio_path entries must be >= 1, got {ratios[0]}")
+        _require(ratios[0] >= 1, "cost_ratio_path entries must be >= 1, got {}", ratios[0])
         for before, after in zip(ratios, ratios[1:]):
             _require(after >= before,
-                     f"cost_ratio_path must not fall over the horizon, "
-                     f"got {before} then {after}")
+                     "cost_ratio_path must not fall over the horizon, "
+                     "got {} then {}", before, after)
         if self.sigma_override is not None:
             _require(0 <= self.sigma_override < math.inf,
-                     f"sigma_override must be finite and >= 0, got {self.sigma_override}")
+                     "sigma_override must be finite and >= 0, got {}", self.sigma_override)
         if self.theta_override is not None:
             _require(isinstance(self.theta_override, (StaticTheta, ThetaRamp)),
                      "theta_override must be StaticTheta or ThetaRamp")
         if self.exposure_override is not None:
             _require(0 <= self.exposure_override <= 1,
-                     f"exposure_override must lie in [0, 1], got {self.exposure_override}")
+                     "exposure_override must lie in [0, 1], got {}", self.exposure_override)
         _require(isinstance(self.job_creation_model, (JobCreationRatio, JobCreationRamp)),
                  "job_creation_model must be JobCreationRatio or JobCreationRamp")
 
@@ -272,16 +273,15 @@ class SimulationResult:
 
 def _effective_params(scenario: Scenario, params: ModelParams,
                       state0: EconomyState) -> tuple[float, ThetaMode, float]:
-    """Resolve the scenario overrides; check the rules that need all inputs.
+    """Resolve the scenario overrides; prove every simulated year in-domain.
 
     Returns ``(sigma, theta schedule, exposure_share)``. Every value of the
-    schedule must keep ``alpha + theta < 1``, the terminal cost ratio, the
-    path's largest, must leave part of the workforce employed, and the
+    schedule must keep ``alpha + theta < 1``; the terminal cost ratio, the
+    path's largest, must leave some labor and a positive robot cost; the
     robotics stock and TFP, compounded from ``state0`` by the growth path,
-    must stay positive and finite floats, and TFP times the stock to the
-    power of the year's theta must stay finite. With these and the
-    scenario's own rules, every simulated year stays inside the model's
-    domain.
+    must stay positive and finite, and so must TFP times the stock to the
+    power theta and the output at ``state0``'s labor. With the inputs' own
+    rules, every precondition of the public helpers then holds every year.
     """
     sigma = scenario.sigma_override if scenario.sigma_override is not None else params.sigma
     theta_mode = scenario.theta_override if scenario.theta_override is not None else params.theta
@@ -289,17 +289,21 @@ def _effective_params(scenario: Scenario, params: ModelParams,
                 else params.exposure_share)
     for value in _theta_extremes(theta_mode):
         _require(params.alpha + value < 1,
-                 f"alpha + theta must stay below 1, got {params.alpha} + {value}")
+                 "alpha + theta must stay below 1, got {} + {}", params.alpha, value)
+    # labor and the robot cost are lowest at the terminal ratio
     terminal = scenario.cost_path()[-1]
-    _require(labor_demand_ratio(terminal, sigma, exposure) > 0,
-             f"cost_ratio_path reaches {terminal}, which displaces the whole "
-             f"workforce at sigma {sigma} and exposure_share {exposure}")
-    # compound exactly as run_scenario does, so a pass here is a pass there;
-    # the TFP line is tfp_step's arithmetic without its per-call checks
-    boost = params.tfp_boost_per_adoption_pct
+    _require(state0.labor * labor_demand_ratio(terminal, sigma, exposure) > 0,
+             "cost_ratio_path reaches {}, which displaces the whole workforce at "
+             "sigma {} and exposure_share {}", terminal, sigma, exposure)
+    _require(state0.robot_cost / terminal > 0, "cost_ratio_path reaches {}, which "
+             "divides the robot cost {} to 0", terminal, state0.robot_cost)
+    # compound exactly as run_scenario does, so a pass here is a pass there
+    alpha, labor0, boost = params.alpha, state0.labor, params.tfp_boost_per_adoption_pct
+    kalpha = state0.capital ** alpha
+    labor_cap = max(labor0, 1.0)  # labor <= labor0, and x ** p <= max(x, 1) for p in (0, 1]
     robotics = state0.robotics
     tfp = state0.tfp
-    overflow = None
+    overflow = output_overflow = None
     for year, g_t in enumerate(scenario.growth_path(), start=scenario.horizon[0]):
         robotics = robotics * (1.0 + g_t)
         if scenario.tfp_enabled:
@@ -316,10 +320,18 @@ def _effective_params(scenario: Scenario, params: ModelParams,
             theta_t = theta_at(year - scenario.horizon[0], theta_mode)
             if tfp * robotics ** theta_t == math.inf:
                 overflow = f"the power {theta_t} to inf by {year}"
+        robotics_cap = robotics if robotics > 1.0 else 1.0  # max() costs more here
+        if output_overflow is None and tfp * kalpha * labor_cap * robotics_cap == math.inf:
+            theta_t = theta_at(year - scenario.horizon[0], theta_mode)
+            if tfp * kalpha * labor0 ** (1.0 - alpha - theta_t) * robotics ** theta_t == math.inf:
+                output_overflow = year
     # a stock that leaves the range anywhere is reported first
     if overflow is not None:
         raise DomainError(f"robotics_growth compounds TFP times the robotics stock to "
                           f"{overflow}, outside the float range")
+    if output_overflow is not None:
+        raise DomainError(f"robotics_growth compounds output at baseline labor to inf "
+                          f"by {output_overflow}, outside the float range")
     return sigma, theta_mode, exposure
 
 
@@ -333,52 +345,50 @@ def run_scenario(scenario: Scenario, params: ModelParams, state0: EconomyState,
     schedule, and labor demand prices off the cumulative cost ratio. Yields
     one record per horizon year; a comparative-static scenario is the
     single-year case.
+
+    After :func:`_effective_params`, the loop is the arithmetic of
+    ``tfp_step``, ``labor_demand_ratio``, ``production_output``,
+    ``job_creation`` and ``remittance_impact`` without their checks, operand
+    for operand, so it gives their floats (``tests/test_engine.py`` pins it).
     """
     sigma, theta_mode, exposure = _effective_params(scenario, params, state0)
 
     start, end = scenario.horizon
     n_years = scenario.n_years
-    growth = scenario.growth_path()
-    cost = scenario.cost_path()
-    boost = params.tfp_boost_per_adoption_pct
+    alpha, boost = params.alpha, params.tfp_boost_per_adoption_pct
+    thetas = ((theta_mode.value,) * n_years if isinstance(theta_mode, StaticTheta)
+              else [theta_at(index, theta_mode) for index in range(n_years)])
+    model = scenario.job_creation_model
+    job_ratios = ((model.ratio,) * n_years if isinstance(model, JobCreationRatio)
+                  else [model.terminal_ratio * (index / (n_years - 1) if n_years > 1 else 1.0)
+                        for index in range(n_years)])
+    kalpha = state0.capital ** alpha
+    remit_low, remit_high = (baseline.remittance_base * band
+                             for band in baseline.remittance_decline_band)
+    reference = baseline.remittance_reference_rate
+    # the baseline output changes only with theta
+    base_by_theta = {theta: production_output(state0, alpha, theta) for theta in set(thetas)}
 
     tfp = state0.tfp
     robotics = state0.robotics
     labor0 = state0.labor
     records: list[YearRecord] = []
-    for index in range(n_years):
-        year = start + index
-        theta_t = theta_at(index, theta_mode)
-        g_t = growth[index]
-        r_t = cost[index]
+    for year, g_t, r_t, theta_t, job_ratio in zip(
+            range(start, end + 1), scenario.growth_path(), scenario.cost_path(),
+            thetas, job_ratios):
         robotics = robotics * (1.0 + g_t)
         if scenario.tfp_enabled:
-            tfp = tfp_step(tfp, 100.0 * g_t, boost)
-        ratio = labor_demand_ratio(r_t, sigma, exposure)
+            tfp = tfp * (1.0 + boost * (100.0 * g_t))
+        ratio = 1.0 - exposure * (1.0 - r_t ** (-sigma))
         labor_t = labor0 * ratio
         displacement_rate = 1.0 - ratio
         displaced = labor0 - labor_t
-        state_t = EconomyState(year=year, tfp=tfp, capital=state0.capital,
-                               labor=labor_t, robotics=robotics,
-                               wage=state0.wage, robot_cost=state0.robot_cost / r_t)
-        output_t = production_output(state_t, params.alpha, theta_t)
-        base_t = production_output(state0, params.alpha, theta_t)
-        progress = index / (n_years - 1) if n_years > 1 else 1.0
-        jobs = job_creation(displaced, scenario.job_creation_model, progress=progress)
-        remit_low, remit_high = remittance_impact(displacement_rate, baseline)
+        output_t = tfp * kalpha * labor_t ** (1.0 - alpha - theta_t) * robotics ** theta_t
+        scale = displacement_rate / reference
         records.append(YearRecord(
-            year=year,
-            theta=theta_t,
-            tfp=tfp,
-            output=output_t,
-            output_gain_vs_baseline=output_t / base_t - 1.0,
-            labor=labor_t,
-            displacement_rate=displacement_rate,
-            displaced_cumulative=displaced,
-            jobs_created_cumulative=jobs,
-            remittance_low=remit_low,
-            remittance_high=remit_high,
-        ))
+            year, theta_t, tfp, output_t, output_t / base_by_theta[theta_t] - 1.0, labor_t,
+            displacement_rate, displaced, job_ratio * displaced, remit_low * scale,
+            remit_high * scale))
 
     terminal = records[-1]
     # channel gain: robotics stock and TFP moved, labor held at baseline

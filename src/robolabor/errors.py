@@ -27,10 +27,10 @@ class DomainError(ModelError):
     """A numeric argument violates a model precondition."""
 
 
-def _require(condition: bool, message: str) -> None:
-    """Raise :class:`DomainError` with ``message`` unless ``condition`` holds."""
+def _require(condition: bool, message: str, *args: object) -> None:
+    """Raise ``DomainError(message.format(*args))`` unless ``condition`` holds."""
     if not condition:
-        raise DomainError(message)
+        raise DomainError(message.format(*args))
 
 
 class ValidationError(ModelError):

@@ -80,28 +80,28 @@ class SectorProfile:
     def __post_init__(self) -> None:
         _require(bool(self.name), "sector name must be nonempty")
         _require(0 <= self.employment_share <= 1,
-                 f"{self.name}: employment_share must lie in [0, 1], "
-                 f"got {self.employment_share}")
+                 "{}: employment_share must lie in [0, 1], "
+                 "got {}", self.name, self.employment_share)
         if self.residual:
             _require(self.risk_multiplier is None,
-                     f"{self.name}: residual sector must not carry a risk_multiplier")
+                     "{}: residual sector must not carry a risk_multiplier", self.name)
             _require(self.employment_share > 0,
-                     f"{self.name}: residual sector needs a positive employment_share")
+                     "{}: residual sector needs a positive employment_share", self.name)
         else:
             _require(self.risk_multiplier is not None,
-                     f"{self.name}: risk_multiplier is required for non-residual sectors")
+                     "{}: risk_multiplier is required for non-residual sectors", self.name)
             _require(0 <= self.risk_multiplier < math.inf,
-                     f"{self.name}: risk_multiplier must be finite and >= 0, "
-                     f"got {self.risk_multiplier}")
+                     "{}: risk_multiplier must be finite and >= 0, "
+                     "got {}", self.name, self.risk_multiplier)
         _require(0 <= self.automation_potential <= 1,
-                 f"{self.name}: automation_potential must lie in [0, 1], "
-                 f"got {self.automation_potential}")
+                 "{}: automation_potential must lie in [0, 1], "
+                 "got {}", self.name, self.automation_potential)
         if not isinstance(self.readiness, Readiness):
             raise DomainError(f"{self.name}: readiness must be a Readiness value")
         if self.readiness_score is not None:
             _require(0 <= self.readiness_score <= 10,
-                     f"{self.name}: readiness_score must lie in [0, 10], "
-                     f"got {self.readiness_score}")
+                     "{}: readiness_score must lie in [0, 10], "
+                     "got {}", self.name, self.readiness_score)
 
 
 @dataclass(frozen=True)
@@ -119,34 +119,34 @@ class LaborBaseline:
 
     def __post_init__(self) -> None:
         _require(0 < self.total_labor_force < math.inf,
-                 f"total_labor_force must be positive and finite, got {self.total_labor_force}")
+                 "total_labor_force must be positive and finite, got {}", self.total_labor_force)
         _require(0 <= self.expat_share <= 1,
-                 f"expat_share must lie in [0, 1], got {self.expat_share}")
+                 "expat_share must lie in [0, 1], got {}", self.expat_share)
         shares = dict(self.sector_shares)
         object.__setattr__(self, "sector_shares", shares)
         total = 0.0
         for name, share in shares.items():
             _require(0 <= share <= 1,
-                     f"sector_shares[{name}] must lie in [0, 1], got {share}")
+                     "sector_shares[{}] must lie in [0, 1], got {}", name, share)
             total += share
         _require(total <= 1 + 1e-9,
-                 f"sector_shares must sum to at most 1, got {total}")
+                 "sector_shares must sum to at most 1, got {}", total)
         _require(0 < self.min_wage < math.inf,
-                 f"min_wage must be positive and finite, got {self.min_wage}")
+                 "min_wage must be positive and finite, got {}", self.min_wage)
         _require(self.low_wage_headcount >= 0,
-                 f"low_wage_headcount must be >= 0, got {self.low_wage_headcount}")
+                 "low_wage_headcount must be >= 0, got {}", self.low_wage_headcount)
         _require(self.low_wage_headcount <= self.total_labor_force,
                  "low_wage_headcount cannot exceed total_labor_force")
         _require(0 < self.remittance_base < math.inf,
-                 f"remittance_base must be positive and finite, got {self.remittance_base}")
+                 "remittance_base must be positive and finite, got {}", self.remittance_base)
         band = tuple(self.remittance_decline_band)
         object.__setattr__(self, "remittance_decline_band", band)
         _require(len(band) == 2, "remittance_decline_band needs exactly two entries")
         _require(0 <= band[0] <= band[1] <= 1,
-                 f"remittance_decline_band must be ordered within [0, 1], got {band}")
+                 "remittance_decline_band must be ordered within [0, 1], got {}", band)
         _require(0 < self.remittance_reference_rate < math.inf,
                  "remittance_reference_rate must be positive and finite, "
-                 f"got {self.remittance_reference_rate}")
+                 "got {}", self.remittance_reference_rate)
 
 
 @dataclass(frozen=True)
@@ -173,7 +173,7 @@ def _check_sector_table(sectors: Sequence[SectorProfile]) -> float:
              "at most one residual sector is allowed")
     total = sum(s.employment_share for s in sectors)
     _require(total <= 1 + 1e-9,
-             f"sector employment shares sum to {total:.6g}, must be <= 1")
+             "sector employment shares sum to {:.6g}, must be <= 1", total)
     return total
 
 
@@ -192,7 +192,7 @@ def disaggregate_displacement(national_rate: float,
     Returns rates keyed by sector name, in dataset order.
     """
     _require(0 <= national_rate <= 1,
-             f"national_rate must lie in [0, 1], got {national_rate}")
+             "national_rate must lie in [0, 1], got {}", national_rate)
     _require(len(sectors) > 0, "sector dataset must be nonempty")
     total_weight = _check_sector_table(sectors)
     _require(total_weight > 0, "sector dataset has zero total employment share")
@@ -249,7 +249,7 @@ def displacement_headcounts(national_rate: float,
     exact products; use :func:`round_half_away` for presentation.
     """
     _require(0 <= national_rate <= 1,
-             f"national_rate must lie in [0, 1], got {national_rate}")
+             "national_rate must lie in [0, 1], got {}", national_rate)
     total = national_rate * baseline.total_labor_force
     expat = total * baseline.expat_share
     by_sector = {name: expat * share
@@ -271,13 +271,13 @@ def remittance_impact(displacement_rate: float, baseline: LaborBaseline,
     reference rate the band applies exactly.
     """
     _require(0 <= displacement_rate <= 1,
-             f"displacement_rate must lie in [0, 1], got {displacement_rate}")
+             "displacement_rate must lie in [0, 1], got {}", displacement_rate)
     band = decline_band if decline_band is not None else baseline.remittance_decline_band
     reference = (reference_rate if reference_rate is not None
                  else baseline.remittance_reference_rate)
     _require(len(band) == 2 and 0 <= band[0] <= band[1] <= 1,
-             f"decline band must be ordered within [0, 1], got {band}")
-    _require(reference > 0, f"reference_rate must be positive, got {reference}")
+             "decline band must be ordered within [0, 1], got {}", band)
+    _require(reference > 0, "reference_rate must be positive, got {}", reference)
     scale = displacement_rate / reference
     return (baseline.remittance_base * band[0] * scale,
             baseline.remittance_base * band[1] * scale)
@@ -291,7 +291,7 @@ class JobCreationRatio:
 
     def __post_init__(self) -> None:
         _require(0 <= self.ratio < math.inf,
-                 f"ratio must be finite and >= 0, got {self.ratio}")
+                 "ratio must be finite and >= 0, got {}", self.ratio)
 
 
 @dataclass(frozen=True)
@@ -306,7 +306,7 @@ class JobCreationRamp:
 
     def __post_init__(self) -> None:
         _require(0 <= self.terminal_ratio < math.inf,
-                 f"terminal_ratio must be finite and >= 0, got {self.terminal_ratio}")
+                 "terminal_ratio must be finite and >= 0, got {}", self.terminal_ratio)
 
 
 JobCreationModel = Union[JobCreationRatio, JobCreationRamp]
@@ -320,8 +320,8 @@ def job_creation(displaced_cumulative: float, model: JobCreationModel,
     models ignore it, ramp models scale their terminal ratio by it.
     """
     _require(displaced_cumulative >= 0,
-             f"displaced_cumulative must be >= 0, got {displaced_cumulative}")
-    _require(0 <= progress <= 1, f"progress must lie in [0, 1], got {progress}")
+             "displaced_cumulative must be >= 0, got {}", displaced_cumulative)
+    _require(0 <= progress <= 1, "progress must lie in [0, 1], got {}", progress)
     if isinstance(model, JobCreationRatio):
         return model.ratio * displaced_cumulative
     if isinstance(model, JobCreationRamp):

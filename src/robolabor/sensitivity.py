@@ -55,11 +55,11 @@ class PerturbationSpec:
 
     def __post_init__(self) -> None:
         _require(self.parameter in PARAMETERS,
-                 f"parameter must be one of {PARAMETERS}, got {self.parameter!r}")
+                 "parameter must be one of {}, got {!r}", PARAMETERS, self.parameter)
         _require(0 <= self.perturbation < 1,
-                 f"perturbation must lie in [0, 1), got {self.perturbation}")
+                 "perturbation must lie in [0, 1), got {}", self.perturbation)
         _require(self.metric in METRICS,
-                 f"metric must be one of {METRICS}, got {self.metric!r}")
+                 "metric must be one of {}, got {!r}", METRICS, self.metric)
 
 
 @dataclass(frozen=True)
@@ -252,13 +252,13 @@ def elasticity_fd(metric: Callable[[float], float], value: float,
     power law ``f = c * p**k`` this recovers ``k`` exactly up to float
     rounding, whatever the step. A constant metric has elasticity 0.
     """
-    _require(value > 0, f"value must be positive, got {value}")
-    _require(0 < step < 1, f"step must lie in (0, 1), got {step}")
+    _require(value > 0, "value must be positive, got {}", value)
+    _require(0 < step < 1, "step must lie in (0, 1), got {}", step)
     f_lo = metric(value * (1.0 - step))
     f_hi = metric(value * (1.0 + step))
     if f_hi == f_lo:
         return 0.0
     _require(f_lo > 0 and f_hi > 0,
-             f"metric must stay positive for a log elasticity, "
-             f"got {f_lo} and {f_hi}")
+             "metric must stay positive for a log elasticity, "
+             "got {} and {}", f_lo, f_hi)
     return (math.log(f_hi) - math.log(f_lo)) / (math.log1p(step) - math.log1p(-step))

@@ -1,23 +1,34 @@
-"""Scenario runs: comparative statics, multi-year dynamics, target gaps."""
+"""Scenario runs: comparative statics, multi-year dynamics, target gaps, and
+the year loop's bit identity with the public helpers."""
 
+import dataclasses
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 from mpmath import mp
 
 from robolabor import (
     DomainError,
+    EconomyState,
     JobCreationRamp,
     JobCreationRatio,
     RawShocks,
+    ResultSummary,
     Scenario,
     SimulationMode,
     StaticTheta,
     TargetSet,
     ThetaRamp,
+    YearRecord,
     compare_to_targets,
+    job_creation,
+    labor_demand_ratio,
+    production_output,
     remittance_impact,
     run_scenario,
+    tfp_step,
+    theta_at,
 )
 
 STATIC_HORIZON = (2030, 2030)
@@ -310,3 +321,103 @@ class TestScenarioValidation:
     def test_job_creation_model_type_checked(self):
         with pytest.raises(DomainError):
             static_scenario(job_creation_model="ratio")
+
+
+def helper_run(scenario, params, state0, baseline):
+    """The year loop rebuilt from the public helpers, each with its checks."""
+    sigma = params.sigma if scenario.sigma_override is None else scenario.sigma_override
+    theta_mode = scenario.theta_override or params.theta
+    exposure = (params.exposure_share if scenario.exposure_override is None
+                else scenario.exposure_override)
+    n_years = scenario.n_years
+    tfp, robotics, records = state0.tfp, state0.robotics, []
+    for index, (g_t, r_t) in enumerate(zip(scenario.growth_path(), scenario.cost_path())):
+        theta_t = theta_at(index, theta_mode)
+        robotics = robotics * (1.0 + g_t)
+        if scenario.tfp_enabled:
+            tfp = tfp_step(tfp, 100.0 * g_t, params.tfp_boost_per_adoption_pct)
+        ratio = labor_demand_ratio(r_t, sigma, exposure)
+        labor_t = state0.labor * ratio
+        displaced = state0.labor - labor_t
+        state_t = EconomyState(year=scenario.horizon[0] + index, tfp=tfp,
+                               capital=state0.capital, labor=labor_t, robotics=robotics,
+                               wage=state0.wage, robot_cost=state0.robot_cost / r_t)
+        output_t = production_output(state_t, params.alpha, theta_t)
+        base_t = production_output(state0, params.alpha, theta_t)
+        progress = index / (n_years - 1) if n_years > 1 else 1.0
+        records.append(YearRecord(
+            state_t.year, theta_t, tfp, output_t, output_t / base_t - 1.0, labor_t,
+            1.0 - ratio, displaced,
+            job_creation(displaced, scenario.job_creation_model, progress=progress),
+            *remittance_impact(1.0 - ratio, baseline)))
+    return records, tfp, robotics
+
+
+def hexed(record):
+    return tuple(v.hex() if isinstance(v, float) else v
+                 for v in dataclasses.astuple(record))
+
+
+def assert_kernel_matches_helpers(scenario, params, state0, baseline):
+    result = run_scenario(scenario, params, state0, baseline)
+    records, tfp, robotics = helper_run(scenario, params, state0, baseline)
+    assert [hexed(r) for r in result.records] == [hexed(r) for r in records]
+    terminal = records[-1]
+    # the raw-shock metrics come from the scenario's stated shocks, not the loop
+    summary = ResultSummary(
+        gdp_gain=(tfp / state0.tfp) * (robotics / state0.robotics) ** terminal.theta - 1.0,
+        realized_gain=terminal.output_gain_vs_baseline,
+        displacement_rate=terminal.displacement_rate,
+        displaced_total=terminal.displaced_cumulative,
+        jobs_created=terminal.jobs_created_cumulative,
+        key_driver=scenario.key_driver,
+        raw_gdp_gain=result.summary.raw_gdp_gain,
+        raw_displacement_rate=result.summary.raw_displacement_rate)
+    assert hexed(result.summary) == hexed(summary)
+
+
+@st.composite
+def kernel_inputs(draw):
+    """A dynamic scenario, and changes to the bundled parameters and state."""
+    n_years = draw(st.sampled_from([1, 2, 82]) | st.integers(1, 82))
+    start = draw(st.integers(2019, 2101 - n_years))
+    tfp_enabled = draw(st.booleans())
+    rates = st.floats(0.0 if tfp_enabled else -0.05, 0.1)
+    growth = draw(rates | st.tuples(*[rates] * n_years))
+    costs = draw(st.floats(1.0, 3.0) | st.lists(st.floats(1.0, 3.0), min_size=n_years,
+                                                  max_size=n_years).map(sorted))
+    thetas = st.floats(0.05, 0.6)
+    theta = draw(thetas.map(StaticTheta)
+                 | st.builds(ThetaRamp, thetas, thetas, st.integers(1, 30)))
+    job = draw(st.builds(JobCreationRatio, st.floats(0.0, 1.0))
+               | st.builds(JobCreationRamp, st.floats(0.0, 1.0)))
+    scenario = Scenario(name="drawn", mode=SimulationMode.DYNAMIC,
+                        horizon=(start, start + n_years - 1), robotics_growth=growth,
+                        cost_ratio_path=tuple(costs) if isinstance(costs, list) else costs,
+                        sigma_override=draw(st.none() | st.floats(0.0, 3.0)),
+                        theta_override=theta,
+                        exposure_override=draw(st.none() | st.floats(0.0, 1.0)),
+                        tfp_enabled=tfp_enabled, job_creation_model=job)
+    params = dict(alpha=draw(st.floats(0.1, 0.39)),
+                  tfp_boost_per_adoption_pct=draw(st.floats(0.0, 0.01)))
+    state = {name: draw(st.floats(0.5, 3.0)) for name in ("tfp", "capital", "robotics")}
+    state["labor"] = draw(st.floats(1e3, 1e7))
+    return scenario, params, state
+
+
+class TestKernelMatchesHelpers:
+    """run_scenario's unchecked year loop gives the public helpers' floats."""
+
+    @pytest.mark.parametrize("job", [None, JobCreationRamp(0.5)])
+    def test_bundled_scenarios(self, cfg, params, state0, baseline, job):
+        # the ramp also covers its single-year case
+        for scenario in cfg.scenarios:
+            if job is not None:
+                scenario = dataclasses.replace(scenario, job_creation_model=job)
+            assert_kernel_matches_helpers(scenario, params, state0, baseline)
+
+    @given(inputs=kernel_inputs())
+    def test_drawn_dynamic_scenarios(self, params, state0, baseline, inputs):
+        scenario, param_changes, state_changes = inputs
+        assert_kernel_matches_helpers(scenario, dataclasses.replace(params, **param_changes),
+                                      dataclasses.replace(state0, **state_changes), baseline)

@@ -28,6 +28,7 @@ from robolabor import (
     SectorProfile,
     SimulationMode,
     StaticTheta,
+    ThetaRamp,
     loads_config,
     run_scenario,
 )
@@ -196,6 +197,65 @@ class TestCompoundedStocks:
         assert math.isfinite(result.summary.gdp_gain)
         assert math.isfinite(result.records[-1].output)
 
+    # output carries capital**alpha * labor**(1 - alpha - theta) on top of
+    # TFP times the stock to the power theta, with labor in workers
+    OUTPUT_OVERFLOW = 607.9498436903095
+
+    def test_output_overflow(self, params, state0, baseline):
+        bad = Scenario(name="x", mode="dynamic", horizon=self.LONG,
+                       robotics_growth=self.OUTPUT_OVERFLOW, tfp_enabled=True)
+        with pytest.raises(DomainError, match="robotics_growth compounds output at "
+                                              "baseline labor to inf by 2100") as info:
+            run_scenario(bad, params, state0, baseline)
+        assert_user_facing(str(info.value))
+
+    def test_output_just_inside_the_range_runs(self, params, state0, baseline):
+        ok = Scenario(name="x", mode="dynamic", horizon=self.LONG,
+                      robotics_growth=604.56, tfp_enabled=True)
+        result = run_scenario(ok, params, state0, baseline)
+        assert math.isfinite(result.records[-1].output)
+        assert math.isfinite(result.summary.realized_gain)
+        assert math.isfinite(result.summary.gdp_gain)
+
+    @pytest.mark.parametrize("theta", [StaticTheta(0.3), ThetaRamp(0.6, 0.3, 40)])
+    def test_output_bound_follows_the_theta_schedule(self, params, state0, baseline,
+                                                     theta):
+        # at theta 0.3, TFP times the stock to the power theta stays near
+        # 1e263; 1e300 workers to the power 0.35 add another 1e105
+        bad = scenario(horizon=self.LONG, robotics_growth=1e3, tfp_enabled=True,
+                       theta_override=theta)
+        big_labor = replace(state0, labor=1e300)
+        with pytest.raises(DomainError, match="compounds output at baseline labor"):
+            run_scenario(bad, params, big_labor, baseline)
+        assert math.isfinite(run_scenario(bad, params, state0, baseline)
+                             .records[-1].output)
+
+
+class TestStateAtTheTerminalRatio:
+    """Labor and the robot cost are lowest in the terminal year; both must
+    stay positive floats, not only their ratios to state0."""
+
+    def test_labor_underflow(self, params, state0, baseline):
+        # a labor ratio of about 1e-14 leaves 1e-329 workers out of 1e-315,
+        # which rounds to 0
+        tiny = replace(state0, labor=1e-315)
+        bad = scenario(cost_ratio_path=1e14, sigma_override=1.0, exposure_override=1.0)
+        with pytest.raises(DomainError, match="cost_ratio_path reaches 100000000000000.0, "
+                                              "which displaces the whole workforce") \
+                as info:
+            run_scenario(bad, params, tiny, baseline)
+        assert_user_facing(str(info.value))
+        assert run_scenario(bad, params, state0, baseline).records[-1].labor > 0
+
+    def test_robot_cost_underflow(self, params, state0, baseline):
+        cheap = replace(state0, robot_cost=1e-30)
+        bad = scenario(cost_ratio_path=1e300, exposure_override=0.5)
+        with pytest.raises(DomainError, match="cost_ratio_path reaches 1e\\+300, which "
+                                              "divides the robot cost 1e-30 to 0") as info:
+            run_scenario(bad, params, cheap, baseline)
+        assert_user_facing(str(info.value))
+        assert run_scenario(bad, params, state0, baseline).summary.displacement_rate == 0.5
+
 
 class TestModelInputs:
     @pytest.mark.parametrize("field", ["sigma", "tfp_boost_per_adoption_pct"])
@@ -333,6 +393,17 @@ class TestConfigBoundary:
         error = config_error(text)
         assert error.path == "scenarios[1]"
         assert "robotics_growth compounds TFP times the robotics stock" in str(error)
+        assert_user_facing(str(error))
+
+    def test_output_overflow_checked_at_load(self):
+        # the bundled parameters and labor force, as in TestCompoundedStocks
+        text = (config_text(growth="607.9498436903095", tfp="true", extra="    theta: "
+                            "{mode: ramp, start: 0.4, end: 0.6, ramp_years: 5}\n")
+                .replace("horizon: [2030, 2031]", "horizon: [2019, 2100]")
+                .replace("total_labor_force: 1000", "total_labor_force: 2130000"))
+        error = config_error(text)
+        assert error.path == "scenarios[1]"
+        assert "robotics_growth compounds output at baseline labor to inf" in str(error)
         assert_user_facing(str(error))
 
     def test_validate_command_rejects_with_path(self, tmp_path, capsys):
