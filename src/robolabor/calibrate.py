@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 from .core import EconomyState, ModelParams, StaticTheta, production_output, theta_at
-from .engine import Scenario, run_scenario
+from .engine import Scenario, _leaves_labor, run_scenario
 from .errors import (CalibrationError, MaxIterationsError, NoSignChangeError,
                      UnattainableTargetError, _require)
 from .sectors import LaborBaseline
@@ -235,7 +235,8 @@ def implied_robotics_growth(gain_target: float, theta: float,
 
 # (target, parameter) -> the Scenario field the solved value replaces, how the
 # value is wrapped, and the bracket searched; theta's upper end is further
-# capped below 1 - alpha. A scalar replaces a whole path.
+# capped below 1 - alpha, and an end that displaces the whole workforce is
+# lowered (_labor_end). A scalar replaces a whole path.
 _ENGINE_SOLVES = {
     ("gain", "theta"): ("theta_override", StaticTheta, 1e-9, 1.0),
     ("displacement", "sigma"): ("sigma_override", float, 0.0, 20.0),
@@ -246,6 +247,34 @@ _ENGINE_SOLVES = {
 _METRICS = {"gain": "gdp_gain", "displacement": "displacement_rate"}
 
 SUPPORTED_PAIRS = (*_ENGINE_SOLVES, ("output", "tfp"))
+
+
+def _labor_end(scenario: Scenario, params: ModelParams, state0: EconomyState,
+               parameter: str, lo: float, hi: float) -> float:
+    """``hi``, or the largest float below it that leaves the engine some labor.
+
+    The engine rejects a scenario whose terminal cost ratio displaces the
+    whole workforce. Displacement rises with sigma, the exposure share and
+    the cost ratio, so when ``hi`` fails that check and ``lo`` passes, the
+    values that pass form an interval from ``lo``; halving finds its last
+    float. Other parameters, and an ``lo`` that fails too, keep ``hi``.
+    """
+    sigma = params.sigma if scenario.sigma_override is None else scenario.sigma_override
+    exposure = (params.exposure_share if scenario.exposure_override is None
+                else scenario.exposure_override)
+    terminal = scenario.cost_path()[-1]
+    checks = {"sigma": lambda x: _leaves_labor(state0, terminal, x, exposure),
+              "exposure": lambda x: _leaves_labor(state0, terminal, sigma, x),
+              "cost_ratio": lambda x: _leaves_labor(state0, x, sigma, exposure)}
+    leaves_labor = checks.get(parameter)
+    if leaves_labor is None or leaves_labor(hi) or not leaves_labor(lo):
+        return hi
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if leaves_labor(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def calibrate_scenario(scenario: Scenario, params: ModelParams, state0: EconomyState,
@@ -273,6 +302,7 @@ def calibrate_scenario(scenario: Scenario, params: ModelParams, state0: EconomyS
     field, wrap, lo, hi = _ENGINE_SOLVES[target_name, parameter]
     if parameter == "theta":
         hi = min(hi, (1.0 - params.alpha) * (1.0 - 1e-9))
+    hi = _labor_end(scenario, params, state0, parameter, lo, hi)
     metric = _METRICS[target_name]
     runs: list[tuple[float, float]] = []
 

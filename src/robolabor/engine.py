@@ -271,17 +271,26 @@ class SimulationResult:
     target_comparison: tuple[TargetGap, ...] | None = None
 
 
-def _effective_params(scenario: Scenario, params: ModelParams,
-                      state0: EconomyState) -> tuple[float, ThetaMode, float]:
+def _leaves_labor(state0: EconomyState, cost_ratio: float, sigma: float,
+                  exposure: float) -> bool:
+    """Whether some of ``state0``'s labor survives a cost ratio, as a float."""
+    return state0.labor * labor_demand_ratio(cost_ratio, sigma, exposure) > 0
+
+
+def _effective_params(scenario: Scenario, params: ModelParams, state0: EconomyState
+                      ) -> tuple[float, Sequence[float], dict[float, float], float]:
     """Resolve the scenario overrides; prove every simulated year in-domain.
 
-    Returns ``(sigma, theta schedule, exposure_share)``. Every value of the
-    schedule must keep ``alpha + theta < 1``; the terminal cost ratio, the
-    path's largest, must leave some labor and a positive robot cost; the
-    robotics stock and TFP, compounded from ``state0`` by the growth path,
-    must stay positive and finite, and so must TFP times the stock to the
-    power theta and the output at ``state0``'s labor. With the inputs' own
-    rules, every precondition of the public helpers then holds every year.
+    Returns ``(sigma, theta per year, baseline output by theta,
+    exposure_share)``. Every value of the theta schedule must keep
+    ``alpha + theta < 1``, and ``state0``'s output at each must be positive
+    and finite, since each year's gain divides by it; the terminal cost
+    ratio, the path's largest, must leave some labor and a positive robot
+    cost; the robotics stock and TFP, compounded from ``state0`` by the
+    growth path, must stay positive and finite, and so must TFP times the
+    stock to the power theta and the output at ``state0``'s labor. With the
+    inputs' own rules, every precondition of the public helpers then holds
+    every year.
     """
     sigma = scenario.sigma_override if scenario.sigma_override is not None else params.sigma
     theta_mode = scenario.theta_override if scenario.theta_override is not None else params.theta
@@ -290,9 +299,17 @@ def _effective_params(scenario: Scenario, params: ModelParams,
     for value in _theta_extremes(theta_mode):
         _require(params.alpha + value < 1,
                  "alpha + theta must stay below 1, got {} + {}", params.alpha, value)
+    n_years = scenario.n_years
+    thetas = ((theta_mode.value,) * n_years if isinstance(theta_mode, StaticTheta)
+              else [theta_at(index, theta_mode) for index in range(n_years)])
+    base_by_theta = {theta: production_output(state0, params.alpha, theta)
+                     for theta in set(thetas)}
+    for theta, base in base_by_theta.items():
+        _require(0 < base < math.inf, "initial_state gives output {} at theta {}, "
+                 "which must be positive and finite", base, theta)
     # labor and the robot cost are lowest at the terminal ratio
     terminal = scenario.cost_path()[-1]
-    _require(state0.labor * labor_demand_ratio(terminal, sigma, exposure) > 0,
+    _require(_leaves_labor(state0, terminal, sigma, exposure),
              "cost_ratio_path reaches {}, which displaces the whole workforce at "
              "sigma {} and exposure_share {}", terminal, sigma, exposure)
     _require(state0.robot_cost / terminal > 0, "cost_ratio_path reaches {}, which "
@@ -317,12 +334,12 @@ def _effective_params(scenario: Scenario, params: ModelParams,
         # TFP is finite here and theta lies in (0, 1], so TFP times
         # robotics**theta can overflow only once TFP times the stock does
         if overflow is None and tfp * robotics == math.inf:
-            theta_t = theta_at(year - scenario.horizon[0], theta_mode)
+            theta_t = thetas[year - scenario.horizon[0]]
             if tfp * robotics ** theta_t == math.inf:
                 overflow = f"the power {theta_t} to inf by {year}"
         robotics_cap = robotics if robotics > 1.0 else 1.0  # max() costs more here
         if output_overflow is None and tfp * kalpha * labor_cap * robotics_cap == math.inf:
-            theta_t = theta_at(year - scenario.horizon[0], theta_mode)
+            theta_t = thetas[year - scenario.horizon[0]]
             if tfp * kalpha * labor0 ** (1.0 - alpha - theta_t) * robotics ** theta_t == math.inf:
                 output_overflow = year
     # a stock that leaves the range anywhere is reported first
@@ -332,7 +349,7 @@ def _effective_params(scenario: Scenario, params: ModelParams,
     if output_overflow is not None:
         raise DomainError(f"robotics_growth compounds output at baseline labor to inf "
                           f"by {output_overflow}, outside the float range")
-    return sigma, theta_mode, exposure
+    return sigma, thetas, base_by_theta, exposure
 
 
 def run_scenario(scenario: Scenario, params: ModelParams, state0: EconomyState,
@@ -351,13 +368,11 @@ def run_scenario(scenario: Scenario, params: ModelParams, state0: EconomyState,
     ``job_creation`` and ``remittance_impact`` without their checks, operand
     for operand, so it gives their floats (``tests/test_engine.py`` pins it).
     """
-    sigma, theta_mode, exposure = _effective_params(scenario, params, state0)
+    sigma, thetas, base_by_theta, exposure = _effective_params(scenario, params, state0)
 
     start, end = scenario.horizon
     n_years = scenario.n_years
     alpha, boost = params.alpha, params.tfp_boost_per_adoption_pct
-    thetas = ((theta_mode.value,) * n_years if isinstance(theta_mode, StaticTheta)
-              else [theta_at(index, theta_mode) for index in range(n_years)])
     model = scenario.job_creation_model
     job_ratios = ((model.ratio,) * n_years if isinstance(model, JobCreationRatio)
                   else [model.terminal_ratio * (index / (n_years - 1) if n_years > 1 else 1.0)
@@ -366,8 +381,6 @@ def run_scenario(scenario: Scenario, params: ModelParams, state0: EconomyState,
     remit_low, remit_high = (baseline.remittance_base * band
                              for band in baseline.remittance_decline_band)
     reference = baseline.remittance_reference_rate
-    # the baseline output changes only with theta
-    base_by_theta = {theta: production_output(state0, alpha, theta) for theta in set(thetas)}
 
     tfp = state0.tfp
     robotics = state0.robotics
@@ -397,7 +410,7 @@ def run_scenario(scenario: Scenario, params: ModelParams, state0: EconomyState,
     raw_gain = None
     raw_disp = None
     if scenario.raw_shocks is not None:
-        theta0 = theta_at(0, theta_mode)
+        theta0 = thetas[0]
         if scenario.raw_shocks.robotics_growth is not None:
             g_raw = scenario.raw_shocks.robotics_growth
             factor = 1.0 + boost * 100.0 * g_raw if scenario.tfp_enabled else 1.0

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import itemgetter, mul
 from typing import Mapping, Sequence, Union
 
 from .errors import DomainError, UnattainableTargetError, _require
@@ -147,6 +150,13 @@ class LaborBaseline:
         _require(0 < self.remittance_reference_rate < math.inf,
                  "remittance_reference_rate must be positive and finite, "
                  "got {}", self.remittance_reference_rate)
+        # the band's high end at displacement rate 1, the largest a run reports,
+        # in the order remittance_impact multiplies
+        high = self.remittance_base * band[1] * (1.0 / self.remittance_reference_rate)
+        _require(math.isfinite(high),
+                 "remittance_reference_rate {} scales the remittance band to {} at "
+                 "displacement rate 1, which must be finite",
+                 self.remittance_reference_rate, high)
 
 
 @dataclass(frozen=True)
@@ -177,6 +187,67 @@ def _check_sector_table(sectors: Sequence[SectorProfile]) -> float:
     return total
 
 
+class _Table:
+    """The columns of one checked sector table that the split reads.
+
+    ``names``, ``weights`` and ``caps`` run over every sector in dataset
+    order, ``multipliers`` and ``named_*`` over the named ones, and
+    ``residual`` is the residual's index or ``None``. The named sectors that
+    can take more (positive share, multiplier and cap) are sorted by
+    ``cap / multiplier``: the ``t`` at which ``min(t * multiplier, cap)``
+    binds, whatever the national rate. With the first ``k`` of them capped
+    and the rest at ``t * multiplier``, their employment-weighted sum is
+    ``capped_before[k] + t * free_after[k]``; ``reach[k]`` is that sum at
+    the ``t`` where the ``k``-th one caps.
+    """
+
+    __slots__ = ("names", "weights", "caps", "total", "multipliers", "named_weights",
+                 "named_caps", "residual", "capped_before", "free_after", "reach")
+
+    def __init__(self, sectors: Sequence[SectorProfile]) -> None:
+        _require(len(sectors) > 0, "sector dataset must be nonempty")
+        self.total = _check_sector_table(sectors)
+        _require(self.total > 0, "sector dataset has zero total employment share")
+        self.names = [s.name for s in sectors]
+        self.weights = [s.employment_share for s in sectors]
+        self.caps = [s.automation_potential for s in sectors]
+        named = [s for s in sectors if not s.residual]
+        self.multipliers = [s.risk_multiplier for s in named]
+        self.named_weights = [s.employment_share for s in named]
+        self.named_caps = [s.automation_potential for s in named]
+        self.residual = next((i for i, s in enumerate(sectors) if s.residual), None)
+        # (t at which the cap binds, weighted cap, weighted multiplier)
+        movable = sorted([(cap / m, w * cap, w * m) for m, w, cap
+                          in zip(self.multipliers, self.named_weights, self.named_caps)
+                          if w > 0 and m > 0 and cap > 0], key=itemgetter(0))
+        binds, capped, free = zip(*movable) if movable else ((), (), ())
+        self.capped_before = [0.0, *accumulate(capped)]
+        self.free_after = [0.0, *accumulate(reversed(free))][::-1]
+        self.reach = [before + t * after
+                      for t, before, after in zip(binds, self.capped_before, self.free_after)]
+
+
+# the last tuple compiled and its table; holding the tuple keeps its identity
+# from passing to a new object
+_last: tuple = (None, None)
+
+
+def _table(sectors: Sequence[SectorProfile]) -> _Table:
+    """Check and compile a sector table, reusing the last one for the same tuple.
+
+    Only a tuple is remembered: config tables are tuples and profiles are
+    frozen, while a list may change between calls and is compiled each time.
+    """
+    global _last
+    if not isinstance(sectors, tuple):
+        return _Table(sectors)
+    key, table = _last
+    if key is not sectors:
+        table = _Table(sectors)
+        _last = (sectors, table)
+    return table
+
+
 def disaggregate_displacement(national_rate: float,
                               sectors: Sequence[SectorProfile]) -> dict[str, float]:
     """Split a national displacement rate into per-sector rates.
@@ -184,60 +255,64 @@ def disaggregate_displacement(national_rate: float,
     Named sectors get ``national_rate * risk_multiplier``, capped at their
     automation potential. The residual sector, when present, absorbs the
     slack so the employment-weighted mean of sector rates equals the
-    national rate. If caps bind (including on the residual), the remaining
-    unclamped sectors are rescaled proportionally; when every sector is
+    national rate within ``MEAN_TOLERANCE``. When the rates overshoot it
+    (the residual clamps at 0, or there is none), every positive rate is
+    scaled down by one factor. When they fall short (the residual clamps at
+    its cap, or there is none), the named sectors take ``min(t * risk_multiplier, automation_potential)``
+    for the one ``t`` at which the mean meets the national rate: an exact
+    capped proportional allocation, found by one search over the sectors
+    presorted by the ``t`` at which their caps bind. When every sector is
     pinned at its cap and the national rate still cannot be reached, the
     target is unattainable and an error is raised.
+
+    The table is checked and compiled on each call, except that the last
+    tuple passed is remembered with its compiled table, so a run of calls on
+    one config's table compiles it once.
 
     Returns rates keyed by sector name, in dataset order.
     """
     _require(0 <= national_rate <= 1,
              "national_rate must lie in [0, 1], got {}", national_rate)
-    _require(len(sectors) > 0, "sector dataset must be nonempty")
-    total_weight = _check_sector_table(sectors)
-    _require(total_weight > 0, "sector dataset has zero total employment share")
-
-    target_sum = national_rate * total_weight
-    rates = {s.name: min(national_rate * (s.risk_multiplier or 0.0),
-                         s.automation_potential)
-             for s in sectors if not s.residual}
-
-    residual = next((s for s in sectors if s.residual), None)
+    table = _table(sectors)
+    weights, caps, residual = table.weights, table.caps, table.residual
+    target_sum = national_rate * table.total
+    tolerance = MEAN_TOLERANCE * max(1.0, target_sum)
+    # min(national_rate * m, cap), spelled out: the call costs more than the work
+    rates = [cap if cap < (value := national_rate * m) else value
+             for m, cap in zip(table.multipliers, table.named_caps)]
     if residual is not None:
-        named_sum = sum(s.employment_share * rates[s.name]
-                        for s in sectors if not s.residual)
-        raw = (target_sum - named_sum) / residual.employment_share
-        rates[residual.name] = min(max(raw, 0.0), residual.automation_potential)
-
-    def weighted_sum() -> float:
-        return sum(s.employment_share * rates[s.name] for s in sectors)
-
-    # if the residual clamped (or there is none) rescale the sectors that can
-    # still move; repeat because rescaling may push new sectors onto their caps
-    for _ in range(len(sectors) + 1):
-        deficit = target_sum - weighted_sum()
-        if abs(deficit) <= MEAN_TOLERANCE * max(1.0, target_sum):
-            break
-        if deficit > 0:
-            # only rates strictly between 0 and the cap can scale upward
-            free = [s for s in sectors
-                    if 0 < rates[s.name] < s.automation_potential]
-        else:
-            free = [s for s in sectors if rates[s.name] > 0]
-        free_sum = sum(s.employment_share * rates[s.name] for s in free)
-        if not free or free_sum == 0:
+        named_sum = sum(map(mul, table.named_weights, rates))
+        raw = (target_sum - named_sum) / weights[residual]
+        rates.insert(residual, min(max(raw, 0.0), caps[residual]))
+    deficit = target_sum - sum(map(mul, weights, rates))
+    if deficit < -tolerance:
+        # scaling down leaves every cap slack
+        free = [i for i, rate in enumerate(rates) if rate > 0]
+        free_sum = sum(weights[i] * rates[i] for i in free)
+        scale = (free_sum + deficit) / free_sum
+        for i in free:
+            rates[i] = min(max(rates[i] * scale, 0.0), caps[i])
+    elif deficit > tolerance:
+        # what the named sectors must cover, the residual pinned at its cap
+        need = target_sum - (weights[residual] * rates[residual]
+                             if residual is not None else 0.0)
+        reach = table.reach
+        # past the last entry every sector that can move is capped; the scale
+        # that would close the gap then only sets the zero-share sectors
+        k = min(bisect_left(reach, need), len(reach) - 1)
+        if k >= 0:
+            t = (need - table.capped_before[k]) / table.free_after[k]
+            named = [cap if cap < (value := t * m) else value
+                     for m, cap in zip(table.multipliers, table.named_caps)]
+            if residual is not None:
+                named.insert(residual, rates[residual])
+            rates = named
+        if k < 0 or (need > reach[-1]
+                     and target_sum - sum(map(mul, weights, rates)) > tolerance):
             raise UnattainableTargetError(
                 f"national rate {national_rate} is unattainable: every sector "
                 f"is pinned at its automation_potential cap")
-        scale = (free_sum + deficit) / free_sum
-        for s in free:
-            rates[s.name] = min(max(rates[s.name] * scale, 0.0),
-                                s.automation_potential)
-    else:
-        raise UnattainableTargetError(
-            f"national rate {national_rate} is unattainable under the "
-            f"automation_potential caps")
-    return {s.name: rates[s.name] for s in sectors}
+    return dict(zip(table.names, rates))
 
 
 def displacement_headcounts(national_rate: float,

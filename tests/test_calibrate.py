@@ -30,7 +30,9 @@ from robolabor import (
     run_scenario,
     solve_tfp_level,
 )
+from robolabor.calibrate import _ENGINE_SOLVES, _labor_end
 from robolabor.core import EconomyState
+from robolabor.engine import _leaves_labor
 
 
 class TestBisect:
@@ -386,6 +388,41 @@ class TestCalibrateScenario:
         # the engine rejects alpha + theta >= 1, so the bracket ends below it
         with pytest.raises(UnattainableTargetError, match=r"theta in \[1e-09, 0.65\]"):
             solve(cfg, "baseline", "gain", 0.5, "theta")
+
+    def test_sigma_end_lowered_to_leave_labor(self, cfg):
+        # at cost ratio 7 and full exposure, sigma 20 leaves 7**-20 = 1.3e-17 of
+        # the workforce, which rounds to none; sigma near 0.36 reaches 0.5
+        scenario = replace(cfg.scenario("low_adoption"), cost_ratio_path=7.0)
+        assert cfg.params.exposure_share == 1.0
+        report = calibrate_scenario(scenario, cfg.params, cfg.initial_state,
+                                    cfg.baseline, "displacement", 0.5, "sigma")
+        assert report.value == pytest.approx(math.log(2) / math.log(7), rel=1e-9)
+        solved = replace(scenario, sigma_override=report.value)
+        rate = run_scenario(solved, cfg.params, cfg.initial_state,
+                            cfg.baseline).summary.displacement_rate
+        assert report.residual == rate - 0.5
+        assert abs(rate - 0.5) <= 1e-12
+        end = _labor_end(scenario, cfg.params, cfg.initial_state, "sigma", 0.0, 20.0)
+        assert 18 < end < 20
+        assert _leaves_labor(cfg.initial_state, 7.0, end, 1.0)
+        assert not _leaves_labor(cfg.initial_state, 7.0, math.nextafter(end, 20.0), 1.0)
+
+    def test_cost_ratio_end_lowered_to_leave_labor(self, cfg):
+        scenario = replace(cfg.scenario("low_adoption"), sigma_override=20.0)
+        report = calibrate_scenario(scenario, cfg.params, cfg.initial_state,
+                                    cfg.baseline, "displacement", 0.5, "cost_ratio")
+        assert report.value == pytest.approx(2 ** (1 / 20), rel=1e-9)
+        end = _labor_end(scenario, cfg.params, cfg.initial_state, "cost_ratio", 1.0, 10.0)
+        assert 1 < end < 10
+        assert _leaves_labor(cfg.initial_state, end, 20.0, 1.0)
+        assert not _leaves_labor(cfg.initial_state, math.nextafter(end, 10.0), 20.0, 1.0)
+
+    @pytest.mark.parametrize("parameter", ["sigma", "exposure", "cost_ratio"])
+    def test_bundled_solves_keep_their_brackets(self, cfg, parameter):
+        _, _, lo, hi = _ENGINE_SOLVES["displacement", parameter]
+        for scenario in cfg.scenarios:
+            assert _labor_end(scenario, cfg.params, cfg.initial_state, parameter,
+                              lo, hi) == hi
 
     def test_output_solves_tfp_at_the_initial_state(self, cfg):
         state = cfg.initial_state

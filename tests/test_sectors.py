@@ -1,7 +1,9 @@
 """Sector disaggregation, headcounts, remittances and job creation."""
 
+import random
+
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from robolabor import (
     DomainError,
@@ -17,12 +19,93 @@ from robolabor import (
     remittance_impact,
     round_half_away,
 )
+from robolabor.errors import _require
+from robolabor.sectors import MEAN_TOLERANCE, _check_sector_table
 
 
 def profile(name, share, multiplier, cap=1.0, residual=False):
     return SectorProfile(name=name, employment_share=share,
                          risk_multiplier=multiplier, automation_potential=cap,
                          readiness=Readiness.MODERATE, residual=residual)
+
+
+def rescale_oracle(national_rate, sectors):
+    """The fixed-point rescale loop the exact split replaced, kept as an oracle."""
+    _require(0 <= national_rate <= 1,
+             "national_rate must lie in [0, 1], got {}", national_rate)
+    _require(len(sectors) > 0, "sector dataset must be nonempty")
+    total_weight = _check_sector_table(sectors)
+    _require(total_weight > 0, "sector dataset has zero total employment share")
+
+    target_sum = national_rate * total_weight
+    rates = {s.name: min(national_rate * (s.risk_multiplier or 0.0),
+                         s.automation_potential)
+             for s in sectors if not s.residual}
+
+    residual = next((s for s in sectors if s.residual), None)
+    if residual is not None:
+        named_sum = sum(s.employment_share * rates[s.name]
+                        for s in sectors if not s.residual)
+        raw = (target_sum - named_sum) / residual.employment_share
+        rates[residual.name] = min(max(raw, 0.0), residual.automation_potential)
+
+    def weighted_sum():
+        return sum(s.employment_share * rates[s.name] for s in sectors)
+
+    for _ in range(len(sectors) + 1):
+        deficit = target_sum - weighted_sum()
+        if abs(deficit) <= MEAN_TOLERANCE * max(1.0, target_sum):
+            break
+        if deficit > 0:
+            free = [s for s in sectors
+                    if 0 < rates[s.name] < s.automation_potential]
+        else:
+            free = [s for s in sectors if rates[s.name] > 0]
+        free_sum = sum(s.employment_share * rates[s.name] for s in free)
+        if not free or free_sum == 0:
+            raise UnattainableTargetError("every sector is pinned at its cap")
+        scale = (free_sum + deficit) / free_sum
+        for s in free:
+            rates[s.name] = min(max(rates[s.name] * scale, 0.0),
+                                s.automation_potential)
+    else:
+        raise UnattainableTargetError("unattainable under the caps")
+    return {s.name: rates[s.name] for s in sectors}
+
+
+def split_or_none(split, national, table):
+    try:
+        return split(national, table)
+    except UnattainableTargetError:
+        return None
+
+
+@st.composite
+def split_cases(draw):
+    """A table of 2-40 sectors, with or without a residual, and a national
+    rate from 0 to 1.2 times the highest rate its caps allow.
+
+    Hypothesis draws the shape and the rate; a seeded generator fills in the
+    rows, which keeps a 40-row example cheap to draw.
+    """
+    n = draw(st.integers(2, 40))
+    has_residual = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    raw = [0.0 if rng.random() < 0.1 else rng.uniform(0.05, 1.0) for _ in range(n)]
+    raw[-1] = rng.uniform(0.05, 1.0)
+    fill = draw(st.floats(0.5, 1.0))
+    shares = [fill * r / sum(raw) for r in raw]
+    table = [profile(f"s{i}", share,
+                     0.0 if rng.random() < 0.1 else rng.uniform(0.1, 3.0), rng.random())
+             for i, share in enumerate(shares[:-1])]
+    table.append(profile("rest", shares[-1], None, rng.random(), residual=True)
+                 if has_residual else profile("last", shares[-1], rng.uniform(0.1, 3.0),
+                                              rng.random()))
+    weight = sum(s.employment_share for s in table)
+    highest = sum(s.employment_share * s.automation_potential for s in table
+                  if s.residual or s.risk_multiplier > 0) / weight
+    national = min(1.0, highest * draw(st.floats(0.0, 1.2)))
+    return national, tuple(table)
 
 
 class TestDisaggregateDisplacement:
@@ -109,6 +192,69 @@ class TestDisaggregateDisplacement:
         assert mean == pytest.approx(national, abs=1e-9)
         for sector in dataset:
             assert 0.0 <= rates[sector.name] <= sector.automation_potential + 1e-15
+
+
+class TestExactSplit:
+    """The exact split against the rescale loop it replaced."""
+
+    @settings(max_examples=400)
+    @given(case=split_cases())
+    def test_agrees_with_rescale_loop(self, case):
+        national, table = case
+        exact = split_or_none(disaggregate_displacement, national, table)
+        loop = split_or_none(rescale_oracle, national, table)
+        assert (exact is None) == (loop is None)
+        if exact is None:
+            return
+        assert list(exact) == [s.name for s in table]
+        assert max(abs(exact[name] - loop[name]) for name in exact) <= 1e-12
+        # the tolerance MEAN_TOLERANCE sets, on the employment-weighted sum
+        target = national * sum(s.employment_share for s in table)
+        covered = sum(s.employment_share * exact[s.name] for s in table)
+        assert abs(covered - target) <= 1e-9 * max(1.0, target)
+        for s in table:
+            assert 0.0 <= exact[s.name] <= s.automation_potential
+
+    @pytest.mark.parametrize("national", [0.0, 0.01, 0.032, 0.08, 0.2, 0.3])
+    def test_uncapped_split_is_bit_identical(self, sectors, national):
+        exact = disaggregate_displacement(national, sectors)
+        assert all(exact[s.name] < s.automation_potential for s in sectors)
+        assert ({k: v.hex() for k, v in exact.items()}
+                == {k: v.hex() for k, v in rescale_oracle(national, sectors).items()})
+
+    def test_scale_down_split_is_bit_identical(self):
+        # the named sectors overshoot, the residual clamps at 0, and every
+        # positive rate scales down by one factor
+        table = (profile("a", 0.3, 2.5, cap=0.9), profile("b", 0.2, 1.7),
+                 profile("c", 0.1, 0.0), profile("rest", 0.3, None, residual=True))
+        exact = disaggregate_displacement(0.07, table)
+        assert exact["rest"] == 0.0 and exact["a"] < 0.07 * 2.5
+        assert ({k: v.hex() for k, v in exact.items()}
+                == {k: v.hex() for k, v in rescale_oracle(0.07, table).items()})
+
+    def test_distinct_tuples_alternate(self):
+        first = (profile("a", 0.5, 2.0, cap=0.05), profile("b", 0.5, 0.5))
+        second = (profile("a", 0.5, 1.0, cap=0.05), profile("b", 0.5, 1.0))
+        for table in (first, second, first, second):
+            assert disaggregate_displacement(0.04, table) == pytest.approx(
+                rescale_oracle(0.04, table), abs=1e-12)
+        assert disaggregate_displacement(0.04, first)["a"] == 0.05
+        assert disaggregate_displacement(0.04, second)["a"] == 0.04
+
+    def test_mutated_list_is_read_again(self):
+        table = [profile("a", 0.5, 2.0, cap=0.05), profile("b", 0.5, 0.5)]
+        assert disaggregate_displacement(0.04, table)["a"] == 0.05
+        table[0] = profile("a", 0.5, 1.0, cap=0.05)
+        table[1] = profile("b", 0.5, 1.0)
+        assert disaggregate_displacement(0.04, table) == {"a": 0.04, "b": 0.04}
+        table.append(profile("c", 0.0, 1.0))
+        assert list(disaggregate_displacement(0.04, table)) == ["a", "b", "c"]
+
+    @pytest.mark.parametrize("bad", [(), (profile("a", 0.5, 1.0), profile("a", 0.5, 1.0))])
+    def test_bad_table_is_not_remembered(self, bad):
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                disaggregate_displacement(0.03, bad)
 
 
 class TestSectorProfile:

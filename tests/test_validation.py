@@ -257,6 +257,39 @@ class TestStateAtTheTerminalRatio:
         assert run_scenario(bad, params, state0, baseline).summary.displacement_rate == 0.5
 
 
+class TestInitialOutput:
+    """Each year's gain divides by state0's output, which must not round to 0."""
+
+    def test_underflowing_output(self, cfg):
+        tiny = replace(cfg.initial_state, tfp=1e-300, labor=1e-300)
+        dynamic = [s for s in cfg.scenarios if s.mode is SimulationMode.DYNAMIC]
+        assert dynamic
+        for bundled in dynamic:
+            with pytest.raises(DomainError, match="initial_state gives output 0.0 at "
+                                                  "theta 0.[45], which must be positive"
+                               ) as info:
+                run_scenario(bundled, cfg.params, tiny, cfg.baseline)
+            assert_user_facing(str(info.value))
+
+    def test_every_theta_of_a_ramp(self, params, state0, baseline):
+        # the output is about 1e-315 at the ramp's start, theta 0.05, and
+        # 1e-435, below the smallest float, at its end, theta 0.45
+        tiny = replace(state0, tfp=1e-300, labor=1.0, robotics=1e-300)
+        ramp = scenario(theta_override=ThetaRamp(start=0.05, end=0.45, ramp_years=1))
+        with pytest.raises(DomainError, match="output 0.0 at theta 0.45"):
+            run_scenario(ramp, params, tiny, baseline)
+
+    def test_validate_command(self, tmp_path, capsys):
+        text = config_text(extra="initial_state: {tfp: 1.0e-300, labor: 1.0e-300}\n")
+        error = config_error(text)
+        assert error.path == "scenarios[0]"
+        assert "initial_state gives output 0.0" in str(error)
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        assert cli_dispatch(["validate", "--config", str(path)]) == 1
+        assert "scenarios[0]: initial_state gives output 0.0" in capsys.readouterr().err
+
+
 class TestModelInputs:
     @pytest.mark.parametrize("field", ["sigma", "tfp_boost_per_adoption_pct"])
     def test_params_reject_non_finite(self, field):
@@ -285,6 +318,20 @@ class TestModelInputs:
         fields[field] = math.inf
         with pytest.raises(DomainError, match=field):
             LaborBaseline(**fields)
+
+    def test_baseline_rejects_overflowing_remittance_band(self, baseline):
+        with pytest.raises(DomainError, match="remittance_reference_rate 1e-300 scales "
+                                              "the remittance band to inf"):
+            replace(baseline, remittance_reference_rate=1e-300)
+        # the high end at rate 1 is 45e9 * 0.18 / 1e-297, still a float
+        assert replace(baseline, remittance_reference_rate=1e-297).remittance_base == 45e9
+
+    def test_config_rejects_overflowing_remittance_band(self):
+        error = config_error(config_text().replace(
+            "  remittance_base: 1.0e+9\n",
+            "  remittance_base: 1.0e+9\n  remittance_reference_rate: 1.0e-300\n"))
+        assert error.path == "baseline"
+        assert "remittance_reference_rate" in str(error)
 
     @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
     @pytest.mark.parametrize("model, field", [(JobCreationRatio, "ratio"),
