@@ -15,11 +15,12 @@ import enum
 import functools
 import importlib.resources
 import math
+import sys
 import types
 from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Any, Callable, Union, get_args, get_origin, get_type_hints
+from typing import Any, Callable, Union, get_args, get_origin
 
 import yaml
 
@@ -246,6 +247,17 @@ def _keys(cls: type) -> frozenset[str]:
     return keys | {"mode"} if cls in _MODE_OF else keys
 
 
+def _field_types(cls: type) -> dict[str, Any]:
+    """Each field's declared type: its annotation evaluated in the module of ``cls``.
+
+    What ``typing.get_type_hints`` returns for these dataclasses, at a
+    fraction of its cost; a test keeps the two equal.
+    """
+    namespace = vars(sys.modules[cls.__module__])
+    return {f.name: eval(f.type, namespace) if isinstance(f.type, str) else f.type
+            for f in fields(cls)}
+
+
 @functools.cache
 def _plan(cls: type) -> tuple[frozenset[str], tuple]:
     """Accepted keys, and per field its name, key, converter and whether it is required.
@@ -253,12 +265,12 @@ def _plan(cls: type) -> tuple[frozenset[str], tuple]:
     Built once per class, on first use, so reading a value never inspects
     type hints.
     """
-    hints = get_type_hints(cls)
+    declared = _field_types(cls)
     plan = []
     for f in fields(cls):
         key = _KEYS.get(f.name, f.name)
         required = f.default is MISSING and f.default_factory is MISSING
-        plan.append((f.name, key, _converter(hints[f.name], key), required))
+        plan.append((f.name, key, _converter(declared[f.name], key), required))
     return _keys(cls), tuple(plan)
 
 

@@ -288,9 +288,11 @@ def _effective_params(scenario: Scenario, params: ModelParams, state0: EconomySt
     ratio, the path's largest, must leave some labor and a positive robot
     cost; the robotics stock and TFP, compounded from ``state0`` by the
     growth path, must stay positive and finite, and so must TFP times the
-    stock to the power theta and the output at ``state0``'s labor. With the
-    inputs' own rules, every precondition of the public helpers then holds
-    every year.
+    stock to the power theta, the output at ``state0``'s labor, and the
+    gains over ``state0``, which divide by its stocks and output, so a tiny
+    initial stock can overflow them while every stock stays finite. With
+    the inputs' own rules, every precondition of the public helpers then
+    holds every year.
     """
     sigma = scenario.sigma_override if scenario.sigma_override is not None else params.sigma
     theta_mode = scenario.theta_override if scenario.theta_override is not None else params.theta
@@ -320,7 +322,8 @@ def _effective_params(scenario: Scenario, params: ModelParams, state0: EconomySt
     labor_cap = max(labor0, 1.0)  # labor <= labor0, and x ** p <= max(x, 1) for p in (0, 1]
     robotics = state0.robotics
     tfp = state0.tfp
-    overflow = output_overflow = None
+    base_low = min(base_by_theta.values())
+    overflow = output_overflow = gain_overflow = None
     for year, g_t in enumerate(scenario.growth_path(), start=scenario.horizon[0]):
         robotics = robotics * (1.0 + g_t)
         if scenario.tfp_enabled:
@@ -338,10 +341,20 @@ def _effective_params(scenario: Scenario, params: ModelParams, state0: EconomySt
             if tfp * robotics ** theta_t == math.inf:
                 overflow = f"the power {theta_t} to inf by {year}"
         robotics_cap = robotics if robotics > 1.0 else 1.0  # max() costs more here
-        if output_overflow is None and tfp * kalpha * labor_cap * robotics_cap == math.inf:
+        # bounds the year's output at state0's labor, its highest, and over the
+        # lowest baseline output the year's gain; only an overflowing bound
+        # needs the exact values
+        if tfp * kalpha * labor_cap * robotics_cap / base_low == math.inf:
             theta_t = thetas[year - scenario.horizon[0]]
-            if tfp * kalpha * labor0 ** (1.0 - alpha - theta_t) * robotics ** theta_t == math.inf:
+            output = tfp * kalpha * labor0 ** (1.0 - alpha - theta_t) * robotics ** theta_t
+            if output_overflow is None and output == math.inf:
                 output_overflow = year
+            if gain_overflow is None and output / base_by_theta[theta_t] == math.inf:
+                gain_overflow = year
+    # gdp_gain, of the terminal year only, as run_scenario computes it
+    if gain_overflow is None and ((tfp / state0.tfp)
+                                  * (robotics / state0.robotics) ** thetas[-1] == math.inf):
+        gain_overflow = scenario.horizon[1]
     # a stock that leaves the range anywhere is reported first
     if overflow is not None:
         raise DomainError(f"robotics_growth compounds TFP times the robotics stock to "
@@ -349,6 +362,9 @@ def _effective_params(scenario: Scenario, params: ModelParams, state0: EconomySt
     if output_overflow is not None:
         raise DomainError(f"robotics_growth compounds output at baseline labor to inf "
                           f"by {output_overflow}, outside the float range")
+    if gain_overflow is not None:
+        raise DomainError(f"robotics_growth compounds the gain over initial_state to inf "
+                          f"by {gain_overflow}, outside the float range")
     return sigma, thetas, base_by_theta, exposure
 
 

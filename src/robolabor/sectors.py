@@ -227,24 +227,27 @@ class _Table:
                       for t, before, after in zip(binds, self.capped_before, self.free_after)]
 
 
-# the last tuple compiled and its table; holding the tuple keeps its identity
-# from passing to a new object
-_last: tuple = (None, None)
+# the tuples compiled last and their tables, newest first; holding a tuple
+# keeps its identity from passing to a new object. A few entries let runs
+# that alternate between tables, such as two configs, each compile once.
+_TABLES_KEPT = 4
+_recent: list[tuple[tuple, _Table]] = []
 
 
 def _table(sectors: Sequence[SectorProfile]) -> _Table:
-    """Check and compile a sector table, reusing the last one for the same tuple.
+    """Check and compile a sector table, reusing a recent one for the same tuple.
 
     Only a tuple is remembered: config tables are tuples and profiles are
     frozen, while a list may change between calls and is compiled each time.
     """
-    global _last
     if not isinstance(sectors, tuple):
         return _Table(sectors)
-    key, table = _last
-    if key is not sectors:
-        table = _Table(sectors)
-        _last = (sectors, table)
+    for key, table in _recent:
+        if key is sectors:
+            return table
+    table = _Table(sectors)
+    _recent.insert(0, (sectors, table))
+    del _recent[_TABLES_KEPT:]
     return table
 
 

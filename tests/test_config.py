@@ -2,6 +2,8 @@
 
 import copy
 import re
+import typing
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
 
 import pytest
@@ -613,6 +615,46 @@ class TestRoundTripCoverage:
         once = dump_config(config)
         assert loads_config(once) == config
         assert dump_config(loads_config(once)) == once
+
+
+def _section_classes(tp=RunConfig, found=None) -> set:
+    """Every dataclass a config section is read into, reached from RunConfig."""
+    found = set() if found is None else found
+    for arg in typing.get_args(tp):
+        _section_classes(arg, found)
+    for cls in config_module._MODES.get(tp, {}).values():
+        _section_classes(cls, found)
+    if is_dataclass(tp) and tp not in found:
+        found.add(tp)
+        for hint in typing.get_type_hints(tp).values():
+            _section_classes(hint, found)
+    return found
+
+
+def plan_from_type_hints(cls) -> list:
+    """Per field its name, key, declared type and whether it is required, as
+    ``typing.get_type_hints`` reads the declarations: the oracle for _plan."""
+    hints = typing.get_type_hints(cls)
+    return [(f.name, config_module._KEYS.get(f.name, f.name), hints[f.name],
+             f.default is MISSING and f.default_factory is MISSING) for f in fields(cls)]
+
+
+class TestPlan:
+    def test_every_section_class_is_covered(self):
+        assert {ModelParams, EconomyState, LaborBaseline, SectorProfile, Scenario,
+                OutputOptions, StaticTheta, ThetaRamp, JobCreationRatio,
+                JobCreationRamp} < _section_classes()
+
+    # loads_config reads RunConfig's own fields itself, not through a plan
+    @pytest.mark.parametrize("cls", sorted(_section_classes() - {RunConfig},
+                                           key=lambda c: c.__name__),
+                             ids=lambda c: c.__name__)
+    def test_plan_matches_type_hints(self, cls):
+        keys, plan = config_module._plan(cls)
+        declared = config_module._field_types(cls)
+        assert [(name, key, declared[name], required) for name, key, _, required in plan] \
+            == plan_from_type_hints(cls)
+        assert keys == config_module._keys(cls)
 
 
 SCHEMA_DOC = Path(__file__).resolve().parents[1] / "docs" / "config_schema.md"

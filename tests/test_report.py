@@ -1,13 +1,21 @@
 """Deterministic file emission: manifests, bytes, round trips."""
 
 import csv
+import dataclasses
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robolabor import (
     CalibrationReport,
     OutputBundle,
+    SensitivityRecord,
+    YearRecord,
     build_output_bundle,
     one_at_a_time,
     run_scenario,
@@ -16,7 +24,87 @@ from robolabor import (
     write_sensitivity_csv,
 )
 from robolabor.calibrate import RATIO_SPACE_NOTE
-from robolabor.report import format_number
+from robolabor.report import (
+    _SENSITIVITY_COLUMNS,
+    _SUMMARY_COLUMNS,
+    _TIMESERIES_COLUMNS,
+    _json_chunks,
+    _write_csv,
+    format_number,
+)
+
+
+# -- the writer before row templates and joined JSON containers, kept as the
+# -- oracle the writer must match byte for byte
+
+def oracle_format_number(value) -> str:
+    if isinstance(value, float):
+        return format(value, ".12g")
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, int):
+        return str(value)
+    return format(value, ".12g")
+
+
+def oracle_write_csv(path, header, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([cell if isinstance(cell, str) else oracle_format_number(cell)
+                             for cell in row])
+
+
+def oracle_json_chunks(node, indent="\n"):
+    if isinstance(node, dict):
+        opener, closer = "{", "}"
+        items = [(json.dumps(key) + ": ", value) for key, value in node.items()]
+    else:
+        opener, closer = "[", "]"
+        items = [("", value) for value in node]
+    if not items:
+        yield opener + closer
+        return
+    inner = indent + "  "
+    for key, value in items:
+        if isinstance(value, float) and math.isfinite(value):
+            yield f"{opener}{inner}{key}{float(format(value, '.12g'))!r}"
+        elif isinstance(value, (dict, list, tuple)):
+            yield opener + inner + key
+            yield from oracle_json_chunks(value, inner)
+        else:
+            yield opener + inner + key + json.dumps(value)
+        opener = ","
+    yield indent + closer
+
+
+EDGE_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.2250738585072e-308,
+               1e12, 999999999999.5, 123456789012345.6, 1e16, -1e15, 0.1 + 0.2)
+floats = st.one_of(
+    st.floats(),  # nan and both infinities included
+    st.floats(min_value=1e12, max_value=1e16),
+    st.floats(min_value=-1e16, max_value=-1e12),
+    st.floats(min_value=-1e-307, max_value=1e-307),  # subnormals
+    st.sampled_from(EDGE_FLOATS),
+)
+# ints, bools and None force a row off the template onto the per-cell path
+non_floats = st.one_of(st.integers(), st.integers(min_value=10**12, max_value=10**17),
+                       st.booleans(), st.none())
+value_cells = st.one_of(floats, floats, floats, non_floats)
+years = st.one_of(st.integers(min_value=1900, max_value=2200),
+                  st.integers(min_value=1900, max_value=2200), floats, non_floats)
+texts = st.text(st.one_of(st.characters(blacklist_categories=("Cs",)),
+                          st.sampled_from(',"\n\r \'')), max_size=12)
+
+
+def written(write, rows, header=_TIMESERIES_COLUMNS) -> bytes:
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "t.csv"
+        write(path, header, rows)
+        return path.read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -219,6 +307,20 @@ class TestJsonPayloads:
         for node in (payload, [], {}, [0.1 + 0.2, "x"]):
             assert "".join(_json_chunks(node)) == json.dumps(rounded(node), indent=2)
 
+    @given(st.recursive(
+        st.one_of(floats, non_floats, texts),
+        lambda children: st.one_of(st.lists(children, max_size=4),
+                                   st.dictionaries(texts, children, max_size=4)),
+        max_leaves=30))
+    def test_json_matches_the_per_item_oracle(self, node):
+        node = {"root": node}
+        assert "".join(_json_chunks(node)) == "".join(oracle_json_chunks(node))
+
+    @settings(max_examples=500)
+    @given(floats)
+    def test_json_float_text_matches_the_oracle(self, value):
+        assert "".join(_json_chunks([value])) == "".join(oracle_json_chunks([value]))
+
     def test_calibration_payload(self, bundle, tmp_path):
         write_outputs(bundle, tmp_path, formats=["json"])
         payload = json.loads((tmp_path / "calibration.json").read_text())
@@ -269,3 +371,41 @@ class TestSummaryTable:
         assert lines[0].startswith("scenario")
         assert any("baseline" in line and "2.4695%" in line for line in lines)
         assert len(lines) == 1 + len(results)
+
+
+class TestWriterOracle:
+    """Rows written by the templates or the per-cell path give the oracle's bytes."""
+
+    @given(st.lists(st.tuples(years, *[value_cells] * 10), max_size=8))
+    def test_timeseries_rows(self, results, rows):
+        result = dataclasses.replace(results[0],
+                                     records=tuple(YearRecord(*row) for row in rows))
+        bundle = OutputBundle(results=(result,), figure_scenario=result.scenario)
+        with tempfile.TemporaryDirectory() as directory:
+            write_outputs(bundle, directory, ["csv"])
+            timeseries = (Path(directory) / f"{result.scenario}_timeseries.csv").read_bytes()
+            figure = (Path(directory) / "figure1_data.csv").read_bytes()
+        assert timeseries == written(oracle_write_csv, rows)
+        assert figure == written(oracle_write_csv, [(r[0], r[7], r[8]) for r in rows],
+                                 ("year", "displaced_cumulative",
+                                  "jobs_created_cumulative"))
+
+    @given(st.lists(st.lists(st.one_of(texts, value_cells), min_size=len(_SUMMARY_COLUMNS),
+                             max_size=len(_SUMMARY_COLUMNS)), max_size=6))
+    def test_rows_with_strings(self, rows):
+        assert (written(_write_csv, rows, _SUMMARY_COLUMNS)
+                == written(oracle_write_csv, rows, _SUMMARY_COLUMNS))
+
+    @given(st.lists(st.tuples(texts, texts, *[value_cells] * 10,
+                              st.one_of(texts, st.none())), max_size=6))
+    def test_sensitivity_records(self, rows):
+        records = [SensitivityRecord(*row) for row in rows]
+        with tempfile.TemporaryDirectory() as directory:
+            got = write_sensitivity_csv(records, directory).read_bytes()
+        expected = [row[:-1] + (row[-1] or "",) for row in rows]
+        assert got == written(oracle_write_csv, expected, _SENSITIVITY_COLUMNS)
+
+    @given(floats)
+    def test_template_float_text(self, value):
+        # the template's field and format_number agree on every float
+        assert "%.12g" % value == format_number(value) == oracle_format_number(value)

@@ -19,6 +19,7 @@ from robolabor import (
     remittance_impact,
     round_half_away,
 )
+from robolabor import sectors as sectors_module
 from robolabor.errors import _require
 from robolabor.sectors import MEAN_TOLERANCE, _check_sector_table
 
@@ -249,6 +250,28 @@ class TestExactSplit:
         assert disaggregate_displacement(0.04, table) == {"a": 0.04, "b": 0.04}
         table.append(profile("c", 0.0, 1.0))
         assert list(disaggregate_displacement(0.04, table)) == ["a", "b", "c"]
+
+    def test_alternating_tuples_compile_once_each(self, monkeypatch):
+        compiled = []
+        real = sectors_module._Table
+
+        def counting(table):
+            compiled.append(table)
+            return real(table)
+
+        monkeypatch.setattr(sectors_module, "_Table", counting)
+        first = (profile("a", 0.5, 2.0, cap=0.05), profile("b", 0.5, 0.5))
+        second = (profile("a", 0.5, 1.0, cap=0.05), profile("b", 0.5, 1.0))
+        for _ in range(3):
+            assert disaggregate_displacement(0.04, first)["a"] == 0.05
+            assert disaggregate_displacement(0.04, second)["a"] == 0.04
+        assert len(compiled) == 2
+        assert compiled[0] is first and compiled[1] is second
+        # a list may change between calls, so it is compiled on every one
+        listed = list(first)
+        for _ in range(3):
+            disaggregate_displacement(0.04, listed)
+        assert len(compiled) == 5
 
     @pytest.mark.parametrize("bad", [(), (profile("a", 0.5, 1.0), profile("a", 0.5, 1.0))])
     def test_bad_table_is_not_remembered(self, bad):

@@ -217,6 +217,33 @@ class TestCompoundedStocks:
         assert math.isfinite(result.summary.realized_gain)
         assert math.isfinite(result.summary.gdp_gain)
 
+    # every stock stays finite from a tiny initial stock, but the gains over
+    # state0 divide by it: the stock's ratio to it grows by 2e7 + 1 a year
+    TINY = 1e-300
+
+    @pytest.mark.parametrize("end, reached", [(2063, 2063), (2100, 2089)])
+    def test_gain_over_a_tiny_stock_overflows(self, params, state0, baseline, end,
+                                              reached):
+        # the terminal gdp_gain overflows first; from 2089 on, a year's
+        # output over the baseline output does too
+        bad = scenario(horizon=(2019, end), robotics_growth=2e7,
+                       theta_override=StaticTheta(0.6))
+        with pytest.raises(DomainError, match="robotics_growth compounds the gain over "
+                                              f"initial_state to inf by {reached}") as info:
+            run_scenario(bad, params, replace(state0, robotics=self.TINY), baseline)
+        assert_user_facing(str(info.value))
+
+    def test_gain_over_a_tiny_stock_just_inside_the_range_runs(self, params, state0,
+                                                               baseline):
+        # 41 years: the ratio reaches about 1e299, to the power 0.6 about 1e180;
+        # from 45 years on the ratio itself overflows
+        ok = scenario(horizon=(2019, 2059), robotics_growth=2e7,
+                      theta_override=StaticTheta(0.6))
+        result = run_scenario(ok, params, replace(state0, robotics=self.TINY), baseline)
+        assert math.isfinite(result.summary.gdp_gain)
+        assert math.isfinite(result.summary.realized_gain)
+        assert all(math.isfinite(r.output_gain_vs_baseline) for r in result.records)
+
     @pytest.mark.parametrize("theta", [StaticTheta(0.3), ThetaRamp(0.6, 0.3, 40)])
     def test_output_bound_follows_the_theta_schedule(self, params, state0, baseline,
                                                      theta):
@@ -451,6 +478,15 @@ class TestConfigBoundary:
         error = config_error(text)
         assert error.path == "scenarios[1]"
         assert "robotics_growth compounds output at baseline labor to inf" in str(error)
+        assert_user_facing(str(error))
+
+    def test_gain_over_a_tiny_stock_checked_at_load(self):
+        text = config_text(growth="2.0e+7", extra="    theta: {mode: static, value: 0.6}\n"
+                           "initial_state: {robotics: 1.0e-300}\n"
+                           ).replace("horizon: [2030, 2031]", "horizon: [2019, 2100]")
+        error = config_error(text)
+        assert error.path == "scenarios[1]"
+        assert "robotics_growth compounds the gain over initial_state to inf" in str(error)
         assert_user_facing(str(error))
 
     def test_validate_command_rejects_with_path(self, tmp_path, capsys):
