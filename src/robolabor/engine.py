@@ -28,8 +28,8 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 from .core import (
     EconomyState,
@@ -42,7 +42,6 @@ from .core import (
     _theta_extremes,
     labor_demand_ratio,
     production_output,
-    theta_at,
 )
 from .errors import DomainError, _require
 from .sectors import (
@@ -214,8 +213,10 @@ class Scenario:
         return (float(self.cost_ratio_path),) * self.n_years
 
 
-@dataclass(frozen=True)
-class YearRecord:
+# the data-only records are named tuples: the year loop builds one per year,
+# and a frozen dataclass's per-field object.__setattr__ costs more than the
+# year's arithmetic
+class YearRecord(NamedTuple):
     """State of one simulated year."""
 
     year: int
@@ -231,8 +232,7 @@ class YearRecord:
     remittance_high: float
 
 
-@dataclass(frozen=True)
-class ResultSummary:
+class ResultSummary(NamedTuple):
     """Terminal metrics of one scenario run."""
 
     gdp_gain: float
@@ -245,8 +245,7 @@ class ResultSummary:
     raw_displacement_rate: float | None = None
 
 
-@dataclass(frozen=True)
-class TargetGap:
+class TargetGap(NamedTuple):
     """Computed-versus-target comparison for one metric."""
 
     metric: str
@@ -302,8 +301,15 @@ def _effective_params(scenario: Scenario, params: ModelParams, state0: EconomySt
         _require(params.alpha + value < 1,
                  "alpha + theta must stay below 1, got {} + {}", params.alpha, value)
     n_years = scenario.n_years
-    thetas = ((theta_mode.value,) * n_years if isinstance(theta_mode, StaticTheta)
-              else [theta_at(index, theta_mode) for index in range(n_years)])
+    if isinstance(theta_mode, StaticTheta):
+        thetas = (theta_mode.value,) * n_years
+    else:
+        # theta_at's branches in its order, operand for operand
+        start, end, ramp_years = theta_mode.start, theta_mode.end, theta_mode.ramp_years
+        thetas = [end if index >= ramp_years
+                  else start if index == 0
+                  else start + (end - start) * (index / ramp_years)
+                  for index in range(n_years)]
     base_by_theta = {theta: production_output(state0, params.alpha, theta)
                      for theta in set(thetas)}
     for theta, base in base_by_theta.items():
@@ -449,18 +455,17 @@ def run_scenario(scenario: Scenario, params: ModelParams, state0: EconomyState,
     sector_rates = (disaggregate_displacement(terminal.displacement_rate, sectors)
                     if sectors else {})
     headcounts = displacement_headcounts(terminal.displacement_rate, baseline)
-    result = SimulationResult(
+    targets = scenario.targets
+    return SimulationResult(
         scenario=scenario.name,
         mode=scenario.mode,
         records=tuple(records),
         summary=summary,
         sector_rates=sector_rates,
         headcounts=headcounts,
-        targets=scenario.targets,
+        targets=targets,
+        target_comparison=None if targets is None else _target_gaps(targets, summary),
     )
-    if scenario.targets is not None:
-        result = replace(result, target_comparison=compare_to_targets(result))
-    return result
 
 
 def compare_to_targets(result: SimulationResult) -> tuple[TargetGap, ...]:
@@ -469,11 +474,13 @@ def compare_to_targets(result: SimulationResult) -> tuple[TargetGap, ...]:
     Pure function of the result; records are never touched. Raw shock
     metrics ride along when the scenario stated them.
     """
-    targets = result.targets
-    if targets is None:
+    if result.targets is None:
         return ()
+    return _target_gaps(result.targets, result.summary)
+
+
+def _target_gaps(targets: TargetSet, summary: ResultSummary) -> tuple[TargetGap, ...]:
     gaps: list[TargetGap] = []
-    summary = result.summary
     if targets.gdp_gain is not None:
         raw = summary.raw_gdp_gain
         gaps.append(TargetGap(

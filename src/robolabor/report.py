@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 from .calibrate import RATIO_SPACE_NOTE, CalibrationReport
 from .config import RunConfig
-from .engine import SimulationResult
+from .engine import SimulationResult, YearRecord
 from .sensitivity import SensitivityRecord
 
 __all__ = [
@@ -57,11 +57,8 @@ _SUMMARY_COLUMNS = (
     "key_driver",
 )
 
-_TIMESERIES_COLUMNS = (
-    "year", "theta", "tfp", "output", "output_gain_vs_baseline", "labor",
-    "displacement_rate", "displaced_cumulative", "jobs_created_cumulative",
-    "remittance_low", "remittance_high",
-)
+# each record is its own timeseries row
+_TIMESERIES_COLUMNS = YearRecord._fields
 
 _SENSITIVITY_COLUMNS = (
     "parameter", "metric", "perturbation", "baseline_value", "low_value",
@@ -282,9 +279,7 @@ def write_outputs(bundle: OutputBundle, directory: str | Path,
     if "csv" in formats:
         for result in bundle.results:
             path = directory / f"{result.scenario}_timeseries.csv"
-            _write_csv(path, _TIMESERIES_COLUMNS,
-                       map(attrgetter(*_TIMESERIES_COLUMNS), result.records),
-                       _TIMESERIES_TYPES)
+            _write_csv(path, _TIMESERIES_COLUMNS, result.records, _TIMESERIES_TYPES)
             manifest.append(path)
         path = directory / "summary.csv"
         _write_csv(path, _SUMMARY_COLUMNS, _summary_rows(bundle.results))

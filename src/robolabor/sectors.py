@@ -268,9 +268,9 @@ def disaggregate_displacement(national_rate: float,
     pinned at its cap and the national rate still cannot be reached, the
     target is unattainable and an error is raised.
 
-    The table is checked and compiled on each call, except that the last
-    tuple passed is remembered with its compiled table, so a run of calls on
-    one config's table compiles it once.
+    The table is checked and compiled on each call, except that the last few
+    tuples passed are remembered with their compiled tables, so a run of
+    calls on one config's table compiles it once.
 
     Returns rates keyed by sector name, in dataset order.
     """
@@ -279,7 +279,8 @@ def disaggregate_displacement(national_rate: float,
     table = _table(sectors)
     weights, caps, residual = table.weights, table.caps, table.residual
     target_sum = national_rate * table.total
-    tolerance = MEAN_TOLERANCE * max(1.0, target_sum)
+    # on the weighted sum; the mean is the sum over the share total
+    tolerance = MEAN_TOLERANCE * table.total
     # min(national_rate * m, cap), spelled out: the call costs more than the work
     rates = [cap if cap < (value := national_rate * m) else value
              for m, cap in zip(table.multipliers, table.named_caps)]

@@ -18,6 +18,7 @@ from robolabor import (
     Scenario,
     SimulationMode,
     StaticTheta,
+    TargetGap,
     TargetSet,
     ThetaRamp,
     YearRecord,
@@ -247,6 +248,34 @@ class TestTargetComparison:
         assert gap.raw_computed == pytest.approx(1.05 ** 0.5 - 1.0, rel=1e-12)
         assert gap.raw_gap == gap.raw_computed - 0.015
 
+    def test_comparison_of_the_result_is_the_one_it_carries(self, cfg, params,
+                                                             state0, baseline):
+        for scenario in cfg.scenarios:
+            result = run_scenario(scenario, params, state0, baseline)
+            if scenario.targets is not None:
+                assert compare_to_targets(result) == result.target_comparison
+
+
+class TestRecords:
+    @pytest.mark.parametrize("part, field", [
+        (lambda result: result.records[0], "output"),
+        (lambda result: result.summary, "gdp_gain"),
+        (lambda result: result.target_comparison[0], "gap"),
+    ])
+    def test_fields_are_read_only(self, cfg, params, state0, baseline, part, field):
+        record = part(run_scenario(cfg.scenario("high_adoption"), params, state0,
+                                   baseline))
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0.0)
+        with pytest.raises(AttributeError):
+            record.added = 0.0
+
+    def test_repr_names_each_field(self):
+        gap = TargetGap(metric="gdp_gain", target=0.025, computed=0.02, gap=-0.005)
+        assert repr(gap) == ("TargetGap(metric='gdp_gain', target=0.025, computed=0.02, "
+                             "gap=-0.005, raw_computed=None, raw_gap=None)")
+        assert hash(gap) == hash(TargetGap("gdp_gain", 0.025, 0.02, -0.005))
+
 
 class TestScenarioValidation:
     def test_static_requires_single_year(self):
@@ -354,8 +383,7 @@ def helper_run(scenario, params, state0, baseline):
 
 
 def hexed(record):
-    return tuple(v.hex() if isinstance(v, float) else v
-                 for v in dataclasses.astuple(record))
+    return tuple(v.hex() if isinstance(v, float) else v for v in record)
 
 
 def assert_kernel_matches_helpers(scenario, params, state0, baseline):
