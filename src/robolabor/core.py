@@ -238,12 +238,17 @@ def theta_at(year_index: float, theta: ThetaMode) -> float:
     if not isinstance(theta, ThetaRamp):
         raise DomainError(
             f"theta must be StaticTheta or ThetaRamp, got {type(theta).__name__}")
+    return _ramp_theta(index, theta)
+
+
+def _ramp_theta(index: int, ramp: ThetaRamp) -> float:
+    # theta_at's ramp without its checks, for a caller that proved them;
     # clamp first: start + full step in floats need not reproduce the end literal
-    if index >= theta.ramp_years:
-        return theta.end
+    if index >= ramp.ramp_years:
+        return ramp.end
     if index == 0:
-        return theta.start
-    return theta.start + (theta.end - theta.start) * (index / theta.ramp_years)
+        return ramp.start
+    return ramp.start + (ramp.end - ramp.start) * (index / ramp.ramp_years)
 
 
 def tfp_step(tfp_prev: float, adoption_growth_pct: float,

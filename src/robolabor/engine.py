@@ -29,7 +29,7 @@ import enum
 import math
 import re
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .core import (
     EconomyState,
@@ -39,6 +39,7 @@ from .core import (
     ThetaRamp,
     YEAR_MAX,
     YEAR_MIN,
+    _ramp_theta,
     _theta_extremes,
     labor_demand_ratio,
     production_output,
@@ -213,10 +214,10 @@ class Scenario:
         return (float(self.cost_ratio_path),) * self.n_years
 
 
-# the data-only records are named tuples: the year loop builds one per year,
-# and a frozen dataclass's per-field object.__setattr__ costs more than the
-# year's arithmetic
-class YearRecord(NamedTuple):
+# run_scenario's year loop fills these without calling __init__, so a field
+# added here is added there too (tests/test_engine.py pins the two together)
+@dataclass(frozen=True)
+class YearRecord:
     """State of one simulated year."""
 
     year: int
@@ -232,7 +233,8 @@ class YearRecord(NamedTuple):
     remittance_high: float
 
 
-class ResultSummary(NamedTuple):
+@dataclass(frozen=True)
+class ResultSummary:
     """Terminal metrics of one scenario run."""
 
     gdp_gain: float
@@ -245,7 +247,8 @@ class ResultSummary(NamedTuple):
     raw_displacement_rate: float | None = None
 
 
-class TargetGap(NamedTuple):
+@dataclass(frozen=True)
+class TargetGap:
     """Computed-versus-target comparison for one metric."""
 
     metric: str
@@ -301,15 +304,8 @@ def _effective_params(scenario: Scenario, params: ModelParams, state0: EconomySt
         _require(params.alpha + value < 1,
                  "alpha + theta must stay below 1, got {} + {}", params.alpha, value)
     n_years = scenario.n_years
-    if isinstance(theta_mode, StaticTheta):
-        thetas = (theta_mode.value,) * n_years
-    else:
-        # theta_at's branches in its order, operand for operand
-        start, end, ramp_years = theta_mode.start, theta_mode.end, theta_mode.ramp_years
-        thetas = [end if index >= ramp_years
-                  else start if index == 0
-                  else start + (end - start) * (index / ramp_years)
-                  for index in range(n_years)]
+    thetas = ((theta_mode.value,) * n_years if isinstance(theta_mode, StaticTheta)
+              else [_ramp_theta(index, theta_mode) for index in range(n_years)])
     base_by_theta = {theta: production_output(state0, params.alpha, theta)
                      for theta in set(thetas)}
     for theta, base in base_by_theta.items():
@@ -407,6 +403,7 @@ def run_scenario(scenario: Scenario, params: ModelParams, state0: EconomyState,
     tfp = state0.tfp
     robotics = state0.robotics
     labor0 = state0.labor
+    new_record = object.__new__
     records: list[YearRecord] = []
     for year, g_t, r_t, theta_t, job_ratio in zip(
             range(start, end + 1), scenario.growth_path(), scenario.cost_path(),
@@ -420,10 +417,23 @@ def run_scenario(scenario: Scenario, params: ModelParams, state0: EconomyState,
         displaced = labor0 - labor_t
         output_t = tfp * kalpha * labor_t ** (1.0 - alpha - theta_t) * robotics ** theta_t
         scale = displacement_rate / reference
-        records.append(YearRecord(
-            year, theta_t, tfp, output_t, output_t / base_by_theta[theta_t] - 1.0, labor_t,
-            displacement_rate, displaced, job_ratio * displaced, remit_low * scale,
-            remit_high * scale))
+        # the fields YearRecord's __init__ would set, in its order, stored
+        # straight into the instance dict: the frozen __init__ pays one
+        # object.__setattr__ per field, more than the year's arithmetic
+        record = new_record(YearRecord)
+        fields = record.__dict__
+        fields["year"] = year
+        fields["theta"] = theta_t
+        fields["tfp"] = tfp
+        fields["output"] = output_t
+        fields["output_gain_vs_baseline"] = output_t / base_by_theta[theta_t] - 1.0
+        fields["labor"] = labor_t
+        fields["displacement_rate"] = displacement_rate
+        fields["displaced_cumulative"] = displaced
+        fields["jobs_created_cumulative"] = job_ratio * displaced
+        fields["remittance_low"] = remit_low * scale
+        fields["remittance_high"] = remit_high * scale
+        records.append(record)
 
     terminal = records[-1]
     # channel gain: robotics stock and TFP moved, labor held at baseline

@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
@@ -57,8 +57,8 @@ _SUMMARY_COLUMNS = (
     "key_driver",
 )
 
-# each record is its own timeseries row
-_TIMESERIES_COLUMNS = YearRecord._fields
+# one timeseries column per record field, in field order
+_TIMESERIES_COLUMNS = tuple(f.name for f in fields(YearRecord))
 
 _SENSITIVITY_COLUMNS = (
     "parameter", "metric", "perturbation", "baseline_value", "low_value",
@@ -279,7 +279,9 @@ def write_outputs(bundle: OutputBundle, directory: str | Path,
     if "csv" in formats:
         for result in bundle.results:
             path = directory / f"{result.scenario}_timeseries.csv"
-            _write_csv(path, _TIMESERIES_COLUMNS, result.records, _TIMESERIES_TYPES)
+            _write_csv(path, _TIMESERIES_COLUMNS,
+                       map(attrgetter(*_TIMESERIES_COLUMNS), result.records),
+                       _TIMESERIES_TYPES)
             manifest.append(path)
         path = directory / "summary.csv"
         _write_csv(path, _SUMMARY_COLUMNS, _summary_rows(bundle.results))

@@ -18,7 +18,6 @@ from robolabor import (
     Scenario,
     SimulationMode,
     StaticTheta,
-    TargetGap,
     TargetSet,
     ThetaRamp,
     YearRecord,
@@ -270,11 +269,27 @@ class TestRecords:
         with pytest.raises(AttributeError):
             record.added = 0.0
 
-    def test_repr_names_each_field(self):
-        gap = TargetGap(metric="gdp_gain", target=0.025, computed=0.02, gap=-0.005)
-        assert repr(gap) == ("TargetGap(metric='gdp_gain', target=0.025, computed=0.02, "
-                             "gap=-0.005, raw_computed=None, raw_gap=None)")
-        assert hash(gap) == hash(TargetGap("gdp_gain", 0.025, 0.02, -0.005))
+    @pytest.mark.parametrize("theta", [StaticTheta(0.35), ThetaRamp(0.3, 0.4, 30)])
+    def test_loop_builds_what_the_constructor_builds(self, params, state0, baseline,
+                                                      theta):
+        scenario = Scenario(name="long", mode=SimulationMode.DYNAMIC,
+                            horizon=(2019, 2100), robotics_growth=0.05,
+                            cost_ratio_path=1.2, theta_override=theta)
+        names = [f.name for f in dataclasses.fields(YearRecord)]
+        for record in run_scenario(scenario, params, state0, baseline).records:
+            built = YearRecord(**vars(record))
+            assert list(vars(record)) == names
+            assert record == built and hash(record) == hash(built)
+            assert repr(record) == repr(built)
+            assert dataclasses.replace(record, output=1.0) == dataclasses.replace(
+                built, output=1.0)
+
+    def test_records_stay_dataclasses(self, cfg, params, state0, baseline):
+        result = run_scenario(cfg.scenario("high_adoption"), params, state0, baseline)
+        for record in (result.records[0], result.summary, result.target_comparison[0]):
+            assert dataclasses.is_dataclass(record)
+            assert dataclasses.replace(record) == record
+            assert type(record)(**dataclasses.asdict(record)) == record
 
 
 class TestScenarioValidation:
@@ -383,7 +398,8 @@ def helper_run(scenario, params, state0, baseline):
 
 
 def hexed(record):
-    return tuple(v.hex() if isinstance(v, float) else v for v in record)
+    return tuple(v.hex() if isinstance(v, float) else v
+                 for v in dataclasses.astuple(record))
 
 
 def assert_kernel_matches_helpers(scenario, params, state0, baseline):

@@ -55,7 +55,7 @@ def rescale_oracle(national_rate, sectors):
 
     for _ in range(len(sectors) + 1):
         deficit = target_sum - weighted_sum()
-        if abs(deficit) <= MEAN_TOLERANCE * max(1.0, target_sum):
+        if abs(deficit) <= MEAN_TOLERANCE * total_weight:
             break
         if deficit > 0:
             free = [s for s in sectors
@@ -223,6 +223,8 @@ class TestExactSplit:
 
     @settings(max_examples=400)
     @given(case=split_cases())
+    # the uncapped sum misses by 0.8e-9, inside 1e-9, but the mean by 1.6e-9
+    @example(case=(0.5, (profile("a", 0.5, 1.0 - 3.2e-9),)))
     def test_agrees_with_rescale_loop(self, case):
         national, table = case
         exact = split_or_none(disaggregate_displacement, national, table)
