@@ -306,8 +306,18 @@ def _effective_params(scenario: Scenario, params: ModelParams, state0: EconomySt
     n_years = scenario.n_years
     thetas = ((theta_mode.value,) * n_years if isinstance(theta_mode, StaticTheta)
               else [_ramp_theta(index, theta_mode) for index in range(n_years)])
-    base_by_theta = {theta: production_output(state0, params.alpha, theta)
-                     for theta in set(thetas)}
+    # the first theta through the checked helper, which also checks alpha;
+    # the others with its arithmetic, operand for operand
+    alpha = params.alpha
+    first, *others = dict.fromkeys(thetas)
+    base_by_theta = {first: production_output(state0, alpha, first)}
+    kalpha = state0.capital ** alpha
+    for theta in others:
+        labor_exponent = 1.0 - alpha - theta
+        _require(labor_exponent > 0, "labor exponent 1 - alpha - theta must be positive, "
+                 "got {}", labor_exponent)
+        base_by_theta[theta] = (state0.tfp * kalpha * state0.labor ** labor_exponent
+                                * state0.robotics ** theta)
     for theta, base in base_by_theta.items():
         _require(0 < base < math.inf, "initial_state gives output {} at theta {}, "
                  "which must be positive and finite", base, theta)
@@ -319,8 +329,7 @@ def _effective_params(scenario: Scenario, params: ModelParams, state0: EconomySt
     _require(state0.robot_cost / terminal > 0, "cost_ratio_path reaches {}, which "
              "divides the robot cost {} to 0", terminal, state0.robot_cost)
     # compound exactly as run_scenario does, so a pass here is a pass there
-    alpha, labor0, boost = params.alpha, state0.labor, params.tfp_boost_per_adoption_pct
-    kalpha = state0.capital ** alpha
+    labor0, boost = state0.labor, params.tfp_boost_per_adoption_pct
     labor_cap = max(labor0, 1.0)  # labor <= labor0, and x ** p <= max(x, 1) for p in (0, 1]
     robotics = state0.robotics
     tfp = state0.tfp

@@ -242,11 +242,11 @@ def _summary_payload(results: Sequence[SimulationResult]) -> dict:
             "key_driver": summary.key_driver,
             "raw_gdp_gain": summary.raw_gdp_gain,
             "raw_displacement_rate": summary.raw_displacement_rate,
-            "sector_rates": dict(result.sector_rates),
+            "sector_rates": result.sector_rates,
             "headcounts": {
                 "total": result.headcounts.total,
                 "expat": result.headcounts.expat,
-                "by_sector": dict(result.headcounts.by_sector),
+                "by_sector": result.headcounts.by_sector,
             },
         }
         if result.target_comparison:

@@ -134,6 +134,11 @@ class LaborBaseline:
             total += share
         _require(total <= 1 + 1e-9,
                  "sector_shares must sum to at most 1, got {}", total)
+        # what displacement_headcounts reads: the shares as checked here, out
+        # of reach of a later change to the public dict, and the expatriate
+        # count and per-sector counts of its last call on this baseline
+        object.__setattr__(self, "_shares", tuple(shares.items()))
+        object.__setattr__(self, "_last_counts", (math.nan, None))
         _require(0 < self.min_wage < math.inf,
                  "min_wage must be positive and finite, got {}", self.min_wage)
         _require(self.low_wage_headcount >= 0,
@@ -198,11 +203,12 @@ class _Table:
     binds, whatever the national rate. With the first ``k`` of them capped
     and the rest at ``t * multiplier``, their employment-weighted sum is
     ``capped_before[k] + t * free_after[k]``; ``reach[k]`` is that sum at
-    the ``t`` where the ``k``-th one caps.
+    the ``t`` where the ``k``-th one caps. ``last`` holds the national rate
+    of the last split that returned and its rates in dataset order.
     """
 
     __slots__ = ("names", "weights", "caps", "total", "multipliers", "named_weights",
-                 "named_caps", "residual", "capped_before", "free_after", "reach")
+                 "named_caps", "residual", "capped_before", "free_after", "reach", "last")
 
     def __init__(self, sectors: Sequence[SectorProfile]) -> None:
         _require(len(sectors) > 0, "sector dataset must be nonempty")
@@ -225,6 +231,7 @@ class _Table:
         self.free_after = [0.0, *accumulate(reversed(free))][::-1]
         self.reach = [before + t * after
                       for t, before, after in zip(binds, self.capped_before, self.free_after)]
+        self.last = (math.nan, None)
 
 
 # the tuples compiled last and their tables, newest first; holding a tuple
@@ -270,13 +277,21 @@ def disaggregate_displacement(national_rate: float,
 
     The table is checked and compiled on each call, except that the last few
     tuples passed are remembered with their compiled tables, so a run of
-    calls on one config's table compiles it once.
+    calls on one config's table compiles it once. A remembered table also
+    keeps its last split: a call at the same national rate (and the same
+    sign of zero) returns those rates without splitting again, as the runs
+    of a tornado or a bisection that leave the rate alone do.
 
-    Returns rates keyed by sector name, in dataset order.
+    Returns a new dict of rates keyed by sector name, in dataset order.
     """
     _require(0 <= national_rate <= 1,
              "national_rate must lie in [0, 1], got {}", national_rate)
     table = _table(sectors)
+    last_rate, last_rates = table.last
+    # -0.0 == 0.0, but a -0.0 rate splits into -0.0 sector rates
+    if national_rate == last_rate and (national_rate or math.copysign(1.0, national_rate)
+                                       == math.copysign(1.0, last_rate)):
+        return dict(zip(table.names, last_rates))
     weights, caps, residual = table.weights, table.caps, table.residual
     target_sum = national_rate * table.total
     # on the weighted sum; the mean is the sum over the share total
@@ -316,6 +331,7 @@ def disaggregate_displacement(national_rate: float,
             raise UnattainableTargetError(
                 f"national rate {national_rate} is unattainable: every sector "
                 f"is pinned at its automation_potential cap")
+    table.last = (national_rate, rates)
     return dict(zip(table.names, rates))
 
 
@@ -324,15 +340,26 @@ def displacement_headcounts(national_rate: float,
     """Convert a displacement rate into worker headcounts.
 
     Total displaced workers, the expatriate slice, and per-sector counts of
-    displaced expatriates following the baseline sector shares. Values are
-    exact products; use :func:`round_half_away` for presentation.
+    displaced expatriates following the baseline sector shares, as they
+    were when the baseline was built. Values are exact products; use
+    :func:`round_half_away` for presentation.
+
+    A baseline keeps the per-sector counts of the last call on it: a call
+    with the same expatriate count (and the same sign of zero) copies them
+    instead of multiplying again, as the runs of a tornado or a bisection
+    that leave the national rate alone do. The kept dict never reaches a
+    caller, since HeadcountBreakdown holds a copy.
     """
     _require(0 <= national_rate <= 1,
              "national_rate must lie in [0, 1], got {}", national_rate)
     total = national_rate * baseline.total_labor_force
     expat = total * baseline.expat_share
-    by_sector = {name: expat * share
-                 for name, share in baseline.sector_shares.items()}
+    last_expat, by_sector = baseline._last_counts
+    # -0.0 == 0.0, but a -0.0 count gives -0.0 sector counts
+    if not (expat == last_expat and (expat or math.copysign(1.0, expat)
+                                     == math.copysign(1.0, last_expat))):
+        by_sector = {name: expat * share for name, share in baseline._shares}
+        object.__setattr__(baseline, "_last_counts", (expat, by_sector))
     return HeadcountBreakdown(total=total, expat=expat, by_sector=by_sector)
 
 

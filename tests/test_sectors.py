@@ -1,23 +1,32 @@
 """Sector disaggregation, headcounts, remittances and job creation."""
 
+import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import robolabor.sensitivity as sensitivity_module
 from robolabor import (
     DomainError,
     JobCreationRamp,
     JobCreationRatio,
     LaborBaseline,
     Readiness,
+    Scenario,
     SectorProfile,
+    SimulationMode,
+    StaticTheta,
     UnattainableTargetError,
+    default_specs,
     disaggregate_displacement,
     displacement_headcounts,
     job_creation,
+    one_at_a_time,
     remittance_impact,
     round_half_away,
+    run_scenario,
 )
 from robolabor import sectors as sectors_module
 from robolabor.errors import _require
@@ -458,3 +467,155 @@ class TestLaborBaseline:
         assert baseline.low_wage_headcount == 280_000
         assert baseline.remittance_base == 45e9
         assert baseline.remittance_decline_band == (0.12, 0.18)
+
+
+def wide_table(seed, count=240):
+    """Many small named sectors whose caps bind at modest rates, and a residual."""
+    rng = random.Random(seed)
+    raw = [rng.expovariate(1.0) for _ in range(count - 1)]
+    residual_share = rng.uniform(0.15, 0.25)
+    table = []
+    for i, weight in enumerate(raw):
+        multiplier = 0.0 if rng.random() < 0.05 else rng.lognormvariate(0.0, 0.5)
+        cap = min(0.95, max(0.02, multiplier * rng.uniform(0.1, 0.9)))
+        table.append(profile(f"s{i:03d}", weight * (0.98 - residual_share) / sum(raw),
+                             multiplier, cap))
+    table.append(profile("rest", residual_share, None, rng.uniform(0.3, 0.6), residual=True))
+    return tuple(table)
+
+
+def shares_baseline(table, **overrides):
+    fields = dict(total_labor_force=2_130_000.0, expat_share=0.944,
+                  sector_shares={s.name: s.employment_share for s in table},
+                  min_wage=1000.0, low_wage_headcount=280_000.0, remittance_base=45e9)
+    fields.update(overrides)
+    return LaborBaseline(**fields)
+
+
+def forget_last_outcomes(baseline):
+    """Drop every remembered table and split, and the baseline's last counts."""
+    sectors_module._recent.clear()
+    object.__setattr__(baseline, "_last_counts", (math.nan, None))
+
+
+def hexed_split(national, table):
+    try:
+        return {name: rate.hex() for name, rate in
+                disaggregate_displacement(national, table).items()}
+    except UnattainableTargetError as exc:
+        return str(exc)
+
+
+def hexed_headcounts(national, baseline):
+    counts = displacement_headcounts(national, baseline)
+    return (counts.total.hex(), counts.expat.hex(),
+            {name: value.hex() for name, value in counts.by_sector.items()})
+
+
+SMALL_TABLE = (profile("a", 0.3, 2.5, cap=0.2), profile("b", 0.2, 1.7, cap=0.5),
+               profile("c", 0.1, 0.0), profile("rest", 0.3, None, cap=0.4, residual=True))
+WIDE_TABLE = wide_table(5)
+BASELINES = (shares_baseline(WIDE_TABLE),
+             shares_baseline(SMALL_TABLE, expat_share=0.5, total_labor_force=1e6))
+# rates seen twice in a row in tornados and bisections, both zeros, and the
+# top of the range, where the small table's caps cannot reach the rate
+REPEATED_RATES = (0.0, -0.0, 0.032, 0.1, 0.25, 1.0)
+
+
+class TestLastOutcome:
+    """A repeated national rate reuses the last split and headcounts."""
+
+    @settings(max_examples=150)
+    @given(calls=st.lists(
+        st.tuples(st.sampled_from(REPEATED_RATES) | st.floats(0.0, 1.0),
+                  st.sampled_from(("wide", "small", "wide list", "small list")),
+                  st.sampled_from((0, 1))),
+        min_size=1, max_size=12))
+    def test_every_call_equals_a_cold_call(self, calls):
+        tables = {"wide": WIDE_TABLE, "small": SMALL_TABLE}
+        for national, which, index in calls:
+            table = tables[which.split()[0]]
+            if which.endswith("list"):
+                table = list(table)
+            baseline = BASELINES[index]
+            # a list table is compiled, and a copied baseline keyed, afresh
+            assert hexed_split(national, table) == hexed_split(national, list(table))
+            assert (hexed_headcounts(national, baseline)
+                    == hexed_headcounts(national, replace(baseline)))
+
+    @pytest.mark.parametrize("first,second", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_signed_zeros_are_told_apart(self, first, second):
+        for national in (first, second, second):
+            rates = disaggregate_displacement(national, SMALL_TABLE)
+            assert {math.copysign(1.0, rate) for rate in rates.values()} == {
+                math.copysign(1.0, national)}
+            counts = displacement_headcounts(national, BASELINES[1])
+            assert {math.copysign(1.0, count) for count in counts.by_sector.values()} == {
+                math.copysign(1.0, national)}
+
+    def test_returned_dicts_are_fresh(self):
+        cold = disaggregate_displacement(0.1, list(SMALL_TABLE))
+        first = disaggregate_displacement(0.1, SMALL_TABLE)
+        first["a"] = 99.0
+        assert disaggregate_displacement(0.1, SMALL_TABLE) == cold
+        cold = displacement_headcounts(0.1, replace(BASELINES[1])).by_sector
+        displacement_headcounts(0.1, BASELINES[1]).by_sector["a"] = 99.0
+        assert displacement_headcounts(0.1, BASELINES[1]).by_sector == cold
+
+    def test_mutating_a_result_leaves_the_next_one_alone(self, params, state0):
+        scenario = Scenario(name="x", mode=SimulationMode.COMPARATIVE_STATIC,
+                            horizon=(2030, 2030), cost_ratio_path=1.4)
+        baseline = BASELINES[0]
+        first = run_scenario(scenario, params, state0, baseline, WIDE_TABLE)
+        expected = (dict(first.sector_rates), dict(first.headcounts.by_sector))
+        first.sector_rates["rest"] = 99.0
+        first.headcounts.by_sector["rest"] = 99.0
+        second = run_scenario(scenario, params, state0, baseline, WIDE_TABLE)
+        assert (second.sector_rates, second.headcounts.by_sector) == expected
+
+    def test_shares_are_read_when_the_baseline_is_built(self):
+        baseline = shares_baseline(SMALL_TABLE)
+        before = hexed_headcounts(0.1, baseline)
+        baseline.sector_shares["a"] = 0.9
+        baseline.sector_shares["new"] = 0.5
+        assert hexed_headcounts(0.1, baseline) == before
+        # a new rate misses the kept counts and still reads the checked shares
+        counts = displacement_headcounts(0.2, baseline)
+        assert list(counts.by_sector) == [s.name for s in SMALL_TABLE]
+        assert counts.by_sector["a"] == counts.expat * 0.3
+
+    def test_wide_tornado_equals_a_cold_one(self, params, state0, monkeypatch):
+        # rate about 0.24 at exposure 0.8 and sigma 0.6, where many caps bind
+        scenario = Scenario(name="wide", mode=SimulationMode.COMPARATIVE_STATIC,
+                            horizon=(2030, 2030), robotics_growth=0.05,
+                            cost_ratio_path=1.8, sigma_override=0.6,
+                            theta_override=StaticTheta(0.4), exposure_override=0.8,
+                            tfp_enabled=True)
+        baseline = BASELINES[0]
+        runs = []
+
+        def recorded(*args):
+            result = run_scenario(*args)
+            runs.append((hexed_split(result.summary.displacement_rate, WIDE_TABLE),
+                         {k: v.hex() for k, v in result.sector_rates.items()},
+                         {k: v.hex() for k, v in result.headcounts.by_sector.items()}))
+            return result
+
+        monkeypatch.setattr(sensitivity_module, "run_scenario", recorded)
+        warm = one_at_a_time(scenario, params, state0, baseline, default_specs(0.2),
+                             WIDE_TABLE)
+        warm_runs, runs[:] = list(runs), []
+
+        def cold(*args):
+            forget_last_outcomes(baseline)
+            return recorded(*args)
+
+        monkeypatch.setattr(sensitivity_module, "run_scenario", cold)
+        # repr, because an invalid side's results are nan
+        assert repr(one_at_a_time(scenario, params, state0, baseline, default_specs(0.2),
+                                  WIDE_TABLE)) == repr(warm)
+        assert runs == warm_runs
+        # most runs repeat the base run's rate, so the warm tornado reused it
+        assert sum(run[0] == warm_runs[0][0] for run in warm_runs) >= 8
+        rates = disaggregate_displacement(warm[0].baseline_result, WIDE_TABLE)
+        assert sum(rates[s.name] == s.automation_potential for s in WIDE_TABLE) > 20
