@@ -474,12 +474,12 @@ def wide_table(seed, count=240):
     rng = random.Random(seed)
     raw = [rng.expovariate(1.0) for _ in range(count - 1)]
     residual_share = rng.uniform(0.15, 0.25)
+    scale = (0.98 - residual_share) / sum(raw)
     table = []
     for i, weight in enumerate(raw):
         multiplier = 0.0 if rng.random() < 0.05 else rng.lognormvariate(0.0, 0.5)
         cap = min(0.95, max(0.02, multiplier * rng.uniform(0.1, 0.9)))
-        table.append(profile(f"s{i:03d}", weight * (0.98 - residual_share) / sum(raw),
-                             multiplier, cap))
+        table.append(profile(f"s{i:03d}", weight * scale, multiplier, cap))
     table.append(profile("rest", residual_share, None, rng.uniform(0.3, 0.6), residual=True))
     return tuple(table)
 
