@@ -181,6 +181,12 @@ def production_output(state: EconomyState, alpha: float, theta: float) -> float:
     """
     _require(0 < alpha < 1, "alpha must lie in (0, 1), got {}", alpha)
     _require(0 < theta <= 1, "theta must lie in (0, 1], got {}", theta)
+    return _cobb_douglas(state, alpha, theta)
+
+
+def _cobb_douglas(state: EconomyState, alpha: float, theta: float) -> float:
+    # production_output without its range checks on alpha and theta, for a
+    # caller that proved them; the labor exponent is still checked
     labor_exponent = 1.0 - alpha - theta
     _require(labor_exponent > 0,
              "labor exponent 1 - alpha - theta must be positive, got {}", labor_exponent)

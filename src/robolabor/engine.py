@@ -39,6 +39,7 @@ from .core import (
     ThetaRamp,
     YEAR_MAX,
     YEAR_MIN,
+    _cobb_douglas,
     _ramp_theta,
     _theta_extremes,
     labor_demand_ratio,
@@ -307,17 +308,12 @@ def _effective_params(scenario: Scenario, params: ModelParams, state0: EconomySt
     thetas = ((theta_mode.value,) * n_years if isinstance(theta_mode, StaticTheta)
               else [_ramp_theta(index, theta_mode) for index in range(n_years)])
     # the first theta through the checked helper, which also checks alpha;
-    # the others with its arithmetic, operand for operand
+    # the others through its product alone: ThetaRamp checked their range
     alpha = params.alpha
     first, *others = dict.fromkeys(thetas)
     base_by_theta = {first: production_output(state0, alpha, first)}
-    kalpha = state0.capital ** alpha
     for theta in others:
-        labor_exponent = 1.0 - alpha - theta
-        _require(labor_exponent > 0, "labor exponent 1 - alpha - theta must be positive, "
-                 "got {}", labor_exponent)
-        base_by_theta[theta] = (state0.tfp * kalpha * state0.labor ** labor_exponent
-                                * state0.robotics ** theta)
+        base_by_theta[theta] = _cobb_douglas(state0, alpha, theta)
     for theta, base in base_by_theta.items():
         _require(0 < base < math.inf, "initial_state gives output {} at theta {}, "
                  "which must be positive and finite", base, theta)
@@ -334,6 +330,7 @@ def _effective_params(scenario: Scenario, params: ModelParams, state0: EconomySt
     robotics = state0.robotics
     tfp = state0.tfp
     base_low = min(base_by_theta.values())
+    kalpha = state0.capital ** alpha
     overflow = output_overflow = gain_overflow = None
     for year, g_t in enumerate(scenario.growth_path(), start=scenario.horizon[0]):
         robotics = robotics * (1.0 + g_t)

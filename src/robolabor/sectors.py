@@ -258,6 +258,12 @@ def _table(sectors: Sequence[SectorProfile]) -> _Table:
     return table
 
 
+def _same_value(a: float, b: float) -> bool:
+    # a == b that tells the zeros apart: -0.0 == 0.0, but a -0.0 rate gives
+    # -0.0 sector rates and counts
+    return a == b and bool(a or math.copysign(1.0, a) == math.copysign(1.0, b))
+
+
 def disaggregate_displacement(national_rate: float,
                               sectors: Sequence[SectorProfile]) -> dict[str, float]:
     """Split a national displacement rate into per-sector rates.
@@ -288,9 +294,7 @@ def disaggregate_displacement(national_rate: float,
              "national_rate must lie in [0, 1], got {}", national_rate)
     table = _table(sectors)
     last_rate, last_rates = table.last
-    # -0.0 == 0.0, but a -0.0 rate splits into -0.0 sector rates
-    if national_rate == last_rate and (national_rate or math.copysign(1.0, national_rate)
-                                       == math.copysign(1.0, last_rate)):
+    if _same_value(national_rate, last_rate):
         return dict(zip(table.names, last_rates))
     weights, caps, residual = table.weights, table.caps, table.residual
     target_sum = national_rate * table.total
@@ -355,9 +359,7 @@ def displacement_headcounts(national_rate: float,
     total = national_rate * baseline.total_labor_force
     expat = total * baseline.expat_share
     last_expat, by_sector = baseline._last_counts
-    # -0.0 == 0.0, but a -0.0 count gives -0.0 sector counts
-    if not (expat == last_expat and (expat or math.copysign(1.0, expat)
-                                     == math.copysign(1.0, last_expat))):
+    if not _same_value(expat, last_expat):
         by_sector = {name: expat * share for name, share in baseline._shares}
         object.__setattr__(baseline, "_last_counts", (expat, by_sector))
     return HeadcountBreakdown(total=total, expat=expat, by_sector=by_sector)
