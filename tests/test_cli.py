@@ -133,6 +133,100 @@ class TestGoldenOutput:
         assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == self.STDOUT
 
 
+class TestSensitivityGoldenOutput:
+    """``sensitivity`` stdout and ``sensitivity.csv`` are pinned byte for byte.
+
+    Every bundled scenario at four perturbation sizes, including
+    ``low_adoption``'s invalid alpha-high side at 15% and 20%. Each value
+    is the SHA-256 of stdout, then of ``sensitivity.csv``.
+    """
+
+    DIGESTS = {
+        ("baseline", "5"): (
+            "d0f44efa14081f2e9680e00802615984eea79b704a3eda6087fa68bbf6d7da2e",
+            "3803be1e10631b74d854c3fc1af8bc79edc0f06647284b0e1f37a2c4520a4303"),
+        ("baseline", "10"): (
+            "defd853ac278060790bf33fb6a3ef2e4085bb06072d12d1da4ba0109e7971ca5",
+            "0a1f726d32e94ef35c625f01a4ee6b8fb3b75af754d3551d80c2c730e8295717"),
+        ("baseline", "15"): (
+            "3b5be7fd06aec19607c2b1c914cc5894ef01bb1f27b5fe77b462835157e2ff2d",
+            "42c0e000a76e3d9af5ab1e0ff3f4009469665ac3fb5703dd0985e8e9e78b5f41"),
+        ("baseline", "20"): (
+            "62c9f3390ee8e818a529201aa8b1e0a44e614235828027e1c483eb5eb588a077",
+            "723491af1036dbd79fad2807663304e0c07e969ac594835adb8bea59965a8c72"),
+        ("high_adoption", "5"): (
+            "e574a5201c73d2f3d81706606f288243c91c0c9adf22fd45b46006b9bf0a5c08",
+            "20c8595a4c740059340c6a353000b953eba31a6b0c19ffc9e024a91b7e11155c"),
+        ("high_adoption", "10"): (
+            "556238e172867a3cb618336ede85a57aa1b429b92fa4a679a02e14c97a870d45",
+            "8a61dedf06c8abeb99e8c7d789879c6cc74a5d8b22a68cda059808d4e21c2052"),
+        ("high_adoption", "15"): (
+            "a536ef5f4ec91bb638017d7874f33bf4d691edea5856202a6ce12643a776fe88",
+            "0e15dd7cd9f7c4564c0e6a2efe1a8a142830f80352d0b4c609e0f2d8ca7c074d"),
+        ("high_adoption", "20"): (
+            "862d421f4b9643c95324fc7a0c559881bb650b7b5d524e6285323dc2bb1cf9c3",
+            "35859673b4ff5a3bec4a8be6cfd6cbbe2604ae3e638d63ff3b0bcadd24c1d102"),
+        ("low_adoption", "5"): (
+            "7725afddae4968fa1c070e3a6bc1f9858eb045ac2a8db6d4a4032be3d98e5443",
+            "71b34bc31a4f6ff82bce30280687e5a1cd43c1c7add760c428cd501276bce413"),
+        ("low_adoption", "10"): (
+            "4c074ebc3dc5f882a0a6a30ff7489953306c9b125fc89e18ca332642fb15c3e8",
+            "afff3dcd12c344324d880c6bfc88b117e35cdd051b5ba152b3b918f184cc4848"),
+        ("low_adoption", "15"): (
+            "5ea20a5255a9fb1afa620597ea79d31e7d5ebc919246fb16fefa6561d4e8287c",
+            "3aba3bc004c341c71da3bc72e5e5196abb78f8edf5f0f0abd3d1d7d5025e4826"),
+        ("low_adoption", "20"): (
+            "9c7099cd7dbb2b1bf0df07dc985f85df0ead0620fca0f28734a4b598274ee91e",
+            "0bdc0cf3fc40afed2dd7cbe2dec0475604cbebddac21dd1e06b5c90556a80d17"),
+        ("productivity_spillover", "5"): (
+            "38299b15786ec2e8f152af2083eadfbc88f0ba93b17afa41ea0da7331c493f39",
+            "e91072981932ee2abf4f9501f4e9f24576cc58e7dda6e1befc9b46d96a2e70b7"),
+        ("productivity_spillover", "10"): (
+            "22a9cb256017730e6cb44a1c8f9df2e7c7a948504b0261c4e18df6670a1e9007",
+            "bdd5c887447a3c0835dc78288fd2a1ce40cc3a0b312e4394a2aabe04b5e445ed"),
+        ("productivity_spillover", "15"): (
+            "fe7265634fe72306a339fa733eef35f18e7a2352f84f3ca7b80b04dd61c4e2cd",
+            "f0f2d2b79f9b90041e8a2ee117189758080cd95484b8a0214b76df0b89c67ae4"),
+        ("productivity_spillover", "20"): (
+            "af2ee8cbd29c33044f2dc9f3e5a81c2f79da10c910dca90bc4ac836c9fe53a69",
+            "228716a90c6d090d014b89333a95369c0907c106864076cd28cf3aa46142782e"),
+        ("staged_adoption", "5"): (
+            "2c63fa4caf17427aace4fbac3ab762ac2d07c0e4b8ddcf56a97fecf94758b328",
+            "426f8478ef998fa4cc25c8cf9be1eef0689e8e5732afe4f4622133731c4df8ba"),
+        ("staged_adoption", "10"): (
+            "59aea804f0f5e6bb034bb24b577fa04c0048bb20e4b9713137d630f7c9ffed81",
+            "bfcde6bd1bc9bd31aba36800d5f5674251547f66e59586acc26f47d54c2eaa49"),
+        ("staged_adoption", "15"): (
+            "0d6a4b92d5bfedfbd444e5ed699a8070526861bcceae951ffd9e71a400001634",
+            "9638541f6b7f2ff94f5d9bc4bb153b17597c79a2ed3ea5e2becbc4504f4728c2"),
+        ("staged_adoption", "20"): (
+            "8c08a51a0a3b9d727954bab7c1ee8175583b16e37d4255d0ae6b4a8c90c5d8ad",
+            "d2dcd19dabdae630dc0902f9137af3b46b24ae1bae32096104e6d077cf4b22d8"),
+        ("null_shock", "5"): (
+            "848423a930e2c3b312c123445ce0c79c7789800c4191a48e19d2edb13fb9ce6c",
+            "d837b5845e6bf0f34bff0e34f6e8f590f52318f4d8065a710c6bc431f850e7e4"),
+        ("null_shock", "10"): (
+            "89a8a95155aca4a375a62297c94e23c930a1863864babd0491321cb0f113efc1",
+            "52dbd6b0b376f7ce9c9c249e133e70da9457a234b692b11274804412720f5d42"),
+        ("null_shock", "15"): (
+            "88b85b24f5b0c4b7e65fd53f4ba253638ca14f292327259c1efec6ff36ba40ae",
+            "e8d94a8ba525b3044fd1ca8b076238b0f7a78315b96ef1a6b14c305a13152f77"),
+        ("null_shock", "20"): (
+            "eba0775db5da080ce2bca42403ec5d7f5848de7c544618e1b82784bf2d27692f",
+            "41b332126ed49008f54d57703eb002ba0be00e5522abc3f7beb167d409282dfd"),
+    }
+
+    @pytest.mark.parametrize("scenario,perturb", sorted(DIGESTS))
+    def test_sensitivity_bytes(self, tmp_path, capsys, scenario, perturb):
+        assert cli_dispatch(["sensitivity", "--scenario", scenario,
+                             "--perturb", perturb, "--out", str(tmp_path)]) == 0
+        stdout = capsys.readouterr().out
+        assert [path.name for path in tmp_path.iterdir()] == ["sensitivity.csv"]
+        digests = (hashlib.sha256(stdout.encode("utf-8")).hexdigest(),
+                   hashlib.sha256((tmp_path / "sensitivity.csv").read_bytes()).hexdigest())
+        assert digests == self.DIGESTS[scenario, perturb]
+
+
 class TestCalibrate:
     def test_theta_from_gain(self, capsys):
         code = cli_dispatch(["calibrate", "--target", "gain=0.015",

@@ -1,10 +1,14 @@
 """One-at-a-time perturbations, tornado ordering, FD elasticities."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import pytest
+import yaml
 from mpmath import mp
 
+import robolabor
 import robolabor.sensitivity as sensitivity_module
 from robolabor import (
     DomainError,
@@ -16,6 +20,7 @@ from robolabor import (
     StaticTheta,
     default_specs,
     elasticity_fd,
+    loads_config,
     one_at_a_time,
     production_output,
     run_scenario,
@@ -216,3 +221,58 @@ class TestElasticityFd:
     def test_negative_metric_rejected(self):
         with pytest.raises(DomainError):
             elasticity_fd(lambda p: p - 10.0, 1.0)
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+BUNDLED = Path(robolabor.__file__).resolve().parent / "data" / "default_config.yaml"
+# a dynamic scenario whose every path varies by year: growth, cost and theta
+DYNAMIC = {
+    "name": "dynamic_paths",
+    "mode": "dynamic",
+    "horizon": [2026, 2035],
+    "robotics_growth": [0.02, 0.035, 0.05, 0.04, 0.06, 0.03, 0.045, 0.05, 0.025, 0.04],
+    "cost_ratio_path": [1.01, 1.02, 1.02, 1.04, 1.07, 1.09, 1.12, 1.12, 1.15, 1.2],
+    "theta": {"mode": "ramp", "start": 0.3, "end": 0.45, "ramp_years": 6},
+    "sigma": 0.7,
+    "exposure_share": 0.6,
+    "tfp_enabled": True,
+    "job_creation": {"mode": "ramp", "terminal_ratio": 0.5},
+    "key_driver": "per-year paths",
+}
+
+
+def _load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestAgainstReference:
+    """Tornados agree with the benchmark's independent reference model.
+
+    ``perfbench/reference.py`` recomputes each row from the plain config
+    data and ``perfbench/checks.py::check_tornado`` compares the records
+    to it: every value to 1e-9, the invalid sides, swing = high - low and
+    tornado order.
+    """
+
+    @pytest.fixture(scope="class")
+    def bench(self):
+        cfg = yaml.safe_load(BUNDLED.read_text(encoding="utf-8"))
+        cfg["scenarios"].append(DYNAMIC)
+        return (_load_perfbench("reference"), _load_perfbench("checks"), cfg,
+                loads_config(yaml.safe_dump(cfg), source="<reference>"))
+
+    @pytest.mark.parametrize("perturbation", [0.05, 0.10, 0.15, 0.20])
+    @pytest.mark.parametrize("name", ["baseline", "high_adoption", "low_adoption",
+                                      "productivity_spillover", "staged_adoption",
+                                      "null_shock", "dynamic_paths"])
+    def test_tornado_matches_reference(self, bench, name, perturbation):
+        reference, checks, cfg, config = bench
+        records = one_at_a_time(config.scenario(name), config.params,
+                                config.initial_state, config.baseline,
+                                default_specs(perturbation), config.sectors)
+        scenario = next(s for s in cfg["scenarios"] if s["name"] == name)
+        checks.check_tornado(records, reference.tornado(cfg, scenario, perturbation))
