@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 from .core import EconomyState, ModelParams, StaticTheta, production_output, theta_at
-from .engine import Scenario, _leaves_labor, run_scenario
+from .engine import Scenario, _leaves_labor, _resolved, run_scenario
 from .errors import (CalibrationError, MaxIterationsError, NoSignChangeError,
                      UnattainableTargetError, _require)
 from .sectors import LaborBaseline
@@ -78,12 +78,15 @@ def bisect(f: Callable[[float], float], target: float, config: SolverConfig) -> 
 
     Raises
     ------
+    DomainError
+        If ``target`` is not finite.
     NoSignChangeError
         If ``f - target`` has the same sign at both bracket ends.
     MaxIterationsError
         If the tolerance is not met within ``max_iterations``; the error
         carries the best iterate seen.
     """
+    _require(math.isfinite(target), "target must be finite, got {}", target)
     tol = config.relative_tolerance * max(1.0, abs(target))
     lo, hi = config.lo, config.hi
     flo = f(lo) - target
@@ -259,9 +262,7 @@ def _labor_end(scenario: Scenario, params: ModelParams, state0: EconomyState,
     values that pass form an interval from ``lo``; halving finds its last
     float. Other parameters, and an ``lo`` that fails too, keep ``hi``.
     """
-    sigma = params.sigma if scenario.sigma_override is None else scenario.sigma_override
-    exposure = (params.exposure_share if scenario.exposure_override is None
-                else scenario.exposure_override)
+    sigma, _, exposure = _resolved(scenario, params)
     terminal = scenario.cost_path()[-1]
     checks = {"sigma": lambda x: _leaves_labor(state0, terminal, x, exposure),
               "exposure": lambda x: _leaves_labor(state0, terminal, sigma, x),
@@ -287,11 +288,14 @@ def calibrate_scenario(scenario: Scenario, params: ModelParams, state0: EconomyS
     value in place of the scenario's field or whole path. ``iterations``
     counts engine runs; ``residual`` is the engine's gap at the solved value.
     ``output`` solves TFP at the initial state and runs no engine. Raises
+    :class:`DomainError` for a target that is not finite, and
     :class:`UnattainableTargetError` when the target lies outside what the
     engine reaches over the parameter's bracket.
     """
+    _require(math.isfinite(target_value),
+             "{} target must be finite, got {}", target_name, target_value)
     if (target_name, parameter) == ("output", "tfp"):
-        theta0 = theta_at(0, scenario.theta_override or params.theta)
+        theta0 = theta_at(0, _resolved(scenario, params)[1])
         value = solve_tfp_level(target_value, state0.capital, state0.labor,
                                 state0.robotics, params.alpha, theta0)
         output = production_output(replace(state0, tfp=value), params.alpha, theta0)

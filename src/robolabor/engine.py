@@ -280,6 +280,15 @@ def _leaves_labor(state0: EconomyState, cost_ratio: float, sigma: float,
     return state0.labor * labor_demand_ratio(cost_ratio, sigma, exposure) > 0
 
 
+def _resolved(scenario: Scenario, params: ModelParams) -> tuple[float, ThetaMode, float]:
+    """The sigma, theta schedule and exposure share a run reads: each
+    scenario override where set, otherwise the model parameter."""
+    return (params.sigma if scenario.sigma_override is None else scenario.sigma_override,
+            params.theta if scenario.theta_override is None else scenario.theta_override,
+            (params.exposure_share if scenario.exposure_override is None
+             else scenario.exposure_override))
+
+
 def _effective_params(scenario: Scenario, params: ModelParams, state0: EconomyState
                       ) -> tuple[float, Sequence[float], dict[float, float], float]:
     """Resolve the scenario overrides; prove every simulated year in-domain.
@@ -297,10 +306,7 @@ def _effective_params(scenario: Scenario, params: ModelParams, state0: EconomySt
     the inputs' own rules, every precondition of the public helpers then
     holds every year.
     """
-    sigma = scenario.sigma_override if scenario.sigma_override is not None else params.sigma
-    theta_mode = scenario.theta_override if scenario.theta_override is not None else params.theta
-    exposure = (scenario.exposure_override if scenario.exposure_override is not None
-                else params.exposure_share)
+    sigma, theta_mode, exposure = _resolved(scenario, params)
     for value in _theta_extremes(theta_mode):
         _require(params.alpha + value < 1,
                  "alpha + theta must stay below 1, got {} + {}", params.alpha, value)

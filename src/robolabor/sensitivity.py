@@ -4,15 +4,20 @@ Each listed parameter is perturbed multiplicatively around its scenario
 value while everything else stays put, the scenario is rerun, and the swing
 in a chosen result metric is recorded. Records come back in tornado order:
 largest absolute swing first, failed perturbations last, names breaking
-ties. Cost-ratio shocks are perturbed in their deviation from 1.0 so a
-downside perturbation shrinks the shock instead of flipping its direction.
+ties.
+
+A parameter is scaled where the run reads it: the scenario's override when
+one is set, otherwise the model parameter. A shock path scales every entry
+and a theta schedule its whole schedule. Cost-ratio shocks are perturbed in
+their deviation from 1.0 so a downside perturbation shrinks the shock
+instead of flipping its direction. Reported values are first-year entries.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .core import EconomyState, ModelParams, StaticTheta, ThetaRamp
 from .engine import Scenario, SimulationResult, run_scenario
@@ -29,20 +34,27 @@ __all__ = [
     "elasticity_fd",
 ]
 
-PARAMETERS = ("alpha", "theta", "sigma", "robotics_growth", "cost_ratio",
-              "exposure_share", "tfp_boost")
-METRICS = ("output_gain", "displacement", "terminal_output")
 
-# default metric per parameter: the channel the parameter acts through
-_DEFAULT_METRIC = {
-    "alpha": "terminal_output",
-    "theta": "output_gain",
-    "sigma": "displacement",
-    "robotics_growth": "output_gain",
-    "cost_ratio": "displacement",
-    "exposure_share": "displacement",
-    "tfp_boost": "output_gain",
+class _Parameter(NamedTuple):
+    """Where a tornado parameter lives, and the metric it acts through."""
+
+    params_field: str | None    # the ModelParams field holding it
+    scenario_field: str | None  # the Scenario field overriding it, or holding a shock path
+    metric: str                 # its default metric
+
+
+_TABLE = {
+    "alpha": _Parameter("alpha", None, "terminal_output"),
+    "theta": _Parameter("theta", "theta_override", "output_gain"),
+    "sigma": _Parameter("sigma", "sigma_override", "displacement"),
+    "robotics_growth": _Parameter(None, "robotics_growth", "output_gain"),
+    "cost_ratio": _Parameter(None, "cost_ratio_path", "displacement"),
+    "exposure_share": _Parameter("exposure_share", "exposure_override", "displacement"),
+    "tfp_boost": _Parameter("tfp_boost_per_adoption_pct", None, "output_gain"),
 }
+
+PARAMETERS = tuple(_TABLE)
+METRICS = ("output_gain", "displacement", "terminal_output")
 
 
 @dataclass(frozen=True)
@@ -90,79 +102,40 @@ class SensitivityRecord:
 def default_specs(perturbation: float = 0.10) -> tuple[PerturbationSpec, ...]:
     """One spec per supported parameter at a common perturbation size."""
     return tuple(PerturbationSpec(parameter=name, perturbation=perturbation,
-                                  metric=_DEFAULT_METRIC[name])
-                 for name in PARAMETERS)
+                                  metric=row.metric)
+                 for name, row in _TABLE.items())
 
 
-def _effective_value(spec_name: str, scenario: Scenario, params: ModelParams) -> float:
-    """Representative current value of a parameter (first-year entry for paths)."""
-    if spec_name == "alpha":
-        return params.alpha
-    if spec_name == "theta":
-        theta = scenario.theta_override or params.theta
-        return theta.value if isinstance(theta, StaticTheta) else theta.start
-    if spec_name == "sigma":
-        return (scenario.sigma_override if scenario.sigma_override is not None
-                else params.sigma)
-    if spec_name == "robotics_growth":
-        return scenario.growth_path()[0]
-    if spec_name == "cost_ratio":
-        return scenario.cost_path()[0]
-    if spec_name == "exposure_share":
-        return (scenario.exposure_override if scenario.exposure_override is not None
-                else params.exposure_share)
-    return params.tfp_boost_per_adoption_pct
+def _holder(parameter: str, scenario: Scenario,
+            params: ModelParams) -> tuple[Scenario | ModelParams, str]:
+    """The object and field the run reads a parameter from."""
+    params_field, scenario_field, _ = _TABLE[parameter]
+    if scenario_field is not None and getattr(scenario, scenario_field) is not None:
+        return scenario, scenario_field
+    return params, params_field
 
 
-def _scaled_theta(theta, factor: float):
-    if isinstance(theta, StaticTheta):
-        return StaticTheta(theta.value * factor)
-    return ThetaRamp(start=theta.start * factor, end=theta.end * factor,
-                     ramp_years=theta.ramp_years)
+def _scaled(value, factor: float, field: str):
+    """``value`` times ``factor``: a cost ratio in its deviation from 1, a
+    path in every entry, a theta schedule in its whole schedule."""
+    if isinstance(value, StaticTheta):
+        return StaticTheta(value.value * factor)
+    if isinstance(value, ThetaRamp):
+        return ThetaRamp(start=value.start * factor, end=value.end * factor,
+                         ramp_years=value.ramp_years)
+    deviation = field == "cost_ratio_path"
+    if isinstance(value, tuple):
+        return tuple(1.0 + (v - 1.0) * factor if deviation else v * factor for v in value)
+    return 1.0 + (value - 1.0) * factor if deviation else value * factor
 
 
-def _apply(spec_name: str, factor: float, scenario: Scenario,
-           params: ModelParams) -> tuple[Scenario, ModelParams]:
-    """Return copies with one parameter scaled; validation may raise."""
-    if spec_name == "alpha":
-        return scenario, replace(params, alpha=params.alpha * factor)
-    if spec_name == "theta":
-        if scenario.theta_override is not None:
-            return (replace(scenario,
-                            theta_override=_scaled_theta(scenario.theta_override, factor)),
-                    params)
-        return scenario, replace(params, theta=_scaled_theta(params.theta, factor))
-    if spec_name == "sigma":
-        if scenario.sigma_override is not None:
-            return replace(scenario, sigma_override=scenario.sigma_override * factor), params
-        return scenario, replace(params, sigma=params.sigma * factor)
-    if spec_name == "robotics_growth":
-        path = scenario.robotics_growth
-        if isinstance(path, tuple):
-            scaled = tuple(g * factor for g in path)
-        else:
-            scaled = path * factor
-        return replace(scenario, robotics_growth=scaled), params
-    if spec_name == "cost_ratio":
-        path = scenario.cost_ratio_path
-        if isinstance(path, tuple):
-            scaled = tuple(1.0 + (r - 1.0) * factor for r in path)
-        else:
-            scaled = 1.0 + (path - 1.0) * factor
-        return replace(scenario, cost_ratio_path=scaled), params
-    if spec_name == "exposure_share":
-        if scenario.exposure_override is not None:
-            return (replace(scenario, exposure_override=scenario.exposure_override * factor),
-                    params)
-        return scenario, replace(params, exposure_share=params.exposure_share * factor)
-    return scenario, replace(
-        params, tfp_boost_per_adoption_pct=params.tfp_boost_per_adoption_pct * factor)
-
-
-def _perturbed_value(spec_name: str, base_value: float, factor: float) -> float:
-    if spec_name == "cost_ratio":
-        return 1.0 + (base_value - 1.0) * factor
-    return base_value * factor
+def _first(value) -> float:
+    """The reported value of a parameter: a path's or schedule's first year."""
+    if isinstance(value, StaticTheta):
+        return value.value
+    if isinstance(value, ThetaRamp):
+        return value.start
+    return value[0] if isinstance(value, tuple) else float(value)
 
 
 def _extract(metric: str, result: SimulationResult) -> float:
@@ -196,25 +169,24 @@ def one_at_a_time(scenario: Scenario, params: ModelParams, state0: EconomyState,
     base_result = run_scenario(scenario, params, state0, baseline, sectors)
     records: list[SensitivityRecord] = []
     for spec in specs:
-        base_value = _effective_value(spec.parameter, scenario, params)
+        holder, field = _holder(spec.parameter, scenario, params)
+        value = getattr(holder, field)
+        base_value = _first(value)
         base_metric = _extract(spec.metric, base_result)
         side_values: list[float] = []
         side_results: list[float] = []
         error: str | None = None
         for factor in (1.0 - spec.perturbation, 1.0 + spec.perturbation):
+            side_values.append(_scaled(base_value, factor, field))
             try:
-                mod_scenario, mod_params = _apply(spec.parameter, factor,
-                                                  scenario, params)
-                side_result = run_scenario(mod_scenario, mod_params, state0,
-                                           baseline, sectors)
-                side_values.append(_effective_value(spec.parameter, mod_scenario,
-                                                    mod_params))
+                changed = replace(holder, **{field: _scaled(value, factor, field)})
+                inputs = (changed, params) if holder is scenario else (scenario, changed)
+                side_result = run_scenario(*inputs, state0, baseline, sectors)
                 side_results.append(_extract(spec.metric, side_result))
             except ModelError as exc:
                 side = "low" if factor < 1 else "high"
                 message = f"{side} perturbation invalid: {exc}"
                 error = message if error is None else f"{error}; {message}"
-                side_values.append(_perturbed_value(spec.parameter, base_value, factor))
                 side_results.append(math.nan)
         low_res, high_res = side_results
         records.append(SensitivityRecord(

@@ -76,6 +76,15 @@ class TestBisect:
         root = bisect(lambda x: -x, -3.0, SolverConfig(lo=0.0, hi=10.0))
         assert root == pytest.approx(3.0, abs=1e-9)
 
+    @pytest.mark.parametrize("target", [math.inf, -math.inf, math.nan])
+    def test_non_finite_target(self, target):
+        # an infinite target made the tolerance infinite, so the first
+        # bracket end passed as a solution
+        calls = []
+        with pytest.raises(DomainError, match=f"target must be finite, got {target}"):
+            bisect(lambda x: calls.append(x) or x, target, SolverConfig(lo=0.0, hi=1.0))
+        assert calls == []
+
     @pytest.mark.parametrize("lo,hi,tol,iters", [
         (1.0, 0.0, 1e-10, 200), (0.0, 1.0, 0.0, 200), (0.0, 1.0, 1e-10, 0),
     ])
@@ -383,6 +392,13 @@ class TestCalibrateScenario:
         assert "theta in [1e-09, 0.65]" in message
         assert "gives gain from 0.0615202 to 0.284004" in message
         assert "f - target" not in message
+
+    @pytest.mark.parametrize("target_name, parameter", SUPPORTED_PAIRS)
+    @pytest.mark.parametrize("target", [math.inf, -math.inf, math.nan])
+    def test_non_finite_target(self, cfg, target_name, parameter, target):
+        with pytest.raises(DomainError,
+                           match=f"{target_name} target must be finite, got {target}"):
+            solve(cfg, "baseline", target_name, target, parameter)
 
     def test_theta_bracket_stays_below_one_minus_alpha(self, cfg):
         # the engine rejects alpha + theta >= 1, so the bracket ends below it

@@ -307,6 +307,18 @@ class TestCalibrate:
         assert "gives gain from 0.0615202 to 0.284004" in err
         assert "f - target" not in err
 
+    @pytest.mark.parametrize("target, parameter", [
+        ("gain=inf", "theta"), ("displacement=-inf", "sigma"), ("gain=nan", "theta"),
+        ("output=inf", "tfp")])
+    def test_non_finite_target_exits_two(self, capsys, target, parameter):
+        # gain=inf once printed "solved theta = 1e-09" and a residual of
+        # -Infinity, which is not JSON
+        code, out, err = self.calibrate(capsys, "baseline", target, parameter)
+        name, _, value = target.partition("=")
+        assert code == 2
+        assert out == ""
+        assert f"error: {name} target must be finite, got {value}" in err
+
     def test_exposure_over_a_dynamic_horizon(self, cfg, capsys):
         # the single-year closed form asked for exposure 2.03 and exited 2
         code, out, _ = self.calibrate(capsys, "staged_adoption", "displacement=0.02",
