@@ -8,7 +8,8 @@ job-creation effects, calibrates unstated inputs from published outcomes,
 and runs one-at-a-time sensitivity analyses. Ships with a Qatar-calibrated
 default dataset.
 
-Same inputs, same outputs, bit for bit: no randomness, no hidden state.
+Same inputs, same outputs, bit for bit: no randomness, and the only state
+kept between calls is reuse that never changes a result.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from .engine import (
     TargetGap,
     TargetSet,
     YearRecord,
-    compare_to_targets,
     run_scenario,
 )
 from .errors import (
@@ -86,7 +86,6 @@ from .sectors import (
     displacement_headcounts,
     job_creation,
     remittance_impact,
-    round_half_away,
 )
 from .sensitivity import (
     PerturbationSpec,
@@ -108,11 +107,9 @@ __all__ = [
     "Readiness", "SectorProfile", "LaborBaseline", "HeadcountBreakdown",
     "JobCreationRatio", "JobCreationRamp", "disaggregate_displacement",
     "displacement_headcounts", "remittance_impact", "job_creation",
-    "round_half_away",
     # engine
     "SimulationMode", "TargetSet", "RawShocks", "Scenario", "YearRecord",
     "ResultSummary", "TargetGap", "SimulationResult", "run_scenario",
-    "compare_to_targets",
     # calibration
     "SolverConfig", "CalibrationReport", "SUPPORTED_PAIRS", "calibrate_scenario",
     "bisect", "solve_tfp_level",

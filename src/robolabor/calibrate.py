@@ -30,12 +30,6 @@ __all__ = [
     "implied_cost_ratio", "implied_robotics_growth",
 ]
 
-RATIO_SPACE_NOTE = (
-    "all calibration is performed in ratio space: targets are fractional "
-    "changes against the frozen baseline year"
-)
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Bracket and stopping rule for :func:`bisect`."""

@@ -53,6 +53,26 @@ _FORMATS = ("csv", "json")
 _LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
+class _UniqueKeys:
+    """Loader mixin: a key stated twice in one mapping is an error; one merged by ``<<`` is not."""
+
+    def construct_mapping(self, node, deep=False):
+        own = ([key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
+               if isinstance(node, yaml.MappingNode) else [])
+        mapping = super().construct_mapping(node, deep=deep)  # rejects unhashable keys
+        seen = set()
+        for key_node in own:
+            key = self.construct_object(key_node)  # built above: a lookup
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"found duplicate key {key!r}", key_node.start_mark)
+            seen.add(key)
+        return mapping
+
+
+_unique_keys = functools.cache(lambda loader: type(loader.__name__, (_UniqueKeys, loader), {}))
+
+
 @dataclass(frozen=True)
 class OutputOptions:
     """Where and in which formats result files are written."""
@@ -108,7 +128,7 @@ _Converter = Callable[[Any, str], Any]
 # ---------------------------------------------------------------------------
 
 def _check_keys(node: dict, allowed: frozenset[str], path: str) -> None:
-    unknown = sorted(set(node) - allowed)
+    unknown = sorted(set(node) - allowed, key=repr)  # YAML keys need not be strings
     if unknown:
         raise ConfigError(
             f"unknown key(s) {', '.join(map(repr, unknown))}; "
@@ -342,7 +362,7 @@ def _parse_tasks(node: Any, path: str) -> dict[str, tuple[dict, ...]]:
 def loads_config(text: str, source: str = "<string>") -> RunConfig:
     """Parse and validate config YAML from a string."""
     try:
-        data = yaml.load(text, Loader=_LOADER)
+        data = yaml.load(text, Loader=_unique_keys(_LOADER))
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
@@ -405,6 +425,8 @@ def load_config(path: str | Path) -> RunConfig:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read config file {path}: not UTF-8 at byte {exc.start}") from exc
     return loads_config(text, source=str(path))
 
 

@@ -67,7 +67,6 @@ __all__ = [
     "TargetGap",
     "SimulationResult",
     "run_scenario",
-    "compare_to_targets",
 ]
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_-]+$")
@@ -270,7 +269,6 @@ class SimulationResult:
     summary: ResultSummary
     sector_rates: dict[str, float]
     headcounts: HeadcountBreakdown
-    targets: TargetSet | None = None
     target_comparison: tuple[TargetGap, ...] | None = None
 
 
@@ -485,23 +483,12 @@ def run_scenario(scenario: Scenario, params: ModelParams, state0: EconomyState,
         summary=summary,
         sector_rates=sector_rates,
         headcounts=headcounts,
-        targets=targets,
         target_comparison=None if targets is None else _target_gaps(targets, summary),
     )
 
 
-def compare_to_targets(result: SimulationResult) -> tuple[TargetGap, ...]:
-    """Gap of each computed summary metric against the scenario targets.
-
-    Pure function of the result; records are never touched. Raw shock
-    metrics ride along when the scenario stated them.
-    """
-    if result.targets is None:
-        return ()
-    return _target_gaps(result.targets, result.summary)
-
-
 def _target_gaps(targets: TargetSet, summary: ResultSummary) -> tuple[TargetGap, ...]:
+    """Gap of each summary metric against its target, raw metrics when stated."""
     gaps: list[TargetGap] = []
     if targets.gdp_gain is not None:
         raw = summary.raw_gdp_gain

@@ -25,8 +25,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .calibrate import RATIO_SPACE_NOTE, CalibrationReport
-from .config import RunConfig
+from .config import _FORMATS, RunConfig
 from .engine import SimulationResult, YearRecord
 from .sensitivity import SensitivityRecord
 
@@ -47,6 +46,11 @@ GAIN_SEMANTICS_NOTE = (
     "at its baseline level; realized_gain includes the drag from displaced "
     "labor; dynamic scenarios report terminal values against the frozen "
     "baseline year"
+)
+
+RATIO_SPACE_NOTE = (
+    "all calibration is performed in ratio space: targets are fractional "
+    "changes against the frozen baseline year"
 )
 
 _SUMMARY_COLUMNS = (
@@ -105,24 +109,15 @@ class OutputBundle:
     """Everything one run wants written to disk."""
 
     results: tuple[SimulationResult, ...]
-    sensitivity: tuple[SensitivityRecord, ...] | None = None
-    calibration: tuple[CalibrationReport, ...] | None = None
     figure_scenario: str | None = None
 
 
-def build_output_bundle(config: RunConfig, results: Sequence[SimulationResult],
-                        sensitivity: Sequence[SensitivityRecord] | None = None,
-                        calibration: Sequence[CalibrationReport] | None = None
-                        ) -> OutputBundle:
+def build_output_bundle(config: RunConfig, results: Sequence[SimulationResult]) -> OutputBundle:
     """Assemble a bundle, resolving the figure scenario from the config."""
     names = {r.scenario for r in results}
     figure = config.output.figure_scenario
-    return OutputBundle(
-        results=tuple(results),
-        sensitivity=None if sensitivity is None else tuple(sensitivity),
-        calibration=None if calibration is None else tuple(calibration),
-        figure_scenario=figure if figure in names else None,
-    )
+    return OutputBundle(results=tuple(results),
+                        figure_scenario=figure if figure in names else None)
 
 
 def _cells_text(row: Sequence) -> str:
@@ -263,15 +258,13 @@ def write_outputs(bundle: OutputBundle, directory: str | Path,
                   formats: Sequence[str] = ("csv", "json")) -> list[Path]:
     """Write the bundle's files and return the sorted manifest of paths.
 
-    The name set is deterministic: one ``<scenario>_timeseries.csv`` per
-    result plus ``summary.csv`` (CSV format), ``summary.json`` and
-    ``calibration.json`` (JSON format), ``sensitivity.csv`` and
-    ``figure1_data.csv`` when the bundle carries them. An empty result list
-    still produces the summary header.
+    The name set is deterministic: ``<scenario>_timeseries.csv`` per result,
+    ``summary.csv`` and the figure scenario's ``figure1_data.csv`` (CSV), and
+    ``summary.json`` (JSON). An empty result list still writes the summary header.
     """
     for fmt in formats:
-        if fmt not in ("csv", "json"):
-            raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
+        if fmt not in _FORMATS:
+            raise ValueError(f"format must be one of {list(_FORMATS)}, got {fmt!r}")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     manifest: list[Path] = []
@@ -286,8 +279,6 @@ def write_outputs(bundle: OutputBundle, directory: str | Path,
         path = directory / "summary.csv"
         _write_csv(path, _SUMMARY_COLUMNS, _summary_rows(bundle.results))
         manifest.append(path)
-        if bundle.sensitivity is not None:
-            manifest.append(write_sensitivity_csv(bundle.sensitivity, directory))
         if bundle.figure_scenario is not None:
             for result in bundle.results:
                 if result.scenario == bundle.figure_scenario:
@@ -301,11 +292,6 @@ def write_outputs(bundle: OutputBundle, directory: str | Path,
         path = directory / "summary.json"
         _write_json(path, _summary_payload(bundle.results))
         manifest.append(path)
-        if bundle.calibration is not None:
-            path = directory / "calibration.json"
-            _write_json(path, {"notes": [RATIO_SPACE_NOTE],
-                               "reports": [r.to_dict() for r in bundle.calibration]})
-            manifest.append(path)
 
     return sorted(manifest)
 

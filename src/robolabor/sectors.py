@@ -30,7 +30,6 @@ __all__ = [
     "displacement_headcounts",
     "remittance_impact",
     "job_creation",
-    "round_half_away",
 ]
 
 # employment-weighted sector rates must recover the national rate this closely
@@ -345,8 +344,7 @@ def displacement_headcounts(national_rate: float,
 
     Total displaced workers, the expatriate slice, and per-sector counts of
     displaced expatriates following the baseline sector shares, as they
-    were when the baseline was built. Values are exact products; use
-    :func:`round_half_away` for presentation.
+    were when the baseline was built. Values are exact products.
 
     A baseline keeps the per-sector counts of the last call on it: a call
     with the same expatriate count (and the same sign of zero) copies them
@@ -365,28 +363,22 @@ def displacement_headcounts(national_rate: float,
     return HeadcountBreakdown(total=total, expat=expat, by_sector=by_sector)
 
 
-def remittance_impact(displacement_rate: float, baseline: LaborBaseline,
-                      decline_band: tuple[float, float] | None = None,
-                      reference_rate: float | None = None) -> tuple[float, float]:
+def remittance_impact(displacement_rate: float, baseline: LaborBaseline) -> tuple[float, float]:
     """Annual remittance outflow reduction band for a displacement rate.
 
-    The published decline band applies at the reference displacement rate
+    The baseline's decline band applies at its reference displacement rate
     and scales linearly with the actual rate:
 
         impact = remittance_base * band * (rate / reference_rate)
 
     Returns the (low, high) bounds in the remittance base currency. At the
-    reference rate the band applies exactly.
+    reference rate the band applies exactly. ``dataclasses.replace`` on the
+    baseline gives another band or reference rate.
     """
     _require(0 <= displacement_rate <= 1,
              "displacement_rate must lie in [0, 1], got {}", displacement_rate)
-    band = decline_band if decline_band is not None else baseline.remittance_decline_band
-    reference = (reference_rate if reference_rate is not None
-                 else baseline.remittance_reference_rate)
-    _require(len(band) == 2 and 0 <= band[0] <= band[1] <= 1,
-             "decline band must be ordered within [0, 1], got {}", band)
-    _require(reference > 0, "reference_rate must be positive, got {}", reference)
-    scale = displacement_rate / reference
+    band = baseline.remittance_decline_band
+    scale = displacement_rate / baseline.remittance_reference_rate
     return (baseline.remittance_base * band[0] * scale,
             baseline.remittance_base * band[1] * scale)
 
@@ -436,11 +428,3 @@ def job_creation(displaced_cumulative: float, model: JobCreationModel,
         return model.terminal_ratio * progress * displaced_cumulative
     raise DomainError(
         f"model must be JobCreationRatio or JobCreationRamp, got {type(model).__name__}")
-
-
-def round_half_away(value: float) -> int:
-    """Round to the nearest integer with halves away from zero.
-
-    Presentation helper for headcounts; internal arithmetic stays exact.
-    """
-    return int(math.floor(value + 0.5)) if value >= 0 else -int(math.floor(-value + 0.5))

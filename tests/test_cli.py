@@ -51,6 +51,13 @@ class TestValidate:
         assert "validation error" in err
         assert "sigma" in err
 
+    def test_config_that_is_not_utf8_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes(("# caf\u00e9\n" + BAD_SIGMA).encode("latin-1"))
+        assert cli_dispatch(["validate", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"validation error: cannot read config file {path}: not UTF-8 at byte 5\n")
+
 
 class TestSimulate:
     def test_single_scenario_run(self, tmp_path, capsys):

@@ -3,7 +3,7 @@
 import copy
 import re
 import typing
-from dataclasses import MISSING, fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -397,6 +397,7 @@ LOADER_TEXTS = {
 
 needs_libyaml = pytest.mark.skipif(not yaml.__with_libyaml__,
                                    reason="PyYAML built without libyaml")
+BOTH_LOADERS = ["SafeLoader", pytest.param("CSafeLoader", marks=needs_libyaml)]
 
 
 class TestLoaders:
@@ -420,14 +421,31 @@ class TestLoaders:
         monkeypatch.setattr(config_module, "_LOADER", yaml.SafeLoader)
         assert loads_config(text) == expected
 
-    @pytest.mark.parametrize("loader", ["SafeLoader",
-                                        pytest.param("CSafeLoader", marks=needs_libyaml)])
+    @pytest.mark.parametrize("loader", BOTH_LOADERS)
     def test_malformed_yaml_reports_line_and_column(self, loader, monkeypatch):
         monkeypatch.setattr(config_module, "_LOADER", getattr(yaml, loader))
         with pytest.raises(ConfigError, match="invalid YAML in custom.yaml at "
                                               "line 3, column 10: "):
             loads_config("params: 1\nbaseline: [unclosed\nscenarios: {",
                          source="custom.yaml")
+
+    @pytest.mark.parametrize("loader", BOTH_LOADERS)
+    def test_duplicate_key_reports_line_and_column(self, loader, monkeypatch):
+        monkeypatch.setattr(config_module, "_LOADER", getattr(yaml, loader))
+        text = MINIMAL.replace("  alpha: 0.35\n", "  alpha: 0.35\n  alpha: 0.30\n")
+        with pytest.raises(ConfigError, match="^invalid YAML in custom.yaml at line 4, "
+                                              "column 3: found duplicate key 'alpha'$"):
+            loads_config(text, source="custom.yaml")
+
+    @pytest.mark.parametrize("loader", BOTH_LOADERS)
+    def test_merged_keys_may_be_overridden(self, loader, monkeypatch):
+        monkeypatch.setattr(config_module, "_LOADER", getattr(yaml, loader))
+        text = ONE_SCENARIO.replace("  - name: s1\n", "  - &s1\n    name: s1\n")
+        config = loads_config(text + "  - <<: *s1\n    name: s2\n    robotics_growth: 0.07\n")
+        assert config.scenario("s2") == replace(config.scenario("s1"), name="s2",
+                                                robotics_growth=0.07)
+        with pytest.raises(ConfigError, match="line 23, column 5: found duplicate key 'name'"):
+            loads_config(text + "  - <<: *s1\n    name: s2\n    name: s3\n")
 
 
 # every key of every section set, so each one can be broken or removed alone
@@ -588,6 +606,12 @@ class TestErrorPaths:
     def test_full_config_loads(self):
         config = loads_config(yaml.safe_dump(FULL))
         assert config.scenario("s1").theta_override == ThetaRamp(0.4, 0.5, 3)
+
+    def test_unknown_keys_of_mixed_types(self):
+        with pytest.raises(ConfigError) as excinfo:
+            loads_config(yaml.safe_dump(FULL) + "2: x\nfoo: y\n")
+        assert excinfo.value.path == "<root>"
+        assert str(excinfo.value).startswith("<root>: unknown key(s) 'foo', 2; allowed: ")
 
     @pytest.mark.parametrize("location,value,path,message", WRONG_TYPES,
                              ids=[f"{_block_path(c[0])}={c[1]!r}" for c in WRONG_TYPES])

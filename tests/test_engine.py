@@ -21,7 +21,6 @@ from robolabor import (
     TargetSet,
     ThetaRamp,
     YearRecord,
-    compare_to_targets,
     job_creation,
     labor_demand_ratio,
     production_output,
@@ -218,9 +217,7 @@ class TestDynamic:
 class TestTargetComparison:
     def test_no_targets_no_comparison(self, cfg, params, state0, baseline):
         result = run_scenario(cfg.scenario("null_shock"), params, state0, baseline)
-        assert result.targets is None
         assert result.target_comparison is None
-        assert compare_to_targets(result) == ()
 
     def test_baseline_gap_is_the_stated_discrepancy(self, cfg, params, state0,
                                                     baseline):
@@ -249,10 +246,19 @@ class TestTargetComparison:
 
     def test_comparison_of_the_result_is_the_one_it_carries(self, cfg, params,
                                                              state0, baseline):
+        summary_metric = {"gdp_gain": "gdp_gain", "displacement": "displacement_rate"}
         for scenario in cfg.scenarios:
             result = run_scenario(scenario, params, state0, baseline)
-            if scenario.targets is not None:
-                assert compare_to_targets(result) == result.target_comparison
+            if scenario.targets is None:
+                assert result.target_comparison is None
+                continue
+            stated = {metric: target for metric, target
+                      in dataclasses.asdict(scenario.targets).items() if target is not None}
+            assert {gap.metric: gap.target for gap in result.target_comparison} == stated
+            for gap in result.target_comparison:
+                computed = getattr(result.summary, summary_metric[gap.metric])
+                assert gap.computed == computed
+                assert gap.gap == computed - gap.target
 
 
 class TestRecords:

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robolabor import (
-    CalibrationReport,
     OutputBundle,
     SensitivityRecord,
     YearRecord,
@@ -23,8 +22,8 @@ from robolabor import (
     write_outputs,
     write_sensitivity_csv,
 )
-from robolabor.calibrate import RATIO_SPACE_NOTE
 from robolabor.report import (
+    RATIO_SPACE_NOTE,
     _SENSITIVITY_COLUMNS,
     _SUMMARY_COLUMNS,
     _TIMESERIES_COLUMNS,
@@ -114,14 +113,13 @@ def results(cfg, params, state0, baseline, sectors):
 
 
 @pytest.fixture(scope="module")
-def bundle(cfg, params, state0, baseline, results):
-    sensitivity = one_at_a_time(cfg.scenario("baseline"), params, state0,
-                                baseline)
-    report = CalibrationReport(target_name="gdp_gain", target_value=0.015,
-                               parameter="theta", value=0.3052,
-                               residual=-1e-16, iterations=0)
-    return build_output_bundle(cfg, results, sensitivity=sensitivity,
-                               calibration=[report])
+def bundle(cfg, results):
+    return build_output_bundle(cfg, results)
+
+
+@pytest.fixture(scope="module")
+def sensitivity(cfg, params, state0, baseline):
+    return one_at_a_time(cfg.scenario("baseline"), params, state0, baseline)
 
 
 def read_csv(path):
@@ -134,11 +132,10 @@ class TestManifest:
         manifest = write_outputs(bundle, tmp_path)
         names = [path.name for path in manifest]
         assert names == sorted([
-            "baseline_timeseries.csv", "calibration.json", "figure1_data.csv",
+            "baseline_timeseries.csv", "figure1_data.csv",
             "high_adoption_timeseries.csv", "low_adoption_timeseries.csv",
             "null_shock_timeseries.csv", "productivity_spillover_timeseries.csv",
-            "sensitivity.csv", "staged_adoption_timeseries.csv", "summary.csv",
-            "summary.json",
+            "staged_adoption_timeseries.csv", "summary.csv", "summary.json",
         ])
         assert all(path.parent == tmp_path for path in manifest)
 
@@ -146,13 +143,12 @@ class TestManifest:
         manifest = write_outputs(bundle, tmp_path, formats=["csv"])
         names = {path.name for path in manifest}
         assert "summary.json" not in names
-        assert "calibration.json" not in names
         assert "summary.csv" in names
 
     def test_json_only(self, bundle, tmp_path):
         manifest = write_outputs(bundle, tmp_path, formats=["json"])
         names = {path.name for path in manifest}
-        assert names == {"summary.json", "calibration.json"}
+        assert names == {"summary.json"}
 
     def test_unknown_format_rejected(self, bundle, tmp_path):
         with pytest.raises(ValueError, match="format"):
@@ -271,9 +267,8 @@ class TestJsonPayloads:
                                                               tmp_path):
         write_outputs(bundle, tmp_path, formats=["json"])
         numbers = []
-        for name in ("summary.json", "calibration.json"):
-            json.loads((tmp_path / name).read_text(), parse_float=numbers.append,
-                       parse_int=numbers.append)
+        json.loads((tmp_path / "summary.json").read_text(), parse_float=numbers.append,
+                   parse_int=numbers.append)
         assert len(numbers) > 100
         for text in numbers:
             mantissa = text.lstrip("-").split("e")[0].replace(".", "")
@@ -321,27 +316,19 @@ class TestJsonPayloads:
     def test_json_float_text_matches_the_oracle(self, value):
         assert "".join(_json_chunks([value])) == "".join(oracle_json_chunks([value]))
 
-    def test_calibration_payload(self, bundle, tmp_path):
-        write_outputs(bundle, tmp_path, formats=["json"])
-        payload = json.loads((tmp_path / "calibration.json").read_text())
-        assert payload["notes"] == [RATIO_SPACE_NOTE]
-        (report,) = payload["reports"]
-        assert report["parameter"] == "theta"
-        assert report["target_value"] == 0.015
-
 
 class TestSensitivityCsv:
-    def test_standalone_writer(self, bundle, tmp_path):
-        path = write_sensitivity_csv(bundle.sensitivity, tmp_path)
+    def test_standalone_writer(self, sensitivity, tmp_path):
+        path = write_sensitivity_csv(sensitivity, tmp_path)
         assert path.name == "sensitivity.csv"
         rows = read_csv(path)
         assert len(rows) == 7
         assert rows[0]["error"] == ""
 
-    def test_nan_cells_written_as_nan(self, tmp_path, bundle):
+    def test_nan_cells_written_as_nan(self, tmp_path, sensitivity):
         import dataclasses
         import math
-        broken = dataclasses.replace(bundle.sensitivity[0],
+        broken = dataclasses.replace(sensitivity[0],
                                      low_result=math.nan, swing=math.nan,
                                      error="low perturbation invalid: x")
         path = write_sensitivity_csv([broken], tmp_path)
