@@ -401,6 +401,14 @@ class TestRemittanceImpact:
         with pytest.raises(DomainError):
             remittance_impact(1.5, baseline)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("remittance_decline_band", (0.3, 0.1), "remittance_decline_band must be ordered"),
+        ("remittance_reference_rate", 0.0, "remittance_reference_rate must be positive"),
+    ])
+    def test_replaced_baseline_is_validated(self, baseline, field, value, message):
+        with pytest.raises(DomainError, match=message):
+            replace(baseline, **{field: value})
+
     @given(rate=st.floats(0.0, 1.0))
     def test_low_never_exceeds_high(self, baseline, rate):
         low, high = remittance_impact(rate, baseline)
