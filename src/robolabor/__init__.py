@@ -9,7 +9,10 @@ and runs one-at-a-time sensitivity analyses. Ships with a Qatar-calibrated
 default dataset.
 
 Same inputs, same outputs, bit for bit: no randomness, and the only state
-kept between calls is reuse that never changes a result.
+kept between calls is reuse that never changes a result: ``run_scenario``
+copies the last run's sector outcome for a run with the same terminal rate,
+sector tuple and baseline, and the sector split keeps its last few compiled
+tables.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ import enum
 import functools
 import importlib.resources
 import math
+import re
 import sys
 import types
 from collections.abc import Mapping
@@ -71,6 +72,62 @@ class _UniqueKeys:
 
 
 _unique_keys = functools.cache(lambda loader: type(loader.__name__, (_UniqueKeys, loader), {}))
+
+# how deep collections may nest. PyYAML's composers recurse once per level:
+# libyaml's crashes the process somewhere between 20,000 and 50,000 levels,
+# and the pure-Python one raises RecursionError past about 490.
+_MAX_DEPTH = 200
+# a flow collection holding no collection, comment or tag, whose quoted
+# scalars each start a token: right after the opener or a comma, after one
+# of them or a colon and a space, or right after a quoted key's colon (a
+# quote anywhere else may sit inside a plain scalar). Nothing outside those
+# scalars can hide a closer, so the collection closes where it seems to.
+# Each character has one reading, so a failed match is linear.
+_QUOTED = r"""(?:"[^"\\]*(?:\\[\s\S][^"\\]*)*"|'[^']*(?:''[^']*)*')"""
+_PLAIN = r"""[^\[\]{}'"#!]*"""
+_TOKEN_START = r"""(?:(?<=[\[{,])|(?<=[\[{,:] )|(?<=["']:))"""
+_FLOW_LEAF = re.compile(rf"[\[{{]{_PLAIN}(?:{_TOKEN_START}{_QUOTED}{_PLAIN})*[\]}}]")
+
+
+def _may_nest_deeper(text: str, depth: int) -> bool:
+    """Whether collections in ``text`` could nest deeper than ``depth``.
+
+    A cheap bound, never below the true depth. Block collections on one path
+    start at ever deeper columns (a sequence may share its key's column), all
+    within a line's leading run of indentation and block indicators, so with
+    no run of ``depth // 4`` they nest at most ``depth // 2`` deep. Every flow
+    collection on one path but the last holds another, so it is no leaf;
+    counting the single-pair mapping a flow sequence may hold, ``depth // 4 -
+    2`` such openers nest at most ``depth // 2 - 2`` deep.
+    """
+    run = depth // 4
+    if any(brk in text for brk in "\r\x85\u2028\u2029"):  # YAML's other line breaks
+        text = re.sub("[\r\x85\u2028\u2029]", "\n", text)
+    if re.search(r"\n[\ufeff \t?:-]{%d}" % run, "\n" + text):
+        return True
+    openers = text.count("[") + text.count("{")
+    return openers > run - 2 and openers - len(_FLOW_LEAF.findall(text)) > run - 2
+
+
+def _check_nesting(text: str, loader: type) -> None:
+    """Raise a composer error where collections first nest past ``_MAX_DEPTH``.
+
+    Walking the events costs a third of a parse, so only a text that
+    :func:`_may_nest_deeper` cannot clear is walked. Both parsers keep their
+    own stack, so the walk never recurses.
+    """
+    if not _may_nest_deeper(text, _MAX_DEPTH):
+        return
+    depth = 0
+    for event in yaml.parse(text, Loader=loader):
+        if isinstance(event, yaml.CollectionStartEvent):
+            depth += 1
+            if depth > _MAX_DEPTH:
+                raise yaml.composer.ComposerError(
+                    None, None, f"collections nest deeper than {_MAX_DEPTH} levels",
+                    event.start_mark)
+        elif isinstance(event, yaml.CollectionEndEvent):
+            depth -= 1
 
 
 @dataclass(frozen=True)
@@ -361,12 +418,21 @@ def _parse_tasks(node: Any, path: str) -> dict[str, tuple[dict, ...]]:
 
 def loads_config(text: str, source: str = "<string>") -> RunConfig:
     """Parse and validate config YAML from a string."""
+    loader = _unique_keys(_LOADER)
     try:
-        data = yaml.load(text, Loader=_unique_keys(_LOADER))
+        _check_nesting(text, loader)
+        data = yaml.load(text, Loader=loader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-        problem = getattr(exc, "problem", None) or str(exc)
+        if isinstance(exc, yaml.reader.ReaderError):
+            # a bad character: the pure-Python reader counts its position in
+            # characters, libyaml in UTF-8 bytes; "." ends the last line
+            head = (text[:exc.position] if issubclass(loader, yaml.reader.Reader)
+                    else text.encode()[:exc.position].decode())
+            lines = (head + ".").splitlines()
+            where = f" at line {len(lines)}, column {len(lines[-1])}"
+        problem = getattr(exc, "problem", None) or str(exc).split("\n")[0]
         raise ConfigError(f"invalid YAML in {source}{where}: {problem}") from exc
     except ValueError as exc:
         # the constructor's int() and date() calls: an integer past Python's

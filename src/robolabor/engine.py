@@ -21,6 +21,10 @@ single year reproduces the comparative-static result field by field.
 ``_effective_params`` proves the model's domain for the whole horizon once,
 before the first year. The year loop is then unchecked arithmetic, and it
 must give the same floats as the public helpers of ``core`` and ``sectors``.
+
+The one state kept: a run with the same terminal displacement rate, sector
+tuple (or no table) and baseline as the run before it copies that run's
+sector rates and headcounts instead of computing them again.
 """
 
 from __future__ import annotations
@@ -70,6 +74,11 @@ __all__ = [
 ]
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_-]+$")
+
+# the last run's terminal rate, sector table and baseline, then the sector
+# rates and headcounts they gave; read once and replaced whole, so a run in
+# another thread sees a whole entry or none and at worst computes again
+_last_outcome = _NO_OUTCOME = (math.nan, None, None, None, None)
 
 
 class SimulationMode(str, enum.Enum):
@@ -472,17 +481,25 @@ def run_scenario(scenario: Scenario, params: ModelParams, state0: EconomyState,
         raw_gdp_gain=raw_gain,
         raw_displacement_rate=raw_disp,
     )
-    sector_rates = (disaggregate_displacement(terminal.displacement_rate, sectors)
-                    if sectors else {})
-    headcounts = displacement_headcounts(terminal.displacement_rate, baseline)
+    global _last_outcome
+    rate = terminal.displacement_rate
+    last_rate, last_sectors, last_baseline, sector_rates, headcounts = _last_outcome
+    # 1.0 - ratio is never -0.0, so == is exact; a list may have changed. Each
+    # result gets copies (HeadcountBreakdown copies by_sector)
+    if not (rate == last_rate and sectors is last_sectors and baseline is last_baseline
+            and (sectors is None or isinstance(sectors, tuple))):
+        sector_rates = disaggregate_displacement(rate, sectors) if sectors else {}
+        headcounts = displacement_headcounts(rate, baseline)
+        _last_outcome = (rate, sectors, baseline, sector_rates, headcounts)
     targets = scenario.targets
     return SimulationResult(
         scenario=scenario.name,
         mode=scenario.mode,
         records=tuple(records),
         summary=summary,
-        sector_rates=sector_rates,
-        headcounts=headcounts,
+        sector_rates=dict(sector_rates),
+        headcounts=HeadcountBreakdown(headcounts.total, headcounts.expat,
+                                      headcounts.by_sector),
         target_comparison=None if targets is None else _target_gaps(targets, summary),
     )
 

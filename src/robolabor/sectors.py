@@ -4,6 +4,9 @@ A national displacement rate is split across sectors by relative risk
 multipliers, headcounts follow the workforce composition, and two downstream
 channels are quantified: foregone remittance outflows and offsetting job
 creation in robot maintenance, programming and supervision roles.
+
+The functions keep no state: only the split's cache of recently compiled
+sector tuples outlives a call, and it never changes a result.
 """
 
 from __future__ import annotations
@@ -134,10 +137,8 @@ class LaborBaseline:
         _require(total <= 1 + 1e-9,
                  "sector_shares must sum to at most 1, got {}", total)
         # what displacement_headcounts reads: the shares as checked here, out
-        # of reach of a later change to the public dict, and the expatriate
-        # count and per-sector counts of its last call on this baseline
+        # of reach of a later change to the public dict
         object.__setattr__(self, "_shares", tuple(shares.items()))
-        object.__setattr__(self, "_last_counts", (math.nan, None))
         _require(0 < self.min_wage < math.inf,
                  "min_wage must be positive and finite, got {}", self.min_wage)
         _require(self.low_wage_headcount >= 0,
@@ -202,12 +203,11 @@ class _Table:
     binds, whatever the national rate. With the first ``k`` of them capped
     and the rest at ``t * multiplier``, their employment-weighted sum is
     ``capped_before[k] + t * free_after[k]``; ``reach[k]`` is that sum at
-    the ``t`` where the ``k``-th one caps. ``last`` holds the national rate
-    of the last split that returned and its rates in dataset order.
+    the ``t`` where the ``k``-th one caps.
     """
 
     __slots__ = ("names", "weights", "caps", "total", "multipliers", "named_weights",
-                 "named_caps", "residual", "capped_before", "free_after", "reach", "last")
+                 "named_caps", "residual", "capped_before", "free_after", "reach")
 
     def __init__(self, sectors: Sequence[SectorProfile]) -> None:
         _require(len(sectors) > 0, "sector dataset must be nonempty")
@@ -230,7 +230,6 @@ class _Table:
         self.free_after = [0.0, *accumulate(reversed(free))][::-1]
         self.reach = [before + t * after
                       for t, before, after in zip(binds, self.capped_before, self.free_after)]
-        self.last = (math.nan, None)
 
 
 # the tuples compiled last and their tables, newest first; holding a tuple
@@ -257,12 +256,6 @@ def _table(sectors: Sequence[SectorProfile]) -> _Table:
     return table
 
 
-def _same_value(a: float, b: float) -> bool:
-    # a == b that tells the zeros apart: -0.0 == 0.0, but a -0.0 rate gives
-    # -0.0 sector rates and counts
-    return a == b and bool(a or math.copysign(1.0, a) == math.copysign(1.0, b))
-
-
 def disaggregate_displacement(national_rate: float,
                               sectors: Sequence[SectorProfile]) -> dict[str, float]:
     """Split a national displacement rate into per-sector rates.
@@ -282,19 +275,13 @@ def disaggregate_displacement(national_rate: float,
 
     The table is checked and compiled on each call, except that the last few
     tuples passed are remembered with their compiled tables, so a run of
-    calls on one config's table compiles it once. A remembered table also
-    keeps its last split: a call at the same national rate (and the same
-    sign of zero) returns those rates without splitting again, as the runs
-    of a tornado or a bisection that leave the rate alone do.
+    calls on one config's table compiles it once.
 
     Returns a new dict of rates keyed by sector name, in dataset order.
     """
     _require(0 <= national_rate <= 1,
              "national_rate must lie in [0, 1], got {}", national_rate)
     table = _table(sectors)
-    last_rate, last_rates = table.last
-    if _same_value(national_rate, last_rate):
-        return dict(zip(table.names, last_rates))
     weights, caps, residual = table.weights, table.caps, table.residual
     target_sum = national_rate * table.total
     # on the weighted sum; the mean is the sum over the share total
@@ -334,7 +321,6 @@ def disaggregate_displacement(national_rate: float,
             raise UnattainableTargetError(
                 f"national rate {national_rate} is unattainable: every sector "
                 f"is pinned at its automation_potential cap")
-    table.last = (national_rate, rates)
     return dict(zip(table.names, rates))
 
 
@@ -345,22 +331,13 @@ def displacement_headcounts(national_rate: float,
     Total displaced workers, the expatriate slice, and per-sector counts of
     displaced expatriates following the baseline sector shares, as they
     were when the baseline was built. Values are exact products.
-
-    A baseline keeps the per-sector counts of the last call on it: a call
-    with the same expatriate count (and the same sign of zero) copies them
-    instead of multiplying again, as the runs of a tornado or a bisection
-    that leave the national rate alone do. The kept dict never reaches a
-    caller, since HeadcountBreakdown holds a copy.
     """
     _require(0 <= national_rate <= 1,
              "national_rate must lie in [0, 1], got {}", national_rate)
     total = national_rate * baseline.total_labor_force
     expat = total * baseline.expat_share
-    last_expat, by_sector = baseline._last_counts
-    if not _same_value(expat, last_expat):
-        by_sector = {name: expat * share for name, share in baseline._shares}
-        object.__setattr__(baseline, "_last_counts", (expat, by_sector))
-    return HeadcountBreakdown(total=total, expat=expat, by_sector=by_sector)
+    return HeadcountBreakdown(total=total, expat=expat, by_sector={
+        name: expat * share for name, share in baseline._shares})
 
 
 def remittance_impact(displacement_rate: float, baseline: LaborBaseline) -> tuple[float, float]:

@@ -1,13 +1,17 @@
 """Strict config parsing, dotted error paths, YAML round trips."""
 
 import copy
+import os
 import re
+import subprocess
+import sys
 import typing
 from dataclasses import MISSING, fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, strategies as st
 
 from robolabor import (
     ConfigError,
@@ -29,7 +33,7 @@ from robolabor import (
     loads_config,
 )
 from robolabor import config as config_module
-from robolabor.config import to_dict
+from robolabor.config import _MAX_DEPTH, _may_nest_deeper, to_dict
 
 MINIMAL = """
 params:
@@ -447,6 +451,138 @@ class TestLoaders:
         with pytest.raises(ConfigError, match="line 23, column 5: found duplicate key 'name'"):
             loads_config(text + "  - <<: *s1\n    name: s2\n    name: s3\n")
 
+
+
+def nesting(text):
+    """How deep collections nest in text, from the pure-Python parser's events."""
+    depth = deepest = 0
+    for event in yaml.parse(text, Loader=yaml.SafeLoader):
+        if isinstance(event, yaml.CollectionStartEvent):
+            depth += 1
+            deepest = max(deepest, depth)
+        elif isinstance(event, yaml.CollectionEndEvent):
+            depth -= 1
+    return deepest
+
+
+def deep_flow(levels):
+    return "params: " + "[" * levels + "]" * levels
+
+
+# texts nesting past the limit in ways a plain bracket count misses: closers
+# in quoted scalars, comments and tags, quotes inside plain scalars, pairs
+# that nest without a brace, and block collections indented across YAML's
+# other line breaks. Each stays within what the pure-Python composer
+# survives, so a guard that misses one shows as a missing error, not a crash.
+LEVELS = 250
+DEEP_TEXTS = {
+    "quoted_closers": "params: " + '["]}", ' * LEVELS + "]" * LEVELS,
+    "escaped_quote_closers": "params: " + '["\\"]", ' * LEVELS + "]" * LEVELS,
+    "single_quoted_closers": "params: " + "['a]''}', " * LEVELS + "]" * LEVELS,
+    "commented_closers": "params: " + "[ # ]}\n" * LEVELS + "]" * LEVELS,
+    "tagged_closers": "params: " + "[!<a]> x, " * LEVELS + "]" * LEVELS,
+    # each plain scalar's quote would pair with the next scalar's opening
+    # quote and close the list at the "]" inside that scalar
+    "quote_after_a_space": "params: " + '[a "x, "]", ' * LEVELS + "]" * LEVELS,
+    "quote_after_a_bare_colon": "params: " + '[a:"x, "]", ' * LEVELS + "]" * LEVELS,
+    "quote_after_a_no_break_space": "params: " + '[\u00a0"x, "]", ' * LEVELS + "]" * LEVELS,
+    "flow_pairs": "params: " + "[a: " * (LEVELS // 2) + "b" + "]" * (LEVELS // 2),
+    "lone_cr_indentation": ("".join(" " * i + "a:\r" for i in range(LEVELS))
+                            + " " * LEVELS + "b\r"),
+    "line_separator_indentation": ("".join(" " * i + "a:\u2028" for i in range(LEVELS))
+                                   + " " * LEVELS + "b"),
+    "compact_sequences": "- " * LEVELS + "x\n",
+    "indentless_sequences": "k:\n" + "".join("  " * i + "- k:\n" for i in range(LEVELS // 2)),
+    "block_then_flow": ("".join(" " * i + "a:\n" for i in range(LEVELS // 2))
+                        + " " * (LEVELS // 2) + "[" * (LEVELS // 2) + "]" * (LEVELS // 2) + "\n"),
+}
+
+TRICKY = "a[]{}'\"#!:-, ?"
+DOCUMENTS = st.recursive(
+    st.text(TRICKY, max_size=4) | st.integers(-3, 3) | st.none(),
+    lambda kids: (st.lists(kids, min_size=1, max_size=3)
+                  | st.dictionaries(st.text(TRICKY, max_size=3), kids, min_size=1,
+                                    max_size=3)),
+    max_leaves=40)
+
+
+class TestYamlLimits:
+    """Deep nesting and bad characters are config errors with a line and column."""
+
+    @pytest.mark.parametrize("loader", BOTH_LOADERS)
+    @pytest.mark.parametrize("text,line,column", [
+        (default_config_path().read_text(encoding="utf-8") + "\x00", 190, 1),
+        ("a: \u00e9\nb: \x00", 2, 4),  # libyaml counts the position in bytes
+        ("a: 1\r\nb: 2\r\x00", 3, 1),  # a lone CR breaks the line too
+    ], ids=["bundled", "after_non_ascii", "after_lone_cr"])
+    def test_control_character_reports_line_and_column(self, loader, text, line, column,
+                                                       monkeypatch):
+        monkeypatch.setattr(config_module, "_LOADER", getattr(yaml, loader))
+        with pytest.raises(ConfigError) as caught:
+            loads_config(text, source="custom.yaml")
+        assert re.fullmatch(f"invalid YAML in custom.yaml at line {line}, column {column}: "
+                            "unacceptable character #x0000: [a-z ]+ are not allowed",
+                            str(caught.value))
+
+    @pytest.mark.parametrize("loader", BOTH_LOADERS)
+    def test_nesting_up_to_the_limit_loads(self, loader, monkeypatch):
+        monkeypatch.setattr(config_module, "_LOADER", getattr(yaml, loader))
+        # the root mapping is the first level
+        with pytest.raises(ConfigError, match="^params: expected a mapping, got list$"):
+            loads_config(deep_flow(_MAX_DEPTH - 1))
+        with pytest.raises(ConfigError, match=(
+                f"^invalid YAML in custom.yaml at line 1, column {9 + _MAX_DEPTH - 1}: "
+                f"collections nest deeper than {_MAX_DEPTH} levels$")):
+            loads_config(deep_flow(_MAX_DEPTH), source="custom.yaml")
+
+    @pytest.mark.parametrize("loader", BOTH_LOADERS)
+    @pytest.mark.parametrize("name", DEEP_TEXTS)
+    def test_nesting_that_a_bracket_count_misses(self, loader, name, monkeypatch):
+        text = DEEP_TEXTS[name]
+        assert nesting(text) > _MAX_DEPTH
+        monkeypatch.setattr(config_module, "_LOADER", getattr(yaml, loader))
+        with pytest.raises(ConfigError, match=f"collections nest deeper than {_MAX_DEPTH}"):
+            loads_config(text)
+
+    def test_deep_nesting_under_the_pure_python_loader(self, monkeypatch):
+        monkeypatch.setattr(config_module, "_LOADER", yaml.SafeLoader)
+        with pytest.raises(ConfigError, match="line 1, column 208: collections nest deeper"):
+            loads_config(deep_flow(50_000))
+
+    @needs_libyaml
+    def test_deep_nesting_under_libyaml(self, tmp_path):
+        # in a subprocess: without the guard, libyaml's composer crashes the process
+        path = tmp_path / "deep.yaml"
+        path.write_text(deep_flow(100_000))
+        src = str(Path(config_module.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-m", "robolabor.cli", "validate",
+                              "--config", str(path)],
+                             capture_output=True, text=True, env=env, timeout=60)
+        assert run.returncode == 1
+        assert run.stderr == (f"validation error: invalid YAML in {path} at line 1, "
+                              f"column 208: collections nest deeper than 200 levels\n")
+
+    def test_quoted_flow_leaves_are_not_walked(self):
+        # JSON-style and quoted flow collections, each a leaf: the cheap
+        # bound clears them, so loading them costs no walk over the events
+        flat = ('{"name": "a]", "share": 0.1}', "{name: 'b''}', share: 0.2}",
+                '{"name":"c{","share":0.3}', '["d]", "e[", f]', '[ "g" ]')
+        text = "items:\n" + "".join(f"- {leaf}\n" for leaf in flat * 20)
+        assert nesting(text) == 3
+        assert not _may_nest_deeper(text, _MAX_DEPTH)
+
+    @given(document=DOCUMENTS, flow=st.sampled_from([None, True, False]),
+           indent=st.integers(2, 5), width=st.integers(20, 60),
+           line_break=st.sampled_from(["\n", "\r", "\r\n", "\x85", "\u2028"]))
+    def test_cheap_bound_is_never_below_the_depth(self, document, flow, indent, width,
+                                                  line_break):
+        text = yaml.safe_dump(document, default_flow_style=flow, indent=indent,
+                              width=width).replace("\n", line_break)
+        depth = nesting(text)
+        for limit in range(depth):
+            assert _may_nest_deeper(text, limit)
 
 # every key of every section set, so each one can be broken or removed alone
 FULL = {

@@ -1,12 +1,16 @@
 """Sector disaggregation, headcounts, remittances and job creation."""
 
+import copy
 import math
 import random
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import robolabor.engine as engine_module
 import robolabor.sensitivity as sensitivity_module
 from robolabor import (
     DomainError,
@@ -490,10 +494,21 @@ def shares_baseline(table, **overrides):
     return LaborBaseline(**fields)
 
 
-def forget_last_outcomes(baseline):
-    """Drop every remembered table and split, and the baseline's last counts."""
+def forget_last_outcomes():
+    """Drop the engine's kept sector outcome and every compiled table."""
+    engine_module._last_outcome = engine_module._NO_OUTCOME
     sectors_module._recent.clear()
-    object.__setattr__(baseline, "_last_counts", (math.nan, None))
+
+
+def sector_state(table, baseline):
+    """What a split or a headcount call could change: the sectors module's
+    names and compiled tables, the engine's kept outcome, and the arguments
+    (copied one level down: what they hold is immutable)."""
+    compiled = [(key, compiled, [copy.copy(getattr(compiled, slot))
+                                 for slot in type(compiled).__slots__])
+                for key, compiled in sectors_module._recent]
+    return (dict(vars(sectors_module)), compiled, engine_module._last_outcome, list(table),
+            {name: copy.copy(value) for name, value in vars(baseline).items()})
 
 
 def hexed_split(national, table):
@@ -520,8 +535,42 @@ BASELINES = (shares_baseline(WIDE_TABLE),
 REPEATED_RATES = (0.0, -0.0, 0.032, 0.1, 0.25, 1.0)
 
 
+def static(name, **fields):
+    return Scenario(name=name, mode=SimulationMode.COMPARATIVE_STATIC,
+                    horizon=(2030, 2030), **fields)
+
+
+# on the bundled parameters: the first three end at one rate, the next two at
+# 0.0 (cost ratio 1), and the last two above the small and the wide table's
+# cap sums, where the split raises
+RUN_SCENARIOS = (
+    static("a", cost_ratio_path=1.4),
+    static("b", robotics_growth=0.3, cost_ratio_path=1.4),
+    Scenario(name="c", mode=SimulationMode.DYNAMIC, horizon=(2026, 2030),
+             cost_ratio_path=(1.0, 1.1, 1.2, 1.3, 1.4)),
+    static("d"),
+    Scenario(name="e", mode=SimulationMode.DYNAMIC, horizon=(2026, 2030),
+             robotics_growth=0.1),
+    static("f", cost_ratio_path=2.5, exposure_override=1.0),
+    static("g", cost_ratio_path=6.0, sigma_override=1.0, exposure_override=1.0),
+)
+
+
+def run_outcome(scenario, params, state0, baseline, table):
+    """A run's sector rates and headcounts as hex, or the split's error."""
+    try:
+        result = run_scenario(scenario, params, state0, baseline, table)
+    except UnattainableTargetError as exc:
+        return str(exc)
+    counts = result.headcounts
+    return ({name: rate.hex() for name, rate in result.sector_rates.items()},
+            counts.total.hex(), counts.expat.hex(),
+            {name: value.hex() for name, value in counts.by_sector.items()})
+
+
 class TestLastOutcome:
-    """A repeated national rate reuses the last split and headcounts."""
+    """The sector helpers keep no state; run_scenario reuses the last run's
+    sector outcome for a repeated rate, table and baseline."""
 
     @settings(max_examples=150)
     @given(calls=st.lists(
@@ -529,17 +578,21 @@ class TestLastOutcome:
                   st.sampled_from(("wide", "small", "wide list", "small list")),
                   st.sampled_from((0, 1))),
         min_size=1, max_size=12))
-    def test_every_call_equals_a_cold_call(self, calls):
+    def test_helpers_keep_no_state(self, calls):
         tables = {"wide": WIDE_TABLE, "small": SMALL_TABLE}
+        for table in tables.values():
+            hexed_split(0.1, table)  # compiled now, so a call leaves _recent alone
         for national, which, index in calls:
             table = tables[which.split()[0]]
             if which.endswith("list"):
                 table = list(table)
             baseline = BASELINES[index]
-            # a list table is compiled, and a copied baseline keyed, afresh
-            assert hexed_split(national, table) == hexed_split(national, list(table))
-            assert (hexed_headcounts(national, baseline)
-                    == hexed_headcounts(national, replace(baseline)))
+            before = sector_state(table, baseline)
+            split, counts = hexed_split(national, table), hexed_headcounts(national, baseline)
+            assert sector_state(table, baseline) == before
+            # a list table is compiled, and a copied baseline read, afresh
+            assert split == hexed_split(national, list(table))
+            assert counts == hexed_headcounts(national, replace(baseline))
 
     @pytest.mark.parametrize("first,second", [(0.0, -0.0), (-0.0, 0.0)])
     def test_signed_zeros_are_told_apart(self, first, second):
@@ -577,10 +630,91 @@ class TestLastOutcome:
         baseline.sector_shares["a"] = 0.9
         baseline.sector_shares["new"] = 0.5
         assert hexed_headcounts(0.1, baseline) == before
-        # a new rate misses the kept counts and still reads the checked shares
         counts = displacement_headcounts(0.2, baseline)
         assert list(counts.by_sector) == [s.name for s in SMALL_TABLE]
         assert counts.by_sector["a"] == counts.expat * 0.3
+
+    @settings(max_examples=100)
+    @given(steps=st.lists(
+        st.tuples(st.integers(0, len(RUN_SCENARIOS) - 1),
+                  st.sampled_from(("wide", "small", "list wide", "list small", "none")),
+                  st.sampled_from((0, 1))),
+        min_size=1, max_size=12))
+    def test_every_run_equals_a_cold_run(self, params, state0, steps):
+        tables = {"wide": WIDE_TABLE, "small": SMALL_TABLE, "none": None}
+        listed = []  # one list, refilled in place between runs
+        for index, which, baseline_index in steps:
+            if which.startswith("list"):
+                listed[:] = tables[which.split()[1]]
+                table = listed
+            else:
+                table = tables[which]
+            args = (RUN_SCENARIOS[index], params, state0, BASELINES[baseline_index], table)
+            warm = run_outcome(*args)
+            kept = engine_module._last_outcome
+            forget_last_outcomes()
+            try:
+                assert run_outcome(*args) == warm
+            finally:
+                engine_module._last_outcome = kept
+
+    def test_only_a_repeated_rate_table_and_baseline_is_reused(self, params, state0,
+                                                                monkeypatch):
+        calls = []
+
+        def counted(helper):
+            def call(*args):
+                calls.append(helper.__name__)
+                return helper(*args)
+            return call
+
+        for helper in (disaggregate_displacement, displacement_headcounts):
+            monkeypatch.setattr(engine_module, helper.__name__, counted(helper))
+        a, b, c, d, e = RUN_SCENARIOS[:5]
+        wide, other, copied = BASELINES[0], BASELINES[1], replace(BASELINES[1])
+        listed = list(SMALL_TABLE)
+        forget_last_outcomes()
+        # each run, and how many helper calls it makes
+        for scenario, baseline, table, expected in (
+                (a, wide, WIDE_TABLE, 2), (b, wide, WIDE_TABLE, 0), (c, wide, WIDE_TABLE, 0),
+                (a, other, WIDE_TABLE, 2),   # another baseline
+                (a, copied, WIDE_TABLE, 2),  # an equal baseline, but another object
+                (a, copied, SMALL_TABLE, 2), (a, copied, listed, 2), (a, copied, listed, 2),
+                (a, copied, None, 1), (b, copied, None, 0),
+                (d, copied, None, 1), (e, copied, None, 0), (e, copied, (), 1)):
+            del calls[:]
+            run_scenario(scenario, params, state0, baseline, table)
+            assert len(calls) == expected, (scenario.name, table is listed)
+
+    def test_concurrent_runs_each_get_their_own_outcome(self, params, state0):
+        cases = [(RUN_SCENARIOS[index], params, state0, baseline, table)
+                 for index in (0, 3, 6) for baseline in BASELINES
+                 for table in (WIDE_TABLE, SMALL_TABLE, None)]
+        expected = [run_outcome(*case) for case in cases]
+        wrong = []
+
+        def worker(offset):
+            # each case twice in a row, so threads hit each other's entries
+            try:
+                for step in range(400):
+                    index = (step // 2 * 5 + offset) % len(cases)
+                    if run_outcome(*cases[index]) != expected[index]:
+                        wrong.append(index)
+            except Exception as exc:  # fails the test below, not just the thread
+                wrong.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(offset,)) for offset in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
     def test_wide_tornado_equals_a_cold_one(self, params, state0, monkeypatch):
         # rate about 0.24 at exposure 0.8 and sigma 0.6, where many caps bind
@@ -605,7 +739,7 @@ class TestLastOutcome:
         warm_runs, runs[:] = list(runs), []
 
         def cold(*args):
-            forget_last_outcomes(baseline)
+            forget_last_outcomes()
             return recorded(*args)
 
         monkeypatch.setattr(sensitivity_module, "run_scenario", cold)
