@@ -37,8 +37,7 @@ def main():
     def output_at(stock):
         probe = EconomyState(year=state.year, tfp=state.tfp,
                              capital=state.capital, labor=state.labor,
-                             robotics=stock, wage=state.wage,
-                             robot_cost=state.robot_cost)
+                             robotics=stock)
         return production_output(probe, alpha, 0.5)
 
     measured = elasticity_fd(output_at, state.robotics)

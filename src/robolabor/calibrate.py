@@ -282,12 +282,15 @@ def calibrate_scenario(scenario: Scenario, params: ModelParams, state0: EconomyS
     value in place of the scenario's field or whole path. ``iterations``
     counts engine runs; ``residual`` is the engine's gap at the solved value.
     ``output`` solves TFP at the initial state and runs no engine. Raises
-    :class:`DomainError` for a target that is not finite, and
-    :class:`UnattainableTargetError` when the target lies outside what the
-    engine reaches over the parameter's bracket.
+    :class:`DomainError` for a target that is not finite or an ``output``
+    target that is not positive, and :class:`UnattainableTargetError` when
+    the target lies outside what the engine reaches over the parameter's
+    bracket.
     """
     _require(math.isfinite(target_value),
              "{} target must be finite, got {}", target_name, target_value)
+    _require(target_name != "output" or target_value > 0,
+             "output target must be positive, got {:g}", target_value)
     if (target_name, parameter) == ("output", "tfp"):
         theta0 = theta_at(0, _resolved(scenario, params)[1])
         value = solve_tfp_level(target_value, state0.capital, state0.labor,

@@ -27,7 +27,7 @@ import yaml
 
 from .core import EconomyState, ModelParams, StaticTheta, ThetaMode, ThetaRamp
 from .engine import Scenario, _effective_params
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, _require
 from .sectors import (
     JobCreationModel,
     JobCreationRamp,
@@ -77,16 +77,12 @@ _unique_keys = functools.cache(lambda loader: type(loader.__name__, (_UniqueKeys
 # libyaml's crashes the process somewhere between 20,000 and 50,000 levels,
 # and the pure-Python one raises RecursionError past about 490.
 _MAX_DEPTH = 200
-# a flow collection holding no collection, comment or tag, whose quoted
-# scalars each start a token: right after the opener or a comma, after one
-# of them or a colon and a space, or right after a quoted key's colon (a
-# quote anywhere else may sit inside a plain scalar). Nothing outside those
-# scalars can hide a closer, so the collection closes where it seems to.
-# Each character has one reading, so a failed match is linear.
-_QUOTED = r"""(?:"[^"\\]*(?:\\[\s\S][^"\\]*)*"|'[^']*(?:''[^']*)*')"""
-_PLAIN = r"""[^\[\]{}'"#!]*"""
-_TOKEN_START = r"""(?:(?<=[\[{,])|(?<=[\[{,:] )|(?<=["']:))"""
-_FLOW_LEAF = re.compile(rf"[\[{{]{_PLAIN}(?:{_TOKEN_START}{_QUOTED}{_PLAIN})*[\]}}]")
+# a flow collection holding no bracket, quote, comment or tag. Only those
+# can hide a closer: an unquoted "]" or "}" inside a flow collection always
+# closes it, so such a collection closes where it seems to and is a leaf.
+# One holding a quoted scalar counts as no leaf, so a text with many such
+# collections, such as indented JSON, takes the exact walk.
+_FLOW_LEAF = re.compile(r"""[\[{][^\[\]{}'"#!]*[\]}]""")
 
 
 def _may_nest_deeper(text: str, depth: int) -> bool:
@@ -140,6 +136,23 @@ class OutputOptions:
 
 
 @dataclass(frozen=True)
+class TaskProfile:
+    """One row of a ``tasks`` table: descriptive metadata no computation reads."""
+
+    name: str
+    readiness: Readiness
+    displacement_risk: float | None = None
+    automation_potential: float | None = None
+    notes: str = ""
+
+    def __post_init__(self) -> None:
+        for key in ("displacement_risk", "automation_potential"):
+            value = getattr(self, key)
+            _require(value is None or 0 <= value <= 1,
+                     "{}: {} must lie in [0, 1], got {}", self.name, key, value)
+
+
+@dataclass(frozen=True)
 class RunConfig:
     """Fully validated run setup: parameters, datasets and scenarios."""
 
@@ -147,7 +160,7 @@ class RunConfig:
     initial_state: EconomyState
     baseline: LaborBaseline
     sectors: tuple[SectorProfile, ...] = ()
-    tasks: dict[str, tuple[dict, ...]] = field(default_factory=dict)
+    tasks: Mapping[str, tuple[TaskProfile, ...]] = field(default_factory=dict)
     scenarios: tuple[Scenario, ...] = ()
     output: OutputOptions = OutputOptions()
     dataset_version: int = 1
@@ -173,10 +186,6 @@ _MODE_OF = {cls: mode for table in _MODES.values() for mode, cls in table.items(
 _KEYS = {"sigma_override": "sigma", "theta_override": "theta",
          "exposure_override": "exposure_share", "job_creation_model": "job_creation"}
 
-# the free-form rows of the ``tasks`` section
-_TASK_KEYS = frozenset({"name", "displacement_risk", "automation_potential", "readiness",
-                        "notes"})
-
 _Converter = Callable[[Any, str], Any]
 
 
@@ -192,15 +201,19 @@ def _check_keys(node: dict, allowed: frozenset[str], path: str) -> None:
             f"allowed: {', '.join(sorted(allowed))}", path=path)
 
 
+def _kind(node: Any) -> str:
+    return "null" if node is None else type(node).__name__
+
+
 def _as_map(node: Any, path: str) -> dict:
     if not isinstance(node, dict):
-        raise ConfigError(f"expected a mapping, got {type(node).__name__}", path=path)
+        raise ConfigError(f"expected a mapping, got {_kind(node)}", path=path)
     return node
 
 
 def _as_list(node: Any, path: str) -> list:
     if not isinstance(node, list):
-        raise ConfigError(f"expected a list, got {type(node).__name__}", path=path)
+        raise ConfigError(f"expected a list, got {_kind(node)}", path=path)
     return node
 
 
@@ -371,45 +384,15 @@ def _build(cls: type, node: Any, path: str, defaults: dict | None = None) -> Any
     return _domain_checked(lambda: cls(**kwargs), path)
 
 
-def _build_all(cls: type, node: Any, path: str) -> tuple:
-    return tuple(_build(cls, entry, f"{path}[{i}]")
-                 for i, entry in enumerate(_as_list(node, path)))
+def _section(data: dict, key: str, empty: dict | list, **kwargs: Any) -> Any:
+    """Read the optional top-level section ``key`` as RunConfig declares it.
 
-
-def _block(data: dict, key: str) -> Any:
-    """An optional top-level block; left out or null, it reads as empty."""
+    Left out or null, the section reads as ``empty``. ``kwargs`` go to the
+    section's reader, such as the ``defaults`` of one read into a dataclass.
+    """
     node = data.get(key)
-    return {} if node is None else node
-
-
-_readiness = _enum(Readiness, "readiness")
-
-
-def _parse_tasks(node: Any, path: str) -> dict[str, tuple[dict, ...]]:
-    node = _as_map(node, path)
-    tasks: dict[str, tuple[dict, ...]] = {}
-    for domain, entries in node.items():
-        domain = _as_str(domain, path)
-        rows = []
-        for i, entry in enumerate(_as_list(entries, f"{path}.{domain}")):
-            epath = f"{path}.{domain}[{i}]"
-            entry = _as_map(entry, epath)
-            _check_keys(entry, _TASK_KEYS, epath)
-            row = {"name": _as_str(_get(entry, "name", epath), f"{epath}.name"),
-                   "readiness": _readiness(_get(entry, "readiness", epath),
-                                           f"{epath}.readiness").value}
-            for key in ("displacement_risk", "automation_potential"):
-                if key in entry:
-                    value = _as_float(entry[key], f"{epath}.{key}")
-                    if not 0 <= value <= 1:
-                        raise ConfigError(f"must lie in [0, 1], got {value}",
-                                          path=f"{epath}.{key}")
-                    row[key] = value
-            if "notes" in entry:
-                row["notes"] = _as_str(entry["notes"], f"{epath}.notes")
-            rows.append(row)
-        tasks[domain] = tuple(rows)
-    return tasks
+    convert = next(convert for name, _, convert, _ in _plan(RunConfig)[1] if name == key)
+    return convert(empty if node is None else node, key, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -447,20 +430,20 @@ def loads_config(text: str, source: str = "<string>") -> RunConfig:
         raise ConfigError(f"must be >= 1, got {version}", path="dataset_version")
     params = _build(ModelParams, _get(data, "params", "<root>"), "params")
     baseline = _build(LaborBaseline, _get(data, "baseline", "<root>"), "baseline")
-    state = _build(EconomyState, _block(data, "initial_state"), "initial_state", defaults={
+    state = _section(data, "initial_state", {}, defaults={
         "year": 2024, "tfp": 1.0, "capital": 1.0, "labor": baseline.total_labor_force,
-        "robotics": 1.0, "wage": baseline.min_wage, "robot_cost": 1.0})
-    sectors = _build_all(SectorProfile, data.get("sectors", []), "sectors")
+        "robotics": 1.0})
+    sectors = _section(data, "sectors", [])
     _domain_checked(lambda: _check_sector_table(sectors), "sectors")
-    tasks = _parse_tasks(data.get("tasks", {}), "tasks")
-    scenarios = _build_all(Scenario, data.get("scenarios", []), "scenarios")
+    tasks = _section(data, "tasks", {})
+    scenarios = _section(data, "scenarios", [])
     for i, scenario in enumerate(scenarios):
         _domain_checked(lambda: _effective_params(scenario, params, state),
                         f"scenarios[{i}]")
     names = [s.name for s in scenarios]
     if len(set(names)) != len(names):
         raise ConfigError("scenario names must be unique", path="scenarios")
-    output = _build(OutputOptions, _block(data, "output"), "output")
+    output = _section(data, "output", {})
     if not output.formats:
         raise ConfigError("formats must be nonempty", path="output.formats")
     for fmt in output.formats:

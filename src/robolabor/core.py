@@ -58,7 +58,7 @@ class EconomyState:
 
     Factor quantities are in ratio space (baseline year = 1.0) except labor,
     which is carried in workers so displacement converts to headcounts
-    directly. Wage and robot cost are levels in local currency.
+    directly.
     """
 
     year: int
@@ -66,15 +66,13 @@ class EconomyState:
     capital: float
     labor: float
     robotics: float
-    wage: float
-    robot_cost: float
 
     def __post_init__(self) -> None:
         year = _require_integer(self.year, "year")
         object.__setattr__(self, "year", year)
         _require(YEAR_MIN <= year <= YEAR_MAX,
                  "year must lie in [{}, {}], got {}", YEAR_MIN, YEAR_MAX, year)
-        for name in ("tfp", "capital", "labor", "robotics", "wage", "robot_cost"):
+        for name in ("tfp", "capital", "labor", "robotics"):
             value = getattr(self, name)
             _require(0 < value < math.inf,
                      "{} must be positive and finite, got {}", name, value)

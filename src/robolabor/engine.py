@@ -304,14 +304,13 @@ def _effective_params(scenario: Scenario, params: ModelParams, state0: EconomySt
     exposure_share)``. Every value of the theta schedule must keep
     ``alpha + theta < 1``, and ``state0``'s output at each must be positive
     and finite, since each year's gain divides by it; the terminal cost
-    ratio, the path's largest, must leave some labor and a positive robot
-    cost; the robotics stock and TFP, compounded from ``state0`` by the
-    growth path, must stay positive and finite, and so must TFP times the
-    stock to the power theta, the output at ``state0``'s labor, and the
-    gains over ``state0``, which divide by its stocks and output, so a tiny
-    initial stock can overflow them while every stock stays finite. With
-    the inputs' own rules, every precondition of the public helpers then
-    holds every year.
+    ratio, the path's largest, must leave some labor; the robotics stock
+    and TFP, compounded from ``state0`` by the growth path, must stay
+    positive and finite, and so must TFP times the stock to the power
+    theta, the output at ``state0``'s labor, and the gains over ``state0``,
+    which divide by its stocks and output, so a tiny initial stock can
+    overflow them while every stock stays finite. With the inputs' own
+    rules, every precondition of the public helpers then holds every year.
     """
     sigma, theta_mode, exposure = _resolved(scenario, params)
     for value in _theta_extremes(theta_mode):
@@ -330,13 +329,11 @@ def _effective_params(scenario: Scenario, params: ModelParams, state0: EconomySt
     for theta, base in base_by_theta.items():
         _require(0 < base < math.inf, "initial_state gives output {} at theta {}, "
                  "which must be positive and finite", base, theta)
-    # labor and the robot cost are lowest at the terminal ratio
+    # labor is lowest at the terminal ratio
     terminal = scenario.cost_path()[-1]
     _require(_leaves_labor(state0, terminal, sigma, exposure),
              "cost_ratio_path reaches {}, which displaces the whole workforce at "
              "sigma {} and exposure_share {}", terminal, sigma, exposure)
-    _require(state0.robot_cost / terminal > 0, "cost_ratio_path reaches {}, which "
-             "divides the robot cost {} to 0", terminal, state0.robot_cost)
     # compound exactly as run_scenario does, so a pass here is a pass there
     labor0, boost = state0.labor, params.tfp_boost_per_adoption_pct
     labor_cap = max(labor0, 1.0)  # labor <= labor0, and x ** p <= max(x, 1) for p in (0, 1]

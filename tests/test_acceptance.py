@@ -130,14 +130,12 @@ class TestAcceptance:
             state = EconomyState(year=2024, tfp=rng.uniform(0.5, 2.0),
                                  capital=rng.uniform(0.1, 10.0),
                                  labor=rng.uniform(0.1, 10.0),
-                                 robotics=rng.uniform(0.1, 10.0),
-                                 wage=1.0, robot_cost=1.0)
+                                 robotics=rng.uniform(0.1, 10.0))
             scale = rng.uniform(0.5, 3.0)
             scaled = EconomyState(year=2024, tfp=state.tfp,
                                   capital=state.capital * scale,
                                   labor=state.labor * scale,
-                                  robotics=state.robotics * scale,
-                                  wage=1.0, robot_cost=1.0)
+                                  robotics=state.robotics * scale)
             ratio = (production_output(scaled, alpha, theta)
                      / production_output(state, alpha, theta))
             assert ratio == pytest.approx(scale, rel=1e-12)
@@ -148,13 +146,11 @@ class TestAcceptance:
             theta = rng.uniform(0.1, 0.9) * (0.95 - alpha)
             base = EconomyState(year=2024, tfp=1.3, capital=rng.uniform(0.5, 5.0),
                                 labor=rng.uniform(0.5, 5.0),
-                                robotics=rng.uniform(0.5, 5.0),
-                                wage=1.0, robot_cost=1.0)
+                                robotics=rng.uniform(0.5, 5.0))
 
             def output_in(field, value):
                 fields = dict(year=base.year, tfp=base.tfp, capital=base.capital,
-                              labor=base.labor, robotics=base.robotics,
-                              wage=base.wage, robot_cost=base.robot_cost)
+                              labor=base.labor, robotics=base.robotics)
                 fields[field] = value
                 return production_output(EconomyState(**fields), alpha, theta)
 

@@ -229,7 +229,7 @@ class TestImpliedRoboticsGrowth:
 class TestSolveTfpLevel:
     def test_round_trip(self):
         state = EconomyState(year=2024, tfp=1.37, capital=120.0, labor=2.13,
-                             robotics=1.8, wage=1.0, robot_cost=1.0)
+                             robotics=1.8)
         output = production_output(state, 0.35, 0.5)
         recovered = solve_tfp_level(output, state.capital, state.labor,
                                     state.robotics, 0.35, 0.5)

@@ -1,6 +1,7 @@
 """Strict config parsing, dotted error paths, YAML round trips."""
 
 import copy
+import importlib
 import os
 import re
 import subprocess
@@ -76,8 +77,7 @@ class TestDefaultDataset:
         state = cfg.initial_state
         assert state.year == 2024
         assert state.labor == 2_130_000
-        assert state.wage == 1000
-        assert state.tfp == state.capital == state.robotics == state.robot_cost == 1.0
+        assert state.tfp == state.capital == state.robotics == 1.0
 
     def test_baseline(self, cfg):
         assert cfg.baseline.sector_shares["construction"] == 0.442
@@ -93,8 +93,8 @@ class TestDefaultDataset:
 
     def test_tasks(self, cfg):
         assert set(cfg.tasks) == {"construction", "logistics"}
-        assert all("displacement_risk" in row for row in cfg.tasks["construction"])
-        assert all("automation_potential" in row for row in cfg.tasks["logistics"])
+        assert all(row.displacement_risk is not None for row in cfg.tasks["construction"])
+        assert all(row.automation_potential is not None for row in cfg.tasks["logistics"])
 
     def test_scenarios(self, cfg):
         names = [s.name for s in cfg.scenarios]
@@ -260,6 +260,26 @@ sectors:
         with pytest.raises(ConfigError, match="readiness must be one of"):
             loads_config(text)
 
+    def test_null_required_section(self):
+        text = "params: ~\n" + MINIMAL[MINIMAL.index("baseline:"):]
+        with pytest.raises(ConfigError) as caught:
+            loads_config(text)
+        assert str(caught.value) == "params: expected a mapping, got null"
+
+    @pytest.mark.parametrize("key", ["wage", "robot_cost"])
+    def test_price_levels_are_unknown_state_keys(self, key):
+        # the engine prices robots against wages in ratio space only
+        with pytest.raises(ConfigError) as caught:
+            loads_config(MINIMAL + f"initial_state: {{{key}: 1}}\n")
+        assert str(caught.value).startswith(f"initial_state: unknown key(s) {key!r}; ")
+
+    @pytest.mark.parametrize("key", ["displacement_risk", "automation_potential"])
+    def test_task_share_out_of_range(self, key):
+        text = MINIMAL + f"tasks:\n  site:\n    - {{name: weld, readiness: low, {key}: 1.5}}\n"
+        with pytest.raises(ConfigError) as caught:
+            loads_config(text)
+        assert str(caught.value) == f"tasks.site[0]: weld: {key} must lie in [0, 1], got 1.5"
+
     def test_figure_scenario_must_exist(self):
         text = ONE_SCENARIO + """
 output:
@@ -312,7 +332,6 @@ class TestDefaults:
         state = config.initial_state
         assert state.year == 2024
         assert state.labor == 1000.0
-        assert state.wage == 1000.0
         assert state.tfp == 1.0
 
     def test_empty_collections(self):
@@ -320,6 +339,11 @@ class TestDefaults:
         assert config.sectors == ()
         assert config.tasks == {}
         assert config.scenarios == ()
+
+    @pytest.mark.parametrize("section", ["initial_state", "sectors", "tasks", "scenarios",
+                                         "output"])
+    def test_null_optional_section_reads_as_left_out(self, section):
+        assert loads_config(MINIMAL + f"{section}: ~\n") == loads_config(MINIMAL)
 
     def test_output_defaults(self):
         config = loads_config(MINIMAL)
@@ -452,6 +476,8 @@ class TestLoaders:
             loads_config(text + "  - <<: *s1\n    name: s2\n    name: s3\n")
 
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
 
 def nesting(text):
     """How deep collections nest in text, from the pure-Python parser's events."""
@@ -511,7 +537,7 @@ class TestYamlLimits:
 
     @pytest.mark.parametrize("loader", BOTH_LOADERS)
     @pytest.mark.parametrize("text,line,column", [
-        (default_config_path().read_text(encoding="utf-8") + "\x00", 190, 1),
+        (default_config_path().read_text(encoding="utf-8") + "\x00", 188, 1),
         ("a: \u00e9\nb: \x00", 2, 4),  # libyaml counts the position in bytes
         ("a: 1\r\nb: 2\r\x00", 3, 1),  # a lone CR breaks the line too
     ], ids=["bundled", "after_non_ascii", "after_lone_cr"])
@@ -564,14 +590,21 @@ class TestYamlLimits:
         assert run.stderr == (f"validation error: invalid YAML in {path} at line 1, "
                               f"column 208: collections nest deeper than 200 levels\n")
 
-    def test_quoted_flow_leaves_are_not_walked(self):
-        # JSON-style and quoted flow collections, each a leaf: the cheap
-        # bound clears them, so loading them costs no walk over the events
-        flat = ('{"name": "a]", "share": 0.1}', "{name: 'b''}', share: 0.2}",
-                '{"name":"c{","share":0.3}', '["d]", "e[", f]', '[ "g" ]')
-        text = "items:\n" + "".join(f"- {leaf}\n" for leaf in flat * 20)
-        assert nesting(text) == 3
-        assert not _may_nest_deeper(text, _MAX_DEPTH)
+    def test_verified_configs_are_not_walked(self, monkeypatch):
+        # the bundled config and the benchmark's generated ones: the cheap
+        # bound clears each, so loading them costs no walk over the events
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        gen = importlib.import_module("gen")
+        bundled = gen.bundled_config(PERFBENCH.parent)
+        configs = [gen.fault_inputs(bundled)["cfg"]]
+        for seed in (1, 5):
+            configs += [gen.wide_inputs(seed, bundled)["cfg"],
+                        gen.sweep_inputs(seed, bundled)["cfg"],
+                        gen.batch_inputs(seed, bundled)["cfg"]]
+        texts = [default_config_path().read_text(encoding="utf-8"),
+                 *map(gen.to_yaml, configs)]
+        for text in texts:
+            assert not _may_nest_deeper(text, _MAX_DEPTH)
 
     @given(document=DOCUMENTS, flow=st.sampled_from([None, True, False]),
            indent=st.integers(2, 5), width=st.integers(20, 60),
@@ -590,7 +623,7 @@ FULL = {
     "params": {"alpha": 0.35, "theta": {"mode": "static", "value": 0.5}, "sigma": 0.65,
                "tfp_boost_per_adoption_pct": 0.003, "exposure_share": 0.9},
     "initial_state": {"year": 2025, "tfp": 1.1, "capital": 1.2, "labor": 900.0,
-                      "robotics": 1.3, "wage": 1100.0, "robot_cost": 1.4},
+                      "robotics": 1.3},
     "baseline": {"total_labor_force": 1000.0, "expat_share": 0.9,
                  "sector_shares": {"a": 0.2, "rest": 0.3}, "min_wage": 1000.0,
                  "low_wage_headcount": 100.0, "remittance_base": 1.0e+9,
@@ -635,7 +668,7 @@ WRONG_TYPES = [
     (("initial_state",), "x", "initial_state", "expected a mapping, got str"),
     (("initial_state", "year"), 1.5, "initial_state.year", "expected an integer, got 1.5"),
     *[(("initial_state", key), "x", f"initial_state.{key}", NUMBER)
-      for key in ("tfp", "capital", "labor", "robotics", "wage", "robot_cost")],
+      for key in ("tfp", "capital", "labor", "robotics")],
     (("baseline",), "x", "baseline", "expected a mapping, got str"),
     *[(("baseline", key), "x", f"baseline.{key}", NUMBER)
       for key in ("total_labor_force", "expat_share", "min_wage", "low_wage_headcount",
@@ -826,7 +859,7 @@ DOC_SECTIONS = {
     "`initial_state`": EconomyState,
     "`baseline`": LaborBaseline,
     "`sectors`": SectorProfile,
-    "`tasks`": None,
+    "`tasks`": config_module.TaskProfile,
     "`scenarios`": Scenario,
     "`output`": OutputOptions,
 }
@@ -853,6 +886,4 @@ class TestSchemaDoc:
 
     @pytest.mark.parametrize("heading", DOC_SECTIONS)
     def test_table_lists_the_accepted_keys(self, heading):
-        cls = DOC_SECTIONS[heading]
-        accepted = config_module._TASK_KEYS if cls is None else config_module._keys(cls)
-        assert _doc_key_tables()[heading] == accepted
+        assert _doc_key_tables()[heading] == config_module._keys(DOC_SECTIONS[heading])

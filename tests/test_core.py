@@ -23,8 +23,7 @@ mp.dps = 50
 
 
 def state(**overrides):
-    base = dict(year=2024, tfp=1.0, capital=1.0, labor=1.0, robotics=1.0,
-                wage=1000.0, robot_cost=1.0)
+    base = dict(year=2024, tfp=1.0, capital=1.0, labor=1.0, robotics=1.0)
     base.update(overrides)
     return EconomyState(**base)
 
@@ -94,8 +93,7 @@ class TestProductionOutput:
 
 
 class TestEconomyState:
-    @pytest.mark.parametrize("field", ["tfp", "capital", "labor", "robotics",
-                                       "wage", "robot_cost"])
+    @pytest.mark.parametrize("field", ["tfp", "capital", "labor", "robotics"])
     def test_rejects_nonpositive(self, field):
         with pytest.raises(DomainError):
             state(**{field: 0.0})

@@ -388,8 +388,7 @@ def helper_run(scenario, params, state0, baseline):
         labor_t = state0.labor * ratio
         displaced = state0.labor - labor_t
         state_t = EconomyState(year=scenario.horizon[0] + index, tfp=tfp,
-                               capital=state0.capital, labor=labor_t, robotics=robotics,
-                               wage=state0.wage, robot_cost=state0.robot_cost / r_t)
+                               capital=state0.capital, labor=labor_t, robotics=robotics)
         output_t = production_output(state_t, params.alpha, theta_t)
         base_t = production_output(state0, params.alpha, theta_t)
         progress = index / (n_years - 1) if n_years > 1 else 1.0

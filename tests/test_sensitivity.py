@@ -206,8 +206,7 @@ class TestElasticityFd:
         def metric(robotics):
             state = EconomyState(year=state0.year, tfp=state0.tfp,
                                  capital=state0.capital, labor=state0.labor,
-                                 robotics=robotics, wage=state0.wage,
-                                 robot_cost=state0.robot_cost)
+                                 robotics=robotics)
             return production_output(state, 0.35, 0.5)
 
         assert elasticity_fd(metric, 1.0) == pytest.approx(0.5, rel=1e-9)

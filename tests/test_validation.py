@@ -35,7 +35,7 @@ from robolabor import (
 from robolabor.cli import cli_dispatch
 
 # names the engine uses internally; user-facing errors must not lean on them
-INTERNAL = ("robot_cost", "labor must", "displaced_cumulative", "adoption_growth_pct")
+INTERNAL = ("observed_output", "labor must", "displaced_cumulative", "adoption_growth_pct")
 
 CONFIG = """
 params:
@@ -259,8 +259,8 @@ class TestCompoundedStocks:
 
 
 class TestStateAtTheTerminalRatio:
-    """Labor and the robot cost are lowest in the terminal year; both must
-    stay positive floats, not only their ratios to state0."""
+    """Labor is lowest in the terminal year; it must stay a positive float,
+    not only its ratio to state0."""
 
     def test_labor_underflow(self, params, state0, baseline):
         # a labor ratio of about 1e-14 leaves 1e-329 workers out of 1e-315,
@@ -273,15 +273,6 @@ class TestStateAtTheTerminalRatio:
             run_scenario(bad, params, tiny, baseline)
         assert_user_facing(str(info.value))
         assert run_scenario(bad, params, state0, baseline).records[-1].labor > 0
-
-    def test_robot_cost_underflow(self, params, state0, baseline):
-        cheap = replace(state0, robot_cost=1e-30)
-        bad = scenario(cost_ratio_path=1e300, exposure_override=0.5)
-        with pytest.raises(DomainError, match="cost_ratio_path reaches 1e\\+300, which "
-                                              "divides the robot cost 1e-30 to 0") as info:
-            run_scenario(bad, params, cheap, baseline)
-        assert_user_facing(str(info.value))
-        assert run_scenario(bad, params, state0, baseline).summary.displacement_rate == 0.5
 
 
 class TestInitialOutput:
@@ -317,6 +308,19 @@ class TestInitialOutput:
         assert "scenarios[0]: initial_state gives output 0.0" in capsys.readouterr().err
 
 
+class TestCalibrationTarget:
+    """A bad target is named as the target, not as the helper argument it feeds."""
+
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_output_target_must_be_positive(self, capsys, value):
+        code = cli_dispatch(["calibrate", "--target", f"output={value}", "--solve", "tfp"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: output target must be positive, got {value}\n"
+        assert_user_facing(captured.err)
+
+
 class TestModelInputs:
     @pytest.mark.parametrize("field", ["sigma", "tfp_boost_per_adoption_pct"])
     def test_params_reject_non_finite(self, field):
@@ -325,12 +329,10 @@ class TestModelInputs:
         with pytest.raises(DomainError, match=f"{field} must be finite and >= 0"):
             ModelParams(**fields)
 
-    @pytest.mark.parametrize("field", ["tfp", "capital", "labor", "robotics",
-                                       "wage", "robot_cost"])
+    @pytest.mark.parametrize("field", ["tfp", "capital", "labor", "robotics"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_state_rejects_non_finite(self, field, value):
-        fields = dict(year=2024, tfp=1.0, capital=1.0, labor=1.0, robotics=1.0,
-                      wage=1.0, robot_cost=1.0)
+        fields = dict(year=2024, tfp=1.0, capital=1.0, labor=1.0, robotics=1.0)
         fields[field] = value
         with pytest.raises(DomainError, match=f"{field} must be positive and finite"):
             EconomyState(**fields)
