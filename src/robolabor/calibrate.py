@@ -1,8 +1,9 @@
 """Solvers that recover unstated inputs from published outcomes.
 
 :func:`calibrate_scenario`, which the ``calibrate`` command calls, bisects
-over :func:`~robolabor.engine.run_scenario`, so a solved value reproduces its
-target in the model the engine runs and the residual is the engine's gap.
+over the engine's terminal metric, the float
+:func:`~robolabor.engine.run_scenario` reports, so a solved value reproduces
+its target in the model the engine runs and the residual is the engine's gap.
 An output level is an identity in TFP at the initial state, solved by
 :func:`solve_tfp_level`. The closed forms (``implied_*``) are library
 helpers: each inverts one single-year channel under the assumptions its
@@ -19,7 +20,7 @@ from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 from .core import EconomyState, ModelParams, StaticTheta, production_output, theta_at
-from .engine import Scenario, _leaves_labor, _resolved, run_scenario
+from .engine import Scenario, _leaves_labor, _resolved, _terminal_metric
 from .errors import (CalibrationError, MaxIterationsError, NoSignChangeError,
                      UnattainableTargetError, _require)
 from .sectors import LaborBaseline
@@ -241,7 +242,7 @@ _ENGINE_SOLVES = {
     ("displacement", "cost_ratio"): ("cost_ratio_path", float, 1.0, 10.0),
     ("gain", "robotics_growth"): ("robotics_growth", float, 0.0, 1.0),
 }
-_METRICS = {"gain": "gdp_gain", "displacement": "displacement_rate"}
+_METRICS = {"gain": "output_gain", "displacement": "displacement"}
 
 SUPPORTED_PAIRS = (*_ENGINE_SOLVES, ("output", "tfp"))
 
@@ -279,9 +280,11 @@ def calibrate_scenario(scenario: Scenario, params: ModelParams, state0: EconomyS
 
     ``gain`` is the summary ``gdp_gain`` and ``displacement`` the terminal
     ``displacement_rate`` of a run without a sector table, with the solved
-    value in place of the scenario's field or whole path. ``iterations``
-    counts engine runs; ``residual`` is the engine's gap at the solved value.
-    ``output`` solves TFP at the initial state and runs no engine. Raises
+    value in place of the scenario's field or whole path; neither reads
+    ``baseline``. ``iterations`` counts evaluations of the metric, each the
+    engine's checks and terminal-year arithmetic without the year records;
+    ``residual`` is the engine's gap at the solved value. ``output`` solves
+    TFP at the initial state and runs no engine. Raises
     :class:`DomainError` for a target that is not finite or an ``output``
     target that is not positive, and :class:`UnattainableTargetError` when
     the target lies outside what the engine reaches over the parameter's
@@ -309,8 +312,7 @@ def calibrate_scenario(scenario: Scenario, params: ModelParams, state0: EconomyS
 
     def engine_metric(x: float) -> float:
         trial = replace(scenario, **{field: wrap(x)})
-        runs.append((x, getattr(run_scenario(trial, params, state0, baseline).summary,
-                                metric)))
+        runs.append((x, _terminal_metric(metric, trial, params, state0)))
         return runs[-1][1]
 
     try:

@@ -205,6 +205,11 @@ def _kind(node: Any) -> str:
     return "null" if node is None else type(node).__name__
 
 
+def _shown(node: Any) -> str:
+    """A scalar as an error shows it: null by its YAML name, else its repr."""
+    return _kind(node) if node is None else repr(node)
+
+
 def _as_map(node: Any, path: str) -> dict:
     if not isinstance(node, dict):
         raise ConfigError(f"expected a mapping, got {_kind(node)}", path=path)
@@ -219,7 +224,7 @@ def _as_list(node: Any, path: str) -> list:
 
 def _as_float(node: Any, path: str) -> float:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
-        raise ConfigError(f"expected a number, got {node!r}", path=path)
+        raise ConfigError(f"expected a number, got {_shown(node)}", path=path)
     try:
         value = float(node)
     except OverflowError:
@@ -231,19 +236,19 @@ def _as_float(node: Any, path: str) -> float:
 
 def _as_int(node: Any, path: str) -> int:
     if isinstance(node, bool) or not isinstance(node, int):
-        raise ConfigError(f"expected an integer, got {node!r}", path=path)
+        raise ConfigError(f"expected an integer, got {_shown(node)}", path=path)
     return node
 
 
 def _as_bool(node: Any, path: str) -> bool:
     if not isinstance(node, bool):
-        raise ConfigError(f"expected a boolean, got {node!r}", path=path)
+        raise ConfigError(f"expected a boolean, got {_shown(node)}", path=path)
     return node
 
 
 def _as_str(node: Any, path: str) -> str:
     if not isinstance(node, str):
-        raise ConfigError(f"expected a string, got {node!r}", path=path)
+        raise ConfigError(f"expected a string, got {_shown(node)}", path=path)
     return node
 
 

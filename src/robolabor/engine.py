@@ -25,6 +25,11 @@ must give the same floats as the public helpers of ``core`` and ``sectors``.
 The one state kept: a run with the same terminal displacement rate, sector
 tuple (or no table) and baseline as the run before it copies that run's
 sector rates and headcounts instead of computing them again.
+
+A caller that reads one terminal metric, a tornado side or a calibration
+step, calls ``_terminal_metric``: the same checks and the same float, with
+no year records, headcounts or sector rates built. It splits the terminal
+rate only where the split might raise, so it fails where a full run fails.
 """
 
 from __future__ import annotations
@@ -57,6 +62,7 @@ from .sectors import (
     JobCreationRatio,
     LaborBaseline,
     SectorProfile,
+    _split_fits,
     disaggregate_displacement,
     displacement_headcounts,
 )
@@ -297,11 +303,14 @@ def _resolved(scenario: Scenario, params: ModelParams) -> tuple[float, ThetaMode
 
 
 def _effective_params(scenario: Scenario, params: ModelParams, state0: EconomyState
-                      ) -> tuple[float, Sequence[float], dict[float, float], float]:
+                      ) -> tuple[float, Sequence[float], dict[float, float], float,
+                                 float, float]:
     """Resolve the scenario overrides; prove every simulated year in-domain.
 
     Returns ``(sigma, theta per year, baseline output by theta,
-    exposure_share)``. Every value of the theta schedule must keep
+    exposure_share, terminal TFP, terminal robotics stock)``, the stocks
+    compounded as ``run_scenario``'s loop compounds them. Every value of
+    the theta schedule must keep
     ``alpha + theta < 1``, and ``state0``'s output at each must be positive
     and finite, since each year's gain divides by it; the terminal cost
     ratio, the path's largest, must leave some labor; the robotics stock
@@ -383,7 +392,40 @@ def _effective_params(scenario: Scenario, params: ModelParams, state0: EconomySt
     if gain_overflow is not None:
         raise DomainError(f"robotics_growth compounds the gain over initial_state to inf "
                           f"by {gain_overflow}, outside the float range")
-    return sigma, thetas, base_by_theta, exposure
+    return sigma, thetas, base_by_theta, exposure, tfp, robotics
+
+
+def _terminal_metric(metric: str, scenario: Scenario, params: ModelParams,
+                     state0: EconomyState,
+                     sectors: Sequence[SectorProfile] | None = None) -> float:
+    """One terminal metric of :func:`run_scenario`, computed alone.
+
+    ``"output_gain"`` is the summary ``gdp_gain``, ``"displacement"`` the
+    summary ``displacement_rate`` and ``"terminal_output"`` the last
+    record's ``output``, each the same float as the full run gives, from the
+    same operands; no record, headcount or sector rate is built. Where the
+    full run raises, this raises the same error: every check is in
+    :func:`_effective_params`, except the raw displacement's power and the
+    sector split. The split runs only where ``sectors._split_fits`` cannot
+    rule out its :class:`UnattainableTargetError`.
+    """
+    sigma, thetas, _, exposure, tfp, robotics = _effective_params(scenario, params, state0)
+    ratio = 1.0 - exposure * (1.0 - scenario.cost_path()[-1] ** (-sigma))
+    rate = 1.0 - ratio
+    raw = scenario.raw_shocks
+    if raw is not None and raw.cost_ratio is not None:
+        # its power can overflow, and the full run then raises OverflowError
+        labor_demand_ratio(raw.cost_ratio, sigma, 1.0)
+    if sectors and not _split_fits(rate, sectors):
+        disaggregate_displacement(rate, sectors)
+    if metric == "displacement":
+        return rate
+    theta = thetas[-1]
+    if metric == "output_gain":
+        return (tfp / state0.tfp) * (robotics / state0.robotics) ** theta - 1.0
+    alpha = params.alpha
+    return (tfp * state0.capital ** alpha * (state0.labor * ratio) ** (1.0 - alpha - theta)
+            * robotics ** theta)
 
 
 def run_scenario(scenario: Scenario, params: ModelParams, state0: EconomyState,
@@ -402,7 +444,8 @@ def run_scenario(scenario: Scenario, params: ModelParams, state0: EconomyState,
     ``job_creation`` and ``remittance_impact`` without their checks, operand
     for operand, so it gives their floats (``tests/test_engine.py`` pins it).
     """
-    sigma, thetas, base_by_theta, exposure = _effective_params(scenario, params, state0)
+    sigma, thetas, base_by_theta, exposure, _, _ = _effective_params(scenario, params,
+                                                                      state0)
 
     start, end = scenario.horizon
     n_years = scenario.n_years

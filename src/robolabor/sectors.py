@@ -256,6 +256,19 @@ def _table(sectors: Sequence[SectorProfile]) -> _Table:
     return table
 
 
+def _split_fits(national_rate: float, sectors: Sequence[SectorProfile]) -> bool:
+    """Whether :func:`disaggregate_displacement` surely splits a rate in [0, 1].
+
+    True when a named sector can take more and the rate's weighted sum is
+    within ``reach[-1]``, the sum with all of them capped: what the split's
+    named sectors must cover is at most that sum, so it cannot raise.
+    False proves nothing. The table is checked and compiled as the split
+    does it, so a bad table raises the split's error here.
+    """
+    table = _table(sectors)
+    return bool(table.reach) and national_rate * table.total <= table.reach[-1]
+
+
 def disaggregate_displacement(national_rate: float,
                               sectors: Sequence[SectorProfile]) -> dict[str, float]:
     """Split a national displacement rate into per-sector rates.

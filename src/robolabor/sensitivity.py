@@ -1,10 +1,11 @@
 """One-at-a-time sensitivity analysis and finite-difference elasticities.
 
 Each listed parameter is perturbed multiplicatively around its scenario
-value while everything else stays put, the scenario is rerun, and the swing
-in a chosen result metric is recorded. Records come back in tornado order:
-largest absolute swing first, failed perturbations last, names breaking
-ties.
+value while everything else stays put, the chosen result metric is
+evaluated again, and its swing is recorded. The unperturbed scenario runs
+in full once; each perturbed side computes only its metric. Records come
+back in tornado order: largest absolute swing first, failed perturbations
+last, names breaking ties.
 
 A parameter is scaled where the run reads it: the scenario's override when
 one is set, otherwise the model parameter. A shock path scales every entry
@@ -20,7 +21,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
 from .core import EconomyState, ModelParams, StaticTheta, ThetaRamp
-from .engine import Scenario, SimulationResult, run_scenario
+from .engine import Scenario, SimulationResult, _terminal_metric, run_scenario
 from .errors import ModelError, _require
 from .sectors import LaborBaseline, SectorProfile
 
@@ -157,12 +158,15 @@ def one_at_a_time(scenario: Scenario, params: ModelParams, state0: EconomyState,
                   specs: Sequence[PerturbationSpec] | None = None,
                   sectors: Sequence[SectorProfile] | None = None
                   ) -> list[SensitivityRecord]:
-    """Perturb each spec's parameter by +-perturbation and rerun the scenario.
+    """Perturb each spec's parameter by +-perturbation and re-evaluate its metric.
 
-    The unperturbed scenario runs exactly once; its metric values are shared
-    by every record. A perturbation that violates a domain constraint
-    produces a record with the error message instead of aborting the whole
-    analysis. Records come back in tornado order.
+    The unperturbed scenario runs exactly once, in full; its metric values
+    are shared by every record. Each side evaluates only its metric, which
+    gives the float a full run would and fails where a full run would fail.
+    A perturbation that violates a domain constraint, or whose national
+    rate the sector table cannot split, produces a record with the error
+    message instead of aborting the whole analysis. Records come back in
+    tornado order.
     """
     if specs is None:
         specs = default_specs()
@@ -181,8 +185,7 @@ def one_at_a_time(scenario: Scenario, params: ModelParams, state0: EconomyState,
             try:
                 changed = replace(holder, **{field: _scaled(value, factor, field)})
                 inputs = (changed, params) if holder is scenario else (scenario, changed)
-                side_result = run_scenario(*inputs, state0, baseline, sectors)
-                side_results.append(_extract(spec.metric, side_result))
+                side_results.append(_terminal_metric(spec.metric, *inputs, state0, sectors))
             except ModelError as exc:
                 side = "low" if factor < 1 else "high"
                 message = f"{side} perturbation invalid: {exc}"

@@ -656,8 +656,10 @@ NUMBER = "expected a number, got 'x'"
 # (location in FULL, replacement value, error path, error message)
 WRONG_TYPES = [
     (("dataset_version",), 1.5, "dataset_version", "expected an integer, got 1.5"),
+    (("dataset_version",), None, "dataset_version", "expected an integer, got null"),
     (("params",), "x", "params", "expected a mapping, got str"),
     (("params", "alpha"), "x", "params.alpha", NUMBER),
+    (("params", "alpha"), None, "params.alpha", "expected a number, got null"),
     (("params", "theta"), "x", "params.theta", "expected a mapping, got str"),
     (("params", "theta", "mode"), 1, "params.theta.mode", "expected a string, got 1"),
     (("params", "theta", "value"), "x", "params.theta.value", NUMBER),
@@ -692,6 +694,7 @@ WRONG_TYPES = [
     (("sectors", 0, "readiness"), "x", "sectors[0].readiness",
      "readiness must be one of ['low', 'moderate', 'high'], got 'x'"),
     (("sectors", 0, "residual"), "x", "sectors[0].residual", "expected a boolean, got 'x'"),
+    (("sectors", 0, "residual"), None, "sectors[0].residual", "expected a boolean, got null"),
     (("sectors", 0, "notes"), 1, "sectors[0].notes", "expected a string, got 1"),
     (("scenarios",), "x", "scenarios", "expected a list, got str"),
     (("scenarios", 0), "x", "scenarios[0]", "expected a mapping, got str"),
@@ -730,6 +733,7 @@ WRONG_TYPES = [
       for key in ("robotics_growth", "cost_ratio")],
     (("output",), "x", "output", "expected a mapping, got str"),
     (("output", "directory"), 1, "output.directory", "expected a string, got 1"),
+    (("output", "directory"), None, "output.directory", "expected a string, got null"),
     (("output", "formats"), "x", "output.formats", "expected a list, got str"),
     (("output", "formats", 0), 1, "output.formats[0]", "expected a string, got 1"),
     (("output", "figure_scenario"), 1, "output.figure_scenario", "expected a string, got 1"),

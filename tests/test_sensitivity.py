@@ -1,7 +1,10 @@
 """One-at-a-time perturbations, tornado ordering, FD elasticities."""
 
 import importlib.util
+import itertools
 import math
+import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,14 +13,20 @@ from mpmath import mp
 
 import robolabor
 import robolabor.sensitivity as sensitivity_module
+from robolabor import sectors as sectors_module
 from robolabor import (
     DomainError,
     EconomyState,
+    ModelError,
     ModelParams,
     PerturbationSpec,
+    RawShocks,
+    Readiness,
     Scenario,
+    SectorProfile,
     SimulationMode,
     StaticTheta,
+    UnattainableTargetError,
     default_specs,
     elasticity_fd,
     loads_config,
@@ -70,7 +79,8 @@ class TestOneAtATime:
         monkeypatch.setattr(sensitivity_module, "run_scenario", counting)
         records = one_at_a_time(cfg.scenario("baseline"), params, state0,
                                 baseline)
-        assert len(calls) == 1 + 2 * len(PARAMETERS)
+        # the sides evaluate their metric alone
+        assert calls == ["baseline"]
         base_results = {record.baseline_result for record in records
                         if record.metric == "displacement"}
         assert len(base_results) == 1
@@ -275,3 +285,69 @@ class TestAgainstReference:
                                 default_specs(perturbation), config.sectors)
         scenario = next(s for s in cfg["scenarios"] if s["name"] == name)
         checks.check_tornado(records, reference.tornado(cfg, scenario, perturbation))
+
+
+def _tight_wide_table():
+    """240 sectors and a residual whose caps sum to a rate of about 0.035,
+    so the bundled scenarios' rates, perturbed, land on both sides of it."""
+    rng = random.Random(7)
+    named = [SectorProfile(name=f"s{i:03d}", employment_share=0.9 / 240,
+                           risk_multiplier=rng.lognormvariate(0.0, 0.5),
+                           automation_potential=rng.uniform(0.0, 0.07),
+                           readiness=Readiness.MODERATE) for i in range(240)]
+    return (*named, SectorProfile(name="rest", employment_share=0.1, risk_multiplier=None,
+                                  automation_potential=0.03, readiness=Readiness.MODERATE,
+                                  residual=True))
+
+
+class TestTerminalMetric:
+    """The sides' metric-only evaluation gives the full run's float, and
+    raises where the full run raises, with the same error."""
+
+    @pytest.fixture(scope="class")
+    def config(self):
+        cfg = yaml.safe_load(BUNDLED.read_text(encoding="utf-8"))
+        cfg["scenarios"].append(DYNAMIC)
+        return loads_config(yaml.safe_dump(cfg), source="<bundled and dynamic>")
+
+    def test_equals_the_full_run(self, config):
+        wide = _tight_wide_table()
+        scenarios = [*config.scenarios,
+                     # a raw cost ratio whose power overflows in both
+                     replace(config.scenario("baseline"), sigma_override=20.0,
+                             raw_shocks=RawShocks(cost_ratio=1e-20))]
+        seen = {"fits": 0, "split": 0, "unattainable": 0, "domain": 0, "overflow": 0}
+
+        def outcome(call):
+            try:
+                return call().hex()
+            except (ModelError, OverflowError) as exc:
+                return type(exc), str(exc)
+
+        for scenario, table in itertools.product(scenarios, (None, config.sectors, wide)):
+            for parameter, factor in itertools.product(PARAMETERS, (0.1, 0.8, 1.0, 1.2, 1.9)):
+                holder, field = sensitivity_module._holder(parameter, scenario, config.params)
+                try:
+                    changed = replace(holder, **{field: sensitivity_module._scaled(
+                        getattr(holder, field), factor, field)})
+                except ModelError:
+                    continue  # the side fails before either evaluation
+                side, params = ((changed, config.params) if holder is scenario
+                                else (scenario, changed))
+                inputs = (side, params, config.initial_state)
+                full = {metric: outcome(lambda: sensitivity_module._extract(
+                            metric, run_scenario(*inputs, config.baseline, table)))
+                        for metric in METRICS}
+                alone = {metric: outcome(lambda: sensitivity_module._terminal_metric(
+                             metric, *inputs, table))
+                         for metric in METRICS}
+                assert alone == full, (side.name, parameter, factor)
+                rate = full["displacement"]
+                if isinstance(rate, tuple):
+                    kind = {UnattainableTargetError: "unattainable", OverflowError: "overflow"}
+                    seen[kind.get(rate[0], "domain")] += 1
+                elif table is wide:
+                    fits = sectors_module._split_fits(float.fromhex(rate), wide)
+                    seen["fits" if fits else "split"] += 1
+        # each path of the evaluation was taken
+        assert min(seen.values()) > 0, seen
