@@ -34,7 +34,6 @@ from .config import (
     OutputOptions,
     RunConfig,
     default_config_path,
-    dump_config,
     load_config,
     loads_config,
 )
@@ -122,7 +121,7 @@ __all__ = [
     "PerturbationSpec", "SensitivityRecord", "default_specs", "one_at_a_time",
     "elasticity_fd",
     # config and output
-    "RunConfig", "OutputOptions", "load_config", "loads_config", "dump_config",
+    "RunConfig", "OutputOptions", "load_config", "loads_config",
     "default_config_path", "OutputBundle", "build_output_bundle",
     "write_outputs", "write_sensitivity_csv", "summary_table",
     # errors

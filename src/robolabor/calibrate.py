@@ -23,7 +23,6 @@ from .core import EconomyState, ModelParams, StaticTheta, production_output, the
 from .engine import Scenario, _leaves_labor, _resolved, _terminal_metric
 from .errors import (CalibrationError, MaxIterationsError, NoSignChangeError,
                      UnattainableTargetError, _require)
-from .sectors import LaborBaseline
 
 __all__ = [
     "SolverConfig", "CalibrationReport", "SUPPORTED_PAIRS", "calibrate_scenario",
@@ -274,17 +273,17 @@ def _labor_end(scenario: Scenario, params: ModelParams, state0: EconomyState,
 
 
 def calibrate_scenario(scenario: Scenario, params: ModelParams, state0: EconomyState,
-                       baseline: LaborBaseline, target_name: str, target_value: float,
+                       target_name: str, target_value: float,
                        parameter: str) -> CalibrationReport:
     """Solve one scenario input so the engine reproduces a target outcome.
 
     ``gain`` is the summary ``gdp_gain`` and ``displacement`` the terminal
     ``displacement_rate`` of a run without a sector table, with the solved
-    value in place of the scenario's field or whole path; neither reads
-    ``baseline``. ``iterations`` counts evaluations of the metric, each the
-    engine's checks and terminal-year arithmetic without the year records;
-    ``residual`` is the engine's gap at the solved value. ``output`` solves
-    TFP at the initial state and runs no engine. Raises
+    value in place of the scenario's field or whole path. ``iterations``
+    counts evaluations of the metric, each the engine's checks and
+    terminal-year arithmetic without the year records; ``residual`` is the
+    engine's gap at the solved value. ``output`` solves TFP at the initial
+    state and runs no engine. Raises
     :class:`DomainError` for a target that is not finite or an ``output``
     target that is not positive, and :class:`UnattainableTargetError` when
     the target lies outside what the engine reaches over the parameter's

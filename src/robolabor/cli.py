@@ -142,7 +142,7 @@ def _cmd_calibrate(args) -> int:
         raise _UsageError(f"cannot solve {args.solve!r} from target {target_name!r}; "
                           f"supported: {pairs}")
     report = calibrate_scenario(scenario, config.params, config.initial_state,
-                                config.baseline, target_name, target_value, args.solve)
+                                target_name, target_value, args.solve)
     print(f"solved {args.solve} = {report.value:.6g} against {target_name}={target_value:g} "
           f"(scenario {scenario.name})", file=sys.stderr)
     print(json.dumps(report.to_dict(), indent=2))

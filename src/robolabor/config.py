@@ -1,12 +1,11 @@
-"""Config ingestion, validation and emission.
+"""Config ingestion and validation.
 
 Configs are YAML mappings with a fixed schema (see docs/config_schema.md).
 Each section is read into the dataclass that declares it: the fields are
 the allowed keys, a field without a default is required, and each value is
 converted by the field's declared type. Validation is strict: unknown keys
 are rejected, every error names the offending field by its dotted path,
-and parse failures carry line and column. ``dump_config`` emits YAML that
-loads back to an equal :class:`RunConfig`, so configs round-trip.
+and parse failures carry line and column.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ __all__ = [
     "RunConfig",
     "load_config",
     "loads_config",
-    "dump_config",
     "default_config_path",
 ]
 
@@ -483,33 +481,3 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"cannot read config file {path}: not UTF-8 at byte {exc.start}") from exc
     return loads_config(text, source=str(path))
 
-
-def _plain(value: Any) -> Any:
-    """Plain-data form of a config value; a field equal to its default is left out."""
-    if is_dataclass(value):
-        out = {"mode": _MODE_OF[type(value)]} if type(value) in _MODE_OF else {}
-        for f in fields(value):
-            item = getattr(value, f.name)
-            default = (f.default if f.default_factory is MISSING
-                       else f.default_factory())
-            if item != default:
-                out[_KEYS.get(f.name, f.name)] = _plain(item)
-        return out
-    if isinstance(value, enum.Enum):
-        return value.value
-    if isinstance(value, (tuple, list)):
-        return [_plain(v) for v in value]
-    if isinstance(value, Mapping):
-        return {k: _plain(v) for k, v in value.items()}
-    return value
-
-
-def to_dict(config: RunConfig) -> dict:
-    """Plain-data form of a config, as ``loads_config`` would accept."""
-    return _plain(config)
-
-
-def dump_config(config: RunConfig) -> str:
-    """Emit YAML that loads back to an equal config."""
-    return yaml.safe_dump(to_dict(config), sort_keys=False,
-                          default_flow_style=False, allow_unicode=True)

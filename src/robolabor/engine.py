@@ -28,8 +28,9 @@ sector rates and headcounts instead of computing them again.
 
 A caller that reads one terminal metric, a tornado side or a calibration
 step, calls ``_terminal_metric``: the same checks and the same float, with
-no year records, headcounts or sector rates built. It splits the terminal
-rate only where the split might raise, so it fails where a full run fails.
+no year records, headcounts or sector rates built. The one check left
+outside ``_effective_params`` is the sector split, which it runs only where
+the split might raise, so it fails where a full run fails.
 """
 
 from __future__ import annotations
@@ -110,7 +111,9 @@ class TargetSet:
 
 @dataclass(frozen=True)
 class RawShocks:
-    """Shock values as stated before calibration, kept for gap reporting."""
+    """Shock values as stated before calibration, kept for gap reporting.
+
+    A cost ratio is at least 1, as on the path it stands in for."""
 
     robotics_growth: float | None = None
     cost_ratio: float | None = None
@@ -121,8 +124,8 @@ class RawShocks:
                      "raw robotics_growth must be finite and exceed -1, "
                      "got {}", self.robotics_growth)
         if self.cost_ratio is not None:
-            _require(0 < self.cost_ratio < math.inf,
-                     "raw cost_ratio must be positive and finite, got {}", self.cost_ratio)
+            _require(1 <= self.cost_ratio < math.inf,
+                     "raw cost_ratio must be finite and >= 1, got {}", self.cost_ratio)
 
 
 def _path_values(scenario: "Scenario", name: str, n_years: int) -> tuple[float, ...]:
@@ -151,7 +154,7 @@ class Scenario:
     entry per horizon year. ``cost_ratio_path`` entries are cumulative
     wage-to-robot-cost ratios relative to the baseline year, not
     year-over-year increments, so they start at 1 or above and never fall.
-    With the TFP spillover on, robotics growth is never negative.
+    With the TFP spillover on, robotics growth, raw or not, is never negative.
     """
 
     name: str
@@ -196,6 +199,10 @@ class Scenario:
             if self.tfp_enabled:
                 _require(g >= 0,
                          "robotics_growth must be >= 0 when tfp_enabled, got {}", g)
+        raw = self.raw_shocks
+        if self.tfp_enabled and raw is not None and raw.robotics_growth is not None:
+            _require(raw.robotics_growth >= 0, "raw robotics_growth must be >= 0 "
+                     "when tfp_enabled, got {}", raw.robotics_growth)
         ratios = _path_values(self, "cost_ratio_path", n_years)
         _require(ratios[0] >= 1, "cost_ratio_path entries must be >= 1, got {}", ratios[0])
         for before, after in zip(ratios, ratios[1:]):
@@ -289,7 +296,8 @@ class SimulationResult:
 
 def _leaves_labor(state0: EconomyState, cost_ratio: float, sigma: float,
                   exposure: float) -> bool:
-    """Whether some of ``state0``'s labor survives a cost ratio, as a float."""
+    """Whether some of ``state0``'s labor survives a cost ratio, as a float:
+    the rule :func:`_effective_params` holds the terminal ratio to."""
     return state0.labor * labor_demand_ratio(cost_ratio, sigma, exposure) > 0
 
 
@@ -304,22 +312,26 @@ def _resolved(scenario: Scenario, params: ModelParams) -> tuple[float, ThetaMode
 
 def _effective_params(scenario: Scenario, params: ModelParams, state0: EconomyState
                       ) -> tuple[float, Sequence[float], dict[float, float], float,
-                                 float, float]:
+                                 float, float, float, float, float | None]:
     """Resolve the scenario overrides; prove every simulated year in-domain.
 
     Returns ``(sigma, theta per year, baseline output by theta,
-    exposure_share, terminal TFP, terminal robotics stock)``, the stocks
-    compounded as ``run_scenario``'s loop compounds them. Every value of
-    the theta schedule must keep
+    exposure_share, terminal labor ratio, terminal TFP, terminal robotics
+    stock, gdp_gain, raw_gdp_gain)``, each the float ``run_scenario``
+    reports or compounds, from the same operands; ``raw_gdp_gain`` is None
+    without a raw robotics growth. Every value of the theta schedule must keep
     ``alpha + theta < 1``, and ``state0``'s output at each must be positive
     and finite, since each year's gain divides by it; the terminal cost
-    ratio, the path's largest, must leave some labor; the robotics stock
+    ratio, the path's largest, must leave some labor, and the jobs created
+    from the workers it displaces must stay finite; the robotics stock
     and TFP, compounded from ``state0`` by the growth path, must stay
     positive and finite, and so must TFP times the stock to the power
     theta, the output at ``state0``'s labor, and the gains over ``state0``,
     which divide by its stocks and output, so a tiny initial stock can
-    overflow them while every stock stays finite. With the inputs' own
-    rules, every precondition of the public helpers then holds every year.
+    overflow them while every stock stays finite. The raw gain must be
+    finite too; with the raw shocks' own rules it exceeds -1, and the raw
+    displacement lies in [0, 1]. With the inputs' own rules, every
+    precondition of the public helpers then holds every year.
     """
     sigma, theta_mode, exposure = _resolved(scenario, params)
     for value in _theta_extremes(theta_mode):
@@ -340,9 +352,17 @@ def _effective_params(scenario: Scenario, params: ModelParams, state0: EconomySt
                  "which must be positive and finite", base, theta)
     # labor is lowest at the terminal ratio
     terminal = scenario.cost_path()[-1]
-    _require(_leaves_labor(state0, terminal, sigma, exposure),
+    ratio = labor_demand_ratio(terminal, sigma, exposure)
+    _require(state0.labor * ratio > 0,
              "cost_ratio_path reaches {}, which displaces the whole workforce at "
              "sigma {} and exposure_share {}", terminal, sigma, exposure)
+    # and jobs created are highest there, at the largest creation ratio
+    model = scenario.job_creation_model
+    job_ratio = model.ratio if isinstance(model, JobCreationRatio) else model.terminal_ratio
+    displaced = state0.labor - state0.labor * ratio
+    _require(job_ratio * displaced < math.inf, "job_creation ratio {} times the {} workers "
+             "displaced by the terminal year is inf, outside the float range",
+             job_ratio, displaced)
     # compound exactly as run_scenario does, so a pass here is a pass there
     labor0, boost = state0.labor, params.tfp_boost_per_adoption_pct
     labor_cap = max(labor0, 1.0)  # labor <= labor0, and x ** p <= max(x, 1) for p in (0, 1]
@@ -378,9 +398,10 @@ def _effective_params(scenario: Scenario, params: ModelParams, state0: EconomySt
                 output_overflow = year
             if gain_overflow is None and output / base_by_theta[theta_t] == math.inf:
                 gain_overflow = year
-    # gdp_gain, of the terminal year only, as run_scenario computes it
-    if gain_overflow is None and ((tfp / state0.tfp)
-                                  * (robotics / state0.robotics) ** thetas[-1] == math.inf):
+    # gdp_gain, the terminal year's channel gain: robotics stock and TFP
+    # moved, labor held at baseline
+    gain = (tfp / state0.tfp) * (robotics / state0.robotics) ** thetas[-1] - 1.0
+    if gain_overflow is None and gain == math.inf:
         gain_overflow = scenario.horizon[1]
     # a stock that leaves the range anywhere is reported first
     if overflow is not None:
@@ -392,7 +413,15 @@ def _effective_params(scenario: Scenario, params: ModelParams, state0: EconomySt
     if gain_overflow is not None:
         raise DomainError(f"robotics_growth compounds the gain over initial_state to inf "
                           f"by {gain_overflow}, outside the float range")
-    return sigma, thetas, base_by_theta, exposure, tfp, robotics
+    raw, raw_gain = scenario.raw_shocks, None
+    if raw is not None and raw.robotics_growth is not None:
+        # the stated growth as one year at the first theta
+        g_raw = raw.robotics_growth
+        factor = 1.0 + boost * 100.0 * g_raw if scenario.tfp_enabled else 1.0
+        raw_gain = factor * (1.0 + g_raw) ** thetas[0] - 1.0
+        _require(raw_gain < math.inf, "raw robotics_growth {} gives a raw gdp_gain of inf "
+                 "through tfp_enabled, outside the float range", g_raw)
+    return sigma, thetas, base_by_theta, exposure, ratio, tfp, robotics, gain, raw_gain
 
 
 def _terminal_metric(metric: str, scenario: Scenario, params: ModelParams,
@@ -405,25 +434,20 @@ def _terminal_metric(metric: str, scenario: Scenario, params: ModelParams,
     record's ``output``, each the same float as the full run gives, from the
     same operands; no record, headcount or sector rate is built. Where the
     full run raises, this raises the same error: every check is in
-    :func:`_effective_params`, except the raw displacement's power and the
-    sector split. The split runs only where ``sectors._split_fits`` cannot
-    rule out its :class:`UnattainableTargetError`.
+    :func:`_effective_params`, except the sector split. The split runs only
+    where ``sectors._split_fits`` cannot rule out its
+    :class:`UnattainableTargetError`.
     """
-    sigma, thetas, _, exposure, tfp, robotics = _effective_params(scenario, params, state0)
-    ratio = 1.0 - exposure * (1.0 - scenario.cost_path()[-1] ** (-sigma))
+    _, thetas, _, _, ratio, tfp, robotics, gain, _ = _effective_params(scenario, params,
+                                                                       state0)
     rate = 1.0 - ratio
-    raw = scenario.raw_shocks
-    if raw is not None and raw.cost_ratio is not None:
-        # its power can overflow, and the full run then raises OverflowError
-        labor_demand_ratio(raw.cost_ratio, sigma, 1.0)
     if sectors and not _split_fits(rate, sectors):
         disaggregate_displacement(rate, sectors)
     if metric == "displacement":
         return rate
-    theta = thetas[-1]
     if metric == "output_gain":
-        return (tfp / state0.tfp) * (robotics / state0.robotics) ** theta - 1.0
-    alpha = params.alpha
+        return gain
+    alpha, theta = params.alpha, thetas[-1]
     return (tfp * state0.capital ** alpha * (state0.labor * ratio) ** (1.0 - alpha - theta)
             * robotics ** theta)
 
@@ -444,8 +468,8 @@ def run_scenario(scenario: Scenario, params: ModelParams, state0: EconomyState,
     ``job_creation`` and ``remittance_impact`` without their checks, operand
     for operand, so it gives their floats (``tests/test_engine.py`` pins it).
     """
-    sigma, thetas, base_by_theta, exposure, _, _ = _effective_params(scenario, params,
-                                                                      state0)
+    sigma, thetas, base_by_theta, exposure, _, _, _, gain, raw_gain = _effective_params(
+        scenario, params, state0)
 
     start, end = scenario.horizon
     n_years = scenario.n_years
@@ -495,24 +519,13 @@ def run_scenario(scenario: Scenario, params: ModelParams, state0: EconomyState,
         records.append(record)
 
     terminal = records[-1]
-    # channel gain: robotics stock and TFP moved, labor held at baseline
-    channel_gain = ((tfp / state0.tfp)
-                    * (robotics / state0.robotics) ** terminal.theta - 1.0)
-    raw_gain = None
-    raw_disp = None
-    if scenario.raw_shocks is not None:
-        theta0 = thetas[0]
-        if scenario.raw_shocks.robotics_growth is not None:
-            g_raw = scenario.raw_shocks.robotics_growth
-            factor = 1.0 + boost * 100.0 * g_raw if scenario.tfp_enabled else 1.0
-            raw_gain = factor * (1.0 + g_raw) ** theta0 - 1.0
-        if scenario.raw_shocks.cost_ratio is not None:
-            # raw displacement at full exposure: the exposure share is itself
-            # a calibrated quantity
-            raw_disp = 1.0 - labor_demand_ratio(scenario.raw_shocks.cost_ratio,
-                                                sigma, 1.0)
+    raw = scenario.raw_shocks
+    # raw displacement at full exposure: the exposure share is itself a
+    # calibrated quantity
+    raw_disp = (None if raw is None or raw.cost_ratio is None
+                else 1.0 - labor_demand_ratio(raw.cost_ratio, sigma, 1.0))
     summary = ResultSummary(
-        gdp_gain=channel_gain,
+        gdp_gain=gain,
         realized_gain=terminal.output_gain_vs_baseline,
         displacement_rate=terminal.displacement_rate,
         displaced_total=terminal.displaced_cumulative,

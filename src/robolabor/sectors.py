@@ -198,12 +198,12 @@ class _Table:
     ``names``, ``weights`` and ``caps`` run over every sector in dataset
     order, ``multipliers`` and ``named_*`` over the named ones, and
     ``residual`` is the residual's index or ``None``. The named sectors that
-    can take more (positive share, multiplier and cap) are sorted by
-    ``cap / multiplier``: the ``t`` at which ``min(t * multiplier, cap)``
-    binds, whatever the national rate. With the first ``k`` of them capped
-    and the rest at ``t * multiplier``, their employment-weighted sum is
-    ``capped_before[k] + t * free_after[k]``; ``reach[k]`` is that sum at
-    the ``t`` where the ``k``-th one caps.
+    can take more (a positive cap, and a share times multiplier that does
+    not round to 0) are sorted by ``cap / multiplier``: the ``t`` at which
+    ``min(t * multiplier, cap)`` binds, whatever the national rate. With
+    the first ``k`` of them capped and the rest at ``t * multiplier``, their
+    employment-weighted sum is ``capped_before[k] + t * free_after[k]``;
+    ``reach[k]`` is that sum at the ``t`` where the ``k``-th one caps.
     """
 
     __slots__ = ("names", "weights", "caps", "total", "multipliers", "named_weights",
@@ -224,7 +224,7 @@ class _Table:
         # (t at which the cap binds, weighted cap, weighted multiplier)
         movable = sorted([(cap / m, w * cap, w * m) for m, w, cap
                           in zip(self.multipliers, self.named_weights, self.named_caps)
-                          if w > 0 and m > 0 and cap > 0], key=itemgetter(0))
+                          if w * m > 0 and cap > 0], key=itemgetter(0))
         binds, capped, free = zip(*movable) if movable else ((), (), ())
         self.capped_before = [0.0, *accumulate(capped)]
         self.free_after = [0.0, *accumulate(reversed(free))][::-1]

@@ -330,7 +330,7 @@ def configured(cfg, scenario, parameter):
 
 def solve(cfg, name, target_name, target, parameter):
     return calibrate_scenario(cfg.scenario(name), cfg.params, cfg.initial_state,
-                              cfg.baseline, target_name, target, parameter)
+                              target_name, target, parameter)
 
 
 class TestCalibrateScenario:
@@ -411,7 +411,7 @@ class TestCalibrateScenario:
         scenario = replace(cfg.scenario("low_adoption"), cost_ratio_path=7.0)
         assert cfg.params.exposure_share == 1.0
         report = calibrate_scenario(scenario, cfg.params, cfg.initial_state,
-                                    cfg.baseline, "displacement", 0.5, "sigma")
+                                    "displacement", 0.5, "sigma")
         assert report.value == pytest.approx(math.log(2) / math.log(7), rel=1e-9)
         solved = replace(scenario, sigma_override=report.value)
         rate = run_scenario(solved, cfg.params, cfg.initial_state,
@@ -426,7 +426,7 @@ class TestCalibrateScenario:
     def test_cost_ratio_end_lowered_to_leave_labor(self, cfg):
         scenario = replace(cfg.scenario("low_adoption"), sigma_override=20.0)
         report = calibrate_scenario(scenario, cfg.params, cfg.initial_state,
-                                    cfg.baseline, "displacement", 0.5, "cost_ratio")
+                                    "displacement", 0.5, "cost_ratio")
         assert report.value == pytest.approx(2 ** (1 / 20), rel=1e-9)
         end = _labor_end(scenario, cfg.params, cfg.initial_state, "cost_ratio", 1.0, 10.0)
         assert 1 < end < 10

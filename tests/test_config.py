@@ -1,4 +1,4 @@
-"""Strict config parsing, dotted error paths, YAML round trips."""
+"""Strict config parsing and dotted error paths."""
 
 import copy
 import importlib
@@ -29,12 +29,11 @@ from robolabor import (
     StaticTheta,
     ThetaRamp,
     default_config_path,
-    dump_config,
     load_config,
     loads_config,
 )
 from robolabor import config as config_module
-from robolabor.config import _MAX_DEPTH, _may_nest_deeper, to_dict
+from robolabor.config import _MAX_DEPTH, _may_nest_deeper
 
 MINIMAL = """
 params:
@@ -105,6 +104,12 @@ class TestDefaultDataset:
         assert isinstance(cfg.scenario("baseline").job_creation_model,
                           JobCreationRatio)
         assert cfg.scenario("baseline").theta_override == StaticTheta(0.5)
+
+    def test_scalar_and_list_paths_load(self, cfg):
+        assert isinstance(cfg.scenario("baseline").cost_ratio_path, float)
+        staged = cfg.scenario("staged_adoption")
+        assert isinstance(staged.cost_ratio_path, tuple)
+        assert len(staged.cost_ratio_path) == 6
 
     def test_output_options(self, cfg):
         assert cfg.output.directory == "out"
@@ -372,34 +377,6 @@ class TestDefaults:
         assert scenario.raw_shocks is None
 
 
-class TestRoundTrip:
-    def test_default_dataset_round_trips(self, cfg):
-        assert loads_config(dump_config(cfg)) == cfg
-
-    def test_dump_is_idempotent(self, cfg):
-        once = dump_config(cfg)
-        assert dump_config(loads_config(once)) == once
-
-    def test_scalar_and_list_paths_survive(self, cfg):
-        reloaded = loads_config(dump_config(cfg))
-        assert isinstance(reloaded.scenario("baseline").cost_ratio_path, float)
-        staged = reloaded.scenario("staged_adoption")
-        assert isinstance(staged.cost_ratio_path, tuple)
-        assert len(staged.cost_ratio_path) == 6
-
-    def test_to_dict_omits_unset_optionals(self, cfg):
-        payload = to_dict(cfg)
-        high = next(s for s in payload["scenarios"] if s["name"] == "high_adoption")
-        assert "sigma" not in high
-        null_shock = next(s for s in payload["scenarios"]
-                          if s["name"] == "null_shock")
-        assert "targets" not in null_shock and "raw_shocks" not in null_shock
-
-    def test_minimal_round_trips(self):
-        config = loads_config(ONE_SCENARIO)
-        assert loads_config(dump_config(config)) == config
-
-
 # scalars whose resolution depends on the resolver, not on the parser
 SCALARS = """
 name: "Doha – الدوحة"
@@ -418,7 +395,6 @@ flags: [yes, no, on, off, true, ~]
 LOADER_TEXTS = {
     "bundled": lambda: default_config_path().read_text(encoding="utf-8"),
     "minimal": lambda: ONE_SCENARIO,
-    "dumped": lambda: dump_config(load_config("default")),
     "scalars": lambda: SCALARS,
 }
 
@@ -442,7 +418,7 @@ class TestLoaders:
         assert (yaml.load(text, Loader=yaml.CSafeLoader)
                 == yaml.load(text, Loader=yaml.SafeLoader))
 
-    @pytest.mark.parametrize("name", ["bundled", "minimal", "dumped"])
+    @pytest.mark.parametrize("name", ["bundled", "minimal"])
     def test_fallback_gives_the_same_config(self, name, monkeypatch):
         text = LOADER_TEXTS[name]()
         expected = loads_config(text)
@@ -802,16 +778,6 @@ class TestErrorPaths:
             loads_config(_edited((*location, key), delete=True))
         assert excinfo.value.path == path
         assert str(excinfo.value) == f"{path}: missing required key {key!r}"
-
-
-class TestRoundTripCoverage:
-    @pytest.mark.parametrize("text", [yaml.safe_dump(FULL), MINIMAL],
-                             ids=["every_optional_set", "every_optional_left_out"])
-    def test_round_trip_and_idempotent_dump(self, text):
-        config = loads_config(text)
-        once = dump_config(config)
-        assert loads_config(once) == config
-        assert dump_config(loads_config(once)) == once
 
 
 def _section_classes(tp=RunConfig, found=None) -> set:

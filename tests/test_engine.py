@@ -357,6 +357,23 @@ class TestScenarioValidation:
             RawShocks(robotics_growth=-1.0)
         with pytest.raises(DomainError):
             RawShocks(cost_ratio=0.0)
+        # a raw shock follows the rules of the path it stands in for
+        with pytest.raises(DomainError, match="raw cost_ratio must be finite and >= 1"):
+            RawShocks(cost_ratio=math.nextafter(1.0, 0.0))
+        assert RawShocks(cost_ratio=1.0).cost_ratio == 1.0
+        with pytest.raises(DomainError, match="raw robotics_growth must be >= 0 when tfp"):
+            static_scenario(tfp_enabled=True, raw_shocks=RawShocks(robotics_growth=-0.9))
+        assert static_scenario(raw_shocks=RawShocks(robotics_growth=-0.9)).tfp_enabled is False
+
+    def test_raw_gain_must_stay_finite(self, params, state0, baseline):
+        scenario = static_scenario(tfp_enabled=True, raw_shocks=RawShocks(robotics_growth=1e300))
+        with pytest.raises(DomainError, match="raw robotics_growth 1e[+]300 gives a raw "
+                                              "gdp_gain of inf"):
+            run_scenario(scenario, params, state0, baseline)
+        # without the spillover the raw gain is (1 + g)**theta - 1, finite for finite g
+        plain = dataclasses.replace(scenario, tfp_enabled=False)
+        summary = run_scenario(plain, params, state0, baseline).summary
+        assert summary.raw_gdp_gain == (1.0 + 1e300) ** 0.5 - 1.0
 
     def test_path_expansion(self):
         scenario = Scenario(name="expand", mode=SimulationMode.DYNAMIC,

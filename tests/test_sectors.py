@@ -197,6 +197,14 @@ class TestDisaggregateDisplacement:
         with pytest.raises(UnattainableTargetError):
             disaggregate_displacement(0.5, dataset)
 
+    def test_sector_whose_weighted_multiplier_rounds_to_zero_cannot_move(self):
+        # 0.5 * 5e-324 rounds to 0: past b's cap nothing can take more
+        dataset = (profile("tiny", 0.5, 5e-324, cap=0.62), profile("b", 0.5, 1.0, cap=0.1))
+        rates = disaggregate_displacement(0.04, dataset)
+        assert rates["tiny"] == 0.0 and rates["b"] == pytest.approx(0.08, rel=1e-12)
+        with pytest.raises(UnattainableTargetError):
+            disaggregate_displacement(0.5, dataset)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             disaggregate_displacement(1.5, [profile("a", 1.0, 1.0)])

@@ -313,15 +313,15 @@ class TestTerminalMetric:
     def test_equals_the_full_run(self, config):
         wide = _tight_wide_table()
         scenarios = [*config.scenarios,
-                     # a raw cost ratio whose power overflows in both
-                     replace(config.scenario("baseline"), sigma_override=20.0,
-                             raw_shocks=RawShocks(cost_ratio=1e-20))]
-        seen = {"fits": 0, "split": 0, "unattainable": 0, "domain": 0, "overflow": 0}
+                     # a raw growth whose gain overflows under the spillover
+                     replace(config.scenario("baseline"), tfp_enabled=True,
+                             raw_shocks=RawShocks(robotics_growth=1e300))]
+        seen = {"fits": 0, "split": 0, "unattainable": 0, "domain": 0, "raw_gain": 0}
 
         def outcome(call):
             try:
                 return call().hex()
-            except (ModelError, OverflowError) as exc:
+            except ModelError as exc:
                 return type(exc), str(exc)
 
         for scenario, table in itertools.product(scenarios, (None, config.sectors, wide)):
@@ -344,8 +344,9 @@ class TestTerminalMetric:
                 assert alone == full, (side.name, parameter, factor)
                 rate = full["displacement"]
                 if isinstance(rate, tuple):
-                    kind = {UnattainableTargetError: "unattainable", OverflowError: "overflow"}
-                    seen[kind.get(rate[0], "domain")] += 1
+                    raw_gain = rate[0] is DomainError and rate[1].startswith("raw ")
+                    seen["unattainable" if rate[0] is UnattainableTargetError
+                         else "raw_gain" if raw_gain else "domain"] += 1
                 elif table is wide:
                     fits = sectors_module._split_fits(float.fromhex(rate), wide)
                     seen["fits" if fits else "split"] += 1

@@ -5,32 +5,47 @@ config is built, or before the first simulated year. A run that starts
 therefore finishes, and no error names an engine-internal variable.
 """
 
+import copy
+import dataclasses
 import math
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import suppress
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import example, given, settings, strategies as st
 
 import robolabor
 from robolabor import (
+    SUPPORTED_PAIRS,
     ConfigError,
     DomainError,
     EconomyState,
     JobCreationRamp,
     JobCreationRatio,
     LaborBaseline,
+    ModelError,
     ModelParams,
     Readiness,
     Scenario,
     SectorProfile,
     SimulationMode,
     StaticTheta,
+    TargetSet,
     ThetaRamp,
+    ValidationError,
+    build_output_bundle,
+    calibrate_scenario,
+    default_specs,
     loads_config,
+    one_at_a_time,
     run_scenario,
+    write_outputs,
 )
 from robolabor.cli import cli_dispatch
 
@@ -551,3 +566,127 @@ class TestYamlConstructorErrors:
         path.write_text(text)
         assert cli_dispatch(["validate", "--config", str(path)]) == 1
         assert f"invalid YAML in {path}: " in capsys.readouterr().err
+
+
+BUNDLED = yaml.safe_load(robolabor.default_config_path().read_text(encoding="utf-8"))
+
+
+def _numeric_leaves(node, path=()) -> list[tuple]:
+    """The path of every number in a parsed config; booleans are no numbers."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return [leaf for key, value in items for leaf in _numeric_leaves(value, (*path, key))]
+    return [path] if isinstance(node, (int, float)) and not isinstance(node, bool) else []
+
+
+LEAVES = _numeric_leaves(BUNDLED)
+EXTREMES = (0, 5e-324, -5e-324, 1e-300, 1e-20, math.nextafter(1.0, 0.0),
+            math.nextafter(1.0, 2.0), 1e300, sys.float_info.max, None, True, "x")
+# the calibration target of each metric a scenario does not state
+DEFAULT_TARGETS = {"gain": 0.015, "displacement": 0.032, "output": 1.0}
+
+
+def _edited_bundle(edits) -> str:
+    data = copy.deepcopy(BUNDLED)
+    for path, value in edits:
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return yaml.safe_dump(data)
+
+
+def _assert_in_range(result) -> None:
+    """Every number a run reports is finite, a gain exceeds -1 and a rate lies in [0, 1]."""
+    summary = result.summary
+    numbers = [value for record in result.records for value in dataclasses.astuple(record)]
+    numbers += [value for value in dataclasses.astuple(summary) if not isinstance(value, str)]
+    assert all(math.isfinite(value) for value in numbers if value is not None), result
+    for gain in (summary.gdp_gain, summary.raw_gdp_gain):
+        assert gain is None or gain > -1, result
+    for rate in (summary.displacement_rate, summary.raw_displacement_rate):
+        assert rate is None or 0 <= rate <= 1, result
+
+
+# edits of the bundled config that loaded and then failed to run (an
+# OverflowError, an inf or a gain below -1 written), and the one line
+# validate prints for each
+REJECTED = {
+    # a raw cost ratio whose power overflows at sigma 20
+    "raw_cost_ratio_below_1": (
+        [(("scenarios", 0, "sigma"), 20), (("scenarios", 0, "raw_shocks", "cost_ratio"), 1e-20)],
+        "scenarios[0].raw_shocks: raw cost_ratio must be finite and >= 1, got 1e-20"),
+    # a raw growth whose gain overflows through the TFP spillover
+    "raw_gain_overflow": (
+        [(("scenarios", 3, "raw_shocks", "robotics_growth"), 1e300)],
+        "scenarios[3]: raw robotics_growth 1e+300 gives a raw gdp_gain of inf"),
+    # a negative raw growth under the spillover, whose raw gain falls below -1
+    "negative_raw_growth_with_tfp": (
+        [(("params", "tfp_boost_per_adoption_pct"), 0.02),
+         (("scenarios", 3, "raw_shocks", "robotics_growth"), -0.9)],
+        "scenarios[3]: raw robotics_growth must be >= 0 when tfp_enabled, got -0.9"),
+    # a creation ratio whose jobs created overflow
+    "jobs_created_overflow": (
+        [(("scenarios", 4, "job_creation", "terminal_ratio"), sys.float_info.max)],
+        "scenarios[4]: job_creation ratio 1.7976931348623157e+308 times the "),
+}
+# a sector whose share times multiplier rounds to 0, which the split divided by
+ZERO_WEIGHTED_MULTIPLIER = [(("scenarios", 0, "cost_ratio_path"), 1e300),
+                            (("sectors", 0, "risk_multiplier"), 5e-324)]
+
+
+class TestValidatedConfigsRun:
+    """A config that loads runs every command to an answer or a model error."""
+
+    @given(st.lists(st.tuples(st.sampled_from(LEAVES), st.sampled_from(EXTREMES)),
+                    min_size=1, max_size=3))
+    @example(REJECTED["raw_cost_ratio_below_1"][0])
+    @example(REJECTED["raw_gain_overflow"][0])
+    @example(REJECTED["negative_raw_growth_with_tfp"][0])
+    @example(REJECTED["jobs_created_overflow"][0])
+    @example(ZERO_WEIGHTED_MULTIPLIER)
+    @settings(max_examples=50)
+    def test_every_command_answers_or_raises_a_model_error(self, edits):
+        try:
+            config = loads_config(_edited_bundle(edits), source="<edited>")
+        except ValidationError:
+            return
+        params, state0, baseline = config.params, config.initial_state, config.baseline
+        results = []
+        for scenario in config.scenarios:
+            with suppress(ModelError):
+                results.append(run_scenario(scenario, params, state0, baseline,
+                                            config.sectors))
+                _assert_in_range(results[-1])
+            with suppress(ModelError):
+                one_at_a_time(scenario, params, state0, baseline, default_specs(),
+                              config.sectors)
+            targets = scenario.targets or TargetSet()
+            stated = {"gain": targets.gdp_gain, "displacement": targets.displacement}
+            for target_name, parameter in SUPPORTED_PAIRS:
+                target = stated.get(target_name)
+                target = DEFAULT_TARGETS[target_name] if target is None else target
+                with suppress(ModelError):
+                    calibrate_scenario(scenario, params, state0, target_name, target,
+                                       parameter)
+        with tempfile.TemporaryDirectory() as directory:
+            write_outputs(build_output_bundle(config, results), directory,
+                          config.output.formats)
+
+    @pytest.mark.parametrize("edits,message", REJECTED.values(), ids=REJECTED)
+    def test_validate_rejects_in_one_line(self, edits, message, tmp_path, capsys):
+        path = tmp_path / "edited.yaml"
+        path.write_text(_edited_bundle(edits), encoding="utf-8")
+        assert cli_dispatch(["validate", "--config", str(path)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"validation error: {message}")
+
+    def test_simulate_reports_an_unmovable_split_in_one_line(self, tmp_path, capsys):
+        path = tmp_path / "edited.yaml"
+        path.write_text(_edited_bundle(ZERO_WEIGHTED_MULTIPLIER), encoding="utf-8")
+        assert cli_dispatch(["validate", "--config", str(path)]) == 0
+        capsys.readouterr()
+        assert cli_dispatch(["simulate", "--config", str(path),
+                             "--out", str(tmp_path / "out")]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: national rate 0.835941455612 is unattainable")
