@@ -15,117 +15,20 @@ sector tuple and baseline, and the sector split keeps its last few compiled
 tables.
 """
 
-from __future__ import annotations
-
-from .calibrate import (
-    SUPPORTED_PAIRS,
-    CalibrationReport,
-    SolverConfig,
-    bisect,
-    calibrate_scenario,
-    implied_cost_ratio,
-    implied_exposure,
-    implied_robotics_growth,
-    implied_sigma,
-    implied_theta,
-    solve_tfp_level,
-)
-from .config import (
-    OutputOptions,
-    RunConfig,
-    default_config_path,
-    load_config,
-    loads_config,
-)
-from .core import (
-    EconomyState,
-    ModelParams,
-    StaticTheta,
-    ThetaMode,
-    ThetaRamp,
-    labor_demand_ratio,
-    production_output,
-    robotics_output_gain,
-    tfp_step,
-    theta_at,
-)
-from .engine import (
-    RawShocks,
-    ResultSummary,
-    Scenario,
-    SimulationMode,
-    SimulationResult,
-    TargetGap,
-    TargetSet,
-    YearRecord,
-    run_scenario,
-)
-from .errors import (
-    CalibrationError,
-    ConfigError,
-    DomainError,
-    MaxIterationsError,
-    ModelError,
-    NoSignChangeError,
-    UnattainableTargetError,
-    ValidationError,
-)
-from .report import (
-    OutputBundle,
-    build_output_bundle,
-    summary_table,
-    write_outputs,
-    write_sensitivity_csv,
-)
-from .sectors import (
-    HeadcountBreakdown,
-    JobCreationRamp,
-    JobCreationRatio,
-    LaborBaseline,
-    Readiness,
-    SectorProfile,
-    disaggregate_displacement,
-    displacement_headcounts,
-    job_creation,
-    remittance_impact,
-)
-from .sensitivity import (
-    PerturbationSpec,
-    SensitivityRecord,
-    default_specs,
-    elasticity_fd,
-    one_at_a_time,
-)
+from . import calibrate, config, core, engine, errors, report, sectors, sensitivity
+from .calibrate import *
+from .config import *
+from .core import *
+from .engine import *
+from .errors import *
+from .report import *
+from .sectors import *
+from .sensitivity import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # core
-    "EconomyState", "ModelParams", "StaticTheta", "ThetaRamp", "ThetaMode",
-    "production_output", "robotics_output_gain", "labor_demand_ratio",
-    "theta_at", "tfp_step",
-    # sectors
-    "Readiness", "SectorProfile", "LaborBaseline", "HeadcountBreakdown",
-    "JobCreationRatio", "JobCreationRamp", "disaggregate_displacement",
-    "displacement_headcounts", "remittance_impact", "job_creation",
-    # engine
-    "SimulationMode", "TargetSet", "RawShocks", "Scenario", "YearRecord",
-    "ResultSummary", "TargetGap", "SimulationResult", "run_scenario",
-    # calibration
-    "SolverConfig", "CalibrationReport", "SUPPORTED_PAIRS", "calibrate_scenario",
-    "bisect", "solve_tfp_level",
-    "implied_theta", "implied_sigma", "implied_exposure", "implied_cost_ratio",
-    "implied_robotics_growth",
-    # sensitivity
-    "PerturbationSpec", "SensitivityRecord", "default_specs", "one_at_a_time",
-    "elasticity_fd",
-    # config and output
-    "RunConfig", "OutputOptions", "load_config", "loads_config",
-    "default_config_path", "OutputBundle", "build_output_bundle",
-    "write_outputs", "write_sensitivity_csv", "summary_table",
-    # errors
-    "ModelError", "DomainError", "ValidationError", "ConfigError",
-    "CalibrationError", "NoSignChangeError", "MaxIterationsError",
-    "UnattainableTargetError",
+    *core.__all__, *sectors.__all__, *engine.__all__, *calibrate.__all__,
+    *sensitivity.__all__, *config.__all__, *report.__all__, *errors.__all__,
 ]

@@ -560,24 +560,11 @@ def run_scenario(scenario: Scenario, params: ModelParams, state0: EconomyState,
 def _target_gaps(targets: TargetSet, summary: ResultSummary) -> tuple[TargetGap, ...]:
     """Gap of each summary metric against its target, raw metrics when stated."""
     gaps: list[TargetGap] = []
-    if targets.gdp_gain is not None:
-        raw = summary.raw_gdp_gain
-        gaps.append(TargetGap(
-            metric="gdp_gain",
-            target=targets.gdp_gain,
-            computed=summary.gdp_gain,
-            gap=summary.gdp_gain - targets.gdp_gain,
-            raw_computed=raw,
-            raw_gap=None if raw is None else raw - targets.gdp_gain,
-        ))
-    if targets.displacement is not None:
-        raw = summary.raw_displacement_rate
-        gaps.append(TargetGap(
-            metric="displacement",
-            target=targets.displacement,
-            computed=summary.displacement_rate,
-            gap=summary.displacement_rate - targets.displacement,
-            raw_computed=raw,
-            raw_gap=None if raw is None else raw - targets.displacement,
-        ))
+    for metric, computed, raw in (
+            ("gdp_gain", summary.gdp_gain, summary.raw_gdp_gain),
+            ("displacement", summary.displacement_rate, summary.raw_displacement_rate)):
+        target = getattr(targets, metric)
+        if target is not None:
+            gaps.append(TargetGap(metric, target, computed, computed - target, raw,
+                                  None if raw is None else raw - target))
     return tuple(gaps)

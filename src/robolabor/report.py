@@ -26,7 +26,8 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .config import _FORMATS, RunConfig
-from .engine import SimulationResult, YearRecord
+from .engine import ResultSummary, SimulationResult, TargetGap, YearRecord
+from .sectors import HeadcountBreakdown
 from .sensitivity import SensitivityRecord
 
 __all__ = [
@@ -61,14 +62,17 @@ _SUMMARY_COLUMNS = (
     "key_driver",
 )
 
-# one timeseries column per record field, in field order
-_TIMESERIES_COLUMNS = tuple(f.name for f in fields(YearRecord))
 
-_SENSITIVITY_COLUMNS = (
-    "parameter", "metric", "perturbation", "baseline_value", "low_value",
-    "high_value", "baseline_result", "low_result", "high_result", "swing",
-    "pct_deviation_low", "pct_deviation_high", "error",
-)
+def _field_names(record_type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(record_type))
+
+
+# a record's CSV columns or JSON keys are its fields, in field order
+_TIMESERIES_COLUMNS = _field_names(YearRecord)
+_SENSITIVITY_COLUMNS = _field_names(SensitivityRecord)
+_RESULT_SUMMARY_FIELDS = _field_names(ResultSummary)
+_HEADCOUNT_FIELDS = _field_names(HeadcountBreakdown)
+_TARGET_GAP_FIELDS = _field_names(TargetGap)
 
 
 def format_number(value) -> str:
@@ -222,34 +226,21 @@ def _summary_rows(results: Sequence[SimulationResult]) -> list[list]:
     return rows
 
 
+def _as_dict(record, names: Sequence[str]) -> dict:
+    # the names come precomputed: dataclasses.fields costs about 2 us a call
+    return {name: getattr(record, name) for name in names}
+
+
 def _summary_payload(results: Sequence[SimulationResult]) -> dict:
     scenarios = []
     for result in results:
-        summary = result.summary
-        entry = {
-            "scenario": result.scenario,
-            "mode": result.mode.value,
-            "gdp_gain": summary.gdp_gain,
-            "realized_gain": summary.realized_gain,
-            "displacement_rate": summary.displacement_rate,
-            "displaced_total": summary.displaced_total,
-            "jobs_created": summary.jobs_created,
-            "key_driver": summary.key_driver,
-            "raw_gdp_gain": summary.raw_gdp_gain,
-            "raw_displacement_rate": summary.raw_displacement_rate,
-            "sector_rates": result.sector_rates,
-            "headcounts": {
-                "total": result.headcounts.total,
-                "expat": result.headcounts.expat,
-                "by_sector": result.headcounts.by_sector,
-            },
-        }
+        entry = {"scenario": result.scenario, "mode": result.mode.value,
+                 **_as_dict(result.summary, _RESULT_SUMMARY_FIELDS),
+                 "sector_rates": result.sector_rates,
+                 "headcounts": _as_dict(result.headcounts, _HEADCOUNT_FIELDS)}
         if result.target_comparison:
-            entry["target_comparison"] = [
-                {"metric": g.metric, "target": g.target, "computed": g.computed,
-                 "gap": g.gap, "raw_computed": g.raw_computed, "raw_gap": g.raw_gap}
-                for g in result.target_comparison
-            ]
+            entry["target_comparison"] = [_as_dict(gap, _TARGET_GAP_FIELDS)
+                                          for gap in result.target_comparison]
         scenarios.append(entry)
     return {"notes": [GAIN_SEMANTICS_NOTE, RATIO_SPACE_NOTE], "scenarios": scenarios}
 
@@ -302,12 +293,8 @@ def write_sensitivity_csv(records: Sequence[SensitivityRecord],
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / "sensitivity.csv"
-    rows = [[r.parameter, r.metric, r.perturbation, r.baseline_value,
-             r.low_value, r.high_value, r.baseline_result, r.low_result,
-             r.high_result, r.swing, r.pct_deviation_low,
-             r.pct_deviation_high, r.error or ""]
-            for r in records]
-    _write_csv(path, _SENSITIVITY_COLUMNS, rows)
+    _write_csv(path, _SENSITIVITY_COLUMNS,
+               map(attrgetter(*_SENSITIVITY_COLUMNS), records))
     return path
 
 

@@ -60,15 +60,21 @@ METRICS = ("output_gain", "displacement", "terminal_output")
 
 @dataclass(frozen=True)
 class PerturbationSpec:
-    """What to perturb, by how much, and which metric to read off."""
+    """What to perturb, by how much, and which metric to read off.
+
+    ``metric`` defaults to the metric the parameter acts through, so a
+    default spec's swing is not zero merely because it reads the wrong one.
+    """
 
     parameter: str
     perturbation: float = 0.10
-    metric: str = "output_gain"
+    metric: str | None = None
 
     def __post_init__(self) -> None:
         _require(self.parameter in PARAMETERS,
                  "parameter must be one of {}, got {!r}", PARAMETERS, self.parameter)
+        if self.metric is None:
+            object.__setattr__(self, "metric", _TABLE[self.parameter].metric)
         _require(0 <= self.perturbation < 1,
                  "perturbation must lie in [0, 1), got {}", self.perturbation)
         _require(self.metric in METRICS,
@@ -102,9 +108,7 @@ class SensitivityRecord:
 
 def default_specs(perturbation: float = 0.10) -> tuple[PerturbationSpec, ...]:
     """One spec per supported parameter at a common perturbation size."""
-    return tuple(PerturbationSpec(parameter=name, perturbation=perturbation,
-                                  metric=row.metric)
-                 for name, row in _TABLE.items())
+    return tuple(PerturbationSpec(name, perturbation) for name in PARAMETERS)
 
 
 def _holder(parameter: str, scenario: Scenario,

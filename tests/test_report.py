@@ -2,8 +2,10 @@
 
 import csv
 import dataclasses
+import importlib.util
 import json
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -16,6 +18,7 @@ from robolabor import (
     SensitivityRecord,
     YearRecord,
     build_output_bundle,
+    loads_config,
     one_at_a_time,
     run_scenario,
     summary_table,
@@ -396,3 +399,51 @@ class TestWriterOracle:
     def test_template_float_text(self, value):
         # the template's field and format_number agree on every float
         assert "%.12g" % value == format_number(value) == oracle_format_number(value)
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestAgainstReference:
+    """Written files agree with the benchmark's independent reference model.
+
+    ``perfbench/checks.py::check_output_files`` reads every file
+    ``write_outputs`` wrote back and compares it to ``reference.simulate``:
+    the file set, each timeseries, both summaries, the sector split and the
+    figure. The configs are the bundled one and the benchmark's wide
+    (240 sectors, caps binding) and horizon-sweep ones at two seeds.
+    """
+
+    @pytest.fixture(scope="class")
+    def bench(self):
+        reference = _load_perfbench("reference")
+        with pytest.MonkeyPatch.context() as patch:
+            # gen imports the reference model by its bare module name
+            patch.setitem(sys.modules, "reference", reference)
+            gen = _load_perfbench("gen")
+        return gen, reference, _load_perfbench("checks")
+
+    @pytest.mark.parametrize("inputs, seed", [("wide", 1), ("wide", 5), ("sweep", 1),
+                                              ("sweep", 5), ("bundled", None)])
+    def test_written_files_match_reference(self, bench, tmp_path, inputs, seed):
+        gen, reference, checks = bench
+        cfg = gen.bundled_config(PERFBENCH.parent)
+        if inputs != "bundled":
+            cfg = getattr(gen, f"{inputs}_inputs")(seed, cfg)["cfg"]
+        config = loads_config(gen.to_yaml(cfg), source=inputs)
+        results = [run_scenario(scenario, config.params, config.initial_state,
+                                config.baseline, config.sectors)
+                   for scenario in config.scenarios]
+        bundle = build_output_bundle(config, results)
+        write_outputs(bundle, tmp_path)
+        checks.check_output_files(checks.read_dir(tmp_path),
+                                  [reference.simulate(cfg, s) for s in cfg["scenarios"]],
+                                  cfg.get("sectors") or [], bundle.figure_scenario)

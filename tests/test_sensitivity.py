@@ -189,6 +189,24 @@ class TestSpecs:
         assert specs["sigma"] == "displacement"
         assert specs["cost_ratio"] == "displacement"
 
+    @pytest.mark.parametrize("parameter, metric", [
+        ("alpha", "terminal_output"), ("theta", "output_gain"), ("sigma", "displacement"),
+        ("robotics_growth", "output_gain"), ("cost_ratio", "displacement"),
+        ("exposure_share", "displacement"), ("tfp_boost", "output_gain"),
+    ])
+    def test_default_metric_is_the_parameters_own(self, parameter, metric):
+        spec = PerturbationSpec(parameter)
+        assert spec.metric == metric
+        assert spec == next(s for s in default_specs() if s.parameter == parameter)
+
+    @pytest.mark.parametrize("parameter", ["alpha", "sigma", "cost_ratio", "exposure_share"])
+    def test_default_metric_moves_on_baseline(self, cfg, params, state0, baseline,
+                                              parameter):
+        # each acts through a metric other than output_gain, whose swing is zero
+        (record,) = one_at_a_time(cfg.scenario("baseline"), params, state0, baseline,
+                                  specs=[PerturbationSpec(parameter)])
+        assert record.swing != 0.0
+
     @pytest.mark.parametrize("kwargs", [
         {"parameter": "beta"}, {"parameter": "theta", "perturbation": 1.0},
         {"parameter": "theta", "perturbation": -0.1},
