@@ -19,7 +19,8 @@ import math
 from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
-from .core import EconomyState, ModelParams, StaticTheta, production_output, theta_at
+from .core import (EconomyState, ModelParams, StaticTheta, _with_field, production_output,
+                   theta_at)
 from .engine import Scenario, _leaves_labor, _resolved, _terminal_metric
 from .errors import (CalibrationError, MaxIterationsError, NoSignChangeError,
                      UnattainableTargetError, _require)
@@ -280,10 +281,10 @@ def calibrate_scenario(scenario: Scenario, params: ModelParams, state0: EconomyS
     ``gain`` is the summary ``gdp_gain`` and ``displacement`` the terminal
     ``displacement_rate`` of a run without a sector table, with the solved
     value in place of the scenario's field or whole path. ``iterations``
-    counts evaluations of the metric, each the engine's checks and
-    terminal-year arithmetic without the year records; ``residual`` is the
-    engine's gap at the solved value. ``output`` solves TFP at the initial
-    state and runs no engine. Raises
+    counts evaluations of the metric, each the checks that read the solved
+    field, then the engine's checks and terminal-year arithmetic without the
+    year records; ``residual`` is the engine's gap at the solved value.
+    ``output`` solves TFP at the initial state and runs no engine. Raises
     :class:`DomainError` for a target that is not finite or an ``output``
     target that is not positive, and :class:`UnattainableTargetError` when
     the target lies outside what the engine reaches over the parameter's
@@ -310,7 +311,7 @@ def calibrate_scenario(scenario: Scenario, params: ModelParams, state0: EconomyS
     runs: list[tuple[float, float]] = []
 
     def engine_metric(x: float) -> float:
-        trial = replace(scenario, **{field: wrap(x)})
+        trial = _with_field(scenario, field, wrap(x))
         runs.append((x, _terminal_metric(metric, trial, params, state0)))
         return runs[-1][1]
 

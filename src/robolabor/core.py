@@ -146,18 +146,61 @@ class ModelParams:
     exposure_share: float = 1.0
 
     def __post_init__(self) -> None:
+        for check, _ in self._CHECKS:
+            check(self)
+
+    def _check_alpha(self) -> None:
         _require(0 < self.alpha < 1, "alpha must lie in (0, 1), got {}", self.alpha)
+
+    def _check_theta(self) -> None:
         if not isinstance(self.theta, (StaticTheta, ThetaRamp)):
             raise DomainError(
                 f"theta must be StaticTheta or ThetaRamp, got {type(self.theta).__name__}")
         for value in _theta_extremes(self.theta):
             _require(self.alpha + value < 1,
                      "alpha + theta must stay below 1, got {} + {}", self.alpha, value)
-        for name in ("sigma", "tfp_boost_per_adoption_pct"):
-            value = getattr(self, name)
-            _require(0 <= value < math.inf, "{} must be finite and >= 0, got {}", name, value)
+
+    def _check_sigma(self) -> None:
+        _require(0 <= self.sigma < math.inf,
+                 "sigma must be finite and >= 0, got {}", self.sigma)
+
+    def _check_tfp_boost(self) -> None:
+        _require(0 <= self.tfp_boost_per_adoption_pct < math.inf,
+                 "tfp_boost_per_adoption_pct must be finite and >= 0, got {}",
+                 self.tfp_boost_per_adoption_pct)
+
+    def _check_exposure(self) -> None:
         _require(0 <= self.exposure_share <= 1,
                  "exposure_share must lie in [0, 1], got {}", self.exposure_share)
+
+    # each check with the fields it reads, in the order __post_init__ runs them
+    _CHECKS = ((_check_alpha, ("alpha",)),
+               (_check_theta, ("theta", "alpha")),
+               (_check_sigma, ("sigma",)),
+               (_check_tfp_boost, ("tfp_boost_per_adoption_pct",)),
+               (_check_exposure, ("exposure_share",)))
+
+
+def _with_field(instance, name: str, value):
+    """``dataclasses.replace(instance, **{name: value})``, checking less.
+
+    ``instance`` is a frozen dataclass that passed its ``__post_init__``,
+    whose ``_CHECKS`` lists one check per field and the fields each reads.
+    The copy takes its fields, sets ``name`` and runs only the checks that
+    read ``name``, in ``__post_init__``'s order. The others read fields that
+    passed already, so the copy, or the first error, is the one ``replace``
+    gives. Fields are set one by one, as ``__init__`` sets them: copying
+    ``__dict__`` would give the copy a materialized instance dict, and
+    attribute reads in the engine would then see two object layouts.
+    """
+    changed = object.__new__(type(instance))
+    set_field = object.__setattr__
+    for key in instance.__dataclass_fields__:
+        set_field(changed, key, value if key == name else getattr(instance, key))
+    for check, reads in instance._CHECKS:
+        if name in reads:
+            check(changed)
+    return changed
 
 
 def production_output(state: EconomyState, alpha: float, theta: float) -> float:

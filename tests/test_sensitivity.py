@@ -9,9 +9,11 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, strategies as st
 from mpmath import mp
 
 import robolabor
+import robolabor.calibrate as calibrate_module
 import robolabor.sensitivity as sensitivity_module
 from robolabor import sectors as sectors_module
 from robolabor import (
@@ -26,6 +28,7 @@ from robolabor import (
     SectorProfile,
     SimulationMode,
     StaticTheta,
+    ThetaRamp,
     UnattainableTargetError,
     default_specs,
     elasticity_fd,
@@ -34,6 +37,7 @@ from robolabor import (
     production_output,
     run_scenario,
 )
+from robolabor.core import _with_field
 from robolabor.sensitivity import METRICS, PARAMETERS
 
 
@@ -67,7 +71,7 @@ class TestOneAtATime:
             assert record.pct_deviation_high == 0.0
             assert record.error is None
 
-    def test_baseline_runs_exactly_once(self, cfg, params, state0, baseline,
+    def test_baseline_makes_no_full_run(self, cfg, params, state0, baseline,
                                         monkeypatch):
         calls = []
         inner = run_scenario
@@ -77,13 +81,15 @@ class TestOneAtATime:
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(sensitivity_module, "run_scenario", counting)
-        records = one_at_a_time(cfg.scenario("baseline"), params, state0,
-                                baseline)
-        # the sides evaluate their metric alone
-        assert calls == ["baseline"]
-        base_results = {record.baseline_result for record in records
-                        if record.metric == "displacement"}
-        assert len(base_results) == 1
+        for scenario, table in itertools.product(cfg.scenarios, (None, cfg.sectors)):
+            records = one_at_a_time(scenario, params, state0, baseline, sectors=table)
+            # the base evaluates each metric alone, as the sides do
+            assert calls == [], scenario.name
+            full = inner(scenario, params, state0, baseline, table)
+            for record in records:
+                assert (record.baseline_result.hex()
+                        == sensitivity_module._extract(record.metric, full).hex()), (
+                    scenario.name, record.parameter)
 
     def test_tornado_ordering(self, cfg, params, state0, baseline):
         records = one_at_a_time(cfg.scenario("baseline"), params, state0,
@@ -370,3 +376,67 @@ class TestTerminalMetric:
                     seen["fits" if fits else "split"] += 1
         # each path of the evaluation was taken
         assert min(seen.values()) > 0, seen
+
+
+# every field a tornado side or a calibration step changes
+SIDE_FIELDS = sorted(
+    {name for row in sensitivity_module._TABLE.values() for name in row[:2] if name}
+    | {row[0] for row in calibrate_module._ENGINE_SOLVES.values()})
+_SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf, -2.0, -1.0, -1e-300, -0.0,
+                            0.0, 1e-300, 0.5, 1.0, 1.5, 1e300])
+_NUMBERS = st.one_of(_SPECIAL, st.floats(-2.0, 3.0), st.floats(0.0, 1.0), st.floats())
+_SCHEDULES = st.one_of(
+    st.builds(StaticTheta, st.floats(1e-9, 1.0)),
+    st.builds(ThetaRamp, st.floats(1e-9, 1.0), st.floats(1e-9, 1.0), st.integers(1, 40)))
+
+
+def _paths(n_years):
+    """Scalars, tuples of the right length and one off, non-decreasing
+    tuples and lists, over values that break each path rule."""
+    entries = st.one_of(_SPECIAL, st.floats(-2.0, 3.0))
+    return st.one_of(
+        entries,
+        st.lists(entries, min_size=max(n_years - 1, 0), max_size=n_years + 1).map(tuple),
+        st.lists(st.floats(0.5, 3.0), min_size=n_years, max_size=n_years).map(
+            lambda values: tuple(sorted(values))),
+        st.lists(st.floats(-0.5, 0.5), min_size=n_years, max_size=n_years))
+
+
+def _side_values(field, holder):
+    if field in ("robotics_growth", "cost_ratio_path"):
+        return _paths(holder.n_years)
+    if field in ("theta", "theta_override"):
+        return st.one_of(_SCHEDULES, _NUMBERS, st.none())
+    return st.one_of(_NUMBERS, st.none())
+
+
+class TestWithField:
+    """A tornado side's or calibration step's copy, which runs only the
+    checks that read its field, is what ``dataclasses.replace`` gives: an
+    equal object, or the same exception type and message. Covers the
+    values ``TestTerminalMetric`` skips because ``replace`` rejects them."""
+
+    @pytest.fixture(scope="class")
+    def holders(self):
+        cfg = yaml.safe_load(BUNDLED.read_text(encoding="utf-8"))
+        cfg["scenarios"].append(DYNAMIC)
+        config = loads_config(yaml.safe_dump(cfg), source="<bundled and dynamic>")
+        ramp = replace(config.params, theta=ThetaRamp(start=0.3, end=0.45, ramp_years=6))
+        return config.scenarios, (config.params, ramp)
+
+    @pytest.mark.parametrize("field", SIDE_FIELDS)
+    @given(data=st.data())
+    def test_equals_replace(self, holders, field, data):
+        scenarios, params = holders
+        holder = data.draw(st.sampled_from(
+            scenarios if field in Scenario.__dataclass_fields__ else params))
+        value = data.draw(_side_values(field, holder))
+
+        def outcome(build):
+            try:
+                return build()
+            except Exception as exc:  # the error is the outcome compared
+                return type(exc), str(exc)
+
+        assert (outcome(lambda: _with_field(holder, field, value))
+                == outcome(lambda: replace(holder, **{field: value})))
