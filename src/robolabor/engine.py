@@ -26,11 +26,20 @@ The one state kept: a run with the same terminal displacement rate, sector
 tuple (or no table) and baseline as the run before it copies that run's
 sector rates and headcounts instead of computing them again.
 
-A caller that reads one terminal metric, a tornado's base or side or a
-calibration step, calls ``_terminal_metric``: the same checks and the same
-float, with no year records, headcounts or sector rates built. The one
-check left outside ``_effective_params`` is the sector split, which it runs
-only where the split might raise, so it fails where a full run fails.
+A caller that reads one terminal metric, a tornado side or a calibration
+step, calls ``_terminal_metric``: the same checks and the same float, with
+no year records, headcounts or sector rates built. A tornado's base calls
+``_terminal_metrics``, which gives all three metrics from one pass. The one
+check left outside ``_effective_params`` is the sector split, which they
+run only where the split might raise, so they fail where a full run fails.
+
+``_effective_params`` runs the theta and baseline-output checks, then the
+terminal-labour check ``_terminal_labor``, then the compounding pass over
+the growth path. Only ``_terminal_labor`` reads sigma, the exposure share
+or the cost path (``_LABOR_ONLY_FIELDS``). A copy that changes only those,
+a sigma, exposure or cost-ratio side or calibration step, passes
+``_terminal_metric`` the ``_Compounded`` terminal values of a pass that
+passed every check, and runs only ``_terminal_labor`` on top of them.
 
 ``Scenario`` keeps one check per field, listed with the fields it reads in
 ``_CHECKS``; ``__post_init__`` runs them all. A side or step that changes
@@ -43,9 +52,10 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import re
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (
     EconomyState,
@@ -141,14 +151,16 @@ def _path_values(scenario: "Scenario", name: str, n_years: int) -> tuple[float, 
     """
     path = getattr(scenario, name)
     if isinstance(path, (tuple, list)):
-        values = tuple(float(v) for v in path)
+        values = tuple(map(float, path))
         _require(len(values) == n_years,
                  "{} needs {} entries, got {}", name, n_years, len(values))
         object.__setattr__(scenario, name, values)
     else:
         values = (float(path),)
-    for v in values:
-        _require(math.isfinite(v), "{} entries must be finite, got {}", name, v)
+    # the whole path at once; entry by entry only to name the first that fails
+    if not all(map(math.isfinite, values)):
+        for v in values:
+            _require(math.isfinite(v), "{} entries must be finite, got {}", name, v)
     return values
 
 
@@ -209,11 +221,14 @@ class Scenario:
                      "comparative_static scenarios take a single-year horizon")
 
     def _check_growth(self) -> None:
-        for g in _path_values(self, "robotics_growth", self.n_years):
-            _require(g > -1, "robotics_growth must exceed -1, got {}", g)
-            if self.tfp_enabled:
-                _require(g >= 0,
-                         "robotics_growth must be >= 0 when tfp_enabled, got {}", g)
+        values = _path_values(self, "robotics_growth", self.n_years)
+        low = min(values)
+        if low <= -1 or (self.tfp_enabled and low < 0):
+            for g in values:
+                _require(g > -1, "robotics_growth must exceed -1, got {}", g)
+                if self.tfp_enabled:
+                    _require(g >= 0,
+                             "robotics_growth must be >= 0 when tfp_enabled, got {}", g)
 
     def _check_raw_shocks(self) -> None:
         raw = self.raw_shocks
@@ -223,11 +238,13 @@ class Scenario:
 
     def _check_cost_path(self) -> None:
         ratios = _path_values(self, "cost_ratio_path", self.n_years)
-        _require(ratios[0] >= 1, "cost_ratio_path entries must be >= 1, got {}", ratios[0])
-        for before, after in zip(ratios, ratios[1:]):
-            _require(after >= before,
-                     "cost_ratio_path must not fall over the horizon, "
-                     "got {} then {}", before, after)
+        if not (ratios[0] >= 1 and all(map(operator.le, ratios, ratios[1:]))):
+            _require(ratios[0] >= 1, "cost_ratio_path entries must be >= 1, got {}",
+                     ratios[0])
+            for before, after in zip(ratios, ratios[1:]):
+                _require(after >= before,
+                         "cost_ratio_path must not fall over the horizon, "
+                         "got {} then {}", before, after)
 
     def _check_sigma_override(self) -> None:
         if self.sigma_override is not None:
@@ -334,10 +351,28 @@ class SimulationResult:
 
 
 def _leaves_labor(state0: EconomyState, cost_ratio: float, sigma: float,
-                  exposure: float) -> bool:
-    """Whether some of ``state0``'s labor survives a cost ratio, as a float:
-    the rule :func:`_effective_params` holds the terminal ratio to."""
-    return state0.labor * labor_demand_ratio(cost_ratio, sigma, exposure) > 0
+                  exposure: float) -> float:
+    """The labor demand ratio at ``cost_ratio`` where some of ``state0``'s
+    labor survives it, else 0.0: the rule the terminal ratio is held to,
+    as a float that is true exactly where the rule holds."""
+    ratio = labor_demand_ratio(cost_ratio, sigma, exposure)
+    return ratio if state0.labor * ratio > 0 else 0.0
+
+
+# the Scenario and ModelParams fields that, of all the checks and the
+# compounding pass, only _terminal_labor reads: a copy that changes one of
+# them compounds as the original does, and may reuse its _Compounded
+_LABOR_ONLY_FIELDS = frozenset(
+    ("sigma", "sigma_override", "exposure_share", "exposure_override", "cost_ratio_path"))
+
+
+class _Compounded(NamedTuple):
+    """The terminal values of a compounding pass that passed every check."""
+
+    theta: float  # the terminal year's theta
+    tfp: float
+    robotics: float
+    gain: float   # gdp_gain
 
 
 def _resolved(scenario: Scenario, params: ModelParams) -> tuple[float, ThetaMode, float]:
@@ -347,6 +382,25 @@ def _resolved(scenario: Scenario, params: ModelParams) -> tuple[float, ThetaMode
             params.theta if scenario.theta_override is None else scenario.theta_override,
             (params.exposure_share if scenario.exposure_override is None
              else scenario.exposure_override))
+
+
+def _terminal_labor(scenario: Scenario, state0: EconomyState, sigma: float,
+                    exposure: float) -> float:
+    """The terminal labor demand ratio, checked: it must leave some labor,
+    and the jobs created from the workers it displaces must stay finite."""
+    # labor is lowest at the terminal ratio
+    terminal = scenario.cost_path()[-1]
+    ratio = _leaves_labor(state0, terminal, sigma, exposure)
+    _require(ratio > 0, "cost_ratio_path reaches {}, which displaces the whole workforce at "
+             "sigma {} and exposure_share {}", terminal, sigma, exposure)
+    # and jobs created are highest there, at the largest creation ratio
+    model = scenario.job_creation_model
+    job_ratio = model.ratio if isinstance(model, JobCreationRatio) else model.terminal_ratio
+    displaced = state0.labor - state0.labor * ratio
+    _require(job_ratio * displaced < math.inf, "job_creation ratio {} times the {} workers "
+             "displaced by the terminal year is inf, outside the float range",
+             job_ratio, displaced)
+    return ratio
 
 
 def _effective_params(scenario: Scenario, params: ModelParams, state0: EconomyState
@@ -371,6 +425,9 @@ def _effective_params(scenario: Scenario, params: ModelParams, state0: EconomySt
     finite too; with the raw shocks' own rules it exceeds -1, and the raw
     displacement lies in [0, 1]. With the inputs' own rules, every
     precondition of the public helpers then holds every year.
+
+    Of these checks and the compounding pass, only :func:`_terminal_labor`
+    reads sigma, the exposure share or the cost path.
     """
     sigma, theta_mode, exposure = _resolved(scenario, params)
     for value in _theta_extremes(theta_mode):
@@ -389,19 +446,7 @@ def _effective_params(scenario: Scenario, params: ModelParams, state0: EconomySt
     for theta, base in base_by_theta.items():
         _require(0 < base < math.inf, "initial_state gives output {} at theta {}, "
                  "which must be positive and finite", base, theta)
-    # labor is lowest at the terminal ratio
-    terminal = scenario.cost_path()[-1]
-    ratio = labor_demand_ratio(terminal, sigma, exposure)
-    _require(state0.labor * ratio > 0,
-             "cost_ratio_path reaches {}, which displaces the whole workforce at "
-             "sigma {} and exposure_share {}", terminal, sigma, exposure)
-    # and jobs created are highest there, at the largest creation ratio
-    model = scenario.job_creation_model
-    job_ratio = model.ratio if isinstance(model, JobCreationRatio) else model.terminal_ratio
-    displaced = state0.labor - state0.labor * ratio
-    _require(job_ratio * displaced < math.inf, "job_creation ratio {} times the {} workers "
-             "displaced by the terminal year is inf, outside the float range",
-             job_ratio, displaced)
+    ratio = _terminal_labor(scenario, state0, sigma, exposure)
     # compound exactly as run_scenario does, so a pass here is a pass there
     labor0, boost = state0.labor, params.tfp_boost_per_adoption_pct
     labor_cap = max(labor0, 1.0)  # labor <= labor0, and x ** p <= max(x, 1) for p in (0, 1]
@@ -463,9 +508,41 @@ def _effective_params(scenario: Scenario, params: ModelParams, state0: EconomySt
     return sigma, thetas, base_by_theta, exposure, ratio, tfp, robotics, gain, raw_gain
 
 
+def _split_rate(ratio: float, sectors: Sequence[SectorProfile] | None) -> float:
+    """The displacement rate of a terminal labor ratio, after the sector
+    split where ``sectors._split_fits`` cannot rule out its
+    :class:`UnattainableTargetError`."""
+    rate = 1.0 - ratio
+    if sectors and not _split_fits(rate, sectors):
+        disaggregate_displacement(rate, sectors)
+    return rate
+
+
+def _output(params: ModelParams, state0: EconomyState, ratio: float,
+            compounded: _Compounded) -> float:
+    """The terminal year's output, as the last record reports it."""
+    alpha, theta = params.alpha, compounded.theta
+    return (compounded.tfp * state0.capital ** alpha
+            * (state0.labor * ratio) ** (1.0 - alpha - theta) * compounded.robotics ** theta)
+
+
+def _terminal_metrics(scenario: Scenario, params: ModelParams, state0: EconomyState,
+                      sectors: Sequence[SectorProfile] | None = None
+                      ) -> tuple[dict[str, float], _Compounded]:
+    """Every metric of :func:`_terminal_metric` from one pass, by name, and
+    the pass's terminal values, which a copy that changes only
+    :data:`_LABOR_ONLY_FIELDS` may reuse."""
+    _, thetas, _, _, ratio, tfp, robotics, gain, _ = _effective_params(scenario, params,
+                                                                       state0)
+    compounded = _Compounded(thetas[-1], tfp, robotics, gain)
+    return ({"output_gain": gain, "displacement": _split_rate(ratio, sectors),
+             "terminal_output": _output(params, state0, ratio, compounded)}, compounded)
+
+
 def _terminal_metric(metric: str, scenario: Scenario, params: ModelParams,
                      state0: EconomyState,
-                     sectors: Sequence[SectorProfile] | None = None) -> float:
+                     sectors: Sequence[SectorProfile] | None = None,
+                     reuse: _Compounded | None = None) -> float:
     """One terminal metric of :func:`run_scenario`, computed alone.
 
     ``"output_gain"`` is the summary ``gdp_gain``, ``"displacement"`` the
@@ -476,19 +553,26 @@ def _terminal_metric(metric: str, scenario: Scenario, params: ModelParams,
     :func:`_effective_params`, except the sector split. The split runs only
     where ``sectors._split_fits`` cannot rule out its
     :class:`UnattainableTargetError`.
+
+    ``reuse`` is what :func:`_terminal_metrics` gave for a scenario and
+    parameters that differ from these only in :data:`_LABOR_ONLY_FIELDS`.
+    Of ``_effective_params`` only :func:`_terminal_labor` then runs: the
+    other checks and the compounding pass read what the reused pass read,
+    and it passed them.
     """
-    _, thetas, _, _, ratio, tfp, robotics, gain, _ = _effective_params(scenario, params,
-                                                                       state0)
-    rate = 1.0 - ratio
-    if sectors and not _split_fits(rate, sectors):
-        disaggregate_displacement(rate, sectors)
+    if reuse is None:
+        _, thetas, _, _, ratio, tfp, robotics, gain, _ = _effective_params(scenario, params,
+                                                                           state0)
+        reuse = _Compounded(thetas[-1], tfp, robotics, gain)
+    else:
+        sigma, _, exposure = _resolved(scenario, params)
+        ratio = _terminal_labor(scenario, state0, sigma, exposure)
+    rate = _split_rate(ratio, sectors)
     if metric == "displacement":
         return rate
     if metric == "output_gain":
-        return gain
-    alpha, theta = params.alpha, thetas[-1]
-    return (tfp * state0.capital ** alpha * (state0.labor * ratio) ** (1.0 - alpha - theta)
-            * robotics ** theta)
+        return reuse.gain
+    return _output(params, state0, ratio, reuse)
 
 
 def run_scenario(scenario: Scenario, params: ModelParams, state0: EconomyState,

@@ -746,12 +746,19 @@ class TestLastOutcome:
         tornado = one_at_a_time(scenario, params, state0, baseline, default_specs(0.2),
                                 WIDE_TABLE)
 
-        def cold_run(metric, side, side_params, side_state, table):
-            # the oracle: every side a full run that reuses nothing
+        def cold_run(metric, side, side_params, side_state, table, reuse=None):
+            # the oracle: the base and every side a full run that reuses
+            # nothing, neither a last outcome nor the base's compounding pass
             forget_last_outcomes()
             return sensitivity_module._extract(
                 metric, run_scenario(side, side_params, side_state, baseline, table))
 
+        def cold_base(*inputs):
+            metrics = {metric: cold_run(metric, *inputs)
+                       for metric in sensitivity_module.METRICS}
+            return metrics, None
+
+        monkeypatch.setattr(sensitivity_module, "_terminal_metrics", cold_base)
         monkeypatch.setattr(sensitivity_module, "_terminal_metric", cold_run)
         # repr, because an invalid side's results are nan
         assert repr(one_at_a_time(scenario, params, state0, baseline, default_specs(0.2),

@@ -4,6 +4,7 @@ import importlib.util
 import itertools
 import math
 import random
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,11 +15,13 @@ from mpmath import mp
 
 import robolabor
 import robolabor.calibrate as calibrate_module
+import robolabor.engine as engine_module
 import robolabor.sensitivity as sensitivity_module
 from robolabor import sectors as sectors_module
 from robolabor import (
     DomainError,
     EconomyState,
+    JobCreationRatio,
     ModelError,
     ModelParams,
     PerturbationSpec,
@@ -375,6 +378,64 @@ class TestTerminalMetric:
                     fits = sectors_module._split_fits(float.fromhex(rate), wide)
                     seen["fits" if fits else "split"] += 1
         # each path of the evaluation was taken
+        assert min(seen.values()) > 0, seen
+
+    def test_reused_side_equals_the_full_run(self, config):
+        """A sigma, cost-ratio or exposure side that reuses its base's
+        compounding pass gives every metric as a full run of the side does."""
+        wide = _tight_wide_table()
+        base = config.scenario("baseline")
+        # the base keeps 1.5**-80, about 8e-15, of the workforce; sigma 20%
+        # higher keeps none
+        edge = replace(base, name="edge", sigma_override=80.0, exposure_override=1.0,
+                       cost_ratio_path=1.5)
+        # a creation ratio that overflows once 5% more workers are displaced
+        displaced = config.initial_state.labor * run_scenario(
+            base, config.params, config.initial_state, config.baseline).summary.displacement_rate
+        jobs = replace(base, name="jobs",
+                       job_creation_model=JobCreationRatio(sys.float_info.max / displaced / 1.05))
+        scenarios = [*config.scenarios, edge, jobs]
+        seen = {"value": 0, "split": 0, "workforce": 0, "job_creation": 0, "unattainable": 0}
+
+        def outcome(call):
+            try:
+                return call().hex()
+            except ModelError as exc:
+                return type(exc), str(exc)
+
+        for scenario, table in itertools.product(scenarios, (None, config.sectors, wide)):
+            inputs = (scenario, config.params, config.initial_state)
+            try:
+                _, compounded = engine_module._terminal_metrics(*inputs, table)
+            except ModelError:
+                continue  # the tornado raises before any side
+            for parameter, factor in itertools.product(
+                    ("sigma", "cost_ratio", "exposure_share"),
+                    (0.0, 0.1, 0.8, 1.0, 1.2, 1.9, 3.0)):
+                holder, field = sensitivity_module._holder(parameter, scenario, config.params)
+                assert field in engine_module._LABOR_ONLY_FIELDS
+                try:
+                    changed = replace(holder, **{field: sensitivity_module._scaled(
+                        getattr(holder, field), factor, field)})
+                except ModelError:
+                    continue  # the side fails before either evaluation
+                side = ((changed, config.params) if holder is scenario
+                        else (scenario, changed)) + (config.initial_state,)
+                full = {metric: outcome(lambda: sensitivity_module._extract(
+                            metric, run_scenario(*side, config.baseline, table)))
+                        for metric in METRICS}
+                reused = {metric: outcome(lambda: engine_module._terminal_metric(
+                              metric, *side, table, compounded))
+                          for metric in METRICS}
+                assert reused == full, (scenario.name, parameter, factor)
+                rate = full["displacement"]
+                if isinstance(rate, str):
+                    seen["split" if table is wide else "value"] += 1
+                elif rate[0] is UnattainableTargetError:
+                    seen["unattainable"] += 1
+                else:
+                    seen["workforce" if "whole workforce" in rate[1] else "job_creation"] += 1
+        # each outcome of the terminal-labour check and the split was reached
         assert min(seen.values()) > 0, seen
 
 

@@ -145,6 +145,92 @@ class TestScenarioRules:
             replace(base, robotics_growth=-0.01)
 
 
+def _path_rules(growth, cost, n_years, tfp_enabled):
+    """The path rules of ``Scenario``, entry by entry: the stored
+    ``(robotics_growth, cost_ratio_path)``, or the first rule broken."""
+
+    def values(name, path):
+        if not isinstance(path, (tuple, list)):
+            return path, (float(path),)
+        stored = tuple(float(v) for v in path)
+        if len(stored) != n_years:
+            raise DomainError(f"{name} needs {n_years} entries, got {len(stored)}")
+        return stored, stored
+
+    def finite(name, entries):
+        for v in entries:
+            if not math.isfinite(v):
+                raise DomainError(f"{name} entries must be finite, got {v}")
+
+    growth, entries = values("robotics_growth", growth)
+    finite("robotics_growth", entries)
+    for g in entries:
+        if not g > -1:
+            raise DomainError(f"robotics_growth must exceed -1, got {g}")
+        if tfp_enabled and not g >= 0:
+            raise DomainError(f"robotics_growth must be >= 0 when tfp_enabled, got {g}")
+    cost, ratios = values("cost_ratio_path", cost)
+    finite("cost_ratio_path", ratios)
+    if not ratios[0] >= 1:
+        raise DomainError(f"cost_ratio_path entries must be >= 1, got {ratios[0]}")
+    for before, after in zip(ratios, ratios[1:]):
+        if not after >= before:
+            raise DomainError(f"cost_ratio_path must not fall over the horizon, "
+                              f"got {before} then {after}")
+    return growth, cost
+
+
+_ENTRIES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -2.0, -1.0, math.nextafter(-1.0, 0.0),
+                     -1e-300, -0.0, 0.0, 1e-300, 0.5, math.nextafter(1.0, 0.0), 1.0, 1.5,
+                     1e300]),
+    st.floats(-1.5, 3.0))
+
+
+@st.composite
+def _path(draw, n_years, valid):
+    """A scalar, or a list or tuple of about ``n_years`` entries: mixed
+    entries that break the path rules, or entries drawn from ``valid``
+    and sorted, a rising path whose rules a single entry may break."""
+    if draw(st.booleans()):
+        return draw(_ENTRIES)
+    if draw(st.booleans()):
+        entries = sorted(draw(st.lists(valid, min_size=n_years, max_size=n_years)))
+        if draw(st.booleans()):
+            entries[draw(st.integers(0, n_years - 1))] = draw(_ENTRIES)
+    else:
+        entries = draw(st.lists(_ENTRIES, min_size=max(n_years - 1, 0),
+                                max_size=n_years + 1))
+    return draw(st.sampled_from((tuple, list)))(entries)
+
+
+class TestPathRules:
+    """``Scenario`` tests a whole path at once and names an entry only once
+    a path fails; it keeps what the rules stated entry by entry give."""
+
+    @given(data=st.data(), n_years=st.sampled_from((1, 2, 3, 5, 82)),
+           tfp_enabled=st.booleans())
+    @settings(max_examples=300)
+    def test_matches_the_per_entry_rules(self, data, n_years, tfp_enabled):
+        growth = data.draw(_path(n_years, st.floats(-0.5, 0.5)))
+        cost = data.draw(_path(n_years, st.floats(1.0, 3.0)))
+
+        def outcome(build):
+            try:
+                return repr(build())
+            except ModelError as exc:
+                return type(exc), str(exc)
+
+        def built():
+            case = Scenario(name="path", mode=SimulationMode.DYNAMIC,
+                            horizon=(2019, 2019 + n_years - 1), robotics_growth=growth,
+                            cost_ratio_path=cost, tfp_enabled=tfp_enabled)
+            return case.robotics_growth, case.cost_ratio_path
+
+        assert outcome(built) == outcome(
+            lambda: _path_rules(growth, cost, n_years, tfp_enabled))
+
+
 class TestScenarioAgainstParams:
     """Rules that need the scenario and the parameters run before year one."""
 
