@@ -21,9 +21,8 @@ from typing import Callable
 
 from .core import (EconomyState, ModelParams, StaticTheta, _with_field, production_output,
                    theta_at)
-from .engine import (_LABOR_ONLY_FIELDS, Scenario, _leaves_labor, _resolved, _terminal_metric,
-                     _terminal_metrics)
-from .errors import (CalibrationError, DomainError, MaxIterationsError, NoSignChangeError,
+from .engine import Scenario, _leaves_labor, _resolved, _terminal_metric
+from .errors import (CalibrationError, MaxIterationsError, NoSignChangeError,
                      UnattainableTargetError, _require)
 
 __all__ = [
@@ -284,11 +283,7 @@ def calibrate_scenario(scenario: Scenario, params: ModelParams, state0: EconomyS
     value in place of the scenario's field or whole path. ``iterations``
     counts evaluations of the metric, each the checks that read the solved
     field, then the engine's checks and terminal-year arithmetic without the
-    year records. A sigma, exposure or cost-ratio step, whose field the
-    compounding pass does not read, reuses the pass of the unsolved
-    scenario where that passes every check, and runs only the
-    terminal-labour check; ``residual`` is the engine's gap at the solved
-    value.
+    year records; ``residual`` is the engine's gap at the solved value.
     ``output`` solves TFP at the initial state and runs no engine. Raises
     :class:`DomainError` for a target that is not finite or an ``output``
     target that is not positive, and :class:`UnattainableTargetError` when
@@ -313,17 +308,11 @@ def calibrate_scenario(scenario: Scenario, params: ModelParams, state0: EconomyS
         hi = min(hi, (1.0 - params.alpha) * (1.0 - 1e-9))
     hi = _labor_end(scenario, params, state0, parameter, lo, hi)
     metric = _METRICS[target_name]
-    reuse = None
-    if field in _LABOR_ONLY_FIELDS:
-        try:
-            reuse = _terminal_metrics(scenario, params, state0)[1]
-        except DomainError:
-            pass  # then no step reuses a pass
     runs: list[tuple[float, float]] = []
 
     def engine_metric(x: float) -> float:
         trial = _with_field(scenario, field, wrap(x))
-        runs.append((x, _terminal_metric(metric, trial, params, state0, None, reuse)))
+        runs.append((x, _terminal_metric(metric, trial, params, state0)))
         return runs[-1][1]
 
     try:

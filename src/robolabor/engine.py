@@ -36,10 +36,11 @@ run only where the split might raise, so they fail where a full run fails.
 ``_effective_params`` runs the theta and baseline-output checks, then the
 terminal-labour check ``_terminal_labor``, then the compounding pass over
 the growth path. Only ``_terminal_labor`` reads sigma, the exposure share
-or the cost path (``_LABOR_ONLY_FIELDS``). A copy that changes only those,
-a sigma, exposure or cost-ratio side or calibration step, passes
-``_terminal_metric`` the ``_Compounded`` terminal values of a pass that
-passed every check, and runs only ``_terminal_labor`` on top of them.
+or the cost path (``_LABOR_ONLY_FIELDS``). A tornado side that changes
+only those, on sigma, exposure or the cost ratio, passes
+``_terminal_metric`` the ``_Compounded`` terminal values of its base's
+pass, which passed every check, and runs only ``_terminal_labor`` on top
+of them.
 
 ``Scenario`` keeps one check per field, listed with the fields it reads in
 ``_CHECKS``; ``__post_init__`` runs them all. A side or step that changes
@@ -51,6 +52,7 @@ gives.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import operator
 import re
@@ -157,10 +159,8 @@ def _path_values(scenario: "Scenario", name: str, n_years: int) -> tuple[float, 
         object.__setattr__(scenario, name, values)
     else:
         values = (float(path),)
-    # the whole path at once; entry by entry only to name the first that fails
-    if not all(map(math.isfinite, values)):
-        for v in values:
-            _require(math.isfinite(v), "{} entries must be finite, got {}", name, v)
+    bad = next(itertools.filterfalse(math.isfinite, values), None)
+    _require(bad is None, "{} entries must be finite, got {}", name, bad)
     return values
 
 
@@ -222,13 +222,14 @@ class Scenario:
 
     def _check_growth(self) -> None:
         values = _path_values(self, "robotics_growth", self.n_years)
-        low = min(values)
-        if low <= -1 or (self.tfp_enabled and low < 0):
-            for g in values:
-                _require(g > -1, "robotics_growth must exceed -1, got {}", g)
-                if self.tfp_enabled:
-                    _require(g >= 0,
-                             "robotics_growth must be >= 0 when tfp_enabled, got {}", g)
+        # the first entry to fail: the entries are finite, so under
+        # tfp_enabled the first below 0, otherwise the first at or below -1
+        fails = (map(operator.lt, values, itertools.repeat(0.0)) if self.tfp_enabled
+                 else map(operator.le, values, itertools.repeat(-1.0)))
+        bad = next(itertools.compress(values, fails), None)
+        if bad is not None:
+            raise DomainError(f"robotics_growth must exceed -1, got {bad}" if bad <= -1 else
+                              f"robotics_growth must be >= 0 when tfp_enabled, got {bad}")
 
     def _check_raw_shocks(self) -> None:
         raw = self.raw_shocks
@@ -238,13 +239,13 @@ class Scenario:
 
     def _check_cost_path(self) -> None:
         ratios = _path_values(self, "cost_ratio_path", self.n_years)
-        if not (ratios[0] >= 1 and all(map(operator.le, ratios, ratios[1:]))):
-            _require(ratios[0] >= 1, "cost_ratio_path entries must be >= 1, got {}",
-                     ratios[0])
-            for before, after in zip(ratios, ratios[1:]):
-                _require(after >= before,
-                         "cost_ratio_path must not fall over the horizon, "
-                         "got {} then {}", before, after)
+        _require(ratios[0] >= 1, "cost_ratio_path entries must be >= 1, got {}", ratios[0])
+        # the index of the first entry that the next one falls below
+        fall = next(itertools.compress(itertools.count(),
+                                       map(operator.gt, ratios, ratios[1:])), None)
+        if fall is not None:
+            raise DomainError(f"cost_ratio_path must not fall over the horizon, "
+                              f"got {ratios[fall]} then {ratios[fall + 1]}")
 
     def _check_sigma_override(self) -> None:
         if self.sigma_override is not None:
@@ -526,16 +527,23 @@ def _output(params: ModelParams, state0: EconomyState, ratio: float,
             * (state0.labor * ratio) ** (1.0 - alpha - theta) * compounded.robotics ** theta)
 
 
+def _compound(scenario: Scenario, params: ModelParams, state0: EconomyState
+              ) -> tuple[float, _Compounded]:
+    """The checked terminal labor ratio and the terminal values of the
+    compounding pass, from :func:`_effective_params`."""
+    _, thetas, _, _, ratio, tfp, robotics, gain, _ = _effective_params(scenario, params,
+                                                                       state0)
+    return ratio, _Compounded(thetas[-1], tfp, robotics, gain)
+
+
 def _terminal_metrics(scenario: Scenario, params: ModelParams, state0: EconomyState,
                       sectors: Sequence[SectorProfile] | None = None
                       ) -> tuple[dict[str, float], _Compounded]:
     """Every metric of :func:`_terminal_metric` from one pass, by name, and
     the pass's terminal values, which a copy that changes only
     :data:`_LABOR_ONLY_FIELDS` may reuse."""
-    _, thetas, _, _, ratio, tfp, robotics, gain, _ = _effective_params(scenario, params,
-                                                                       state0)
-    compounded = _Compounded(thetas[-1], tfp, robotics, gain)
-    return ({"output_gain": gain, "displacement": _split_rate(ratio, sectors),
+    ratio, compounded = _compound(scenario, params, state0)
+    return ({"output_gain": compounded.gain, "displacement": _split_rate(ratio, sectors),
              "terminal_output": _output(params, state0, ratio, compounded)}, compounded)
 
 
@@ -561,9 +569,7 @@ def _terminal_metric(metric: str, scenario: Scenario, params: ModelParams,
     and it passed them.
     """
     if reuse is None:
-        _, thetas, _, _, ratio, tfp, robotics, gain, _ = _effective_params(scenario, params,
-                                                                           state0)
-        reuse = _Compounded(thetas[-1], tfp, robotics, gain)
+        ratio, reuse = _compound(scenario, params, state0)
     else:
         sigma, _, exposure = _resolved(scenario, params)
         ratio = _terminal_labor(scenario, state0, sigma, exposure)

@@ -188,11 +188,14 @@ def one_at_a_time(scenario: Scenario, params: ModelParams, state0: EconomyState,
     perturbation that violates a domain constraint, or whose national
     rate the sector table cannot split, produces a record with the error
     message instead of aborting the whole analysis. Records come back in
-    tornado order. ``baseline`` is not read: no metric a tornado reports
-    depends on headcounts or remittances.
+    tornado order; an empty ``specs`` gives no records and evaluates
+    nothing. ``baseline`` is not read: no metric a tornado reports depends
+    on headcounts or remittances.
     """
     if specs is None:
         specs = default_specs()
+    if not specs:
+        return []
     base_metrics, compounded = _terminal_metrics(scenario, params, state0, sectors)
     records: list[SensitivityRecord] = []
     for spec in specs:

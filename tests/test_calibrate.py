@@ -7,14 +7,12 @@ import pytest
 from hypothesis import given, strategies as st
 from mpmath import mp
 
-import robolabor.calibrate as calibrate_module
 from robolabor import (
     SUPPORTED_PAIRS,
     CalibrationError,
     CalibrationReport,
     DomainError,
     MaxIterationsError,
-    ModelError,
     NoSignChangeError,
     SolverConfig,
     StaticTheta,
@@ -441,32 +439,6 @@ class TestCalibrateScenario:
         for scenario in cfg.scenarios:
             assert _labor_end(scenario, cfg.params, cfg.initial_state, parameter,
                               lo, hi) == hi
-
-    @pytest.mark.parametrize("parameter", ["sigma", "exposure", "cost_ratio"])
-    def test_steps_reusing_one_pass_solve_as_steps_without_it(self, cfg, parameter,
-                                                              monkeypatch):
-        # the bundled scenarios, one whose theta fails the engine's checks
-        # before any step runs, and targets in reach and out of it
-        scenarios = [*cfg.scenarios, replace(cfg.scenario("baseline"), name="steep",
-                                             theta_override=StaticTheta(0.7))]
-
-        def outcomes():
-            solved = []
-            for scenario in scenarios:
-                for target in (0.0, 0.05, 0.3, 0.9):
-                    try:
-                        solved.append(repr(calibrate_scenario(
-                            scenario, cfg.params, cfg.initial_state, "displacement",
-                            target, parameter)))
-                    except ModelError as exc:
-                        solved.append((type(exc), str(exc)))
-            return solved
-
-        reused = outcomes()
-        monkeypatch.setattr(calibrate_module, "_LABOR_ONLY_FIELDS", frozenset())
-        assert reused == outcomes()
-        assert any(isinstance(outcome, str) for outcome in reused)
-        assert any(not isinstance(outcome, str) for outcome in reused)
 
     def test_output_solves_tfp_at_the_initial_state(self, cfg):
         state = cfg.initial_state

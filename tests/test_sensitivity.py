@@ -94,6 +94,13 @@ class TestOneAtATime:
                         == sensitivity_module._extract(record.metric, full).hex()), (
                     scenario.name, record.parameter)
 
+    def test_no_specs_evaluate_nothing(self, cfg, params, state0, baseline):
+        # a base the engine rejects: alpha + theta reaches 1
+        steep = replace(cfg.scenario("baseline"), theta_override=StaticTheta(0.7))
+        with pytest.raises(DomainError, match="alpha \\+ theta"):
+            one_at_a_time(steep, params, state0, baseline)
+        assert one_at_a_time(steep, params, state0, baseline, specs=[]) == []
+
     def test_tornado_ordering(self, cfg, params, state0, baseline):
         records = one_at_a_time(cfg.scenario("baseline"), params, state0,
                                 baseline)
