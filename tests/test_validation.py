@@ -205,8 +205,8 @@ def _path(draw, n_years, valid):
 
 
 class TestPathRules:
-    """``Scenario`` tests a whole path at once and names an entry only once
-    a path fails; it keeps what the rules stated entry by entry give."""
+    """``Scenario`` finds a path's first failing entry with one search per
+    rule; it keeps what the rules stated entry by entry give."""
 
     @given(data=st.data(), n_years=st.sampled_from((1, 2, 3, 5, 82)),
            tfp_enabled=st.booleans())
