@@ -26,27 +26,10 @@ The one state kept: a run with the same terminal displacement rate, sector
 tuple (or no table) and baseline as the run before it copies that run's
 sector rates and headcounts instead of computing them again.
 
-A caller that reads one terminal metric, a tornado side or a calibration
-step, calls ``_terminal_metric``: the same checks and the same float, with
-no year records, headcounts or sector rates built. A tornado's base calls
-``_terminal_metrics``, which gives all three metrics from one pass. The one
-check left outside ``_effective_params`` is the sector split, which they
-run only where the split might raise, so they fail where a full run fails.
-
-``_effective_params`` runs the theta and baseline-output checks, then the
-terminal-labour check ``_terminal_labor``, then the compounding pass over
-the growth path. Only ``_terminal_labor`` reads sigma, the exposure share
-or the cost path (``_LABOR_ONLY_FIELDS``). A tornado side that changes
-only those, on sigma, exposure or the cost ratio, passes
-``_terminal_metric`` the ``_Compounded`` terminal values of its base's
-pass, which passed every check, and runs only ``_terminal_labor`` on top
-of them.
-
-``Scenario`` keeps one check per field, listed with the fields it reads in
-``_CHECKS``; ``__post_init__`` runs them all. A side or step that changes
-one field builds its scenario with ``core._with_field``, which runs only
-the checks that read that field and gives what ``dataclasses.replace``
-gives.
+A caller that reads only terminal metrics calls ``_terminal_metric``,
+which states the checks it runs and what it may reuse. ``Scenario`` keeps
+one check per field in ``_CHECKS``, run in full by ``__post_init__`` and
+per field by ``core._with_field``.
 """
 
 from __future__ import annotations
@@ -361,19 +344,24 @@ def _leaves_labor(state0: EconomyState, cost_ratio: float, sigma: float,
 
 
 # the Scenario and ModelParams fields that, of all the checks and the
-# compounding pass, only _terminal_labor reads: a copy that changes one of
-# them compounds as the original does, and may reuse its _Compounded
+# compounding pass, only _terminal_labor reads
 _LABOR_ONLY_FIELDS = frozenset(
     ("sigma", "sigma_override", "exposure_share", "exposure_override", "cost_ratio_path"))
 
 
-class _Compounded(NamedTuple):
-    """The terminal values of a compounding pass that passed every check."""
+class _Checked(NamedTuple):
+    """What :func:`_effective_params` resolves and proves for a run, each
+    the float ``run_scenario`` reports or compounds, from the same operands."""
 
-    theta: float  # the terminal year's theta
-    tfp: float
-    robotics: float
-    gain: float   # gdp_gain
+    sigma: float
+    thetas: Sequence[float]            # theta per year
+    base_by_theta: dict[float, float]  # state0's output at each theta
+    exposure: float                    # the exposure share
+    ratio: float                       # the terminal labor demand ratio
+    tfp: float                         # terminal TFP
+    robotics: float                    # the terminal robotics stock
+    gain: float                        # gdp_gain
+    raw_gain: float | None             # raw_gdp_gain, None without a raw growth
 
 
 def _resolved(scenario: Scenario, params: ModelParams) -> tuple[float, ThetaMode, float]:
@@ -404,31 +392,25 @@ def _terminal_labor(scenario: Scenario, state0: EconomyState, sigma: float,
     return ratio
 
 
-def _effective_params(scenario: Scenario, params: ModelParams, state0: EconomyState
-                      ) -> tuple[float, Sequence[float], dict[float, float], float,
-                                 float, float, float, float, float | None]:
+def _effective_params(scenario: Scenario, params: ModelParams,
+                      state0: EconomyState) -> _Checked:
     """Resolve the scenario overrides; prove every simulated year in-domain.
 
-    Returns ``(sigma, theta per year, baseline output by theta,
-    exposure_share, terminal labor ratio, terminal TFP, terminal robotics
-    stock, gdp_gain, raw_gdp_gain)``, each the float ``run_scenario``
-    reports or compounds, from the same operands; ``raw_gdp_gain`` is None
-    without a raw robotics growth. Every value of the theta schedule must keep
-    ``alpha + theta < 1``, and ``state0``'s output at each must be positive
-    and finite, since each year's gain divides by it; the terminal cost
-    ratio, the path's largest, must leave some labor, and the jobs created
-    from the workers it displaces must stay finite; the robotics stock
-    and TFP, compounded from ``state0`` by the growth path, must stay
-    positive and finite, and so must TFP times the stock to the power
-    theta, the output at ``state0``'s labor, and the gains over ``state0``,
-    which divide by its stocks and output, so a tiny initial stock can
-    overflow them while every stock stays finite. The raw gain must be
-    finite too; with the raw shocks' own rules it exceeds -1, and the raw
-    displacement lies in [0, 1]. With the inputs' own rules, every
-    precondition of the public helpers then holds every year.
+    Every value of the theta schedule must keep ``alpha + theta < 1``, and
+    ``state0``'s output at each must be positive and finite, since each
+    year's gain divides by it; the terminal cost ratio, the path's largest,
+    must leave some labor, and the jobs created from the workers it
+    displaces must stay finite; the robotics stock and TFP, compounded from
+    ``state0`` by the growth path, must stay positive and finite, and so
+    must TFP times the stock to the power theta, the output at ``state0``'s
+    labor, and the gains over ``state0``, which divide by its stocks and
+    output, so a tiny initial stock can overflow them while every stock
+    stays finite. The raw gain must be finite too; with the raw shocks' own
+    rules it exceeds -1, and the raw displacement lies in [0, 1]. With the
+    inputs' own rules, every precondition of the public helpers then holds
+    every year.
 
-    Of these checks and the compounding pass, only :func:`_terminal_labor`
-    reads sigma, the exposure share or the cost path.
+    :func:`_terminal_metric` states which of these a copy may reuse.
     """
     sigma, theta_mode, exposure = _resolved(scenario, params)
     for value in _theta_extremes(theta_mode):
@@ -506,51 +488,14 @@ def _effective_params(scenario: Scenario, params: ModelParams, state0: EconomySt
         raw_gain = factor * (1.0 + g_raw) ** thetas[0] - 1.0
         _require(raw_gain < math.inf, "raw robotics_growth {} gives a raw gdp_gain of inf "
                  "through tfp_enabled, outside the float range", g_raw)
-    return sigma, thetas, base_by_theta, exposure, ratio, tfp, robotics, gain, raw_gain
-
-
-def _split_rate(ratio: float, sectors: Sequence[SectorProfile] | None) -> float:
-    """The displacement rate of a terminal labor ratio, after the sector
-    split where ``sectors._split_fits`` cannot rule out its
-    :class:`UnattainableTargetError`."""
-    rate = 1.0 - ratio
-    if sectors and not _split_fits(rate, sectors):
-        disaggregate_displacement(rate, sectors)
-    return rate
-
-
-def _output(params: ModelParams, state0: EconomyState, ratio: float,
-            compounded: _Compounded) -> float:
-    """The terminal year's output, as the last record reports it."""
-    alpha, theta = params.alpha, compounded.theta
-    return (compounded.tfp * state0.capital ** alpha
-            * (state0.labor * ratio) ** (1.0 - alpha - theta) * compounded.robotics ** theta)
-
-
-def _compound(scenario: Scenario, params: ModelParams, state0: EconomyState
-              ) -> tuple[float, _Compounded]:
-    """The checked terminal labor ratio and the terminal values of the
-    compounding pass, from :func:`_effective_params`."""
-    _, thetas, _, _, ratio, tfp, robotics, gain, _ = _effective_params(scenario, params,
-                                                                       state0)
-    return ratio, _Compounded(thetas[-1], tfp, robotics, gain)
-
-
-def _terminal_metrics(scenario: Scenario, params: ModelParams, state0: EconomyState,
-                      sectors: Sequence[SectorProfile] | None = None
-                      ) -> tuple[dict[str, float], _Compounded]:
-    """Every metric of :func:`_terminal_metric` from one pass, by name, and
-    the pass's terminal values, which a copy that changes only
-    :data:`_LABOR_ONLY_FIELDS` may reuse."""
-    ratio, compounded = _compound(scenario, params, state0)
-    return ({"output_gain": compounded.gain, "displacement": _split_rate(ratio, sectors),
-             "terminal_output": _output(params, state0, ratio, compounded)}, compounded)
+    return _Checked(sigma, thetas, base_by_theta, exposure, ratio, tfp, robotics, gain,
+                    raw_gain)
 
 
 def _terminal_metric(metric: str, scenario: Scenario, params: ModelParams,
                      state0: EconomyState,
                      sectors: Sequence[SectorProfile] | None = None,
-                     reuse: _Compounded | None = None) -> float:
+                     checked: _Checked | None = None) -> float:
     """One terminal metric of :func:`run_scenario`, computed alone.
 
     ``"output_gain"`` is the summary ``gdp_gain``, ``"displacement"`` the
@@ -562,23 +507,30 @@ def _terminal_metric(metric: str, scenario: Scenario, params: ModelParams,
     where ``sectors._split_fits`` cannot rule out its
     :class:`UnattainableTargetError`.
 
-    ``reuse`` is what :func:`_terminal_metrics` gave for a scenario and
-    parameters that differ from these only in :data:`_LABOR_ONLY_FIELDS`.
-    Of ``_effective_params`` only :func:`_terminal_labor` then runs: the
-    other checks and the compounding pass read what the reused pass read,
-    and it passed them.
+    ``checked`` is what ``_effective_params`` gave for this scenario and
+    these parameters, or for a copy that differs from them only in
+    :data:`_LABOR_ONLY_FIELDS` (sigma, the exposure share, the cost path
+    and their overrides), as a tornado's base is for its sigma, exposure
+    and cost-ratio sides. Of ``_effective_params`` only
+    :func:`_terminal_labor` then runs: the other checks and the
+    compounding pass read none of those fields, and they passed.
     """
-    if reuse is None:
-        ratio, reuse = _compound(scenario, params, state0)
+    if checked is None:
+        checked = _effective_params(scenario, params, state0)
+        ratio = checked.ratio
     else:
         sigma, _, exposure = _resolved(scenario, params)
         ratio = _terminal_labor(scenario, state0, sigma, exposure)
-    rate = _split_rate(ratio, sectors)
+    rate = 1.0 - ratio
+    if sectors and not _split_fits(rate, sectors):
+        disaggregate_displacement(rate, sectors)
     if metric == "displacement":
         return rate
     if metric == "output_gain":
-        return reuse.gain
-    return _output(params, state0, ratio, reuse)
+        return checked.gain
+    alpha, theta = params.alpha, checked.thetas[-1]
+    return (checked.tfp * state0.capital ** alpha
+            * (state0.labor * ratio) ** (1.0 - alpha - theta) * checked.robotics ** theta)
 
 
 def run_scenario(scenario: Scenario, params: ModelParams, state0: EconomyState,
@@ -597,8 +549,8 @@ def run_scenario(scenario: Scenario, params: ModelParams, state0: EconomyState,
     ``job_creation`` and ``remittance_impact`` without their checks, operand
     for operand, so it gives their floats (``tests/test_engine.py`` pins it).
     """
-    sigma, thetas, base_by_theta, exposure, _, _, _, gain, raw_gain = _effective_params(
-        scenario, params, state0)
+    checked = _effective_params(scenario, params, state0)
+    sigma, exposure, base_by_theta = checked.sigma, checked.exposure, checked.base_by_theta
 
     start, end = scenario.horizon
     n_years = scenario.n_years
@@ -619,7 +571,7 @@ def run_scenario(scenario: Scenario, params: ModelParams, state0: EconomyState,
     records: list[YearRecord] = []
     for year, g_t, r_t, theta_t, job_ratio in zip(
             range(start, end + 1), scenario.growth_path(), scenario.cost_path(),
-            thetas, job_ratios):
+            checked.thetas, job_ratios):
         robotics = robotics * (1.0 + g_t)
         if scenario.tfp_enabled:
             tfp = tfp * (1.0 + boost * (100.0 * g_t))
@@ -654,13 +606,13 @@ def run_scenario(scenario: Scenario, params: ModelParams, state0: EconomyState,
     raw_disp = (None if raw is None or raw.cost_ratio is None
                 else 1.0 - labor_demand_ratio(raw.cost_ratio, sigma, 1.0))
     summary = ResultSummary(
-        gdp_gain=gain,
+        gdp_gain=checked.gain,
         realized_gain=terminal.output_gain_vs_baseline,
         displacement_rate=terminal.displacement_rate,
         displaced_total=terminal.displaced_cumulative,
         jobs_created=terminal.jobs_created_cumulative,
         key_driver=scenario.key_driver,
-        raw_gdp_gain=raw_gain,
+        raw_gdp_gain=checked.raw_gain,
         raw_displacement_rate=raw_disp,
     )
     global _last_outcome

@@ -2,14 +2,10 @@
 
 Each listed parameter is perturbed multiplicatively around its scenario
 value while everything else stays put, the chosen result metric is
-evaluated again, and its swing is recorded. Nothing runs in full: the
-unperturbed scenario computes every metric in one pass, and each perturbed
-side computes only its metric, on a copy of the scenario or parameters that
-re-checks only the perturbed field. A sigma, exposure or cost-ratio side
-also reuses the base's compounding pass, which it cannot change, and runs
-only the terminal-labour check and its metric's last expression. Records
-come back in tornado order: largest absolute swing first, failed
-perturbations last, names breaking ties.
+evaluated again, and its swing is recorded. Nothing runs in full: each
+metric is evaluated alone by ``engine._terminal_metric``, which states what
+a side may reuse of its base. Records come back in tornado order: largest
+absolute swing first, failed perturbations last, names breaking ties.
 
 A parameter is scaled where the run reads it: the scenario's override when
 one is set, otherwise the model parameter. A shock path scales every entry
@@ -28,8 +24,8 @@ from .core import EconomyState, ModelParams, StaticTheta, ThetaRamp, _with_field
 # one_at_a_time makes no full run; run_scenario stays imported because the
 # benchmark's tracer (perfbench/spans.py) counts a tornado's engine runs by
 # wrapping this name
-from .engine import (_LABOR_ONLY_FIELDS, Scenario, SimulationResult, _terminal_metric,
-                     _terminal_metrics, run_scenario)
+from .engine import (_LABOR_ONLY_FIELDS, Scenario, _effective_params, _terminal_metric,
+                     run_scenario)
 from .errors import ModelError, _require
 from .sectors import LaborBaseline, SectorProfile
 
@@ -151,16 +147,6 @@ def _first(value) -> float:
     return value[0] if isinstance(value, tuple) else float(value)
 
 
-def _extract(metric: str, result: SimulationResult) -> float:
-    """A metric as a full run reports it: the float ``_terminal_metric``
-    gives alone, which the tests hold it to."""
-    if metric == "output_gain":
-        return result.summary.gdp_gain
-    if metric == "displacement":
-        return result.summary.displacement_rate
-    return result.records[-1].output
-
-
 def _pct_deviation(side: float, base: float) -> float:
     if base == 0:
         return 0.0 if side == base else math.nan
@@ -174,36 +160,32 @@ def one_at_a_time(scenario: Scenario, params: ModelParams, state0: EconomyState,
                   ) -> list[SensitivityRecord]:
     """Perturb each spec's parameter by +-perturbation and re-evaluate its metric.
 
-    No scenario runs in full. The unperturbed scenario evaluates every
-    metric in one pass, shared by every record, and each side evaluates
-    only its metric: each gives the float a full run would and fails where
-    a full run would fail. A side changes one field of the scenario or the
-    parameters and runs only the checks that read that field, which raise
-    what ``dataclasses.replace`` would. A side on a field in
-    ``engine._LABOR_ONLY_FIELDS`` (sigma, the exposure share or the cost
-    path) reuses the base's terminal TFP, robotics stock and gain, since
-    the base passed every check and the compounding reads none of those
-    fields; it runs the terminal-labour check, the sector split where it
-    might raise, and its metric's last expression. A
-    perturbation that violates a domain constraint, or whose national
-    rate the sector table cannot split, produces a record with the error
-    message instead of aborting the whole analysis. Records come back in
-    tornado order; an empty ``specs`` gives no records and evaluates
-    nothing. ``baseline`` is not read: no metric a tornado reports depends
-    on headcounts or remittances.
+    No scenario runs in full: the base and each side evaluate only their
+    metrics, by ``engine._terminal_metric``, which states what it checks
+    and reuses. A side changes one field of the scenario or the parameters
+    and runs only the checks that read that field, which raise what
+    ``dataclasses.replace`` would. A perturbation that violates a domain
+    constraint, or whose national rate the sector table cannot split,
+    produces a record with the error message instead of aborting the whole
+    analysis. Records come back in tornado order; an empty ``specs`` gives
+    no records and evaluates nothing. ``baseline`` is not read: no metric a
+    tornado reports depends on headcounts or remittances.
     """
     if specs is None:
         specs = default_specs()
     if not specs:
         return []
-    base_metrics, compounded = _terminal_metrics(scenario, params, state0, sectors)
+    checked = _effective_params(scenario, params, state0)
+    base_metrics = {metric: _terminal_metric(metric, scenario, params, state0, sectors,
+                                             checked)
+                    for metric in dict.fromkeys(spec.metric for spec in specs)}
     records: list[SensitivityRecord] = []
     for spec in specs:
         holder, field = _holder(spec.parameter, scenario, params)
         value = getattr(holder, field)
         base_value = _first(value)
         base_metric = base_metrics[spec.metric]
-        reuse = compounded if field in _LABOR_ONLY_FIELDS else None
+        reused = checked if field in _LABOR_ONLY_FIELDS else None
         side_values: list[float] = []
         side_results: list[float] = []
         error: str | None = None
@@ -213,7 +195,7 @@ def one_at_a_time(scenario: Scenario, params: ModelParams, state0: EconomyState,
                 changed = _with_field(holder, field, _scaled(value, factor, field))
                 inputs = (changed, params) if holder is scenario else (scenario, changed)
                 side_results.append(_terminal_metric(spec.metric, *inputs, state0, sectors,
-                                                     reuse))
+                                                     reused))
             except ModelError as exc:
                 side = "low" if factor < 1 else "high"
                 message = f"{side} perturbation invalid: {exc}"

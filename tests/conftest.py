@@ -37,3 +37,18 @@ def baseline(cfg):
 @pytest.fixture(scope="session")
 def sectors(cfg):
     return cfg.sectors
+
+
+@pytest.fixture(scope="session")
+def full_metric():
+    """A tornado metric as a full run reports it: the float
+    ``engine._terminal_metric`` gives alone, which the tests hold it to."""
+
+    def read(metric, result):
+        if metric == "output_gain":
+            return result.summary.gdp_gain
+        if metric == "displacement":
+            return result.summary.displacement_rate
+        return result.records[-1].output
+
+    return read

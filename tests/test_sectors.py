@@ -735,7 +735,7 @@ class TestLastOutcome:
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
 
-    def test_wide_tornado_equals_a_cold_one(self, params, state0, monkeypatch):
+    def test_wide_tornado_equals_a_cold_one(self, params, state0, monkeypatch, full_metric):
         # rate about 0.24 at exposure 0.8 and sigma 0.6, where many caps bind
         scenario = Scenario(name="wide", mode=SimulationMode.COMPARATIVE_STATIC,
                             horizon=(2030, 2030), robotics_growth=0.05,
@@ -746,19 +746,13 @@ class TestLastOutcome:
         tornado = one_at_a_time(scenario, params, state0, baseline, default_specs(0.2),
                                 WIDE_TABLE)
 
-        def cold_run(metric, side, side_params, side_state, table, reuse=None):
+        def cold_run(metric, side, side_params, side_state, table, checked=None):
             # the oracle: the base and every side a full run that reuses
-            # nothing, neither a last outcome nor the base's compounding pass
+            # nothing, neither a last outcome nor the base's checked values
             forget_last_outcomes()
-            return sensitivity_module._extract(
+            return full_metric(
                 metric, run_scenario(side, side_params, side_state, baseline, table))
 
-        def cold_base(*inputs):
-            metrics = {metric: cold_run(metric, *inputs)
-                       for metric in sensitivity_module.METRICS}
-            return metrics, None
-
-        monkeypatch.setattr(sensitivity_module, "_terminal_metrics", cold_base)
         monkeypatch.setattr(sensitivity_module, "_terminal_metric", cold_run)
         # repr, because an invalid side's results are nan
         assert repr(one_at_a_time(scenario, params, state0, baseline, default_specs(0.2),

@@ -75,7 +75,7 @@ class TestOneAtATime:
             assert record.error is None
 
     def test_baseline_makes_no_full_run(self, cfg, params, state0, baseline,
-                                        monkeypatch):
+                                        monkeypatch, full_metric):
         calls = []
         inner = run_scenario
 
@@ -91,7 +91,7 @@ class TestOneAtATime:
             full = inner(scenario, params, state0, baseline, table)
             for record in records:
                 assert (record.baseline_result.hex()
-                        == sensitivity_module._extract(record.metric, full).hex()), (
+                        == full_metric(record.metric, full).hex()), (
                     scenario.name, record.parameter)
 
     def test_no_specs_evaluate_nothing(self, cfg, params, state0, baseline):
@@ -344,7 +344,7 @@ class TestTerminalMetric:
         cfg["scenarios"].append(DYNAMIC)
         return loads_config(yaml.safe_dump(cfg), source="<bundled and dynamic>")
 
-    def test_equals_the_full_run(self, config):
+    def test_equals_the_full_run(self, config, full_metric):
         wide = _tight_wide_table()
         scenarios = [*config.scenarios,
                      # a raw growth whose gain overflows under the spillover
@@ -369,7 +369,7 @@ class TestTerminalMetric:
                 side, params = ((changed, config.params) if holder is scenario
                                 else (scenario, changed))
                 inputs = (side, params, config.initial_state)
-                full = {metric: outcome(lambda: sensitivity_module._extract(
+                full = {metric: outcome(lambda: full_metric(
                             metric, run_scenario(*inputs, config.baseline, table)))
                         for metric in METRICS}
                 alone = {metric: outcome(lambda: sensitivity_module._terminal_metric(
@@ -387,7 +387,44 @@ class TestTerminalMetric:
         # each path of the evaluation was taken
         assert min(seen.values()) > 0, seen
 
-    def test_reused_side_equals_the_full_run(self, config):
+    def test_checked_fields_equal_the_full_run(self, config):
+        """Each field of ``_effective_params``' record is the float the full
+        run reports or compounds: a field read under the wrong name fails."""
+        seen = {"raw": 0, "no raw": 0}
+        for scenario in config.scenarios:
+            inputs = (scenario, config.params, config.initial_state)
+            checked = engine_module._effective_params(*inputs)
+            result = run_scenario(*inputs, config.baseline)
+            records, summary, last = result.records, result.summary, result.records[-1]
+            assert checked.gain.hex() == summary.gdp_gain.hex(), scenario.name
+            if summary.raw_gdp_gain is None:
+                assert checked.raw_gain is None, scenario.name
+                seen["no raw"] += 1
+            else:
+                assert checked.raw_gain.hex() == summary.raw_gdp_gain.hex(), scenario.name
+                seen["raw"] += 1
+            assert ([theta.hex() for theta in checked.thetas]
+                    == [record.theta.hex() for record in records]), scenario.name
+            assert checked.tfp.hex() == last.tfp.hex(), scenario.name
+            assert ((config.initial_state.labor * checked.ratio).hex()
+                    == last.labor.hex()), scenario.name
+            sigma, _, exposure = engine_module._resolved(scenario, config.params)
+            assert checked.sigma.hex() == sigma.hex(), scenario.name
+            assert checked.exposure.hex() == exposure.hex(), scenario.name
+            # the stock and the baseline outputs through the last record's
+            # output and each record's gain, as the year loop computes them
+            alpha, theta = config.params.alpha, last.theta
+            output = (checked.tfp * config.initial_state.capital ** alpha
+                      * last.labor ** (1.0 - alpha - theta) * checked.robotics ** theta)
+            assert output.hex() == last.output.hex(), scenario.name
+            assert set(checked.base_by_theta) == {record.theta for record in records}
+            for record in records:
+                gain = record.output / checked.base_by_theta[record.theta] - 1.0
+                assert gain.hex() == record.output_gain_vs_baseline.hex(), scenario.name
+        # both kinds of raw gain were pinned
+        assert min(seen.values()) > 0, seen
+
+    def test_reused_side_equals_the_full_run(self, config, full_metric):
         """A sigma, cost-ratio or exposure side that reuses its base's
         compounding pass gives every metric as a full run of the side does."""
         wide = _tight_wide_table()
@@ -413,7 +450,7 @@ class TestTerminalMetric:
         for scenario, table in itertools.product(scenarios, (None, config.sectors, wide)):
             inputs = (scenario, config.params, config.initial_state)
             try:
-                _, compounded = engine_module._terminal_metrics(*inputs, table)
+                checked = engine_module._effective_params(*inputs)
             except ModelError:
                 continue  # the tornado raises before any side
             for parameter, factor in itertools.product(
@@ -428,11 +465,11 @@ class TestTerminalMetric:
                     continue  # the side fails before either evaluation
                 side = ((changed, config.params) if holder is scenario
                         else (scenario, changed)) + (config.initial_state,)
-                full = {metric: outcome(lambda: sensitivity_module._extract(
+                full = {metric: outcome(lambda: full_metric(
                             metric, run_scenario(*side, config.baseline, table)))
                         for metric in METRICS}
                 reused = {metric: outcome(lambda: engine_module._terminal_metric(
-                              metric, *side, table, compounded))
+                              metric, *side, table, checked))
                           for metric in METRICS}
                 assert reused == full, (scenario.name, parameter, factor)
                 rate = full["displacement"]
