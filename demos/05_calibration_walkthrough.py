@@ -3,7 +3,8 @@
 
 Every solve here is in ratio space: a target is a fractional change
 against the frozen baseline year. Closed forms cover the single-channel
-inversions; the composite spillover case falls back to bisection.
+inversions; the composite spillover case is solved numerically, by
+Brent's method.
 """
 
 from robolabor import (
@@ -46,7 +47,8 @@ def main():
     print()
 
     print("5. Which adoption rate hits a 2.1% gain with the TFP spillover on?")
-    # two channels interact here, so this one is solved by bisection
+    # two channels interact here, so this one is solved numerically, by
+    # Brent's method on the growth bracket 0-1
     growth = implied_robotics_growth(
         0.021, 0.5, tfp_boost_per_pct=0.002,
         solver=SolverConfig(0.0, 1.0, relative_tolerance=1e-13))

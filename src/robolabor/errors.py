@@ -55,7 +55,7 @@ class CalibrationError(ModelError):
 
 
 class NoSignChangeError(CalibrationError):
-    """Bisection bracket does not straddle the target."""
+    """Solver bracket does not straddle the target."""
 
 
 class MaxIterationsError(CalibrationError):

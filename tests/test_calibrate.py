@@ -1,10 +1,10 @@
-"""Closed-form inversions, bisection, and solves through the engine."""
+"""Closed-form inversions, the root solver, and solves through the engine."""
 
 import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from robolabor import (
@@ -35,7 +35,126 @@ from robolabor.core import EconomyState
 from robolabor.engine import _leaves_labor
 
 
+def midpoint_oracle(f, target, config):
+    """The midpoint loop ``bisect`` ran before Brent's method, kept as an oracle."""
+    if not math.isfinite(target):
+        raise DomainError(f"target must be finite, got {target}")
+    tol = config.relative_tolerance * max(1.0, abs(target))
+    lo, hi = config.lo, config.hi
+    flo = f(lo) - target
+    fhi = f(hi) - target
+    if abs(flo) <= tol:
+        return lo
+    if abs(fhi) <= tol:
+        return hi
+    if (flo > 0) == (fhi > 0):
+        raise NoSignChangeError("f - target has the same sign at both ends")
+    for _ in range(config.max_iterations):
+        mid = 0.5 * (lo + hi)
+        fmid = f(mid) - target
+        if abs(fmid) <= tol:
+            return mid
+        if (fmid > 0) == (flo > 0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+    raise MaxIterationsError("no convergence", best_x=mid, best_residual=abs(fmid),
+                             iterations=config.max_iterations)
+
+
+@st.composite
+def root_problems(draw):
+    """A function of one family, a bracket, a target and a relative tolerance.
+
+    The targets mostly lie between the bracket ends' values, a few beyond
+    them, and a few are not finite. A steep tanh is flat at +-1 over most of
+    its bracket, and the step function never meets a tolerance below its jump.
+    """
+    family = draw(st.sampled_from(["power", "exp", "log", "tanh", "kinked", "step"]))
+    if family in ("power", "exp", "log"):
+        lo = draw(st.floats(*{"power": (0.0, 2.0), "exp": (-5.0, 5.0),
+                              "log": (1e-9, 2.0)}[family]))
+        hi = lo + draw(st.floats(1e-6, 10.0 if family == "exp" else 50.0))
+        if family == "power":
+            p = draw(st.sampled_from([0.3, 0.5, 2.0, 3.0, 7.0]))
+            f = lambda x: x ** p  # noqa: E731
+        elif family == "exp":
+            k = draw(st.floats(-20.0, 20.0))
+            f = lambda x: math.exp(k * x)  # noqa: E731
+        else:
+            f = math.log
+    else:
+        x0 = draw(st.floats(-1.0, 1.0))
+        lo = x0 - draw(st.floats(1e-3, 3.0))
+        hi = x0 + draw(st.floats(1e-3, 3.0))
+        if family == "tanh":
+            k = 10.0 ** draw(st.floats(0.0, 7.0))
+            f = lambda x: math.tanh(k * (x - x0))  # noqa: E731
+        elif family == "kinked":
+            left, right = (10.0 ** draw(st.floats(-3.0, 3.0)) for _ in range(2))
+            f = lambda x: (left if x < x0 else right) * (x - x0)  # noqa: E731
+        else:
+            f = lambda x: 1.0 if x >= x0 else 0.0  # noqa: E731
+    where = draw(st.integers(0, 19))
+    if where == 0:
+        target = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+    else:
+        share = st.floats(-0.25, 1.25) if where == 1 else st.floats(0.01, 0.99)
+        target = f(lo) + draw(share) * (f(hi) - f(lo))
+    tolerance = draw(st.sampled_from([1e-6, 1e-10, 1e-12, 1e-14]))
+    return f, target, SolverConfig(lo=lo, hi=hi, relative_tolerance=tolerance)
+
+
+def solve_counting(solver, f, target, config):
+    """The solver's root or the class of its error, and the points it evaluated."""
+    calls = []
+    try:
+        outcome = solver(lambda x: calls.append(x) or f(x), target, config)
+    except (DomainError, NoSignChangeError, MaxIterationsError) as err:
+        outcome = type(err)
+    return outcome, calls
+
+
+def bracket_widths(f, target, calls):
+    """Width of the narrowest sign-change interval between evaluated points,
+    after the two ends and after every third evaluation from there."""
+    above = [f(x) - target > 0 for x in calls]
+    widths = []
+    for count in range(2, len(calls) + 1, 3):
+        points = sorted(zip(calls[:count], above[:count]))
+        widths.append(min(right - left for (left, a), (right, b)
+                          in zip(points, points[1:]) if a != b))
+    return widths
+
+
 class TestBisect:
+    @settings(derandomize=True, max_examples=1000)
+    @given(problem=root_problems())
+    def test_agrees_with_midpoint_oracle(self, problem):
+        f, target, config = problem
+        outcome, calls = solve_counting(bisect, f, target, config)
+        expected, oracle_calls = solve_counting(midpoint_oracle, f, target, config)
+        assert all(config.lo <= x <= config.hi for x in calls)
+        if isinstance(outcome, float):
+            assert outcome in calls
+            tol = config.relative_tolerance * max(1.0, abs(target))
+            assert abs(f(outcome) - target) <= tol
+        for error in (NoSignChangeError, DomainError):
+            assert (outcome is error) == (expected is error)
+        if outcome is MaxIterationsError:
+            assert expected is MaxIterationsError
+        if len(calls) > 2:
+            # the forced midpoint halves the bracket at least every third
+            # step, up to rounding and to a bracket of adjacent floats
+            span = config.hi - config.lo
+            ulp = math.ulp(max(abs(config.lo), abs(config.hi)))
+            for steps, width in enumerate(bracket_widths(f, target, calls)):
+                assert width <= span / 2 ** steps + ulp
+        # at most 4 evaluations beyond halving's; halving can stop early where
+        # a midpoint lands on the root by chance (x**2 = 0.25 on [0, 1] takes
+        # it 1 step and Brent's method 6), so its count is floored at 8
+        assert len(calls) <= max(len(oracle_calls), 8) + 4
+
     def test_square_root(self):
         root = bisect(lambda x: x * x, 4.0, SolverConfig(lo=0.0, hi=10.0))
         assert root == pytest.approx(2.0, abs=1e-9)
@@ -50,9 +169,9 @@ class TestBisect:
         calls = []
         bisect(lambda x: calls.append(x) or x * x, 4.0,
                SolverConfig(lo=0.0, hi=10.0))
-        # 2 endpoint evaluations plus one per halving; bracket width 10
-        # shrinks below the 4e-10 residual scale in under 40 steps
-        assert len(calls) <= 42
+        # 2 endpoint evaluations, then 9 interpolation and midpoint steps;
+        # halving alone needs 36 more to bring the residual below 1e-10
+        assert len(calls) <= 12
 
     def test_endpoint_already_solves(self):
         assert bisect(lambda x: x, 0.0, SolverConfig(lo=0.0, hi=1.0)) == 0.0
@@ -212,6 +331,15 @@ class TestImpliedRoboticsGrowth:
         with_spillover = implied_robotics_growth(0.021, 0.5, tfp_boost_per_pct=0.002)
         assert with_spillover < direct
 
+    def test_spillover_out_of_reach(self):
+        # growth 1 gives (1 + 0.002 * 100) * 2**0.6 - 1 = 0.819, short of 0.9
+        with pytest.raises(UnattainableTargetError) as info:
+            implied_robotics_growth(0.9, 0.6, tfp_boost_per_pct=0.002)
+        message = str(info.value)
+        assert "gain target 0.9 is out of reach" in message
+        assert "robotics growth in [0, 1] gives a gain from 0 to 0.81886" in message
+        assert "f - target" not in message
+
     def test_custom_solver_bracket(self):
         solver = SolverConfig(lo=0.0, hi=0.5, relative_tolerance=1e-12)
         growth = implied_robotics_growth(0.021, 0.5, tfp_boost_per_pct=0.002,
@@ -361,6 +489,22 @@ class TestCalibrateScenario:
         target = engine_metric(cfg, scenario, parameter, value)
         report = solve(cfg, name, TARGET_OF[parameter], target, parameter)
         assert report.value == pytest.approx(value, rel=1e-9)
+
+    @pytest.mark.parametrize("target_name, parameter", list(_ENGINE_SOLVES))
+    def test_solves_take_few_engine_runs(self, cfg, target_name, parameter):
+        # Brent's method takes at most 9 runs on these solves; the midpoint
+        # rule took up to 44
+        for scenario in cfg.scenarios:
+            summary = run_scenario(scenario, cfg.params, cfg.initial_state,
+                                   cfg.baseline).summary
+            own = getattr(summary, METRIC[target_name])
+            for factor in (0.8, 1.0, 1.2):
+                try:
+                    report = calibrate_scenario(scenario, cfg.params, cfg.initial_state,
+                                                target_name, factor * own, parameter)
+                except UnattainableTargetError:
+                    continue
+                assert report.iterations <= 12, (scenario.name, factor)
 
     def test_calibrated_literals_reproduce(self, cfg):
         # the solves the bundled dataset's comments describe, against the

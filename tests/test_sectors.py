@@ -549,7 +549,7 @@ SMALL_TABLE = (profile("a", 0.3, 2.5, cap=0.2), profile("b", 0.2, 1.7, cap=0.5),
 WIDE_TABLE = wide_table(5)
 BASELINES = (shares_baseline(WIDE_TABLE),
              shares_baseline(SMALL_TABLE, expat_share=0.5, total_labor_force=1e6))
-# rates seen twice in a row in tornados and bisections, both zeros, and the
+# rates seen twice in a row in tornados and solves, both zeros, and the
 # top of the range, where the small table's caps cannot reach the rate
 REPEATED_RATES = (0.0, -0.0, 0.032, 0.1, 0.25, 1.0)
 
