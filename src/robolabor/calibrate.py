@@ -94,7 +94,8 @@ def bisect(f: Callable[[float], float], target: float, config: SolverConfig) -> 
         If ``f - target`` has the same sign at both bracket ends.
     MaxIterationsError
         If the tolerance is not met within ``max_iterations`` evaluations
-        after the two ends; the error carries the best iterate seen.
+        after the two ends, or once the bracket's ends are adjacent floats;
+        the error carries the best iterate seen and the evaluations made.
     """
     _require(math.isfinite(target), "target must be finite, got {}", target)
     tol = config.relative_tolerance * max(1.0, abs(target))
@@ -118,7 +119,9 @@ def bisect(f: Callable[[float], float], target: float, config: SolverConfig) -> 
     a, fa, b, fb = lo, flo, hi, fhi
     c, fc = a, fa
     older = old = math.inf
-    for _ in range(config.max_iterations):
+    iterations = 0  # stops once a and b are adjacent floats: no untried point is left
+    while iterations < config.max_iterations and math.nextafter(a, b) != b:
+        iterations += 1
         if abs(fa) < abs(fb):
             a, fa, b, fb = b, fb, a, fa
         width = abs(b - a)
@@ -144,10 +147,12 @@ def bisect(f: Callable[[float], float], target: float, config: SolverConfig) -> 
             c, fc, b, fb = b, fb, x, fx
         else:
             c, fc, a, fa = a, fa, x, fx
+    closed = (f": the bracket closed on the adjacent floats {min(a, b)!r} and {max(a, b)!r}"
+              if iterations < config.max_iterations else "")
     raise MaxIterationsError(
-        f"no convergence in {config.max_iterations} iterations; "
+        f"no convergence in {iterations} iterations{closed}; "
         f"best iterate {best_x:.12g} with residual {best_res:.6g}",
-        best_x=best_x, best_residual=best_res, iterations=config.max_iterations)
+        best_x=best_x, best_residual=best_res, iterations=iterations)
 
 
 def solve_tfp_level(observed_output: float, capital: float, labor: float,

@@ -149,10 +149,8 @@ class ModelParams:
         for check, _ in self._CHECKS:
             check(self)
 
-    def _check_alpha(self) -> None:
-        _require(0 < self.alpha < 1, "alpha must lie in (0, 1), got {}", self.alpha)
-
     def _check_theta(self) -> None:
+        _require(0 < self.alpha < 1, "alpha must lie in (0, 1), got {}", self.alpha)
         if not isinstance(self.theta, (StaticTheta, ThetaRamp)):
             raise DomainError(
                 f"theta must be StaticTheta or ThetaRamp, got {type(self.theta).__name__}")
@@ -160,32 +158,25 @@ class ModelParams:
             _require(self.alpha + value < 1,
                      "alpha + theta must stay below 1, got {} + {}", self.alpha, value)
 
-    def _check_sigma(self) -> None:
+    def _check_rates(self) -> None:
         _require(0 <= self.sigma < math.inf,
                  "sigma must be finite and >= 0, got {}", self.sigma)
-
-    def _check_tfp_boost(self) -> None:
         _require(0 <= self.tfp_boost_per_adoption_pct < math.inf,
                  "tfp_boost_per_adoption_pct must be finite and >= 0, got {}",
                  self.tfp_boost_per_adoption_pct)
-
-    def _check_exposure(self) -> None:
         _require(0 <= self.exposure_share <= 1,
                  "exposure_share must lie in [0, 1], got {}", self.exposure_share)
 
     # each check with the fields it reads, in the order __post_init__ runs them
-    _CHECKS = ((_check_alpha, ("alpha",)),
-               (_check_theta, ("theta", "alpha")),
-               (_check_sigma, ("sigma",)),
-               (_check_tfp_boost, ("tfp_boost_per_adoption_pct",)),
-               (_check_exposure, ("exposure_share",)))
+    _CHECKS = ((_check_theta, ("alpha", "theta")),
+               (_check_rates, ("sigma", "tfp_boost_per_adoption_pct", "exposure_share")))
 
 
 def _with_field(instance, name: str, value):
     """``dataclasses.replace(instance, **{name: value})``, checking less.
 
     ``instance`` is a frozen dataclass that passed its ``__post_init__``,
-    whose ``_CHECKS`` lists one check per field and the fields each reads.
+    whose ``_CHECKS`` lists its checks, each with the fields it reads.
     The copy takes its fields, sets ``name`` and runs only the checks that
     read ``name``, in ``__post_init__``'s order. The others read fields that
     passed already, so the copy, or the first error, is the one ``replace``

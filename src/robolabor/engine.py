@@ -26,10 +26,9 @@ The one state kept: a run with the same terminal displacement rate, sector
 tuple (or no table) and baseline as the run before it copies that run's
 sector rates and headcounts instead of computing them again.
 
-A caller that reads only terminal metrics calls ``_terminal_metric``,
-which states the checks it runs and what it may reuse. ``Scenario`` keeps
-one check per field in ``_CHECKS``, run in full by ``__post_init__`` and
-per field by ``core._with_field``.
+A caller that reads only terminal metrics calls ``_terminal_metric``.
+``Scenario._CHECKS`` lists each check with the fields it reads: all run in
+``__post_init__``, and those that read one field in ``core._with_field``.
 """
 
 from __future__ import annotations
@@ -180,15 +179,13 @@ class Scenario:
         _require(bool(_NAME_RE.match(self.name)),
                  "scenario name must match [A-Za-z0-9_-]+, got {!r}", self.name)
 
-    def _check_mode(self) -> None:
+    def _check_horizon(self) -> None:
         try:
             mode = SimulationMode(self.mode)
         except ValueError:
             raise DomainError(f"mode must be one of {[m.value for m in SimulationMode]}, "
                               f"got {self.mode!r}") from None
         object.__setattr__(self, "mode", mode)
-
-    def _check_horizon(self) -> None:
         horizon = tuple(self.horizon)
         _require(len(horizon) == 2, "horizon must be a (start, end) pair")
         start, end = horizon
@@ -199,7 +196,7 @@ class Scenario:
                  "horizon must satisfy {} <= start <= end <= {}, "
                  "got {}", YEAR_MIN, YEAR_MAX, horizon)
         object.__setattr__(self, "horizon", (start, end))
-        if self.mode is SimulationMode.COMPARATIVE_STATIC:
+        if mode is SimulationMode.COMPARATIVE_STATIC:
             _require(start == end,
                      "comparative_static scenarios take a single-year horizon")
 
@@ -213,8 +210,6 @@ class Scenario:
         if bad is not None:
             raise DomainError(f"robotics_growth must exceed -1, got {bad}" if bad <= -1 else
                               f"robotics_growth must be >= 0 when tfp_enabled, got {bad}")
-
-    def _check_raw_shocks(self) -> None:
         raw = self.raw_shocks
         if self.tfp_enabled and raw is not None and raw.robotics_growth is not None:
             _require(raw.robotics_growth >= 0, "raw robotics_growth must be >= 0 "
@@ -230,36 +225,26 @@ class Scenario:
             raise DomainError(f"cost_ratio_path must not fall over the horizon, "
                               f"got {ratios[fall]} then {ratios[fall + 1]}")
 
-    def _check_sigma_override(self) -> None:
+    def _check_overrides(self) -> None:
         if self.sigma_override is not None:
             _require(0 <= self.sigma_override < math.inf,
                      "sigma_override must be finite and >= 0, got {}", self.sigma_override)
-
-    def _check_theta_override(self) -> None:
         if self.theta_override is not None:
             _require(isinstance(self.theta_override, (StaticTheta, ThetaRamp)),
                      "theta_override must be StaticTheta or ThetaRamp")
-
-    def _check_exposure_override(self) -> None:
         if self.exposure_override is not None:
             _require(0 <= self.exposure_override <= 1,
                      "exposure_override must lie in [0, 1], got {}", self.exposure_override)
-
-    def _check_job_creation_model(self) -> None:
         _require(isinstance(self.job_creation_model, (JobCreationRatio, JobCreationRamp)),
                  "job_creation_model must be JobCreationRatio or JobCreationRamp")
 
     # each check with the fields it reads, in the order __post_init__ runs them
     _CHECKS = ((_check_name, ("name",)),
-               (_check_mode, ("mode",)),
-               (_check_horizon, ("horizon", "mode")),
-               (_check_growth, ("robotics_growth", "horizon", "tfp_enabled")),
-               (_check_raw_shocks, ("raw_shocks", "tfp_enabled")),
+               (_check_horizon, ("mode", "horizon")),
+               (_check_growth, ("robotics_growth", "horizon", "tfp_enabled", "raw_shocks")),
                (_check_cost_path, ("cost_ratio_path", "horizon")),
-               (_check_sigma_override, ("sigma_override",)),
-               (_check_theta_override, ("theta_override",)),
-               (_check_exposure_override, ("exposure_override",)),
-               (_check_job_creation_model, ("job_creation_model",)))
+               (_check_overrides, ("sigma_override", "theta_override", "exposure_override",
+                                   "job_creation_model")))
 
     @property
     def n_years(self) -> int:
@@ -410,7 +395,7 @@ def _effective_params(scenario: Scenario, params: ModelParams,
     inputs' own rules, every precondition of the public helpers then holds
     every year.
 
-    :func:`_terminal_metric` states which of these a copy may reuse.
+    :func:`_side_checked` states which of these a one-field copy may reuse.
     """
     sigma, theta_mode, exposure = _resolved(scenario, params)
     for value in _theta_extremes(theta_mode):
@@ -492,6 +477,20 @@ def _effective_params(scenario: Scenario, params: ModelParams,
                     raw_gain)
 
 
+def _side_checked(base: _Checked, field: str, scenario: Scenario, params: ModelParams,
+                  state0: EconomyState) -> _Checked:
+    """``_effective_params(scenario, params, state0)`` for inputs that differ
+    in ``field`` alone from those that gave ``base``, as a tornado side's do.
+    For a field in :data:`_LABOR_ONLY_FIELDS` (sigma, the exposure share,
+    the cost path and their overrides), only :func:`_terminal_labor` runs."""
+    if field not in _LABOR_ONLY_FIELDS:
+        return _effective_params(scenario, params, state0)
+    sigma, _, exposure = _resolved(scenario, params)
+    return _Checked(sigma, base.thetas, base.base_by_theta, exposure,
+                    _terminal_labor(scenario, state0, sigma, exposure),
+                    base.tfp, base.robotics, base.gain, base.raw_gain)
+
+
 def _terminal_metric(metric: str, scenario: Scenario, params: ModelParams,
                      state0: EconomyState,
                      sectors: Sequence[SectorProfile] | None = None,
@@ -507,28 +506,20 @@ def _terminal_metric(metric: str, scenario: Scenario, params: ModelParams,
     where ``sectors._split_fits`` cannot rule out its
     :class:`UnattainableTargetError`.
 
-    ``checked`` is what ``_effective_params`` gave for this scenario and
-    these parameters, or for a copy that differs from them only in
-    :data:`_LABOR_ONLY_FIELDS` (sigma, the exposure share, the cost path
-    and their overrides), as a tornado's base is for its sigma, exposure
-    and cost-ratio sides. Of ``_effective_params`` only
-    :func:`_terminal_labor` then runs: the other checks and the
-    compounding pass read none of those fields, and they passed.
+    ``checked`` is what ``_effective_params`` gives for exactly these
+    inputs (:func:`_side_checked` gives a tornado side's), computed here
+    when not given; none of its checks runs again.
     """
     if checked is None:
         checked = _effective_params(scenario, params, state0)
-        ratio = checked.ratio
-    else:
-        sigma, _, exposure = _resolved(scenario, params)
-        ratio = _terminal_labor(scenario, state0, sigma, exposure)
-    rate = 1.0 - ratio
+    rate = 1.0 - checked.ratio
     if sectors and not _split_fits(rate, sectors):
         disaggregate_displacement(rate, sectors)
     if metric == "displacement":
         return rate
     if metric == "output_gain":
         return checked.gain
-    alpha, theta = params.alpha, checked.thetas[-1]
+    alpha, theta, ratio = params.alpha, checked.thetas[-1], checked.ratio
     return (checked.tfp * state0.capital ** alpha
             * (state0.labor * ratio) ** (1.0 - alpha - theta) * checked.robotics ** theta)
 

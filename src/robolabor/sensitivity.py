@@ -3,9 +3,9 @@
 Each listed parameter is perturbed multiplicatively around its scenario
 value while everything else stays put, the chosen result metric is
 evaluated again, and its swing is recorded. Nothing runs in full: each
-metric is evaluated alone by ``engine._terminal_metric``, which states what
-a side may reuse of its base. Records come back in tornado order: largest
-absolute swing first, failed perturbations last, names breaking ties.
+metric is evaluated alone by ``engine._terminal_metric``; ``_side_checked``
+says what a side reuses of its base. Records come back in tornado order:
+largest absolute swing first, failed perturbations last, names breaking ties.
 
 A parameter is scaled where the run reads it: the scenario's override when
 one is set, otherwise the model parameter. A shock path scales every entry
@@ -24,7 +24,7 @@ from .core import EconomyState, ModelParams, StaticTheta, ThetaRamp, _with_field
 # one_at_a_time makes no full run; run_scenario stays imported because the
 # benchmark's tracer (perfbench/spans.py) counts a tornado's engine runs by
 # wrapping this name
-from .engine import (_LABOR_ONLY_FIELDS, Scenario, _effective_params, _terminal_metric,
+from .engine import (Scenario, _effective_params, _side_checked, _terminal_metric,
                      run_scenario)
 from .errors import ModelError, _require
 from .sectors import LaborBaseline, SectorProfile
@@ -161,15 +161,15 @@ def one_at_a_time(scenario: Scenario, params: ModelParams, state0: EconomyState,
     """Perturb each spec's parameter by +-perturbation and re-evaluate its metric.
 
     No scenario runs in full: the base and each side evaluate only their
-    metrics, by ``engine._terminal_metric``, which states what it checks
-    and reuses. A side changes one field of the scenario or the parameters
-    and runs only the checks that read that field, which raise what
-    ``dataclasses.replace`` would. A perturbation that violates a domain
-    constraint, or whose national rate the sector table cannot split,
-    produces a record with the error message instead of aborting the whole
-    analysis. Records come back in tornado order; an empty ``specs`` gives
-    no records and evaluates nothing. ``baseline`` is not read: no metric a
-    tornado reports depends on headcounts or remittances.
+    metrics, by ``engine._terminal_metric``, on the base's record checked
+    once or a side's from ``engine._side_checked``. A side changes one
+    field of the scenario or the parameters and runs only the checks that
+    read that field, which raise what ``dataclasses.replace`` would. A
+    perturbation that violates a domain constraint, or whose national rate
+    the sector table cannot split, produces a record with the error message
+    instead of aborting the whole analysis. Records come back in tornado
+    order; an empty ``specs`` gives no records and evaluates nothing.
+    ``baseline`` is not read: no tornado metric reads headcounts.
     """
     if specs is None:
         specs = default_specs()
@@ -185,7 +185,6 @@ def one_at_a_time(scenario: Scenario, params: ModelParams, state0: EconomyState,
         value = getattr(holder, field)
         base_value = _first(value)
         base_metric = base_metrics[spec.metric]
-        reused = checked if field in _LABOR_ONLY_FIELDS else None
         side_values: list[float] = []
         side_results: list[float] = []
         error: str | None = None
@@ -195,7 +194,8 @@ def one_at_a_time(scenario: Scenario, params: ModelParams, state0: EconomyState,
                 changed = _with_field(holder, field, _scaled(value, factor, field))
                 inputs = (changed, params) if holder is scenario else (scenario, changed)
                 side_results.append(_terminal_metric(spec.metric, *inputs, state0, sectors,
-                                                     reused))
+                                                     _side_checked(checked, field, *inputs,
+                                                                   state0)))
             except ModelError as exc:
                 side = "low" if factor < 1 else "high"
                 message = f"{side} perturbation invalid: {exc}"

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -52,3 +55,21 @@ def full_metric():
         return result.records[-1].output
 
     return read
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture(scope="session")
+def load_perfbench():
+    """Load ``perfbench/<name>.py`` by path as a new module on each call:
+    the benchmark's directory is not a package."""
+
+    def load(name):
+        spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                      PERFBENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    return load

@@ -191,6 +191,19 @@ class TestBisect:
         assert err.best_x == pytest.approx(2.0, abs=10.0 / 2 ** 8)
         assert err.best_residual == abs(err.best_x ** 2 - 4.0)
 
+    def test_step_stops_once_the_bracket_closes(self):
+        # the bracket shrinks onto the jump at 0.3, where no float meets the
+        # target; once its ends are adjacent floats, a point would repeat one
+        calls = []
+        with pytest.raises(MaxIterationsError, match="iterations: the bracket closed on the "
+                           "adjacent floats 0.29999999999999993 and 0.3; best") as excinfo:
+            bisect(lambda x: calls.append(x) or (1.0 if x >= 0.3 else 0.0), 0.5,
+                   SolverConfig(lo=0.0, hi=1.0))
+        err = excinfo.value
+        assert len(calls) == len(set(calls)) <= 60
+        assert err.iterations == len(calls) - 2
+        assert (err.best_x, err.best_residual) == (0.0, 0.5)
+
     def test_decreasing_function(self):
         root = bisect(lambda x: -x, -3.0, SolverConfig(lo=0.0, hi=10.0))
         assert root == pytest.approx(3.0, abs=1e-9)

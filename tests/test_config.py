@@ -1,7 +1,6 @@
 """Strict config parsing and dotted error paths."""
 
 import copy
-import importlib
 import os
 import re
 import subprocess
@@ -566,11 +565,12 @@ class TestYamlLimits:
         assert run.stderr == (f"validation error: invalid YAML in {path} at line 1, "
                               f"column 208: collections nest deeper than 200 levels\n")
 
-    def test_verified_configs_are_not_walked(self, monkeypatch):
+    def test_verified_configs_are_not_walked(self, monkeypatch, load_perfbench):
         # the bundled config and the benchmark's generated ones: the cheap
         # bound clears each, so loading them costs no walk over the events
-        monkeypatch.syspath_prepend(str(PERFBENCH))
-        gen = importlib.import_module("gen")
+        # gen imports the reference model by its bare module name
+        monkeypatch.setitem(sys.modules, "reference", load_perfbench("reference"))
+        gen = load_perfbench("gen")
         bundled = gen.bundled_config(PERFBENCH.parent)
         configs = [gen.fault_inputs(bundled)["cfg"]]
         for seed in (1, 5):

@@ -2,7 +2,6 @@
 
 import csv
 import dataclasses
-import importlib.util
 import json
 import math
 import sys
@@ -404,14 +403,6 @@ class TestWriterOracle:
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_perfbench(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
-                                                  PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestAgainstReference:
     """Written files agree with the benchmark's independent reference model.
 
@@ -423,13 +414,13 @@ class TestAgainstReference:
     """
 
     @pytest.fixture(scope="class")
-    def bench(self):
-        reference = _load_perfbench("reference")
+    def bench(self, load_perfbench):
+        reference = load_perfbench("reference")
         with pytest.MonkeyPatch.context() as patch:
             # gen imports the reference model by its bare module name
             patch.setitem(sys.modules, "reference", reference)
-            gen = _load_perfbench("gen")
-        return gen, reference, _load_perfbench("checks")
+            gen = load_perfbench("gen")
+        return gen, reference, load_perfbench("checks")
 
     @pytest.mark.parametrize("inputs, seed", [("wide", 1), ("wide", 5), ("sweep", 1),
                                               ("sweep", 5), ("bundled", None)])

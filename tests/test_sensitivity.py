@@ -1,6 +1,5 @@
 """One-at-a-time perturbations, tornado ordering, FD elasticities."""
 
-import importlib.util
 import itertools
 import math
 import random
@@ -14,13 +13,13 @@ from hypothesis import given, strategies as st
 from mpmath import mp
 
 import robolabor
-import robolabor.calibrate as calibrate_module
 import robolabor.engine as engine_module
 import robolabor.sensitivity as sensitivity_module
 from robolabor import sectors as sectors_module
 from robolabor import (
     DomainError,
     EconomyState,
+    JobCreationRamp,
     JobCreationRatio,
     ModelError,
     ModelParams,
@@ -49,6 +48,17 @@ def by_parameter(records):
 
 
 class TestOneAtATime:
+    def test_terminal_labor_runs_once_per_checked_record(self, cfg, params, state0,
+                                                         baseline, sectors, monkeypatch):
+        # once for the base, whatever its metrics, and once for each side
+        calls = []
+        terminal_labor = engine_module._terminal_labor
+        monkeypatch.setattr(engine_module, "_terminal_labor",
+                            lambda *args: calls.append(args) or terminal_labor(*args))
+        one_at_a_time(cfg.scenario("baseline"), params, state0, baseline,
+                      default_specs(0.10), sectors)
+        assert len(calls) == 1 + 2 * len(PARAMETERS) == 15
+
     def test_theta_swing_reference_values(self, cfg, params, state0, baseline):
         records = one_at_a_time(cfg.scenario("baseline"), params, state0,
                                 baseline, specs=[PerturbationSpec("theta")])
@@ -266,7 +276,6 @@ class TestElasticityFd:
             elasticity_fd(lambda p: p - 10.0, 1.0)
 
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 BUNDLED = Path(robolabor.__file__).resolve().parent / "data" / "default_config.yaml"
 # a dynamic scenario whose every path varies by year: growth, cost and theta
 DYNAMIC = {
@@ -284,14 +293,6 @@ DYNAMIC = {
 }
 
 
-def _load_perfbench(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
-                                                  PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestAgainstReference:
     """Tornados agree with the benchmark's independent reference model.
 
@@ -302,10 +303,10 @@ class TestAgainstReference:
     """
 
     @pytest.fixture(scope="class")
-    def bench(self):
+    def bench(self, load_perfbench):
         cfg = yaml.safe_load(BUNDLED.read_text(encoding="utf-8"))
         cfg["scenarios"].append(DYNAMIC)
-        return (_load_perfbench("reference"), _load_perfbench("checks"), cfg,
+        return (load_perfbench("reference"), load_perfbench("checks"), cfg,
                 loads_config(yaml.safe_dump(cfg), source="<reference>"))
 
     @pytest.mark.parametrize("perturbation", [0.05, 0.10, 0.15, 0.20])
@@ -469,7 +470,8 @@ class TestTerminalMetric:
                             metric, run_scenario(*side, config.baseline, table)))
                         for metric in METRICS}
                 reused = {metric: outcome(lambda: engine_module._terminal_metric(
-                              metric, *side, table, checked))
+                              metric, *side, table,
+                              engine_module._side_checked(checked, field, *side)))
                           for metric in METRICS}
                 assert reused == full, (scenario.name, parameter, factor)
                 rate = full["displacement"]
@@ -483,10 +485,10 @@ class TestTerminalMetric:
         assert min(seen.values()) > 0, seen
 
 
-# every field a tornado side or a calibration step changes
-SIDE_FIELDS = sorted(
-    {name for row in sensitivity_module._TABLE.values() for name in row[:2] if name}
-    | {row[0] for row in calibrate_module._ENGINE_SOLVES.values()})
+# every field, not only those a tornado side or a calibration step changes: a
+# check that reads a field its _CHECKS entry leaves out then passes a copy that
+# replace rejects, and a merged check re-reads the fields beside the changed one
+FIELDS = sorted({*Scenario.__dataclass_fields__, *ModelParams.__dataclass_fields__})
 _SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf, -2.0, -1.0, -1e-300, -0.0,
                             0.0, 1e-300, 0.5, 1.0, 1.5, 1e300])
 _NUMBERS = st.one_of(_SPECIAL, st.floats(-2.0, 3.0), st.floats(0.0, 1.0), st.floats())
@@ -507,19 +509,40 @@ def _paths(n_years):
         st.lists(st.floats(-0.5, 0.5), min_size=n_years, max_size=n_years))
 
 
+_YEARS = st.one_of(st.integers(2010, 2110), st.floats(2018.5, 2100.5),
+                  st.sampled_from([2019, 2025.0, 2030, 2100]))
+_OTHER_VALUES = {
+    "name": st.one_of(st.from_regex(r"[A-Za-z0-9_-]+", fullmatch=True), st.text(max_size=4),
+                      st.none()),
+    "mode": st.one_of(st.sampled_from([*SimulationMode, *(m.value for m in SimulationMode)]),
+                      st.text(max_size=4), st.none()),
+    "horizon": st.one_of(st.tuples(_YEARS, _YEARS), st.tuples(_YEARS, _YEARS).map(sorted),
+                         st.lists(_YEARS, max_size=3), st.just((2030, 2030))),
+    "tfp_enabled": st.booleans(),
+    "raw_shocks": st.one_of(st.none(), st.builds(
+        RawShocks, st.one_of(st.none(), st.floats(-0.9, 2.0)),
+        st.one_of(st.none(), st.floats(1.0, 3.0)))),
+    "job_creation_model": st.one_of(st.builds(JobCreationRatio, st.floats(0.0, 2.0)),
+                                    st.builds(JobCreationRamp, st.floats(0.0, 2.0)),
+                                    _NUMBERS, st.none()),
+}
+
+
 def _side_values(field, holder):
     if field in ("robotics_growth", "cost_ratio_path"):
         return _paths(holder.n_years)
     if field in ("theta", "theta_override"):
         return st.one_of(_SCHEDULES, _NUMBERS, st.none())
-    return st.one_of(_NUMBERS, st.none())
+    return _OTHER_VALUES.get(field, st.one_of(_NUMBERS, st.none()))
 
 
 class TestWithField:
-    """A tornado side's or calibration step's copy, which runs only the
-    checks that read its field, is what ``dataclasses.replace`` gives: an
-    equal object, or the same exception type and message. Covers the
-    values ``TestTerminalMetric`` skips because ``replace`` rejects them."""
+    """A copy of a scenario or the model parameters that changes one field,
+    as a tornado side or calibration step does, and runs only the checks
+    that ``_CHECKS`` lists as reading it, is what ``dataclasses.replace``
+    gives: an equal object, or the same exception type and message. Covers
+    the values ``TestTerminalMetric`` skips because ``replace`` rejects
+    them."""
 
     @pytest.fixture(scope="class")
     def holders(self):
@@ -527,9 +550,16 @@ class TestWithField:
         cfg["scenarios"].append(DYNAMIC)
         config = loads_config(yaml.safe_dump(cfg), source="<bundled and dynamic>")
         ramp = replace(config.params, theta=ThetaRamp(start=0.3, end=0.45, ramp_years=6))
-        return config.scenarios, (config.params, ramp)
+        # a shrinking stock, then a shrinking raw stock alone, each of which
+        # turning the TFP spillover on rejects
+        shrinking = replace(config.scenario("dynamic_paths"), name="shrinking",
+                            tfp_enabled=False, robotics_growth=-0.1,
+                            raw_shocks=RawShocks(robotics_growth=-0.2))
+        raw_shrinking = replace(config.scenario("baseline"), name="raw_shrinking",
+                                raw_shocks=RawShocks(robotics_growth=-0.2))
+        return (*config.scenarios, shrinking, raw_shrinking), (config.params, ramp)
 
-    @pytest.mark.parametrize("field", SIDE_FIELDS)
+    @pytest.mark.parametrize("field", FIELDS)
     @given(data=st.data())
     def test_equals_replace(self, holders, field, data):
         scenarios, params = holders

@@ -5,9 +5,6 @@ imported them under. A refactor that drops or renames one of them would
 otherwise surface only in a traced benchmark run.
 """
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
 import robolabor
@@ -15,15 +12,10 @@ import robolabor.cli
 import robolabor.engine
 import robolabor.sensitivity
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-
 
 @pytest.fixture(scope="module")
-def spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def spans(load_perfbench):
+    return load_perfbench("spans")
 
 
 def namespace(*modules):
