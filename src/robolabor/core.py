@@ -181,8 +181,8 @@ def _with_field(instance, name: str, value):
     read ``name``, in ``__post_init__``'s order. The others read fields that
     passed already, so the copy, or the first error, is the one ``replace``
     gives. Fields are set one by one, as ``__init__`` sets them: copying
-    ``__dict__`` would give the copy a materialized instance dict, and
-    attribute reads in the engine would then see two object layouts.
+    ``__dict__`` would give these inputs, which the engine reads on its hot
+    path, a second object layout. Output records are built by :func:`_filled`.
     """
     changed = object.__new__(type(instance))
     set_field = object.__setattr__
@@ -192,6 +192,17 @@ def _with_field(instance, name: str, value):
         if name in reads:
             check(changed)
     return changed
+
+
+def _filled(cls, values):
+    """``cls(*values)`` for a frozen output dataclass, without ``__init__``: any
+    ``__post_init__`` is skipped, so the values must be what it would leave."""
+    names = cls.__dataclass_fields__
+    if len(values) != len(names):  # zip(strict=True) costs a third of the fill
+        raise ValueError(f"{cls.__name__} has {len(names)} fields, got {len(values)} values")
+    instance = object.__new__(cls)
+    instance.__dict__.update(zip(names, values))
+    return instance
 
 
 def production_output(state: EconomyState, alpha: float, theta: float) -> float:

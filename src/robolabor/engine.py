@@ -29,6 +29,10 @@ sector rates and headcounts instead of computing them again.
 A caller that reads only terminal metrics calls ``_terminal_metric``.
 ``Scenario._CHECKS`` lists each check with the fields it reads: all run in
 ``__post_init__``, and those that read one field in ``core._with_field``.
+
+Output records (``YearRecord``, ``ResultSummary``, ``TargetGap``,
+``SimulationResult``, ``HeadcountBreakdown``) check nothing, so each is built by
+filling its instance dict: a frozen ``__init__`` pays a setattr call per field.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from .core import (
     YEAR_MAX,
     YEAR_MIN,
     _cobb_douglas,
+    _filled,
     _ramp_theta,
     _theta_extremes,
     labor_demand_ratio,
@@ -261,8 +266,8 @@ class Scenario:
         return (float(self.cost_ratio_path),) * self.n_years
 
 
-# run_scenario's year loop fills these without calling __init__, so a field
-# added here is added there too (tests/test_engine.py pins the two together)
+# built without __init__ (module docstring): the year loop fills this one inline,
+# cheaper than core._filled, so a field added here is added there (tests pin them)
 @dataclass(frozen=True)
 class YearRecord:
     """State of one simulated year."""
@@ -418,8 +423,7 @@ def _effective_params(scenario: Scenario, params: ModelParams,
     # compound exactly as run_scenario does, so a pass here is a pass there
     labor0, boost = state0.labor, params.tfp_boost_per_adoption_pct
     labor_cap = max(labor0, 1.0)  # labor <= labor0, and x ** p <= max(x, 1) for p in (0, 1]
-    robotics = state0.robotics
-    tfp = state0.tfp
+    robotics, tfp = state0.robotics, state0.tfp
     base_low = min(base_by_theta.values())
     kalpha = state0.capital ** alpha
     overflow = output_overflow = gain_overflow = None
@@ -555,9 +559,7 @@ def run_scenario(scenario: Scenario, params: ModelParams, state0: EconomyState,
                              for band in baseline.remittance_decline_band)
     reference = baseline.remittance_reference_rate
 
-    tfp = state0.tfp
-    robotics = state0.robotics
-    labor0 = state0.labor
+    tfp, robotics, labor0 = state0.tfp, state0.robotics, state0.labor
     new_record = object.__new__
     records: list[YearRecord] = []
     for year, g_t, r_t, theta_t, job_ratio in zip(
@@ -592,51 +594,36 @@ def run_scenario(scenario: Scenario, params: ModelParams, state0: EconomyState,
 
     terminal = records[-1]
     raw = scenario.raw_shocks
-    # raw displacement at full exposure: the exposure share is itself a
-    # calibrated quantity
+    # raw displacement at full exposure: the exposure share is itself calibrated
     raw_disp = (None if raw is None or raw.cost_ratio is None
                 else 1.0 - labor_demand_ratio(raw.cost_ratio, sigma, 1.0))
-    summary = ResultSummary(
-        gdp_gain=checked.gain,
-        realized_gain=terminal.output_gain_vs_baseline,
-        displacement_rate=terminal.displacement_rate,
-        displaced_total=terminal.displaced_cumulative,
-        jobs_created=terminal.jobs_created_cumulative,
-        key_driver=scenario.key_driver,
-        raw_gdp_gain=checked.raw_gain,
-        raw_displacement_rate=raw_disp,
-    )
+    summary = _filled(ResultSummary, (
+        checked.gain, terminal.output_gain_vs_baseline, terminal.displacement_rate,
+        terminal.displaced_cumulative, terminal.jobs_created_cumulative,
+        scenario.key_driver, checked.raw_gain, raw_disp))
     global _last_outcome
     rate = terminal.displacement_rate
     last_rate, last_sectors, last_baseline, sector_rates, headcounts = _last_outcome
-    # 1.0 - ratio is never -0.0, so == is exact; a list may have changed. Each
-    # result gets copies (HeadcountBreakdown copies by_sector)
+    # 1.0 - ratio is never -0.0, so == is exact; a list may have changed
     if not (rate == last_rate and sectors is last_sectors and baseline is last_baseline
             and (sectors is None or isinstance(sectors, tuple))):
         sector_rates = disaggregate_displacement(rate, sectors) if sectors else {}
         headcounts = displacement_headcounts(rate, baseline)
         _last_outcome = (rate, sectors, baseline, sector_rates, headcounts)
     targets = scenario.targets
-    return SimulationResult(
-        scenario=scenario.name,
-        mode=scenario.mode,
-        records=tuple(records),
-        summary=summary,
-        sector_rates=dict(sector_rates),
-        headcounts=HeadcountBreakdown(headcounts.total, headcounts.expat,
-                                      headcounts.by_sector),
-        target_comparison=None if targets is None else _target_gaps(targets, summary),
-    )
+    return _filled(SimulationResult, (
+        scenario.name, scenario.mode, tuple(records), summary, dict(sector_rates),
+        _filled(HeadcountBreakdown, (headcounts.total, headcounts.expat,
+                                     dict(headcounts.by_sector))),
+        None if targets is None else _target_gaps(targets, summary)))
 
 
 def _target_gaps(targets: TargetSet, summary: ResultSummary) -> tuple[TargetGap, ...]:
     """Gap of each summary metric against its target, raw metrics when stated."""
-    gaps: list[TargetGap] = []
-    for metric, computed, raw in (
-            ("gdp_gain", summary.gdp_gain, summary.raw_gdp_gain),
-            ("displacement", summary.displacement_rate, summary.raw_displacement_rate)):
-        target = getattr(targets, metric)
-        if target is not None:
-            gaps.append(TargetGap(metric, target, computed, computed - target, raw,
-                                  None if raw is None else raw - target))
-    return tuple(gaps)
+    return tuple(_filled(TargetGap, (metric, target, computed, computed - target, raw,
+                                     None if raw is None else raw - target))
+                 for metric, target, computed, raw in (
+                     ("gdp_gain", targets.gdp_gain, summary.gdp_gain, summary.raw_gdp_gain),
+                     ("displacement", targets.displacement, summary.displacement_rate,
+                      summary.raw_displacement_rate))
+                 if target is not None)

@@ -19,6 +19,7 @@ from itertools import accumulate
 from operator import itemgetter, mul
 from typing import Mapping, Sequence, Union
 
+from .core import _filled
 from .errors import DomainError, UnattainableTargetError, _require
 
 __all__ = [
@@ -349,8 +350,8 @@ def displacement_headcounts(national_rate: float,
              "national_rate must lie in [0, 1], got {}", national_rate)
     total = national_rate * baseline.total_labor_force
     expat = total * baseline.expat_share
-    return HeadcountBreakdown(total=total, expat=expat, by_sector={
-        name: expat * share for name, share in baseline._shares})
+    return _filled(HeadcountBreakdown, (total, expat, {
+        name: expat * share for name, share in baseline._shares}))
 
 
 def remittance_impact(displacement_rate: float, baseline: LaborBaseline) -> tuple[float, float]:

@@ -176,9 +176,10 @@ def one_at_a_time(scenario: Scenario, params: ModelParams, state0: EconomyState,
     if not specs:
         return []
     checked = _effective_params(scenario, params, state0)
-    base_metrics = {metric: _terminal_metric(metric, scenario, params, state0, sectors,
-                                             checked)
-                    for metric in dict.fromkeys(spec.metric for spec in specs)}
+    # every base metric reads one rate, so only the first checks its split
+    base_metrics = {metric: _terminal_metric(metric, scenario, params, state0,
+                                             None if index else sectors, checked)
+                    for index, metric in enumerate(dict.fromkeys(s.metric for s in specs))}
     records: list[SensitivityRecord] = []
     for spec in specs:
         holder, field = _holder(spec.parameter, scenario, params)

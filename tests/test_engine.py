@@ -11,16 +11,20 @@ from mpmath import mp
 from robolabor import (
     DomainError,
     EconomyState,
+    HeadcountBreakdown,
     JobCreationRamp,
     JobCreationRatio,
     RawShocks,
     ResultSummary,
     Scenario,
     SimulationMode,
+    SimulationResult,
     StaticTheta,
+    TargetGap,
     TargetSet,
     ThetaRamp,
     YearRecord,
+    displacement_headcounts,
     job_creation,
     labor_demand_ratio,
     production_output,
@@ -29,6 +33,7 @@ from robolabor import (
     tfp_step,
     theta_at,
 )
+from robolabor.core import _filled
 
 STATIC_HORIZON = (2030, 2030)
 
@@ -287,6 +292,41 @@ class TestRecords:
             assert list(vars(record)) == names
             assert record == built and hash(record) == hash(built)
             assert repr(record) == repr(built)
+
+    def test_filled_records_equal_constructed_ones(self, cfg, params, state0, baseline,
+                                                   sectors):
+        # every record built without __init__ besides the year records, over
+        # every bundled scenario and a dynamic one with targets and raw shocks
+        targeted = Scenario(name="targeted", mode=SimulationMode.DYNAMIC,
+                            horizon=(2025, 2040), robotics_growth=0.05,
+                            cost_ratio_path=1.2,
+                            targets=TargetSet(gdp_gain=0.2, displacement=0.05),
+                            raw_shocks=RawShocks(robotics_growth=0.06, cost_ratio=1.3))
+        kinds = set()
+        for scenario in (*cfg.scenarios, targeted):
+            result = run_scenario(scenario, params, state0, baseline, sectors)
+            rate = result.summary.displacement_rate
+            for record in (result, result.summary, result.headcounts,
+                           displacement_headcounts(rate, baseline),
+                           *(result.target_comparison or ())):
+                kinds.add(type(record))
+                built = type(record)(**vars(record))
+                names = [f.name for f in dataclasses.fields(record)]
+                assert list(vars(record)) == names
+                assert record == built and repr(record) == repr(built)
+                # the others hold dicts, so they have no hash
+                if isinstance(record, (ResultSummary, TargetGap)):
+                    assert hash(record) == hash(built)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(record, names[0], getattr(record, names[0]))
+        assert kinds == {SimulationResult, ResultSummary, HeadcountBreakdown, TargetGap}
+        # the targeted run, last, compares raw values too
+        assert all(gap.raw_gap is not None for gap in result.target_comparison)
+
+    @pytest.mark.parametrize("count", [5, 7])
+    def test_filled_needs_one_value_per_field(self, count):
+        with pytest.raises(ValueError):
+            _filled(TargetGap, ("gdp_gain", 0.1, 0.2, 0.1, None, None, None)[:count])
 
     def test_records_stay_dataclasses(self, cfg, params, state0, baseline):
         result = run_scenario(cfg.scenario("high_adoption"), params, state0, baseline)

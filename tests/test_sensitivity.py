@@ -59,6 +59,19 @@ class TestOneAtATime:
                       default_specs(0.10), sectors)
         assert len(calls) == 1 + 2 * len(PARAMETERS) == 15
 
+    @pytest.mark.parametrize("name, calls", [("baseline", 15), ("staged_adoption", 13)])
+    def test_base_checks_the_split_once(self, cfg, params, state0, baseline, sectors,
+                                        monkeypatch, name, calls):
+        # once for the base, whatever its metrics, and once for each side that
+        # passes its checks: staged_adoption's high theta and exposure sides fail
+        counted = []
+        split_fits = engine_module._split_fits
+        monkeypatch.setattr(engine_module, "_split_fits",
+                            lambda *args: counted.append(args) or split_fits(*args))
+        one_at_a_time(cfg.scenario(name), params, state0, baseline, default_specs(0.10),
+                      sectors)
+        assert len(counted) == calls
+
     def test_theta_swing_reference_values(self, cfg, params, state0, baseline):
         records = one_at_a_time(cfg.scenario("baseline"), params, state0,
                                 baseline, specs=[PerturbationSpec("theta")])
