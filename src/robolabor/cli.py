@@ -100,10 +100,7 @@ def _build_parser() -> _Parser:
 
 def _cmd_simulate(args) -> int:
     config = load_config(args.config)
-    if args.scenario is not None:
-        scenarios = [config.scenario(args.scenario)]
-    else:
-        scenarios = list(config.scenarios)
+    scenarios = config.scenarios if args.scenario is None else [config.scenario(args.scenario)]
     results = [run_scenario(s, config.params, config.initial_state,
                             config.baseline, config.sectors)
                for s in scenarios]
@@ -157,9 +154,7 @@ def _cmd_sensitivity(args) -> int:
     specs = default_specs(args.perturb / 100.0)
     records = one_at_a_time(scenario, config.params, config.initial_state,
                             config.baseline, specs, config.sectors)
-    header = f"{'parameter':<16} {'metric':<16} {'low':>14} {'base':>14} " \
-             f"{'high':>14} {'swing':>14}"
-    print(header)
+    print(f"{'parameter':<16} {'metric':<16} {'low':>14} {'base':>14} {'high':>14} {'swing':>14}")
     for record in records:
         line = (f"{record.parameter:<16} {record.metric:<16} "
                 f"{record.low_result:>14.6g} {record.baseline_result:>14.6g} "

@@ -42,14 +42,18 @@ YEAR_MIN = 2019
 YEAR_MAX = 2100
 
 
-def _require_integer(value: float, name: str) -> int:
+def _as_integer(value) -> int | None:
+    """``value`` as an ``int`` where it is an integral number, else None."""
     try:
-        ok = float(value).is_integer()
-    except (TypeError, OverflowError):
-        ok = False
-    if not ok:
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+        return int(value) if float(value).is_integer() else None
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
+def _require_integer(value, name: str) -> int:
+    integer = _as_integer(value)
+    _require(integer is not None, "{} must be an integer, got {!r}", name, value)
+    return integer
 
 
 @dataclass(frozen=True)
@@ -263,14 +267,19 @@ def labor_demand_ratio(cost_ratio_change: float, sigma: float,
 
         ratio = 1 - exposure_share * (1 - cost_ratio_change**(-sigma))
 
-    At ``cost_ratio_change == 1`` the ratio is exactly 1.0.
+    At ``cost_ratio_change == 1`` the ratio is exactly 1.0. ``sigma`` must be finite
+    and >= 0; a power outside the float range raises :class:`DomainError`.
     """
     _require(cost_ratio_change > 0,
              "cost_ratio_change must be positive, got {}", cost_ratio_change)
-    _require(sigma >= 0, "sigma must be >= 0, got {}", sigma)
+    _require(0 <= sigma < math.inf, "sigma must be finite and >= 0, got {}", sigma)
     _require(0 <= exposure_share <= 1,
              "exposure_share must lie in [0, 1], got {}", exposure_share)
-    return 1.0 - exposure_share * (1.0 - cost_ratio_change ** (-sigma))
+    try:
+        return 1.0 - exposure_share * (1.0 - cost_ratio_change ** (-sigma))
+    except OverflowError:
+        raise DomainError(f"cost_ratio_change {cost_ratio_change} to the power -sigma "
+                          f"{-sigma} is outside the float range") from None
 
 
 def theta_at(year_index: float, theta: ThetaMode) -> float:
@@ -306,10 +315,15 @@ def tfp_step(tfp_prev: float, adoption_growth_pct: float,
 
     Returns ``tfp_prev * (1 + boost_per_pct * adoption_growth_pct)``. With
     the default boost, one percentage point of adoption growth lifts TFP by
-    0.2 percent. Growth of zero returns ``tfp_prev`` unchanged.
+    0.2 percent. Growth of zero returns ``tfp_prev`` unchanged. ``boost_per_pct``
+    must be finite and >= 0; a result that is not finite raises :class:`DomainError`.
     """
     _require(tfp_prev > 0, "tfp_prev must be positive, got {}", tfp_prev)
     _require(adoption_growth_pct >= 0,
              "adoption_growth_pct must be >= 0, got {}", adoption_growth_pct)
-    _require(boost_per_pct >= 0, "boost_per_pct must be >= 0, got {}", boost_per_pct)
-    return tfp_prev * (1.0 + boost_per_pct * adoption_growth_pct)
+    _require(0 <= boost_per_pct < math.inf,
+             "boost_per_pct must be finite and >= 0, got {}", boost_per_pct)
+    tfp = tfp_prev * (1.0 + boost_per_pct * adoption_growth_pct)
+    _require(tfp < math.inf, "tfp {} * (1 + {} * {}) is {}, not a finite number",
+             tfp_prev, boost_per_pct, adoption_growth_pct, tfp)
+    return tfp

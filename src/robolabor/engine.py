@@ -53,6 +53,7 @@ from .core import (
     ThetaRamp,
     YEAR_MAX,
     YEAR_MIN,
+    _as_integer,
     _cobb_douglas,
     _filled,
     _ramp_theta,
@@ -193,10 +194,9 @@ class Scenario:
         object.__setattr__(self, "mode", mode)
         horizon = tuple(self.horizon)
         _require(len(horizon) == 2, "horizon must be a (start, end) pair")
-        start, end = horizon
-        _require(float(start).is_integer() and float(end).is_integer(),
+        start, end = map(_as_integer, horizon)
+        _require(start is not None and end is not None,
                  "horizon years must be integers, got {}", horizon)
-        start, end = int(start), int(end)
         _require(YEAR_MIN <= start <= end <= YEAR_MAX,
                  "horizon must satisfy {} <= start <= end <= {}, "
                  "got {}", YEAR_MIN, YEAR_MAX, horizon)

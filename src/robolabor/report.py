@@ -2,7 +2,8 @@
 
 Numbers are written at 12 significant digits so every cell round-trips
 through text losslessly for this model's magnitudes. Rows are LF-terminated
-UTF-8; identical inputs produce byte-identical files.
+UTF-8; identical inputs produce byte-identical files. ``summary_table``, the
+terminal table, shows ten of ``summary.csv``'s columns, fractions as percentages.
 
 Each CSV file is built as one string and written with one ``write``. A row
 whose cell types match its table's declared types (an ``int`` year, then
@@ -21,7 +22,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -200,20 +201,13 @@ def _write_json(path: Path, payload) -> None:
         handle.write("\n")
 
 
-def _gap_fields(result: SimulationResult, metric: str):
-    if result.target_comparison:
-        for gap in result.target_comparison:
-            if gap.metric == metric:
-                return gap.target, gap.gap, gap.raw_gap
-    return None, None, None
-
-
 def _summary_rows(results: Sequence[SimulationResult]) -> list[list]:
     rows = []
     for result in results:
         summary = result.summary
-        gain_target, gain_gap, raw_gain_gap = _gap_fields(result, "gdp_gain")
-        disp_target, disp_gap, raw_disp_gap = _gap_fields(result, "displacement")
+        gaps = {g.metric: (g.target, g.gap, g.raw_gap) for g in result.target_comparison or ()}
+        gain_target, gain_gap, raw_gain_gap = gaps.get("gdp_gain", (None,) * 3)
+        disp_target, disp_gap, raw_disp_gap = gaps.get("displacement", (None,) * 3)
         rows.append([
             result.scenario, result.mode.value,
             summary.gdp_gain, gain_target, gain_gap,
@@ -267,17 +261,15 @@ def write_outputs(bundle: OutputBundle, directory: str | Path,
                        map(attrgetter(*_TIMESERIES_COLUMNS), result.records),
                        _TIMESERIES_TYPES)
             manifest.append(path)
+            if result.scenario == bundle.figure_scenario:
+                path = directory / "figure1_data.csv"
+                _write_csv(path, _FIGURE_COLUMNS,
+                           map(attrgetter(*_FIGURE_COLUMNS), result.records),
+                           _FIGURE_TYPES)
+                manifest.append(path)
         path = directory / "summary.csv"
         _write_csv(path, _SUMMARY_COLUMNS, _summary_rows(bundle.results))
         manifest.append(path)
-        if bundle.figure_scenario is not None:
-            for result in bundle.results:
-                if result.scenario == bundle.figure_scenario:
-                    path = directory / "figure1_data.csv"
-                    _write_csv(path, _FIGURE_COLUMNS,
-                               map(attrgetter(*_FIGURE_COLUMNS), result.records),
-                               _FIGURE_TYPES)
-                    manifest.append(path)
 
     if "json" in formats:
         path = directory / "summary.json"
@@ -298,25 +290,23 @@ def write_sensitivity_csv(records: Sequence[SensitivityRecord],
     return path
 
 
+# the summary.csv columns the terminal table shows, each under its heading
+_TABLE_HEADINGS = {"scenario": "scenario", "gdp_gain": "gdp_gain", "gdp_gain_target": "target",
+                   "gdp_gain_gap": "gap", "raw_gdp_gain_gap": "raw_gap",
+                   "displacement_rate": "displacement", "displacement_target": "target",
+                   "displacement_gap": "gap", "raw_displacement_gap": "raw_gap",
+                   "key_driver": "key_driver"}
+_table_cells = itemgetter(*map(_SUMMARY_COLUMNS.index, _TABLE_HEADINGS))
+
+
+def _table_text(cell) -> str:
+    return cell if isinstance(cell, str) else "" if cell is None else f"{100.0 * cell:.4f}%"
+
+
 def summary_table(results: Sequence[SimulationResult]) -> str:
-    """Fixed-width text table of scenario summaries for terminal output."""
-    header = ("scenario", "gdp_gain", "target", "gap", "raw_gap",
-              "displacement", "target", "gap", "raw_gap", "key_driver")
-    body = []
-    for result in results:
-        summary = result.summary
-        gain_target, gain_gap, raw_gain_gap = _gap_fields(result, "gdp_gain")
-        disp_target, disp_gap, raw_disp_gap = _gap_fields(result, "displacement")
-
-        def pct(value):
-            return "" if value is None else f"{100.0 * value:.4f}%"
-
-        body.append((result.scenario, pct(summary.gdp_gain), pct(gain_target),
-                     pct(gain_gap), pct(raw_gain_gap),
-                     pct(summary.displacement_rate), pct(disp_target),
-                     pct(disp_gap), pct(raw_disp_gap), summary.key_driver))
-    widths = [max(len(row[i]) for row in [header] + body)
-              for i in range(len(header))]
-    lines = ["  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
-             for row in [header] + body]
-    return "\n".join(lines)
+    """Fixed-width text table of ten ``summary.csv`` columns, fractions in percent."""
+    rows = [tuple(_TABLE_HEADINGS.values())]
+    rows += [tuple(map(_table_text, _table_cells(row))) for row in _summary_rows(results)]
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "\n".join("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
+                     for row in rows)

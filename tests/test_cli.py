@@ -101,6 +101,15 @@ class TestSimulate:
         assert "cannot read config file" in capsys.readouterr().err
 
 
+    def test_out_that_is_a_file_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "taken"
+        path.write_text("")
+        assert cli_dispatch(["simulate", "--out", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.count("\n") == 1
+        assert path.read_text() == ""
+
+
 class TestGoldenOutput:
     """``simulate --config default`` output is pinned byte for byte.
 
@@ -365,6 +374,15 @@ class TestSensitivity:
         assert cli_dispatch(["sensitivity", "--scenario", "baseline"]) == 0
         assert list(tmp_path.iterdir()) == []
         capsys.readouterr()
+
+    def test_out_that_is_a_file_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "taken"
+        path.write_text("")
+        assert cli_dispatch(["sensitivity", "--scenario", "baseline",
+                             "--out", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.count("\n") == 1
+        assert path.read_text() == ""
 
     def test_perturb_bounds(self, capsys):
         code = cli_dispatch(["sensitivity", "--scenario", "baseline",

@@ -108,6 +108,12 @@ class TestEconomyState:
     def test_accepts_integral_float_year(self):
         assert state(year=2030.0).year == 2030
 
+    @pytest.mark.parametrize("year", ["x", "2030.5", "2030.0", None, math.inf, math.nan])
+    def test_rejects_a_year_that_is_no_integer(self, year):
+        # neither a string float() cannot read nor one int() cannot read is an integer
+        with pytest.raises(DomainError, match="^year must be an integer, got "):
+            state(year=year)
+
 
 class TestRoboticsOutputGain:
     def test_reference_value(self):
@@ -173,6 +179,25 @@ class TestLaborDemandRatio:
         with pytest.raises(DomainError):
             labor_demand_ratio(r, sigma, exposure)
 
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan])
+    def test_sigma_must_be_finite(self, sigma):
+        with pytest.raises(DomainError, match="sigma must be finite and >= 0"):
+            labor_demand_ratio(0.5, sigma)
+
+    def test_power_outside_the_float_range_is_a_domain_error(self):
+        # 1e-300 ** -5 is past the float range, where Python raises OverflowError
+        with pytest.raises(DomainError, match="outside the float range"):
+            labor_demand_ratio(1e-300, 5.0)
+
+    @given(st.floats(min_value=5e-324, allow_infinity=True),
+           st.floats(min_value=0.0, max_value=1e6), st.floats(min_value=0.0, max_value=1.0))
+    def test_ratio_is_finite_or_a_domain_error(self, r, sigma, exposure):
+        try:
+            ratio = labor_demand_ratio(r, sigma, exposure)
+        except DomainError:
+            return
+        assert math.isfinite(ratio)
+
 
 class TestThetaSchedule:
     def test_ramp_endpoints_exact(self):
@@ -206,15 +231,22 @@ class TestThetaSchedule:
     def test_accepts_integral_float_index(self):
         assert theta_at(2.0, StaticTheta(0.5)) == 0.5
 
-    @pytest.mark.parametrize("index", [-1, 2.5])
+    @pytest.mark.parametrize("index", [-1, 2.5, "a", None])
     def test_rejects_bad_index(self, index):
         with pytest.raises(DomainError):
             theta_at(index, StaticTheta(0.5))
+
+    @pytest.mark.parametrize("theta", [0.5, None, "static"])
+    def test_rejects_a_schedule_of_another_type(self, theta):
+        with pytest.raises(DomainError, match="theta must be StaticTheta or ThetaRamp, got "):
+            theta_at(0, theta)
 
     @pytest.mark.parametrize("kwargs", [
         dict(start=0.0, end=0.6, ramp_years=5),
         dict(start=0.4, end=1.2, ramp_years=5),
         dict(start=0.4, end=0.6, ramp_years=0),
+        dict(start=0.4, end=0.6, ramp_years="x"),
+        dict(start=0.4, end=0.6, ramp_years=None),
     ])
     def test_ramp_validation(self, kwargs):
         with pytest.raises(DomainError):
@@ -247,6 +279,23 @@ class TestTfpStep:
     def test_domain(self, kwargs):
         with pytest.raises(DomainError):
             tfp_step(**kwargs)
+
+    @pytest.mark.parametrize("boost", [math.inf, math.nan])
+    def test_boost_must_be_finite(self, boost):
+        # an infinite boost would give nan at zero growth and inf above it
+        for growth in (0.0, 1.0):
+            with pytest.raises(DomainError, match="boost_per_pct must be finite and >= 0"):
+                tfp_step(1.0, growth, boost)
+
+    @pytest.mark.parametrize("tfp_prev, growth, boost", [
+        (1.0, math.inf, 0.0),      # 0 * inf is nan
+        (1.0, math.inf, 0.002),
+        (1e308, 1e6, 1.0),         # a finite product past the float range
+        (math.inf, 1.0, 0.002),
+    ])
+    def test_result_must_be_finite(self, tfp_prev, growth, boost):
+        with pytest.raises(DomainError, match="not a finite number"):
+            tfp_step(tfp_prev, growth, boost)
 
 
 class TestModelParams:

@@ -347,6 +347,13 @@ class TestScenarioValidation:
         with pytest.raises(DomainError):
             static_scenario(horizon=horizon)
 
+    @pytest.mark.parametrize("horizon", [("x", 2030), (None, 2030), (2030, "2030.0"),
+                                         (2030, [2030])])
+    def test_horizon_years_that_are_no_integers(self, horizon):
+        # float() raises ValueError for "x" and TypeError for None and a list
+        with pytest.raises(DomainError, match="^horizon years must be integers, got "):
+            static_scenario(horizon=horizon)
+
     def test_bad_name(self):
         with pytest.raises(DomainError):
             static_scenario(name="no spaces allowed")

@@ -6,6 +6,7 @@ import json
 import math
 import sys
 import tempfile
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,10 @@ from hypothesis import strategies as st
 
 from robolabor import (
     OutputBundle,
+    ResultSummary,
     SensitivityRecord,
+    SimulationMode,
+    TargetGap,
     YearRecord,
     build_output_bundle,
     loads_config,
@@ -82,6 +86,40 @@ def oracle_json_chunks(node, indent="\n"):
     yield indent + closer
 
 
+# -- the terminal table before it read summary.csv's rows, kept as the oracle
+# -- summary_table must match character for character
+
+def oracle_gap_fields(result, metric):
+    if result.target_comparison:
+        for gap in result.target_comparison:
+            if gap.metric == metric:
+                return gap.target, gap.gap, gap.raw_gap
+    return None, None, None
+
+
+def oracle_summary_table(results) -> str:
+    header = ("scenario", "gdp_gain", "target", "gap", "raw_gap",
+              "displacement", "target", "gap", "raw_gap", "key_driver")
+    body = []
+    for result in results:
+        summary = result.summary
+        gain_target, gain_gap, raw_gain_gap = oracle_gap_fields(result, "gdp_gain")
+        disp_target, disp_gap, raw_disp_gap = oracle_gap_fields(result, "displacement")
+
+        def pct(value):
+            return "" if value is None else f"{100.0 * value:.4f}%"
+
+        body.append((result.scenario, pct(summary.gdp_gain), pct(gain_target),
+                     pct(gain_gap), pct(raw_gain_gap),
+                     pct(summary.displacement_rate), pct(disp_target),
+                     pct(disp_gap), pct(raw_disp_gap), summary.key_driver))
+    widths = [max(len(row[i]) for row in [header] + body)
+              for i in range(len(header))]
+    lines = ["  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
+             for row in [header] + body]
+    return "\n".join(lines)
+
+
 EDGE_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.2250738585072e-308,
                1e12, 999999999999.5, 123456789012345.6, 1e16, -1e15, 0.1 + 0.2)
 floats = st.one_of(
@@ -99,6 +137,24 @@ years = st.one_of(st.integers(min_value=1900, max_value=2200),
                   st.integers(min_value=1900, max_value=2200), floats, non_floats)
 texts = st.text(st.one_of(st.characters(blacklist_categories=("Cs",)),
                           st.sampled_from(',"\n\r \'')), max_size=12)
+
+
+@st.composite
+def summarized(draw, result):
+    """``result`` with a drawn summary, whose gain and displacement targets,
+    and whose raw values, are each present or absent."""
+    summary = ResultSummary(*[draw(floats) for _ in range(5)], draw(texts),
+                            draw(st.none() | floats), draw(st.none() | floats))
+    gaps = [TargetGap(metric, draw(floats), computed, draw(floats), raw,
+                      None if raw is None else draw(floats))
+            for metric, computed, raw in (
+                ("gdp_gain", summary.gdp_gain, summary.raw_gdp_gain),
+                ("displacement", summary.displacement_rate, summary.raw_displacement_rate))
+            if draw(st.booleans())]
+    comparison = draw(st.sampled_from([None, tuple(gaps), tuple(reversed(gaps))]))
+    return dataclasses.replace(result, scenario=draw(texts),
+                               mode=draw(st.sampled_from(SimulationMode)),
+                               summary=summary, target_comparison=comparison)
 
 
 def written(write, rows, header=_TIMESERIES_COLUMNS) -> bytes:
@@ -352,6 +408,10 @@ class TestFormatNumber:
     def test_nan(self):
         assert format_number(float("nan")) == "nan"
 
+    def test_other_numbers_take_the_float_format(self):
+        assert format_number(Decimal("1.5")) == "1.5"
+        assert format_number(Decimal("0.12345678901234")) == "0.123456789012"
+
 
 class TestSummaryTable:
     def test_renders_percentages(self, results):
@@ -360,6 +420,16 @@ class TestSummaryTable:
         assert lines[0].startswith("scenario")
         assert any("baseline" in line and "2.4695%" in line for line in lines)
         assert len(lines) == 1 + len(results)
+
+    def test_matches_the_oracle_on_the_bundled_runs(self, results):
+        assert summary_table(results) == oracle_summary_table(results)
+        assert summary_table(()) == oracle_summary_table(())
+
+    @given(st.data())
+    def test_matches_the_oracle(self, results, data):
+        drawn = [data.draw(summarized(result))
+                 for result in data.draw(st.lists(st.sampled_from(results), max_size=4))]
+        assert summary_table(drawn) == oracle_summary_table(drawn)
 
 
 class TestWriterOracle:
@@ -434,6 +504,7 @@ class TestAgainstReference:
                                 config.baseline, config.sectors)
                    for scenario in config.scenarios]
         bundle = build_output_bundle(config, results)
+        assert summary_table(results) == oracle_summary_table(results)
         write_outputs(bundle, tmp_path)
         checks.check_output_files(checks.read_dir(tmp_path),
                                   [reference.simulate(cfg, s) for s in cfg["scenarios"]],

@@ -367,6 +367,12 @@ class TestSectorProfile:
                           automation_potential=0.4, readiness=Readiness.HIGH,
                           readiness_score=11.0)
 
+    @pytest.mark.parametrize("readiness", ["low", None])
+    def test_readiness_must_be_a_readiness(self, readiness):
+        with pytest.raises(DomainError, match="^x: readiness must be a Readiness value$"):
+            SectorProfile(name="x", employment_share=0.3, risk_multiplier=1.0,
+                          automation_potential=0.4, readiness=readiness)
+
     def test_shipped_dataset_readiness(self, sectors):
         by_name = {s.name: s for s in sectors}
         assert by_name["manufacturing"].readiness is Readiness.HIGH
@@ -465,6 +471,12 @@ class TestJobCreation:
             job_creation(10.0, JobCreationRamp(0.64), progress=1.5)
         with pytest.raises(DomainError):
             JobCreationRatio(-0.1)
+
+    @pytest.mark.parametrize("model", [0.23, None])
+    def test_unknown_model(self, model):
+        with pytest.raises(DomainError, match="^model must be JobCreationRatio or "
+                                              "JobCreationRamp, got "):
+            job_creation(10.0, model)
 
 
 class TestLaborBaseline:
