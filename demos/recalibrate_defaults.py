@@ -10,10 +10,9 @@ same derivations through :func:`derivations`.
 """
 
 from robolabor import (
-    SolverConfig,
+    calibrate_scenario,
     implied_cost_ratio,
     implied_exposure,
-    implied_robotics_growth,
     load_config,
 )
 
@@ -49,10 +48,9 @@ def derivations(cfg):
     heading = ("productivity_spillover: growth from the 2.1% gain with the TFP "
                "channel on, cost ratio from 3.0% displacement")
     scenario = cfg.scenario("productivity_spillover")
-    # tight tolerance so the printed digits match the stored literal
-    growth = implied_robotics_growth(
-        0.021, 0.5, tfp_boost_per_pct=0.002,
-        solver=SolverConfig(0.0, 1.0, relative_tolerance=1e-13))
+    # the spillover compounds with the power law, so the engine solves it
+    growth = calibrate_scenario(scenario, cfg.params, cfg.initial_state, "gain",
+                                0.021, "robotics_growth").value
     yield heading, "robotics_growth", growth, scenario.robotics_growth
     yield (heading, "cost_ratio_path", implied_cost_ratio(0.030, 0.65),
            scenario.cost_ratio_path)

@@ -7,7 +7,9 @@ its target in the model the engine runs and the residual is the engine's gap.
 An output level is an identity in TFP at the initial state, solved by
 :func:`solve_tfp_level`. The closed forms (``implied_*``) are library
 helpers: each inverts one single-year channel under the assumptions its
-docstring states, and agrees with the engine only where those hold.
+docstring states, and agrees with the engine only where those hold. Channels
+that compound, such as robotics growth with the TFP spillover on, are solved
+by :func:`calibrate_scenario`.
 
 All solves are in ratio space: targets are fractional changes against the
 frozen baseline year.
@@ -247,39 +249,16 @@ def implied_cost_ratio(displacement_target: float, sigma: float,
     return (1.0 - displacement_target / exposure_share) ** (-1.0 / sigma)
 
 
-def implied_robotics_growth(gain_target: float, theta: float,
-                            tfp_boost_per_pct: float = 0.0,
-                            solver: SolverConfig | None = None) -> float:
+def implied_robotics_growth(gain_target: float, theta: float) -> float:
     """Adoption growth rate that reproduces an output-gain target.
 
-    With the TFP spillover off this inverts the power law directly:
-    ``g = (1 + gain)**(1/theta) - 1``. With the spillover on, the gain is
-    ``(1 + boost * 100g) * (1+g)**theta - 1``, a composite of two channels,
-    solved numerically by :func:`bisect` over ``solver``'s bracket (growth
-    0-1 by default). Raises :class:`UnattainableTargetError` when the gain
-    the bracket's ends give does not straddle the target.
+    Inverts the power law ``(1+g)**theta - 1 = gain`` with the TFP spillover
+    off: ``g = (1 + gain)**(1/theta) - 1``. With the spillover on, solve
+    through the engine with :func:`calibrate_scenario`.
     """
     _require(gain_target > -1, "gain_target must exceed -1, got {}", gain_target)
     _require(0 < theta <= 1, "theta must lie in (0, 1], got {}", theta)
-    _require(tfp_boost_per_pct >= 0,
-             "tfp_boost_per_pct must be >= 0, got {}", tfp_boost_per_pct)
-    if tfp_boost_per_pct == 0:
-        return (1.0 + gain_target) ** (1.0 / theta) - 1.0
-
-    def forward(g: float) -> float:
-        return (1.0 + tfp_boost_per_pct * 100.0 * g) * (1.0 + g) ** theta - 1.0
-
-    if solver is None:
-        solver = SolverConfig(lo=0.0, hi=1.0)
-    try:
-        return bisect(forward, gain_target, solver)
-    except NoSignChangeError:
-        low, high = sorted((forward(solver.lo), forward(solver.hi)))
-        raise UnattainableTargetError(
-            f"gain target {gain_target:g} is out of reach: robotics growth in "
-            f"[{solver.lo:.6g}, {solver.hi:.6g}] gives a gain from {low:.6g} to "
-            f"{high:.6g} at theta {theta:g}, tfp_boost_per_pct {tfp_boost_per_pct:g}"
-        ) from None
+    return (1.0 + gain_target) ** (1.0 / theta) - 1.0
 
 
 # (target, parameter) -> the Scenario field the solved value replaces, how the

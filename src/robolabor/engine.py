@@ -192,7 +192,10 @@ class Scenario:
             raise DomainError(f"mode must be one of {[m.value for m in SimulationMode]}, "
                               f"got {self.mode!r}") from None
         object.__setattr__(self, "mode", mode)
-        horizon = tuple(self.horizon)
+        try:
+            horizon = tuple(self.horizon)
+        except TypeError:  # not iterable, such as a bare year or None
+            horizon = ()
         _require(len(horizon) == 2, "horizon must be a (start, end) pair")
         start, end = map(_as_integer, horizon)
         _require(start is not None and end is not None,

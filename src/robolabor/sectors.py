@@ -180,8 +180,9 @@ class HeadcountBreakdown:
 def _check_sector_table(sectors: Sequence[SectorProfile]) -> float:
     """Check the rules a sector table obeys as a whole; return its share total.
 
-    Names are unique, at most one sector is the residual, and employment
-    shares sum to at most 1 (a tolerance of 1e-9 absorbs rounding).
+    Names are unique, at most one sector is the residual, and the employment
+    shares of a nonempty table sum to more than 0 and at most 1 (a tolerance
+    of 1e-9 absorbs rounding).
     """
     names = [s.name for s in sectors]
     _require(len(set(names)) == len(names), "sector names must be unique")
@@ -190,6 +191,7 @@ def _check_sector_table(sectors: Sequence[SectorProfile]) -> float:
     total = sum(s.employment_share for s in sectors)
     _require(total <= 1 + 1e-9,
              "sector employment shares sum to {:.6g}, must be <= 1", total)
+    _require(total > 0 or not sectors, "sector dataset has zero total employment share")
     return total
 
 
@@ -213,7 +215,6 @@ class _Table:
     def __init__(self, sectors: Sequence[SectorProfile]) -> None:
         _require(len(sectors) > 0, "sector dataset must be nonempty")
         self.total = _check_sector_table(sectors)
-        _require(self.total > 0, "sector dataset has zero total employment share")
         self.names = [s.name for s in sectors]
         self.weights = [s.employment_share for s in sectors]
         self.caps = [s.automation_potential for s in sectors]

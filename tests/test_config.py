@@ -32,6 +32,7 @@ from robolabor import (
     loads_config,
 )
 from robolabor import config as config_module
+from robolabor.cli import cli_dispatch
 from robolabor.config import _MAX_DEPTH, _may_nest_deeper
 
 MINIMAL = """
@@ -255,6 +256,26 @@ sectors:
         with pytest.raises(ConfigError, match="sum to 1.2"):
             loads_config(text)
 
+    def test_zero_total_sector_share(self, tmp_path, capsys):
+        # no split has a share to weight by, so the table fails at load and
+        # not in simulate or sensitivity
+        text = MINIMAL + """
+sectors:
+  - {name: a, employment_share: 0, risk_multiplier: 1.0,
+     automation_potential: 0.5, readiness: low}
+  - {name: b, employment_share: 0.0, risk_multiplier: 2.0,
+     automation_potential: 0.5, readiness: low}
+"""
+        with pytest.raises(ConfigError) as caught:
+            loads_config(text)
+        assert caught.value.path == "sectors"
+        message = "sectors: sector dataset has zero total employment share"
+        assert str(caught.value) == message
+        path = tmp_path / "zero.yaml"
+        path.write_text(text)
+        assert cli_dispatch(["validate", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+
     def test_bad_readiness(self):
         text = MINIMAL + """
 sectors:
@@ -341,6 +362,8 @@ class TestDefaults:
     def test_empty_collections(self):
         config = loads_config(MINIMAL)
         assert config.sectors == ()
+        # an empty table has no share total to check
+        assert loads_config(MINIMAL + "sectors: []\n").sectors == ()
         assert config.tasks == {}
         assert config.scenarios == ()
 

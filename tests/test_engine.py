@@ -354,6 +354,12 @@ class TestScenarioValidation:
         with pytest.raises(DomainError, match="^horizon years must be integers, got "):
             static_scenario(horizon=horizon)
 
+    @pytest.mark.parametrize("horizon", [2030, None])
+    def test_horizon_that_is_not_iterable(self, horizon):
+        scenario = static_scenario()
+        with pytest.raises(DomainError, match=r"^horizon must be a \(start, end\) pair$"):
+            dataclasses.replace(scenario, horizon=horizon)
+
     def test_bad_name(self):
         with pytest.raises(DomainError):
             static_scenario(name="no spaces allowed")
