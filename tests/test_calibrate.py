@@ -513,6 +513,18 @@ class TestCalibrateScenario:
             report = solve(cfg, name, target_name, target, parameter)
             assert report.value == pytest.approx(value, rel=1e-9), (name, parameter)
 
+    def test_spillover_round_trip(self, cfg):
+        # the engine run at the solved growth gives the target back, and its
+        # one-year gain is the power law compounded with the TFP boost
+        scenario = cfg.scenario("productivity_spillover")
+        growth = solve(cfg, "productivity_spillover", "gain", 0.021, "robotics_growth").value
+        gain = run_scenario(replace(scenario, robotics_growth=growth), cfg.params,
+                            cfg.initial_state, cfg.baseline).summary.gdp_gain
+        assert gain == pytest.approx(0.021, rel=1e-9)
+        boost = cfg.params.tfp_boost_per_adoption_pct
+        assert gain == pytest.approx((1.0 + boost * 100.0 * growth) * (1.0 + growth) ** 0.5
+                                     - 1.0, rel=1e-9)
+
     def test_dynamic_scenario_solves_against_its_horizon(self, cfg):
         # the single-year closed forms miss the six-year ramp and spillover
         assert solve(cfg, "staged_adoption", "displacement", 0.02,
