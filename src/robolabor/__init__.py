@@ -8,11 +8,10 @@ job-creation effects, calibrates unstated inputs from published outcomes,
 and runs one-at-a-time sensitivity analyses. Ships with a Qatar-calibrated
 default dataset.
 
-Same inputs, same outputs, bit for bit: no randomness, and the only state
-kept between calls is reuse that never changes a result: ``run_scenario``
-copies the last run's sector outcome for a run with the same terminal rate,
-sector tuple and baseline, and the sector split keeps its last few compiled
-tables.
+Same inputs, same outputs, bit for bit: no randomness and no process-global
+state. The one reuse, which never changes a result, is a one-slot memo on a
+config's compiled sector table: ``run_scenario`` copies the table's last
+sector outcome for a run with the same terminal rate and baseline.
 """
 
 from . import calibrate, config, core, engine, errors, report, sectors, sensitivity

@@ -34,7 +34,7 @@ from .sectors import (
     LaborBaseline,
     Readiness,
     SectorProfile,
-    _check_sector_table,
+    _Table,
 )
 
 __all__ = [
@@ -436,8 +436,8 @@ def loads_config(text: str, source: str = "<string>") -> RunConfig:
     state = _section(data, "initial_state", {}, defaults={
         "year": 2024, "tfp": 1.0, "capital": 1.0, "labor": baseline.total_labor_force,
         "robotics": 1.0})
-    sectors = _section(data, "sectors", [])
-    _domain_checked(lambda: _check_sector_table(sectors), "sectors")
+    sectors = _domain_checked(functools.partial(_Table, _section(data, "sectors", [])),
+                              "sectors")
     tasks = _section(data, "tasks", {})
     scenarios = _section(data, "scenarios", [])
     for i, scenario in enumerate(scenarios):

@@ -22,9 +22,11 @@ single year reproduces the comparative-static result field by field.
 before the first year. The year loop is then unchecked arithmetic, and it
 must give the same floats as the public helpers of ``core`` and ``sectors``.
 
-The one state kept: a run with the same terminal displacement rate, sector
-tuple (or no table) and baseline as the run before it copies that run's
-sector rates and headcounts instead of computing them again.
+The engine keeps no process-global state. The one reuse is a one-slot memo
+on a config's compiled sector table: a run on that table with the same
+terminal displacement rate and baseline as the table's last run copies that
+run's sector rates and headcounts instead of computing them again. A run
+with no table, or with a plain sequence, computes them.
 
 A caller that reads only terminal metrics calls ``_terminal_metric``.
 ``Scenario._CHECKS`` lists each check with the fields it reads: all run in
@@ -69,7 +71,9 @@ from .sectors import (
     JobCreationRatio,
     LaborBaseline,
     SectorProfile,
+    _compiled,
     _split_fits,
+    _Table,
     disaggregate_displacement,
     displacement_headcounts,
 )
@@ -87,11 +91,6 @@ __all__ = [
 ]
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_-]+$")
-
-# the last run's terminal rate, sector table and baseline, then the sector
-# rates and headcounts they gave; read once and replaced whole, so a run in
-# another thread sees a whole entry or none and at worst computes again
-_last_outcome = _NO_OUTCOME = (math.nan, None, None, None, None)
 
 
 class SimulationMode(str, enum.Enum):
@@ -520,8 +519,10 @@ def _terminal_metric(metric: str, scenario: Scenario, params: ModelParams,
     if checked is None:
         checked = _effective_params(scenario, params, state0)
     rate = 1.0 - checked.ratio
-    if sectors and not _split_fits(rate, sectors):
-        disaggregate_displacement(rate, sectors)
+    if sectors:
+        table = _compiled(sectors)
+        if not _split_fits(rate, table):
+            disaggregate_displacement(rate, table)
     if metric == "displacement":
         return rate
     if metric == "output_gain":
@@ -604,15 +605,17 @@ def run_scenario(scenario: Scenario, params: ModelParams, state0: EconomyState,
         checked.gain, terminal.output_gain_vs_baseline, terminal.displacement_rate,
         terminal.displaced_cumulative, terminal.jobs_created_cumulative,
         scenario.key_driver, checked.raw_gain, raw_disp))
-    global _last_outcome
     rate = terminal.displacement_rate
-    last_rate, last_sectors, last_baseline, sector_rates, headcounts = _last_outcome
-    # 1.0 - ratio is never -0.0, so == is exact; a list may have changed
-    if not (rate == last_rate and sectors is last_sectors and baseline is last_baseline
-            and (sectors is None or isinstance(sectors, tuple))):
+    # the compiled table's memo, read once; 1.0 - ratio is never -0.0, so == is exact
+    memo = isinstance(sectors, _Table)
+    kept = sectors.outcome if memo else None
+    if kept is not None and kept[0] == rate and kept[1] is baseline:
+        sector_rates, headcounts = kept[2], kept[3]
+    else:
         sector_rates = disaggregate_displacement(rate, sectors) if sectors else {}
         headcounts = displacement_headcounts(rate, baseline)
-        _last_outcome = (rate, sectors, baseline, sector_rates, headcounts)
+        if memo:
+            sectors.outcome = (rate, baseline, sector_rates, headcounts)
     targets = scenario.targets
     return _filled(SimulationResult, (
         scenario.name, scenario.mode, tuple(records), summary, dict(sector_rates),

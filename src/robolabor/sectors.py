@@ -5,8 +5,9 @@ multipliers, headcounts follow the workforce composition, and two downstream
 channels are quantified: foregone remittance outflows and offsetting job
 creation in robot maintenance, programming and supervision roles.
 
-The functions keep no state: only the split's cache of recently compiled
-sector tuples outlives a call, and it never changes a result.
+The module keeps no process-global state. A loaded config's sector table
+is compiled once (``_Table``), and the one reuse is a one-slot memo on it
+that ``run_scenario`` keeps; no function here reads or writes it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import itemgetter, mul
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .core import _filled
 from .errors import DomainError, UnattainableTargetError, _require
@@ -177,26 +178,16 @@ class HeadcountBreakdown:
         object.__setattr__(self, "by_sector", dict(self.by_sector))
 
 
-def _check_sector_table(sectors: Sequence[SectorProfile]) -> float:
-    """Check the rules a sector table obeys as a whole; return its share total.
+class _Table(tuple):
+    """A checked sector table: its ``SectorProfile``s as a tuple, which it
+    equals, hashes and prints as, and the columns the split reads, computed
+    once, when it is built.
 
-    Names are unique, at most one sector is the residual, and the employment
-    shares of a nonempty table sum to more than 0 and at most 1 (a tolerance
-    of 1e-9 absorbs rounding).
-    """
-    names = [s.name for s in sectors]
-    _require(len(set(names)) == len(names), "sector names must be unique")
-    _require(sum(s.residual for s in sectors) <= 1,
-             "at most one residual sector is allowed")
-    total = sum(s.employment_share for s in sectors)
-    _require(total <= 1 + 1e-9,
-             "sector employment shares sum to {:.6g}, must be <= 1", total)
-    _require(total > 0 or not sectors, "sector dataset has zero total employment share")
-    return total
-
-
-class _Table:
-    """The columns of one checked sector table that the split reads.
+    Building one checks the rules a table obeys as a whole: names are
+    unique, at most one sector is the residual, and the employment shares
+    of a nonempty table sum to more than 0 and at most 1 (a tolerance of
+    1e-9 absorbs rounding); ``total`` is that sum. An empty table builds,
+    and no split takes it.
 
     ``names``, ``weights`` and ``caps`` run over every sector in dataset
     order, ``multipliers`` and ``named_*`` over the named ones, and
@@ -207,22 +198,29 @@ class _Table:
     the first ``k`` of them capped and the rest at ``t * multiplier``, their
     employment-weighted sum is ``capped_before[k] + t * free_after[k]``;
     ``reach[k]`` is that sum at the ``t`` where the ``k``-th one caps.
+
+    ``outcome`` is the one memo the package keeps: ``run_scenario``'s last
+    terminal rate and baseline on this table with the sector rates and
+    headcounts they gave, or ``None``. It is replaced whole, so a run in
+    another thread sees a whole entry or none.
     """
 
-    __slots__ = ("names", "weights", "caps", "total", "multipliers", "named_weights",
-                 "named_caps", "residual", "capped_before", "free_after", "reach")
-
-    def __init__(self, sectors: Sequence[SectorProfile]) -> None:
-        _require(len(sectors) > 0, "sector dataset must be nonempty")
-        self.total = _check_sector_table(sectors)
-        self.names = [s.name for s in sectors]
-        self.weights = [s.employment_share for s in sectors]
-        self.caps = [s.automation_potential for s in sectors]
-        named = [s for s in sectors if not s.residual]
+    def __new__(cls, sectors: Iterable[SectorProfile] = ()) -> "_Table":
+        self = super().__new__(cls, sectors)
+        self.names = [s.name for s in self]
+        _require(len(set(self.names)) == len(self.names), "sector names must be unique")
+        _require(sum(s.residual for s in self) <= 1, "at most one residual sector is allowed")
+        self.weights = [s.employment_share for s in self]
+        self.total = total = sum(self.weights)
+        _require(total <= 1 + 1e-9,
+                 "sector employment shares sum to {:.6g}, must be <= 1", total)
+        _require(total > 0 or not self, "sector dataset has zero total employment share")
+        self.caps = [s.automation_potential for s in self]
+        named = [s for s in self if not s.residual]
         self.multipliers = [s.risk_multiplier for s in named]
         self.named_weights = [s.employment_share for s in named]
         self.named_caps = [s.automation_potential for s in named]
-        self.residual = next((i for i, s in enumerate(sectors) if s.residual), None)
+        self.residual = next((i for i, s in enumerate(self) if s.residual), None)
         # (t at which the cap binds, weighted cap, weighted multiplier)
         movable = sorted([(cap / m, w * cap, w * m) for m, w, cap
                           in zip(self.multipliers, self.named_weights, self.named_caps)
@@ -232,29 +230,15 @@ class _Table:
         self.free_after = [0.0, *accumulate(reversed(free))][::-1]
         self.reach = [before + t * after
                       for t, before, after in zip(binds, self.capped_before, self.free_after)]
+        self.outcome = None
+        return self
 
 
-# the tuples compiled last and their tables, newest first; holding a tuple
-# keeps its identity from passing to a new object. A few entries let runs
-# that alternate between tables, such as two configs, each compile once.
-_TABLES_KEPT = 4
-_recent: list[tuple[tuple, _Table]] = []
-
-
-def _table(sectors: Sequence[SectorProfile]) -> _Table:
-    """Check and compile a sector table, reusing a recent one for the same tuple.
-
-    Only a tuple is remembered: config tables are tuples and profiles are
-    frozen, while a list may change between calls and is compiled each time.
-    """
-    if not isinstance(sectors, tuple):
-        return _Table(sectors)
-    for key, table in _recent:
-        if key is sectors:
-            return table
-    table = _Table(sectors)
-    _recent.insert(0, (sectors, table))
-    del _recent[_TABLES_KEPT:]
+def _compiled(sectors: Sequence[SectorProfile]) -> _Table:
+    """``sectors`` as a nonempty compiled table: itself when it is one,
+    otherwise checked and compiled afresh, since a list may have changed."""
+    table = sectors if isinstance(sectors, _Table) else _Table(sectors)
+    _require(len(table) > 0, "sector dataset must be nonempty")
     return table
 
 
@@ -264,10 +248,11 @@ def _split_fits(national_rate: float, sectors: Sequence[SectorProfile]) -> bool:
     True when a named sector can take more and the rate's weighted sum is
     within ``reach[-1]``, the sum with all of them capped: what the split's
     named sectors must cover is at most that sum, so it cannot raise.
-    False proves nothing. The table is checked and compiled as the split
-    does it, so a bad table raises the split's error here.
+    False proves nothing. A compiled table's columns are read as they are;
+    any other sequence is checked and compiled as the split does it, so a
+    bad table raises the split's error here.
     """
-    table = _table(sectors)
+    table = _compiled(sectors)
     return bool(table.reach) and national_rate * table.total <= table.reach[-1]
 
 
@@ -288,15 +273,14 @@ def disaggregate_displacement(national_rate: float,
     pinned at its cap and the national rate still cannot be reached, the
     target is unattainable and an error is raised.
 
-    The table is checked and compiled on each call, except that the last few
-    tuples passed are remembered with their compiled tables, so a run of
-    calls on one config's table compiles it once.
+    A compiled table, such as a loaded config's, is read as it is; any
+    other sequence is checked and compiled on each call.
 
     Returns a new dict of rates keyed by sector name, in dataset order.
     """
     _require(0 <= national_rate <= 1,
              "national_rate must lie in [0, 1], got {}", national_rate)
-    table = _table(sectors)
+    table = _compiled(sectors)
     weights, caps, residual = table.weights, table.caps, table.residual
     target_sum = national_rate * table.total
     # on the weighted sum; the mean is the sum over the share total

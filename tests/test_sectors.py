@@ -23,17 +23,19 @@ from robolabor import (
     SimulationMode,
     StaticTheta,
     UnattainableTargetError,
+    default_config_path,
     default_specs,
     disaggregate_displacement,
     displacement_headcounts,
     job_creation,
+    loads_config,
     one_at_a_time,
     remittance_impact,
     run_scenario,
 )
 from robolabor import sectors as sectors_module
 from robolabor.errors import _require
-from robolabor.sectors import MEAN_TOLERANCE, _check_sector_table
+from robolabor.sectors import MEAN_TOLERANCE, _Table
 
 
 def profile(name, share, multiplier, cap=1.0, residual=False):
@@ -47,7 +49,7 @@ def rescale_oracle(national_rate, sectors):
     _require(0 <= national_rate <= 1,
              "national_rate must lie in [0, 1], got {}", national_rate)
     _require(len(sectors) > 0, "sector dataset must be nonempty")
-    total_weight = _check_sector_table(sectors)
+    total_weight = _Table(sectors).total
     _require(total_weight > 0, "sector dataset has zero total employment share")
 
     target_sum = national_rate * total_weight
@@ -320,28 +322,6 @@ class TestExactSplit:
         table.append(profile("c", 0.0, 1.0))
         assert list(disaggregate_displacement(0.04, table)) == ["a", "b", "c"]
 
-    def test_alternating_tuples_compile_once_each(self, monkeypatch):
-        compiled = []
-        real = sectors_module._Table
-
-        def counting(table):
-            compiled.append(table)
-            return real(table)
-
-        monkeypatch.setattr(sectors_module, "_Table", counting)
-        first = (profile("a", 0.5, 2.0, cap=0.05), profile("b", 0.5, 0.5))
-        second = (profile("a", 0.5, 1.0, cap=0.05), profile("b", 0.5, 1.0))
-        for _ in range(3):
-            assert disaggregate_displacement(0.04, first)["a"] == 0.05
-            assert disaggregate_displacement(0.04, second)["a"] == 0.04
-        assert len(compiled) == 2
-        assert compiled[0] is first and compiled[1] is second
-        # a list may change between calls, so it is compiled on every one
-        listed = list(first)
-        for _ in range(3):
-            disaggregate_displacement(0.04, listed)
-        assert len(compiled) == 5
-
     @pytest.mark.parametrize("bad", [(), (profile("a", 0.5, 1.0), profile("a", 0.5, 1.0))])
     def test_bad_table_is_not_remembered(self, bad):
         for _ in range(2):
@@ -525,21 +505,19 @@ def shares_baseline(table, **overrides):
     return LaborBaseline(**fields)
 
 
-def forget_last_outcomes():
-    """Drop the engine's kept sector outcome and every compiled table."""
-    engine_module._last_outcome = engine_module._NO_OUTCOME
-    sectors_module._recent.clear()
+def cold(table):
+    """A table as a first run sees it: a compiled one compiled afresh, with
+    an empty memo; a list, or no table, as it is."""
+    return _Table(table) if isinstance(table, _Table) else table
 
 
 def sector_state(table, baseline):
-    """What a split or a headcount call could change: the sectors module's
-    names and compiled tables, the engine's kept outcome, and the arguments
+    """What a split or a headcount call could change: the sectors and engine
+    modules' names, a compiled table's columns and memo, and the arguments
     (copied one level down: what they hold is immutable)."""
-    compiled = [(key, compiled, [copy.copy(getattr(compiled, slot))
-                                 for slot in type(compiled).__slots__])
-                for key, compiled in sectors_module._recent]
-    return (dict(vars(sectors_module)), compiled, engine_module._last_outcome, list(table),
-            {name: copy.copy(value) for name, value in vars(baseline).items()})
+    return (dict(vars(sectors_module)), dict(vars(engine_module)),
+            {name: copy.copy(value) for name, value in getattr(table, "__dict__", {}).items()},
+            list(table), {name: copy.copy(value) for name, value in vars(baseline).items()})
 
 
 def hexed_split(national, table):
@@ -556,9 +534,12 @@ def hexed_headcounts(national, baseline):
             {name: value.hex() for name, value in counts.by_sector.items()})
 
 
-SMALL_TABLE = (profile("a", 0.3, 2.5, cap=0.2), profile("b", 0.2, 1.7, cap=0.5),
-               profile("c", 0.1, 0.0), profile("rest", 0.3, None, cap=0.4, residual=True))
-WIDE_TABLE = wide_table(5)
+# compiled once, as a loaded config's table is, so the many splits on them
+# read their columns and runs on them keep their memo
+SMALL_TABLE = _Table((profile("a", 0.3, 2.5, cap=0.2), profile("b", 0.2, 1.7, cap=0.5),
+                      profile("c", 0.1, 0.0), profile("rest", 0.3, None, cap=0.4,
+                                                      residual=True)))
+WIDE_TABLE = _Table(wide_table(5))
 BASELINES = (shares_baseline(WIDE_TABLE),
              shares_baseline(SMALL_TABLE, expat_share=0.5, total_labor_force=1e6))
 # rates seen twice in a row in tornados and solves, both zeros, and the
@@ -600,8 +581,8 @@ def run_outcome(scenario, params, state0, baseline, table):
 
 
 class TestLastOutcome:
-    """The sector helpers keep no state; run_scenario reuses the last run's
-    sector outcome for a repeated rate, table and baseline."""
+    """The sector helpers keep no state; run_scenario reuses a compiled
+    table's last outcome for a repeated rate and baseline on that table."""
 
     @settings(max_examples=150)
     @given(calls=st.lists(
@@ -611,8 +592,6 @@ class TestLastOutcome:
         min_size=1, max_size=12))
     def test_helpers_keep_no_state(self, calls):
         tables = {"wide": WIDE_TABLE, "small": SMALL_TABLE}
-        for table in tables.values():
-            hexed_split(0.1, table)  # compiled now, so a call leaves _recent alone
         for national, which, index in calls:
             table = tables[which.split()[0]]
             if which.endswith("list"):
@@ -680,14 +659,8 @@ class TestLastOutcome:
                 table = listed
             else:
                 table = tables[which]
-            args = (RUN_SCENARIOS[index], params, state0, BASELINES[baseline_index], table)
-            warm = run_outcome(*args)
-            kept = engine_module._last_outcome
-            forget_last_outcomes()
-            try:
-                assert run_outcome(*args) == warm
-            finally:
-                engine_module._last_outcome = kept
+            args = (RUN_SCENARIOS[index], params, state0, BASELINES[baseline_index])
+            assert run_outcome(*args, cold(table)) == run_outcome(*args, table)
 
     def test_only_a_repeated_rate_table_and_baseline_is_reused(self, params, state0,
                                                                 monkeypatch):
@@ -703,25 +676,64 @@ class TestLastOutcome:
             monkeypatch.setattr(engine_module, helper.__name__, counted(helper))
         a, b, c, d, e = RUN_SCENARIOS[:5]
         wide, other, copied = BASELINES[0], BASELINES[1], replace(BASELINES[1])
+        wide_table, small_table, empty = cold(WIDE_TABLE), cold(SMALL_TABLE), _Table()
         listed = list(SMALL_TABLE)
-        forget_last_outcomes()
         # each run, and how many helper calls it makes
         for scenario, baseline, table, expected in (
-                (a, wide, WIDE_TABLE, 2), (b, wide, WIDE_TABLE, 0), (c, wide, WIDE_TABLE, 0),
-                (a, other, WIDE_TABLE, 2),   # another baseline
-                (a, copied, WIDE_TABLE, 2),  # an equal baseline, but another object
-                (a, copied, SMALL_TABLE, 2), (a, copied, listed, 2), (a, copied, listed, 2),
-                (a, copied, None, 1), (b, copied, None, 0),
-                (d, copied, None, 1), (e, copied, None, 0), (e, copied, (), 1)):
+                (a, wide, wide_table, 2), (b, wide, wide_table, 0), (c, wide, wide_table, 0),
+                (a, other, wide_table, 2),   # another baseline
+                (a, copied, wide_table, 2),  # an equal baseline, but another object
+                (a, copied, small_table, 2),
+                (b, copied, wide_table, 0),  # each compiled table keeps its own slot
+                (a, copied, cold(wide_table), 2),  # an equal table, but another object
+                (a, copied, tuple(wide_table), 2), (a, copied, tuple(wide_table), 2),
+                (a, copied, listed, 2), (a, copied, listed, 2),
+                (a, copied, None, 1), (b, copied, None, 1),
+                (d, copied, None, 1), (e, copied, None, 1), (e, copied, (), 1),
+                # an empty compiled table, as `sectors: []` loads, keeps headcounts
+                (d, copied, empty, 1), (e, copied, empty, 0)):
             del calls[:]
             run_scenario(scenario, params, state0, baseline, table)
-            assert len(calls) == expected, (scenario.name, table is listed)
+            assert len(calls) == expected, (scenario.name, type(table).__name__)
+
+    def test_a_config_compiles_its_table_once(self, monkeypatch):
+        built = []
+        build = _Table.__new__
+
+        def counting(cls, sectors=()):
+            built.append(cls)
+            return build(cls, sectors)
+
+        monkeypatch.setattr(_Table, "__new__", counting)
+        config = loads_config(default_config_path().read_text(encoding="utf-8"))
+        assert len(built) == 1 and type(config.sectors) is _Table
+        runs = [config.params, config.initial_state, config.baseline]
+        for scenario in config.scenarios:
+            run_scenario(scenario, *runs, config.sectors)
+        one_at_a_time(config.scenario("baseline"), *runs, default_specs(0.1), config.sectors)
+        assert len(built) == 1
+        # the table equals, hashes and prints as the plain tuple of its profiles
+        plain = tuple(config.sectors)
+        assert (config.sectors == plain and hash(config.sectors) == hash(plain)
+                and repr(config.sectors) == repr(plain))
+
+    def test_interleaved_tables_each_give_cold_runs(self, params, state0):
+        # two configs' tables, and runs that alternate between them: each
+        # table's slot holds its own last run, so none reads the other's
+        first = loads_config(default_config_path().read_text(encoding="utf-8"))
+        tables = (first.sectors, cold(WIDE_TABLE))
+        baselines = (first.baseline, BASELINES[0])
+        for index in (0, 1, 1, 2, 0, 3, 4, 4, 5):
+            for table, baseline in zip(tables, baselines):
+                args = (RUN_SCENARIOS[index], params, state0, baseline)
+                assert run_outcome(*args, table) == run_outcome(*args, cold(table))
+                assert table.outcome is None or table.outcome[1] is baseline
 
     def test_concurrent_runs_each_get_their_own_outcome(self, params, state0):
         cases = [(RUN_SCENARIOS[index], params, state0, baseline, table)
                  for index in (0, 3, 6) for baseline in BASELINES
                  for table in (WIDE_TABLE, SMALL_TABLE, None)]
-        expected = [run_outcome(*case) for case in cases]
+        expected = [run_outcome(*case[:4], cold(case[4])) for case in cases]
         wrong = []
 
         def worker(offset):
@@ -760,10 +772,9 @@ class TestLastOutcome:
 
         def cold_run(metric, side, side_params, side_state, table, checked=None):
             # the oracle: the base and every side a full run that reuses
-            # nothing, neither a last outcome nor the base's checked values
-            forget_last_outcomes()
+            # nothing, neither a table's memo nor the base's checked values
             return full_metric(
-                metric, run_scenario(side, side_params, side_state, baseline, table))
+                metric, run_scenario(side, side_params, side_state, baseline, cold(table)))
 
         monkeypatch.setattr(sensitivity_module, "_terminal_metric", cold_run)
         # repr, because an invalid side's results are nan

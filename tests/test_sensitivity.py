@@ -40,6 +40,7 @@ from robolabor import (
     run_scenario,
 )
 from robolabor.core import _with_field
+from robolabor.sectors import _Table
 from robolabor.sensitivity import METRICS, PARAMETERS
 
 
@@ -337,15 +338,16 @@ class TestAgainstReference:
 
 def _tight_wide_table():
     """240 sectors and a residual whose caps sum to a rate of about 0.035,
-    so the bundled scenarios' rates, perturbed, land on both sides of it."""
+    so the bundled scenarios' rates, perturbed, land on both sides of it;
+    compiled once, as a loaded config's table is."""
     rng = random.Random(7)
     named = [SectorProfile(name=f"s{i:03d}", employment_share=0.9 / 240,
                            risk_multiplier=rng.lognormvariate(0.0, 0.5),
                            automation_potential=rng.uniform(0.0, 0.07),
                            readiness=Readiness.MODERATE) for i in range(240)]
-    return (*named, SectorProfile(name="rest", employment_share=0.1, risk_multiplier=None,
-                                  automation_potential=0.03, readiness=Readiness.MODERATE,
-                                  residual=True))
+    return _Table((*named, SectorProfile(name="rest", employment_share=0.1,
+                                         risk_multiplier=None, automation_potential=0.03,
+                                         readiness=Readiness.MODERATE, residual=True)))
 
 
 class TestTerminalMetric:

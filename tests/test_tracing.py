@@ -19,14 +19,12 @@ def spans(load_perfbench):
 
 
 def namespace(*modules):
-    # every run replaces the engine's kept sector outcome
-    return [{name: value for name, value in vars(module).items() if name != "_last_outcome"}
-            for module in modules]
+    return [dict(vars(module)) for module in modules]
 
 
 @pytest.mark.parametrize("entry,target", [("instrument", robolabor),
                                           ("instrument_cli", robolabor.cli)])
-def test_instrument_and_restore(spans, entry, target, cfg, monkeypatch):
+def test_instrument_and_restore(spans, entry, target, cfg):
     modules = (target, robolabor.engine, robolabor.sensitivity)
     before = namespace(*modules)
     tracer = spans.Tracer()
@@ -36,10 +34,10 @@ def test_instrument_and_restore(spans, entry, target, cfg, monkeypatch):
         for module, attr, original in tracer._patched:
             assert getattr(module, attr) is not original
         # a traced run records the engine's spans through the wrapped names;
-        # with no kept outcome the run splits, so the split is recorded too
-        monkeypatch.setattr(robolabor.engine, "_last_outcome", robolabor.engine._NO_OUTCOME)
+        # a plain list carries no memo, so the run splits and the split is
+        # recorded too
         robolabor.sensitivity.run_scenario(cfg.scenario("baseline"), cfg.params,
-                                           cfg.initial_state, cfg.baseline, cfg.sectors)
+                                           cfg.initial_state, cfg.baseline, list(cfg.sectors))
         names = {span[spans.NAME] for span in tracer.spans}
         assert {"engine.run_scenario", "sectors.disaggregate"} <= names
     finally:
