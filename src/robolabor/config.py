@@ -152,7 +152,12 @@ class TaskProfile:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully validated run setup: parameters, datasets and scenarios."""
+    """Fully validated run setup: parameters, datasets and scenarios.
+
+    ``sectors`` is held as a compiled ``sectors._Table``: any other
+    sequence is checked and compiled once, here, so every run on the
+    config reads the same columns and memo.
+    """
 
     params: ModelParams
     initial_state: EconomyState
@@ -162,6 +167,10 @@ class RunConfig:
     scenarios: tuple[Scenario, ...] = ()
     output: OutputOptions = OutputOptions()
     dataset_version: int = 1
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.sectors, _Table):
+            object.__setattr__(self, "sectors", _Table(self.sectors))
 
     def scenario(self, name: str) -> Scenario:
         """Look up a scenario by name; raises ConfigError when absent."""

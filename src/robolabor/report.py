@@ -13,6 +13,11 @@ float. Any other row, and every row of a table that holds strings, goes
 cell by cell through ``format_number`` and ``csv`` quoting. JSON files are
 streamed one ``summary.json`` scenario entry at a time, so a wide file is
 never held whole in memory; each entry is built as one string with joins.
+A dict whose values are all exact floats, such as a scenario's sector
+rates or sector headcounts, is formatted by one ``%.12g`` call for all its
+values; only its integral, exponent and non-finite cells are respelled,
+and its keys' layout is built once per file. Scalars, lists and other
+dicts are formatted item by item.
 """
 
 from __future__ import annotations
@@ -147,15 +152,33 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence],
 _CONTAINERS = (dict, list, tuple)
 
 
-def _json_items(node) -> tuple[str, str, list]:
-    """Brackets and ``(key text, value)`` pairs of a dict or list."""
-    if isinstance(node, dict):
-        return "{", "}", [(encode_basestring_ascii(key) + ": ", value)
-                          for key, value in node.items()]
-    return "[", "]", [("", value) for value in node]
+def _float_dict_text(node: dict, indent: str, layouts: dict) -> str:
+    """``_json_text`` of a nonempty dict whose values are all exact floats.
+
+    One ``%.12g`` call formats every value. Its text for a cell with a
+    ``.`` and no exponent is already the JSON number; only the other cells
+    (integral, exponent, non-finite) go through ``_json_text`` one by one.
+    The dict's layout, its keys' texts around ``%s`` fields, is built once
+    per indent and key order and kept in ``layouts``.
+    """
+    values = tuple(node.values())
+    text = "%.12g\n" * len(values) % values
+    cells = text.split("\n")
+    cells.pop()  # the empty text after the last newline
+    if "e" in text or text.count(".") != len(values):
+        cells = [cell if "." in cell and "e" not in cell else _json_text(value, indent, layouts)
+                 for cell, value in zip(cells, values)]
+    key = (indent, tuple(node))
+    layout = layouts.get(key)
+    if layout is None:
+        inner = indent + "  "
+        layout = layouts[key] = "{" + inner + ("," + inner).join([
+            encode_basestring_ascii(name).replace("%", "%%") + ": %s" for name in node
+        ]) + indent + "}"
+    return layout % tuple(cells)
 
 
-def _json_text(node, indent: str) -> str:
+def _json_text(node, indent: str, layouts: dict) -> str:
     """``json.dumps(node, indent=2)`` nested at ``indent``, floats at 12 digits."""
     if isinstance(node, float) and math.isfinite(node):
         # repr of the value rounded to 12 digits. Text of at most 15 digits
@@ -167,30 +190,44 @@ def _json_text(node, indent: str) -> str:
         return text if "." in text else text + ".0"
     if not isinstance(node, _CONTAINERS):
         return json.dumps(node)  # str, int, bool, None, NaN, inf
-    opener, closer, items = _json_items(node)
-    if not items:
-        return opener + closer
+    if not node:
+        return "{}" if isinstance(node, dict) else "[]"
     inner = indent + "  "
-    return (opener + inner
-            + ("," + inner).join([key + _json_text(value, inner) for key, value in items])
-            + indent + closer)
+    if isinstance(node, dict):
+        if set(map(type, node.values())) == {float}:
+            return _float_dict_text(node, indent, layouts)
+        opener, closer = "{", "}"
+        items = [encode_basestring_ascii(key) + ": " + _json_text(value, inner, layouts)
+                 for key, value in node.items()]
+    else:
+        opener, closer = "[", "]"
+        items = [_json_text(value, inner, layouts) for value in node]
+    return opener + inner + ("," + inner).join(items) + indent + closer
 
 
-def _json_chunks(node, indent: str = "\n", levels: int = 2):
+def _json_chunks(node, indent: str = "\n", levels: int = 2, layouts: dict | None = None):
     """Yield ``json.dumps(node, indent=2)`` for a dict or list, floats at 12 digits.
 
     The outer ``levels`` containers are streamed an item at a time, like
     ``json.dump``, so a wide ``summary.json`` goes out one scenario entry
-    at a time and is never held whole in memory.
+    at a time and is never held whole in memory. ``layouts`` holds the
+    all-float dicts' layouts for the whole call.
     """
+    if layouts is None:
+        layouts = {}
     if not (levels and isinstance(node, _CONTAINERS) and node):
-        yield _json_text(node, indent)
+        yield _json_text(node, indent, layouts)
         return
-    opener, closer, items = _json_items(node)
+    if isinstance(node, dict):
+        opener, closer = "{", "}"
+        items = [(encode_basestring_ascii(key) + ": ", value) for key, value in node.items()]
+    else:
+        opener, closer = "[", "]"
+        items = [("", value) for value in node]
     inner = indent + "  "
     for key, value in items:
         yield opener + inner + key
-        yield from _json_chunks(value, inner, levels - 1)
+        yield from _json_chunks(value, inner, levels - 1, layouts)
         opener = ","
     yield indent + closer
 

@@ -34,6 +34,8 @@ from robolabor.report import (
     _SUMMARY_COLUMNS,
     _TIMESERIES_COLUMNS,
     _json_chunks,
+    _json_text,
+    _summary_payload,
     _write_csv,
     format_number,
 )
@@ -137,6 +139,9 @@ years = st.one_of(st.integers(min_value=1900, max_value=2200),
                   st.integers(min_value=1900, max_value=2200), floats, non_floats)
 texts = st.text(st.one_of(st.characters(blacklist_categories=("Cs",)),
                           st.sampled_from(',"\n\r \'')), max_size=12)
+# JSON keys, some holding the characters a %-template and a JSON string treat apart
+json_keys = st.one_of(texts, st.text(st.sampled_from('%s(x)"\\ '), max_size=6))
+float_dicts = st.dictionaries(json_keys, floats, max_size=300)
 
 
 @st.composite
@@ -374,6 +379,27 @@ class TestJsonPayloads:
     def test_json_float_text_matches_the_oracle(self, value):
         assert "".join(_json_chunks([value])) == "".join(oracle_json_chunks([value]))
 
+    @given(float_dicts, float_dicts)
+    def test_all_float_dicts_match_the_oracle(self, first, second):
+        for node in ({"root": first}, {"scenarios": [{"rates": first, "k": [second]}]}):
+            assert "".join(_json_chunks(node)) == "".join(oracle_json_chunks(node))
+
+    @given(st.data(), float_dicts)
+    def test_one_key_set_in_two_orders(self, data, first):
+        second = dict(data.draw(st.permutations(list(first.items()))))
+        # at one depth, as two scenarios' sector tables are
+        for node in ({"scenarios": [{"rates": first}, {"rates": second}]},
+                     {"root": [first, second, first]}):
+            assert "".join(_json_chunks(node)) == "".join(oracle_json_chunks(node))
+
+    @settings(max_examples=300)
+    @given(st.lists(floats, min_size=1, max_size=40))
+    def test_batched_floats_match_the_scalar_path(self, values):
+        node = {str(i): value for i, value in enumerate(values)}
+        scalar = ",\n  ".join(f'"{i}": ' + _json_text(value, "\n  ", {})
+                              for i, value in enumerate(values))
+        assert _json_text(node, "\n", {}) == "{\n  " + scalar + "\n}"
+
 
 class TestSensitivityCsv:
     def test_standalone_writer(self, sensitivity, tmp_path):
@@ -481,6 +507,7 @@ class TestAgainstReference:
     the file set, each timeseries, both summaries, the sector split and the
     figure. The configs are the bundled one and the benchmark's wide
     (240 sectors, caps binding) and horizon-sweep ones at two seeds.
+    ``summary.json`` must also equal ``oracle_json_chunks``' bytes.
     """
 
     @pytest.fixture(scope="class")
@@ -506,6 +533,8 @@ class TestAgainstReference:
         bundle = build_output_bundle(config, results)
         assert summary_table(results) == oracle_summary_table(results)
         write_outputs(bundle, tmp_path)
+        expected = "".join(oracle_json_chunks(_summary_payload(results))) + "\n"
+        assert (tmp_path / "summary.json").read_bytes() == expected.encode("utf-8")
         checks.check_output_files(checks.read_dir(tmp_path),
                                   [reference.simulate(cfg, s) for s in cfg["scenarios"]],
                                   cfg.get("sectors") or [], bundle.figure_scenario)

@@ -18,6 +18,7 @@ from robolabor import (
     JobCreationRatio,
     LaborBaseline,
     Readiness,
+    RunConfig,
     Scenario,
     SectorProfile,
     SimulationMode,
@@ -696,7 +697,9 @@ class TestLastOutcome:
             run_scenario(scenario, params, state0, baseline, table)
             assert len(calls) == expected, (scenario.name, type(table).__name__)
 
-    def test_a_config_compiles_its_table_once(self, monkeypatch):
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The ``_Table`` builds made from here on, one class per build."""
         built = []
         build = _Table.__new__
 
@@ -705,6 +708,9 @@ class TestLastOutcome:
             return build(cls, sectors)
 
         monkeypatch.setattr(_Table, "__new__", counting)
+        return built
+
+    def test_a_config_compiles_its_table_once(self, built):
         config = loads_config(default_config_path().read_text(encoding="utf-8"))
         assert len(built) == 1 and type(config.sectors) is _Table
         runs = [config.params, config.initial_state, config.baseline]
@@ -716,6 +722,21 @@ class TestLastOutcome:
         plain = tuple(config.sectors)
         assert (config.sectors == plain and hash(config.sectors) == hash(plain)
                 and repr(config.sectors) == repr(plain))
+
+    def test_a_config_compiles_a_plain_table_once(self, built):
+        loaded = loads_config(default_config_path().read_text(encoding="utf-8"))
+        runs = [loaded.params, loaded.initial_state, loaded.baseline]
+        direct = RunConfig(*runs, sectors=list(loaded.sectors))
+        config = replace(loaded, sectors=tuple(loaded.sectors))
+        for table in (direct.sectors, config.sectors):
+            assert type(table) is _Table and table == loaded.sectors
+        del built[:]
+        one_at_a_time(config.scenario("baseline"), *runs, default_specs(0.1), config.sectors)
+        assert built == []
+        # a bad table raises when the config is built, not at its first run
+        twice = (profile("a", 0.3, 1.0), profile("a", 0.2, 1.0))
+        with pytest.raises(DomainError, match="sector names must be unique"):
+            RunConfig(*runs, sectors=twice)
 
     def test_interleaved_tables_each_give_cold_runs(self, params, state0):
         # two configs' tables, and runs that alternate between them: each
