@@ -5,6 +5,16 @@ Subcommands: ``simulate`` runs scenarios and writes result files,
 ``sensitivity`` runs the one-at-a-time analysis, ``validate`` checks a
 config and touches nothing.
 
+Each command imports only the modules it runs. Every command loads its
+config, and so ``config``, ``core``, ``engine``, ``errors`` and ``sectors``,
+which this module imports at its top. A command looks the other names it
+calls up on this module when it starts; this module's ``__getattr__``
+(PEP 562) takes each from the package, which imports the name's module on
+first use. So ``simulate`` adds ``report``, ``sensitivity`` adds
+``sensitivity`` and ``report``, ``calibrate`` adds ``calibrate``, and
+``validate`` adds nothing. A name wrapped on this module, as a tracer
+does, is called as wrapped.
+
 Exit codes: 0 success, 1 config validation failure, 2 domain or solver
 error, 64 usage error. Human-readable diagnostics go to stderr; data goes
 to the output files and stdout.
@@ -17,20 +27,9 @@ import json
 import sys
 from typing import Sequence
 
-from .calibrate import SUPPORTED_PAIRS, calibrate_scenario
-# perfbench/spans.py wraps these names on this module when it traces a CLI run
-from .calibrate import (bisect, implied_cost_ratio, implied_exposure,  # noqa: F401
-                        implied_sigma, implied_theta, solve_tfp_level)
 from .config import load_config
 from .engine import run_scenario
 from .errors import ModelError, ValidationError
-from .report import (
-    build_output_bundle,
-    summary_table,
-    write_outputs,
-    write_sensitivity_csv,
-)
-from .sensitivity import default_specs, one_at_a_time
 
 __all__ = ["cli_dispatch", "main"]
 
@@ -39,8 +38,29 @@ EXIT_VALIDATION = 1
 EXIT_DOMAIN = 2
 EXIT_USAGE = 64
 
-_TARGET_NAMES = tuple(dict.fromkeys(target for target, _ in SUPPORTED_PAIRS))
-_SOLVE_NAMES = tuple(dict.fromkeys(parameter for _, parameter in SUPPORTED_PAIRS))
+# the names the commands import on their first call, and bisect, solve_tfp_level
+# and the implied_* names, which no command calls but perfbench/spans.py wraps
+# here when it traces a CLI run
+_LATE = frozenset({
+    "build_output_bundle", "summary_table", "write_outputs", "write_sensitivity_csv",
+    "default_specs", "one_at_a_time", "SUPPORTED_PAIRS", "calibrate_scenario",
+    "bisect", "solve_tfp_level", "implied_theta", "implied_sigma", "implied_exposure",
+    "implied_cost_ratio",
+})
+
+
+def __getattr__(name):
+    if name not in _LATE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(sys.modules[__package__], name)  # the package imports its module
+    globals()[name] = value
+    return value
+
+
+def _late(*names):
+    """The values of ``names`` as this module holds them, imported on first use."""
+    module = sys.modules[__name__]
+    return [getattr(module, name) for name in names]
 
 
 class _UsageError(Exception):
@@ -74,8 +94,8 @@ def _build_parser() -> _Parser:
                                help="solve one parameter against a target outcome")
     calibrate.add_argument("--config", default="default")
     calibrate.add_argument("--target", required=True, metavar="NAME=VALUE",
-                           help=f"target metric, one of {', '.join(_TARGET_NAMES)}")
-    calibrate.add_argument("--solve", required=True, choices=_SOLVE_NAMES,
+                           help="target metric and its value")
+    calibrate.add_argument("--solve", required=True, metavar="PARAMETER",
                            help="parameter to solve for")
     calibrate.add_argument("--scenario", default="baseline",
                            help="scenario supplying the shock context (default: baseline)")
@@ -99,6 +119,8 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_simulate(args) -> int:
+    build_output_bundle, summary_table, write_outputs = _late(
+        "build_output_bundle", "summary_table", "write_outputs")
     config = load_config(args.config)
     scenarios = config.scenarios if args.scenario is None else [config.scenario(args.scenario)]
     results = [run_scenario(s, config.params, config.initial_state,
@@ -131,6 +153,7 @@ def _parse_target(text: str) -> tuple[str, float]:
 
 
 def _cmd_calibrate(args) -> int:
+    SUPPORTED_PAIRS, calibrate_scenario = _late("SUPPORTED_PAIRS", "calibrate_scenario")
     config = load_config(args.config)
     target_name, target_value = _parse_target(args.target)
     scenario = config.scenario(args.scenario)
@@ -147,6 +170,8 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_sensitivity(args) -> int:
+    default_specs, one_at_a_time, write_sensitivity_csv = _late(
+        "default_specs", "one_at_a_time", "write_sensitivity_csv")
     config = load_config(args.config)
     scenario = config.scenario(args.scenario)
     if not 0 <= args.perturb < 100:

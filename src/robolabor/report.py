@@ -29,12 +29,14 @@ from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .config import _FORMATS, RunConfig
 from .engine import ResultSummary, SimulationResult, TargetGap, YearRecord
 from .sectors import HeadcountBreakdown
-from .sensitivity import SensitivityRecord
+
+if TYPE_CHECKING:
+    from .sensitivity import SensitivityRecord
 
 __all__ = [
     "OutputBundle",
@@ -75,7 +77,6 @@ def _field_names(record_type) -> tuple[str, ...]:
 
 # a record's CSV columns or JSON keys are its fields, in field order
 _TIMESERIES_COLUMNS = _field_names(YearRecord)
-_SENSITIVITY_COLUMNS = _field_names(SensitivityRecord)
 _RESULT_SUMMARY_FIELDS = _field_names(ResultSummary)
 _HEADCOUNT_FIELDS = _field_names(HeadcountBreakdown)
 _TARGET_GAP_FIELDS = _field_names(TargetGap)
@@ -322,8 +323,10 @@ def write_sensitivity_csv(records: Sequence[SensitivityRecord],
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / "sensitivity.csv"
-    _write_csv(path, _SENSITIVITY_COLUMNS,
-               map(attrgetter(*_SENSITIVITY_COLUMNS), records))
+    # imported here, so that simulate, which imports this module, does not load it
+    from .sensitivity import SensitivityRecord
+    columns = _field_names(SensitivityRecord)
+    _write_csv(path, columns, map(attrgetter(*columns), records))
     return path
 
 

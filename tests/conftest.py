@@ -1,9 +1,13 @@
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
 
+import robolabor
 from robolabor import load_config
 
 # property tests must be reproducible run to run
@@ -73,3 +77,18 @@ def load_perfbench():
         return module
 
     return load
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """Run ``python ARGS...`` in a new interpreter on this robolabor source,
+    with ``PYTHONDONTWRITEBYTECODE=1`` set, as the benchmark runs a command."""
+    src = str(Path(robolabor.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def run(*args, cwd=None):
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                              env=env, cwd=cwd, timeout=120)
+
+    return run

@@ -414,3 +414,35 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             cli_module.main()
         assert excinfo.value.code == 0
+
+
+# runs robolabor.cli as ``python -m robolabor.cli ARGS`` does, then prints the
+# exit code and the robolabor modules the run left loaded
+MODULES_AFTER = """
+import json, runpy, sys
+try:
+    runpy.run_module("robolabor.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exit:
+    code = exit.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.partition(".")[0] == "robolabor")]))
+"""
+# every command loads its config, and with it these
+CONFIG_MODULES = {"robolabor", "robolabor.config", "robolabor.core", "robolabor.engine",
+                  "robolabor.errors", "robolabor.sectors"}
+
+
+class TestImportsPerCommand:
+    """A command, run in a new interpreter, imports only the modules it runs."""
+
+    @pytest.mark.parametrize("args, modules", [
+        (["validate"], set()),
+        (["simulate", "--out", "out"], {"robolabor.report"}),
+        (["sensitivity", "--scenario", "baseline"], {"robolabor.report", "robolabor.sensitivity"}),
+        (["calibrate", "--target", "gain=0.015", "--solve", "theta"], {"robolabor.calibrate"}),
+    ], ids=["validate", "simulate", "sensitivity", "calibrate"])
+    def test_modules_loaded(self, fresh_python, tmp_path, args, modules):
+        run = fresh_python("-c", MODULES_AFTER, *args, cwd=tmp_path)
+        assert run.returncode == 0, run.stderr
+        code, loaded = json.loads(run.stdout.splitlines()[-1])
+        assert code == 0, run.stderr
+        assert set(loaded) == CONFIG_MODULES | modules

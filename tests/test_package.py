@@ -1,8 +1,10 @@
 """The package republishes every module's public API, each name once.
 
-``robolabor/__init__.py`` star-imports each module, so a name published by
-two modules would silently resolve to the later one; and a module's name
-that the package's ``__all__`` leaves out is missing from the API.
+``robolabor/__init__.py`` lists each module's public names and imports a
+module on the first lookup of one of them, so a name listed under two
+modules would resolve to one of them only, and a module's name that the
+list leaves out is missing from the API. The lazy cases run in a new
+interpreter, where no earlier lookup has bound a name yet.
 """
 
 import importlib
@@ -37,3 +39,72 @@ def test_each_name_is_its_module_object():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(robolabor, name) is getattr(module, name), name
+
+
+SUBMODULES = [module.__name__.rpartition(".")[2] for module in MODULES]
+
+
+def run_fresh(fresh_python, code, *args):
+    run = fresh_python("-c", code, *args)
+    assert run.returncode == 0, run.stderr
+
+
+def test_bare_import_loads_no_submodule(fresh_python):
+    run_fresh(fresh_python, """
+import sys
+import robolabor
+loaded = [name for name in sys.modules if name.startswith("robolabor.")]
+assert loaded == [], loaded
+""")
+
+
+def test_star_import_binds_every_name(fresh_python):
+    # a name is an ordinary package attribute after its first lookup
+    run_fresh(fresh_python, """
+import robolabor
+namespace = {}
+exec("from robolabor import *", namespace)
+missing = [name for name in robolabor.__all__ if name not in namespace]
+assert missing == [], missing
+unbound = [name for name in robolabor.__all__ if name not in vars(robolabor)]
+assert unbound == [], unbound
+""")
+
+
+def test_each_submodule_resolves_as_an_attribute(fresh_python):
+    run_fresh(fresh_python, """
+import sys
+import robolabor
+for name in sys.argv[1:]:
+    module = getattr(robolabor, name)
+    assert module is sys.modules[f"robolabor.{name}"], name
+""", *SUBMODULES)
+
+
+def test_dir_lists_all_and_imports_nothing(fresh_python):
+    run_fresh(fresh_python, """
+import sys
+import robolabor
+names = set(dir(robolabor))
+missing = (set(robolabor.__all__) | set(sys.argv[1:])) - names
+assert missing == set(), missing
+assert not any(name.startswith("robolabor.") for name in sys.modules)
+""", *SUBMODULES)
+
+
+def test_unknown_name_raises_attribute_error_naming_the_package(fresh_python):
+    run_fresh(fresh_python, """
+import robolabor
+try:
+    robolabor.no_such_name
+except AttributeError as error:
+    assert str(error) == "module 'robolabor' has no attribute 'no_such_name'", error
+else:
+    raise AssertionError("no AttributeError")
+try:
+    from robolabor import no_such_name
+except ImportError as error:
+    assert "cannot import name 'no_such_name' from 'robolabor'" in str(error), error
+else:
+    raise AssertionError("no ImportError")
+""")

@@ -30,7 +30,6 @@ from robolabor import (
 )
 from robolabor.report import (
     RATIO_SPACE_NOTE,
-    _SENSITIVITY_COLUMNS,
     _SUMMARY_COLUMNS,
     _TIMESERIES_COLUMNS,
     _json_chunks,
@@ -488,7 +487,8 @@ class TestWriterOracle:
         with tempfile.TemporaryDirectory() as directory:
             got = write_sensitivity_csv(records, directory).read_bytes()
         expected = [row[:-1] + (row[-1] or "",) for row in rows]
-        assert got == written(oracle_write_csv, expected, _SENSITIVITY_COLUMNS)
+        columns = tuple(field.name for field in dataclasses.fields(SensitivityRecord))
+        assert got == written(oracle_write_csv, expected, columns)
 
     @given(floats)
     def test_template_float_text(self, value):

@@ -5,12 +5,18 @@ imported them under. A refactor that drops or renames one of them would
 otherwise surface only in a traced benchmark run.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 import robolabor
 import robolabor.cli
 import robolabor.engine
 import robolabor.sensitivity
+
+
+TRACED_CLI = Path(__file__).resolve().parents[1] / "perfbench" / "traced_cli.py"
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +32,12 @@ def namespace(*modules):
                                           ("instrument_cli", robolabor.cli)])
 def test_instrument_and_restore(spans, entry, target, cfg):
     modules = (target, robolabor.engine, robolabor.sensitivity)
+    # the package and the CLI bind a lazily imported name on its first lookup,
+    # which instrumenting makes; restoring then leaves the name bound, so the
+    # namespace is taken after one instrument and restore
+    warm = spans.Tracer()
+    getattr(spans, entry)(warm, target)
+    warm.restore()
     before = namespace(*modules)
     tracer = spans.Tracer()
     getattr(spans, entry)(tracer, target)
@@ -43,3 +55,17 @@ def test_instrument_and_restore(spans, entry, target, cfg):
     finally:
         tracer.restore()
     assert namespace(*modules) == before
+
+
+@pytest.mark.parametrize("args, recorded", [
+    (["sensitivity", "--scenario", "baseline", "--out", "out"],
+     {"config.load", "sensitivity.one_at_a_time", "report.write_sensitivity_csv"}),
+    (["simulate"], {"config.load", "report.write_outputs"}),
+], ids=["sensitivity", "simulate"])
+def test_traced_cli_run_records_its_spans(spans, fresh_python, tmp_path, args, recorded):
+    # the commands import these names late, and call them through robolabor.cli,
+    # where the tracer wraps them
+    run = fresh_python(str(TRACED_CLI), "spans.json", *args, cwd=tmp_path)
+    assert run.returncode == 0, run.stderr
+    payload = json.loads((tmp_path / "spans.json").read_text(encoding="utf-8"))
+    assert recorded <= {span[spans.NAME] for span in payload["spans"]}
