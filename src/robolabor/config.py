@@ -6,6 +6,11 @@ the allowed keys, a field without a default is required, and each value is
 converted by the field's declared type. Validation is strict: unknown keys
 are rejected, every error names the offending field by its dotted path,
 and parse failures carry line and column.
+
+The YAML is composed by libyaml when PyYAML has it, else by PyYAML's
+pure-Python parser. One loader mixin over either, ``_OnePass``, builds plain
+scalars, lists and maps in one recursive pass, rejecting a repeated key and
+a recursive alias, and leaves every other tag to PyYAML's SafeConstructor.
 """
 
 from __future__ import annotations
@@ -48,33 +53,92 @@ __all__ = [
 _FORMATS = ("csv", "json")
 
 # libyaml's C parser when PyYAML was built with it. Both loaders share
-# PyYAML's SafeConstructor and Resolver, so they build the same document.
+# _OnePass, PyYAML's SafeConstructor and its Resolver, so they build the
+# same document.
 _LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
-
-class _UniqueKeys:
-    """Loader mixin: a key stated twice in one mapping is an error; one merged by ``<<`` is not."""
-
-    def construct_mapping(self, node, deep=False):
-        own = ([key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
-               if isinstance(node, yaml.MappingNode) else [])
-        mapping = super().construct_mapping(node, deep=deep)  # rejects unhashable keys
-        seen = set()
-        for key_node in own:
-            key = self.construct_object(key_node)  # built above: a lookup
-            if key in seen:
-                raise yaml.constructor.ConstructorError(
-                    None, None, f"found duplicate key {key!r}", key_node.start_mark)
-            seen.add(key)
-        return mapping
-
-
-_unique_keys = functools.cache(lambda loader: type(loader.__name__, (_UniqueKeys, loader), {}))
+_TAGS = "tag:yaml.org,2002:"
+_STR, _SEQ, _MAP, _MERGE = (_TAGS + name for name in ("str", "seq", "map", "merge"))
+# the scalar tags whose PyYAML function reads the node's text alone
+_SCALAR_TAGS = frozenset(_TAGS + name for name in ("int", "float", "bool", "null"))
+# the key tags PyYAML's flatten_mapping rewrites: "<<" merges, a plain "=" is a str
+_REWRITTEN = frozenset((_MERGE, _TAGS + "value"))
 
 # how deep collections may nest. PyYAML's composers recurse once per level:
 # libyaml's crashes the process somewhere between 20,000 and 50,000 levels,
-# and the pure-Python one raises RecursionError past about 490.
+# and the pure-Python one raises RecursionError past about 490. _OnePass
+# recurses two or three frames a level, and an alias can place a collection
+# deeper than the text shows, so it bounds the depth it builds to as well.
 _MAX_DEPTH = 200
+
+
+class _OnePass:
+    """Loader mixin: builds plain scalars, lists and maps in one recursive pass.
+
+    Each plain list and map is built once, so an alias gives the same object,
+    and an alias inside the collection it names is an error, as is building
+    past ``_MAX_DEPTH`` levels. A key stated twice in one map is an error;
+    one merged by ``<<`` is not. Every other tag is left to ``SafeConstructor``.
+    """
+
+    def construct_object(self, node, deep=False):
+        kind = type(node)
+        if kind is yaml.ScalarNode:
+            if node.tag == _STR:
+                return node.value
+            if node.tag in _SCALAR_TAGS:
+                return self.yaml_constructors[node.tag](self, node)
+        elif node.tag == (_MAP if kind is yaml.MappingNode else _SEQ):
+            built = self.constructed_objects
+            if node in built:
+                return built[node]
+            if node in self.recursive_objects:
+                raise yaml.constructor.ConstructorError(
+                    None, None, "found unconstructable recursive node", node.start_mark)
+            if len(self.recursive_objects) >= _MAX_DEPTH:  # the lists and maps being built
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"collections nest deeper than {_MAX_DEPTH} levels",
+                    node.start_mark)
+            self.recursive_objects[node] = None
+            built[node] = (self.construct_mapping(node) if kind is yaml.MappingNode
+                           else [self.construct_object(child) for child in node.value])
+            del self.recursive_objects[node]
+            return built[node]
+        return super().construct_object(node, deep=deep)
+
+    def construct_mapping(self, node, deep=False):
+        # also the pairs of a tag left to SafeConstructor, such as !!set
+        if not isinstance(node, yaml.MappingNode):
+            return super().construct_mapping(node, deep=deep)  # raises
+        # no "<<" or "=" key, the common case: flatten_mapping would change nothing
+        if not any(key.tag in _REWRITTEN for key, _ in node.value):
+            return self._build_pairs(node, node.value, unique=True)
+        own = sum(key.tag != _MERGE for key, _ in node.value)
+        self.flatten_mapping(node)  # the merged pairs first, then the own ones
+        cut = len(node.value) - own
+        data = self._build_pairs(node, node.value[:cut], unique=False)
+        data.update(self._build_pairs(node, node.value[cut:], unique=True))
+        return data
+
+    def _build_pairs(self, node, pairs, unique):
+        data = {}
+        for key_node, value_node in pairs:
+            key = self.construct_object(key_node)
+            try:
+                repeated = key in data
+            except TypeError:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    "found unhashable key", key_node.start_mark) from None
+            if repeated and unique:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"found duplicate key {key!r}", key_node.start_mark)
+            data[key] = self.construct_object(value_node)
+        return data
+
+
+_one_pass = functools.cache(lambda loader: type(loader.__name__, (_OnePass, loader), {}))
+
 # a flow collection holding no bracket, quote, comment or tag. Only those
 # can hide a closer: an unquoted "]" or "}" inside a flow collection always
 # closes it, so such a collection closes where it seems to and is a leaf.
@@ -413,7 +477,7 @@ def _section(data: dict, key: str, empty: dict | list, **kwargs: Any) -> Any:
 
 def loads_config(text: str, source: str = "<string>") -> RunConfig:
     """Parse and validate config YAML from a string."""
-    loader = _unique_keys(_LOADER)
+    loader = _one_pass(_LOADER)
     try:
         _check_nesting(text, loader)
         data = yaml.load(text, Loader=loader)

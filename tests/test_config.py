@@ -1,6 +1,7 @@
 """Strict config parsing and dotted error paths."""
 
 import copy
+import functools
 import os
 import re
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from robolabor import (
     ConfigError,
@@ -414,16 +415,140 @@ flags: [yes, no, on, off, true, ~]
 """
 
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def perfbench_text(workload, seed):
+    """The config text the benchmark generates for ``workload`` at ``seed``."""
+
+    @functools.cache  # the fixture is session-scoped: one text per session
+    def text(load_perfbench):
+        with pytest.MonkeyPatch.context() as patch:
+            # gen imports the reference model by its bare module name
+            patch.setitem(sys.modules, "reference", load_perfbench("reference"))
+            gen = load_perfbench("gen")
+        inputs = getattr(gen, f"{workload}_inputs")(seed, gen.bundled_config(PERFBENCH.parent))
+        return gen.to_yaml(inputs["cfg"])
+
+    return text
+
+
+# each takes the load_perfbench fixture and returns a text
 LOADER_TEXTS = {
-    "bundled": lambda: default_config_path().read_text(encoding="utf-8"),
-    "minimal": lambda: ONE_SCENARIO,
-    "scalars": lambda: SCALARS,
+    "bundled": lambda _: default_config_path().read_text(encoding="utf-8"),
+    "minimal": lambda _: ONE_SCENARIO,
+    "scalars": lambda _: SCALARS,
+    **{f"{workload}_{seed}": perfbench_text(workload, seed)
+       for workload in ("wide", "sweep") for seed in (1, 5)},
 }
+CONFIG_TEXTS = [name for name in LOADER_TEXTS if name != "scalars"]
 
 
 needs_libyaml = pytest.mark.skipif(not yaml.__with_libyaml__,
                                    reason="PyYAML built without libyaml")
 BOTH_LOADERS = ["SafeLoader", pytest.param("CSafeLoader", marks=needs_libyaml)]
+
+
+def assert_same(got, expected, pairs=None):
+    """``got`` and ``expected`` hold equal values of the same types, floats to
+    the bit (NaN too), and alias the same collections in the same places."""
+    pairs = {} if pairs is None else pairs
+    assert type(got) is type(expected)
+    if isinstance(got, float):
+        assert got.hex() == expected.hex()
+    elif isinstance(got, (list, dict)):
+        # a collection met again must be the object met before, on both sides
+        assert pairs.setdefault(id(got), expected) is expected
+        assert pairs.setdefault(("expected", id(expected)), got) is got
+        if isinstance(got, dict):
+            assert_same(list(got), list(expected), {})
+            got, expected = got.values(), expected.values()
+        assert len(got) == len(expected)
+        for item, other in zip(got, expected):
+            assert_same(item, other, pairs)
+    else:
+        assert got == expected
+
+
+# scalar spellings that YAML 1.1 resolves to non-str values, and their look-alikes
+SPELLINGS = ["1_000", "017", "0o17", "0x1F", "1:30", ".inf", "-.Inf", ".NaN", "1__0.5",
+             "1_.5", "1.", "+1.5", "-0.0", "1e5", "1.0e+9", "yes", "no", "on", "off",
+             "~", "null", "True", "plain", "'017'", '"1.5"', "!!str 017", "!!float 1",
+             "!!int '12'", "!!bool yes", "!!null ''", "2024-02-29", "!!binary aGk=",
+             "!!set {a, b}"]
+# keys of distinct values: "=" is a str key, "017" the int 15, "~" None
+KEYS = ["a", "b", "c", "=", "017", "~", "1.5"]
+
+
+class YamlText:
+    """A block-style YAML text drawn with anchors, aliases and merges.
+
+    Anchors are set only on nodes already written, so no alias is recursive.
+    With ``repeat``, one map states one of its keys a second time, and
+    ``repeated`` holds that key and its 0-based line and column.
+    """
+
+    def __init__(self, draw, repeat):
+        self.draw, self.repeat = draw, repeat
+        self.lines, self.anchors, self.maps = [], [], []
+        self.repeated = None
+        self.mapping(0, depth=3)
+        if repeat and self.repeated is None:  # no map drew the repeat: the root does
+            key = self.draw(st.sampled_from(KEYS))
+            self.lines.insert(0, f"{key}: 1")
+            self.lines.insert(0, f"{key}: 0")
+            self.repeated = (key, 1, 0)
+        self.text = "\n".join(self.lines) + "\n"
+
+    def __repr__(self):
+        return f"YamlText({self.text!r})"
+
+    def node(self, head, indent, depth):
+        """Write a node after ``head``, a ``key:`` or ``-`` at ``indent``."""
+        kinds = ["scalar"] + ["alias"] * bool(self.anchors) + ["map", "seq"] * (depth > 0)
+        kind = self.draw(st.sampled_from(kinds))
+        if kind == "alias":
+            self.lines.append(f"{' ' * indent}{head} *{self.draw(st.sampled_from(self.anchors))}")
+            return
+        anchor = f"n{len(self.lines)}" if self.draw(st.booleans()) else None
+        props = f" &{anchor}" * bool(anchor)
+        if kind == "scalar":
+            self.lines.append(f"{' ' * indent}{head}{props} {self.draw(st.sampled_from(SPELLINGS))}")
+        else:
+            tag = self.draw(st.sampled_from(["", " !!map" if kind == "map" else " !!seq"]))
+            self.lines.append(f"{' ' * indent}{head}{props}{tag}")
+            if kind == "map":
+                self.mapping(indent + 2, depth - 1)
+            else:
+                for _ in range(self.draw(st.integers(1, 3))):
+                    self.node("-", indent + 2, depth - 1)
+        if anchor:
+            self.anchors.append(anchor)
+            if kind == "map":
+                self.maps.append(anchor)
+
+    def mapping(self, indent, depth):
+        if self.maps and self.draw(st.booleans()):
+            sources = self.draw(st.lists(st.sampled_from(self.maps), min_size=1, max_size=2,
+                                         unique=True))
+            merge = (f"*{sources[0]}" if len(sources) == 1
+                     else "[" + ", ".join(f"*{name}" for name in sources) + "]")
+            self.lines.append(f"{' ' * indent}<<: {merge}")
+        keys = self.draw(st.lists(st.sampled_from(KEYS), min_size=1, max_size=4, unique=True))
+        at = None
+        if self.repeat and self.repeated is None and self.draw(st.booleans()):
+            at = self.draw(st.integers(1, len(keys)))
+            keys.insert(at, self.draw(st.sampled_from(keys[:at])))
+            self.repeated = (keys[at], None, indent)  # its line is known when written
+        for i, key in enumerate(keys):
+            if i == at:
+                self.repeated = (key, len(self.lines), indent)
+            self.node(f"{key}:", indent, depth)
+
+
+@st.composite
+def yaml_texts(draw, repeat=False):
+    return YamlText(draw, repeat)
 
 
 class TestLoaders:
@@ -435,14 +560,22 @@ class TestLoaders:
 
     @needs_libyaml
     @pytest.mark.parametrize("name", LOADER_TEXTS)
-    def test_same_document(self, name):
-        text = LOADER_TEXTS[name]()
+    def test_same_document(self, name, load_perfbench):
+        text = LOADER_TEXTS[name](load_perfbench)
         assert (yaml.load(text, Loader=yaml.CSafeLoader)
                 == yaml.load(text, Loader=yaml.SafeLoader))
 
-    @pytest.mark.parametrize("name", ["bundled", "minimal"])
-    def test_fallback_gives_the_same_config(self, name, monkeypatch):
-        text = LOADER_TEXTS[name]()
+    @pytest.mark.parametrize("loader", BOTH_LOADERS)
+    @pytest.mark.parametrize("name", LOADER_TEXTS)
+    def test_one_pass_builds_pyyamls_document(self, loader, name, load_perfbench):
+        text = LOADER_TEXTS[name](load_perfbench)
+        base = getattr(yaml, loader)
+        assert_same(yaml.load(text, Loader=config_module._one_pass(base)),
+                    yaml.load(text, Loader=base))
+
+    @pytest.mark.parametrize("name", CONFIG_TEXTS)
+    def test_fallback_gives_the_same_config(self, name, monkeypatch, load_perfbench):
+        text = LOADER_TEXTS[name](load_perfbench)
         expected = loads_config(text)
         monkeypatch.setattr(config_module, "_LOADER", yaml.SafeLoader)
         assert loads_config(text) == expected
@@ -473,8 +606,82 @@ class TestLoaders:
         with pytest.raises(ConfigError, match="line 23, column 5: found duplicate key 'name'"):
             loads_config(text + "  - <<: *s1\n    name: s2\n    name: s3\n")
 
+    @pytest.mark.parametrize("loader", BOTH_LOADERS)
+    @settings(max_examples=150)
+    @given(yaml_text=yaml_texts())
+    def test_one_pass_matches_pyyaml(self, loader, yaml_text):
+        base = getattr(yaml, loader)
+        assert_same(yaml.load(yaml_text.text, Loader=config_module._one_pass(base)),
+                    yaml.load(yaml_text.text, Loader=base))
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+    @pytest.mark.parametrize("loader", BOTH_LOADERS)
+    @settings(max_examples=100)
+    @given(yaml_text=yaml_texts(repeat=True))
+    def test_repeated_own_key_reports_its_line_and_column(self, loader, yaml_text):
+        key, line, column = yaml_text.repeated
+        value = next(iter(yaml.safe_load(f"{key}: 0")))
+        with pytest.MonkeyPatch.context() as patch, pytest.raises(ConfigError) as caught:
+            patch.setattr(config_module, "_LOADER", getattr(yaml, loader))
+            loads_config(yaml_text.text, source="custom.yaml")
+        assert str(caught.value) == (f"invalid YAML in custom.yaml at line {line + 1}, "
+                                     f"column {column + 1}: found duplicate key {value!r}")
+
+    @pytest.mark.parametrize("loader", BOTH_LOADERS)
+    def test_merge_source_deeper_than_its_user(self, loader):
+        # the anchored map, itself merged, is built before the shallower map
+        # that merges it; PyYAML's later pass used to read the pairs merged
+        # into it as its own, and so as a repeated "q"
+        text = "x:\n  a: &a {<<: {q: 1}, q: 2}\ny: {<<: *a, r: 3}\n"
+        base = getattr(yaml, loader)
+        assert (yaml.load(text, Loader=config_module._one_pass(base))
+                == {"x": {"a": {"q": 2}}, "y": {"q": 2, "r": 3}})
+
+    @pytest.mark.parametrize("loader", BOTH_LOADERS)
+    @pytest.mark.parametrize("text,line,column,problem", [
+        # a repeated key nested deep, before an unknown tag at the top level:
+        # PyYAML's own constructor, shallowest first, reported the tag
+        ("a: {b: {c: {d: 1, d: 2}}}\ne: !!bogus 1\n", 1, 19, "found duplicate key 'd'"),
+        # a !!set's members are checked after every plain node
+        ("s: !!set {? x, ? x}\nt: {u: 1, u: 2}\n", 2, 11, "found duplicate key 'u'"),
+        ("s: !!set {? x, ? x}\nt: {u: 1}\n", 1, 18, "found duplicate key 'x'"),
+    ], ids=["deep_before_shallow", "set_members_last", "set_member"])
+    def test_first_fault_in_document_order_is_reported(self, loader, text, line, column,
+                                                       problem, monkeypatch):
+        monkeypatch.setattr(config_module, "_LOADER", getattr(yaml, loader))
+        with pytest.raises(ConfigError) as caught:
+            loads_config(text, source="custom.yaml")
+        assert str(caught.value) == (f"invalid YAML in custom.yaml at line {line}, "
+                                     f"column {column}: {problem}")
+
+    @pytest.mark.parametrize("loader", BOTH_LOADERS)
+    @pytest.mark.parametrize("text", ["params: &p {k: *p}", "params: &p [*p]"])
+    def test_recursive_alias_is_invalid_yaml(self, loader, text, monkeypatch):
+        monkeypatch.setattr(config_module, "_LOADER", getattr(yaml, loader))
+        with pytest.raises(ConfigError) as caught:
+            loads_config(text, source="custom.yaml")
+        assert str(caught.value) == ("invalid YAML in custom.yaml at line 1, column 9: "
+                                     "found unconstructable recursive node")
+
+    @pytest.mark.parametrize("loader", BOTH_LOADERS)
+    def test_plain_nodes_skip_pyyamls_generic_constructor(self, loader, monkeypatch,
+                                                          load_perfbench):
+        texts = [LOADER_TEXTS[name](load_perfbench) for name in ("bundled", "wide_1")]
+        # the tags each of PyYAML's generic methods was called on
+        calls = {"construct_object": [], "construct_mapping": []}
+        for cls, name in ((yaml.constructor.BaseConstructor, "construct_object"),
+                          (yaml.constructor.SafeConstructor, "construct_mapping")):
+            def spy(self, node, *args, _original=getattr(cls, name), _name=name, **kwargs):
+                calls[_name].append(node.tag)
+                return _original(self, node, *args, **kwargs)
+            monkeypatch.setattr(cls, name, spy)
+        monkeypatch.setattr(config_module, "_LOADER", getattr(yaml, loader))
+        for text in texts:
+            loads_config(text)
+        assert calls == {"construct_object": [], "construct_mapping": []}
+        with pytest.raises(ConfigError, match="^tasks: expected a mapping, got set$"):
+            loads_config(ONE_SCENARIO + "tasks: !!set {a, b}\n")
+        assert calls["construct_object"] == ["tag:yaml.org,2002:set"]
+        assert set(calls["construct_mapping"]) <= {"tag:yaml.org,2002:set"}
 
 
 def nesting(text):
@@ -567,6 +774,26 @@ class TestYamlLimits:
         monkeypatch.setattr(config_module, "_LOADER", getattr(yaml, loader))
         with pytest.raises(ConfigError, match=f"collections nest deeper than {_MAX_DEPTH}"):
             loads_config(text)
+
+    @pytest.mark.parametrize("loader", BOTH_LOADERS)
+    @pytest.mark.parametrize("opener,closer", [("[", "]"), ("{k: ", "}")],
+                             ids=["lists", "maps"])
+    def test_nesting_through_aliases(self, loader, opener, closer, monkeypatch):
+        # three anchored collections, each 190 deep and holding an alias to
+        # the one before. The !!omap's members are built after "y", so "y"
+        # builds all three at once, 2 + 3 * 190 levels deep, where the text
+        # nests 193: level 201 is a1's ninth opener
+        depth = 190
+        members = "".join(f"  - a{i}: &a{i} {opener * depth}{f'*a{i - 1}' if i else 0}"
+                          f"{closer * depth}\n" for i in range(3))
+        text = f"x: !!omap\n{members}y: [*a2]\n"
+        assert nesting(text) == 3 + depth
+        monkeypatch.setattr(config_module, "_LOADER", getattr(yaml, loader))
+        with pytest.raises(ConfigError) as caught:
+            loads_config(text, source="custom.yaml")
+        column = len("  - a1: &a1 ") + 1 + (_MAX_DEPTH - 2 - depth) * len(opener)
+        assert str(caught.value) == (f"invalid YAML in custom.yaml at line 3, column {column}: "
+                                     f"collections nest deeper than {_MAX_DEPTH} levels")
 
     def test_deep_nesting_under_the_pure_python_loader(self, monkeypatch):
         monkeypatch.setattr(config_module, "_LOADER", yaml.SafeLoader)
