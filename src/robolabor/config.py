@@ -68,7 +68,8 @@ _REWRITTEN = frozenset((_MERGE, _TAGS + "value"))
 # libyaml's crashes the process somewhere between 20,000 and 50,000 levels,
 # and the pure-Python one raises RecursionError past about 490. _OnePass
 # recurses two or three frames a level, and an alias can place a collection
-# deeper than the text shows, so it bounds the depth it builds to as well.
+# deeper than the text shows, so it bounds the depth it builds to as well,
+# counting the merge sources PyYAML's flatten_mapping recurses into.
 _MAX_DEPTH = 200
 
 
@@ -80,6 +81,11 @@ class _OnePass:
     past ``_MAX_DEPTH`` levels. A key stated twice in one map is an error;
     one merged by ``<<`` is not. Every other tag is left to ``SafeConstructor``.
     """
+
+    def __init__(self, stream):
+        super().__init__(stream)
+        self.merged_pairs = {}  # each flattened map: how many of its pairs were merged
+        self.flattening = 0     # the maps flatten_mapping is flattening
 
     def construct_object(self, node, deep=False):
         kind = type(node)
@@ -110,15 +116,31 @@ class _OnePass:
         # also the pairs of a tag left to SafeConstructor, such as !!set
         if not isinstance(node, yaml.MappingNode):
             return super().construct_mapping(node, deep=deep)  # raises
-        # no "<<" or "=" key, the common case: flatten_mapping would change nothing
-        if not any(key.tag in _REWRITTEN for key, _ in node.value):
-            return self._build_pairs(node, node.value, unique=True)
-        own = sum(key.tag != _MERGE for key, _ in node.value)
-        self.flatten_mapping(node)  # the merged pairs first, then the own ones
-        cut = len(node.value) - own
+        cut = self.merged_pairs.get(node)
+        if cut is None:
+            # no "<<" or "=" key, the common case: flatten_mapping would change nothing
+            if not any(key.tag in _REWRITTEN for key, _ in node.value):
+                return self._build_pairs(node, node.value, unique=True)
+            self.flatten_mapping(node)  # the merged pairs first, then the own ones
+            cut = self.merged_pairs[node]
         data = self._build_pairs(node, node.value[:cut], unique=False)
         data.update(self._build_pairs(node, node.value[cut:], unique=True))
         return data
+
+    def flatten_mapping(self, node):
+        # PyYAML flattens a map's merge sources in place, recursing into each
+        # from the map that merges it: record every map it flattens, so that one
+        # built later, through an alias, still tells its merged pairs from its own
+        if node in self.merged_pairs:
+            return
+        if self.flattening + len(self.recursive_objects) >= _MAX_DEPTH:
+            raise yaml.constructor.ConstructorError(
+                None, None, f"merge keys nest deeper than {_MAX_DEPTH} levels", node.start_mark)
+        own = sum(key.tag != _MERGE for key, _ in node.value)
+        self.flattening += 1
+        super().flatten_mapping(node)
+        self.flattening -= 1
+        self.merged_pairs[node] = len(node.value) - own
 
     def _build_pairs(self, node, pairs, unique):
         data = {}

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 from .errors import DomainError, _require
 
@@ -291,22 +291,26 @@ def theta_at(year_index: float, theta: ThetaMode) -> float:
     """
     index = _require_integer(year_index, "year_index")
     _require(index >= 0, "year_index must be >= 0, got {}", index)
-    if isinstance(theta, StaticTheta):
-        return theta.value
-    if not isinstance(theta, ThetaRamp):
+    if not isinstance(theta, (StaticTheta, ThetaRamp)):
         raise DomainError(
             f"theta must be StaticTheta or ThetaRamp, got {type(theta).__name__}")
-    return _ramp_theta(index, theta)
+    return _theta_schedule(theta, index + 1, index)[0]
 
 
-def _ramp_theta(index: int, ramp: ThetaRamp) -> float:
-    # theta_at's ramp without its checks, for a caller that proved them;
-    # clamp first: start + full step in floats need not reproduce the end literal
-    if index >= ramp.ramp_years:
-        return ramp.end
-    if index == 0:
-        return ramp.start
-    return ramp.start + (ramp.end - ramp.start) * (index / ramp.ramp_years)
+def _theta_schedule(theta: ThetaMode, stop: int, first: int = 0) -> Sequence[float]:
+    """The elasticity at each year index from ``first`` up to ``stop``, for
+    ``0 <= first < stop``: :func:`theta_at`'s rule, stated once, without its
+    checks and with no call per year."""
+    if isinstance(theta, StaticTheta):
+        return (theta.value,) * (stop - first)
+    start, end, ramp_years = theta.start, theta.end, theta.ramp_years
+    step = end - start
+    # index 0 gives start + (+-0.0), the exact start; clamp from ramp_years
+    # on: start + full step in floats need not reproduce the end literal
+    schedule = [start + step * (index / ramp_years)
+                for index in range(first, min(stop, ramp_years))]
+    schedule += [end] * (stop - max(first, ramp_years))
+    return schedule
 
 
 def tfp_step(tfp_prev: float, adoption_growth_pct: float,

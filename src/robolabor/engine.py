@@ -19,8 +19,14 @@ Comparative statics are one-year dynamics: running ``mode=dynamic`` over a
 single year reproduces the comparative-static result field by field.
 
 ``_effective_params`` proves the model's domain for the whole horizon once,
-before the first year. The year loop is then unchecked arithmetic, and it
-must give the same floats as the public helpers of ``core`` and ``sectors``.
+before the first year, from the terminal stocks alone: it compounds the
+robotics stock and TFP to the horizon's end without a check, and where no
+growth entry is negative, neither stock falls, so bounds that hold at the
+terminal year hold in every year. Only where that proof fails, or a growth
+entry is negative, does ``_locate_failure`` check year by year, to raise
+the first failing year's error. The year loop is then unchecked
+arithmetic, and it must give the same floats as the public helpers of
+``core`` and ``sectors``.
 
 The engine keeps no process-global state. The one reuse is a one-slot memo
 on a config's compiled sector table: a run on that table with the same
@@ -58,8 +64,8 @@ from .core import (
     _as_integer,
     _cobb_douglas,
     _filled,
-    _ramp_theta,
     _theta_extremes,
+    _theta_schedule,
     labor_demand_ratio,
     production_output,
 )
@@ -402,15 +408,21 @@ def _effective_params(scenario: Scenario, params: ModelParams,
     inputs' own rules, every precondition of the public helpers then holds
     every year.
 
+    The stocks are compounded to the terminal year unchecked, and the
+    horizon is proven from the terminal stocks alone: where no growth entry
+    is negative, neither stock falls, and rounding is monotone, so every
+    year's stocks, and every bound below built from them by multiplying and
+    dividing by positive operands, are at most the terminal year's. Where
+    that proof fails, or a growth entry is negative, :func:`_locate_failure`
+    walks the horizon year by year to raise the first failure's error.
+
     :func:`_side_checked` states which of these a one-field copy may reuse.
     """
     sigma, theta_mode, exposure = _resolved(scenario, params)
     for value in _theta_extremes(theta_mode):
         _require(params.alpha + value < 1,
                  "alpha + theta must stay below 1, got {} + {}", params.alpha, value)
-    n_years = scenario.n_years
-    thetas = ((theta_mode.value,) * n_years if isinstance(theta_mode, StaticTheta)
-              else [_ramp_theta(index, theta_mode) for index in range(n_years)])
+    thetas = _theta_schedule(theta_mode, scenario.n_years)
     # the first theta through the checked helper, which also checks alpha;
     # the others through its product alone: ThetaRamp checked their range
     alpha = params.alpha
@@ -418,12 +430,59 @@ def _effective_params(scenario: Scenario, params: ModelParams,
     base_by_theta = {first: production_output(state0, alpha, first)}
     for theta in others:
         base_by_theta[theta] = _cobb_douglas(state0, alpha, theta)
-    for theta, base in base_by_theta.items():
-        _require(0 < base < math.inf, "initial_state gives output {} at theta {}, "
-                 "which must be positive and finite", base, theta)
+    # positive, finite factors give no NaN, so the extremes decide
+    base_low = min(base_by_theta.values())
+    if not (0 < base_low and max(base_by_theta.values()) < math.inf):
+        for theta, base in base_by_theta.items():
+            _require(0 < base < math.inf, "initial_state gives output {} at theta {}, "
+                     "which must be positive and finite", base, theta)
     ratio = _terminal_labor(scenario, state0, sigma, exposure)
-    # compound exactly as run_scenario does, so a pass here is a pass there
-    labor0, boost = state0.labor, params.tfp_boost_per_adoption_pct
+    # compound exactly as run_scenario does, so the terminal stocks are its own
+    growth, boost = scenario.growth_path(), params.tfp_boost_per_adoption_pct
+    robotics, tfp = state0.robotics, state0.tfp
+    if scenario.tfp_enabled:
+        for g_t in growth:
+            robotics = robotics * (1.0 + g_t)
+            tfp = tfp * (1.0 + boost * (100.0 * g_t))
+    else:
+        for g_t in growth:
+            robotics = robotics * (1.0 + g_t)
+    # gdp_gain, the terminal year's channel gain: robotics stock and TFP
+    # moved, labor held at baseline
+    gain = (tfp / state0.tfp) * (robotics / state0.robotics) ** thetas[-1] - 1.0
+    # the terminal year's stock, TFP times the stock (finite only where TFP
+    # is), the output bound of _locate_failure and the gain, each compared
+    # so that a NaN fails; where no entry is negative, every year's are at
+    # most these. Under tfp_enabled none is, and one year is its own terminal year
+    if not (0 < robotics < math.inf and tfp * robotics < math.inf and gain < math.inf
+            and (tfp * state0.capital ** alpha * max(state0.labor, 1.0)
+                 * (robotics if robotics > 1.0 else 1.0) / base_low < math.inf)
+            and (scenario.tfp_enabled or len(growth) == 1 or min(growth) >= 0)):
+        _locate_failure(scenario, params, state0, thetas, base_by_theta, gain)
+    raw, raw_gain = scenario.raw_shocks, None
+    if raw is not None and raw.robotics_growth is not None:
+        # the stated growth as one year at the first theta
+        g_raw = raw.robotics_growth
+        factor = 1.0 + boost * 100.0 * g_raw if scenario.tfp_enabled else 1.0
+        raw_gain = factor * (1.0 + g_raw) ** thetas[0] - 1.0
+        _require(raw_gain < math.inf, "raw robotics_growth {} gives a raw gdp_gain of inf "
+                 "through tfp_enabled, outside the float range", g_raw)
+    return _Checked(sigma, thetas, base_by_theta, exposure, ratio, tfp, robotics, gain,
+                    raw_gain)
+
+
+def _locate_failure(scenario: Scenario, params: ModelParams, state0: EconomyState,
+                    thetas: Sequence[float], base_by_theta: dict[float, float],
+                    gain: float) -> None:
+    """Check the compounded stocks year by year, for a horizon that
+    :func:`_effective_params` could not prove from its terminal stocks;
+    raise the error of the first year that fails, else return.
+
+    ``gain`` is the terminal ``gdp_gain``; a stock that leaves the range
+    anywhere is reported before any other overflow.
+    """
+    alpha, boost = params.alpha, params.tfp_boost_per_adoption_pct
+    labor0 = state0.labor
     labor_cap = max(labor0, 1.0)  # labor <= labor0, and x ** p <= max(x, 1) for p in (0, 1]
     robotics, tfp = state0.robotics, state0.tfp
     base_low = min(base_by_theta.values())
@@ -456,12 +515,8 @@ def _effective_params(scenario: Scenario, params: ModelParams,
                 output_overflow = year
             if gain_overflow is None and output / base_by_theta[theta_t] == math.inf:
                 gain_overflow = year
-    # gdp_gain, the terminal year's channel gain: robotics stock and TFP
-    # moved, labor held at baseline
-    gain = (tfp / state0.tfp) * (robotics / state0.robotics) ** thetas[-1] - 1.0
     if gain_overflow is None and gain == math.inf:
         gain_overflow = scenario.horizon[1]
-    # a stock that leaves the range anywhere is reported first
     if overflow is not None:
         raise DomainError(f"robotics_growth compounds TFP times the robotics stock to "
                           f"{overflow}, outside the float range")
@@ -471,16 +526,6 @@ def _effective_params(scenario: Scenario, params: ModelParams,
     if gain_overflow is not None:
         raise DomainError(f"robotics_growth compounds the gain over initial_state to inf "
                           f"by {gain_overflow}, outside the float range")
-    raw, raw_gain = scenario.raw_shocks, None
-    if raw is not None and raw.robotics_growth is not None:
-        # the stated growth as one year at the first theta
-        g_raw = raw.robotics_growth
-        factor = 1.0 + boost * 100.0 * g_raw if scenario.tfp_enabled else 1.0
-        raw_gain = factor * (1.0 + g_raw) ** thetas[0] - 1.0
-        _require(raw_gain < math.inf, "raw robotics_growth {} gives a raw gdp_gain of inf "
-                 "through tfp_enabled, outside the float range", g_raw)
-    return _Checked(sigma, thetas, base_by_theta, exposure, ratio, tfp, robotics, gain,
-                    raw_gain)
 
 
 def _side_checked(base: _Checked, field: str, scenario: Scenario, params: ModelParams,

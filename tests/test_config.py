@@ -484,13 +484,15 @@ class YamlText:
     """A block-style YAML text drawn with anchors, aliases and merges.
 
     Anchors are set only on nodes already written, so no alias is recursive.
+    A merge source is an alias, a list of aliases, or an anchored map written
+    in place that itself merges a map and states one of its keys again.
     With ``repeat``, one map states one of its keys a second time, and
     ``repeated`` holds that key and its 0-based line and column.
     """
 
     def __init__(self, draw, repeat):
         self.draw, self.repeat = draw, repeat
-        self.lines, self.anchors, self.maps = [], [], []
+        self.lines, self.anchors, self.maps = [], [], {}  # maps: anchor -> own keys
         self.repeated = None
         self.mapping(0, depth=3)
         if repeat and self.repeated is None:  # no map drew the repeat: the root does
@@ -518,25 +520,46 @@ class YamlText:
             tag = self.draw(st.sampled_from(["", " !!map" if kind == "map" else " !!seq"]))
             self.lines.append(f"{' ' * indent}{head}{props}{tag}")
             if kind == "map":
-                self.mapping(indent + 2, depth - 1)
+                keys = self.mapping(indent + 2, depth - 1)
             else:
                 for _ in range(self.draw(st.integers(1, 3))):
                     self.node("-", indent + 2, depth - 1)
         if anchor:
             self.anchors.append(anchor)
             if kind == "map":
-                self.maps.append(anchor)
+                self.maps[anchor] = keys
 
-    def mapping(self, indent, depth):
-        if self.maps and self.draw(st.booleans()):
-            sources = self.draw(st.lists(st.sampled_from(self.maps), min_size=1, max_size=2,
-                                         unique=True))
+    def mapping(self, indent, depth, source=None):
+        """Write a block map at ``indent``; return its own keys. A map given a
+        ``source`` merges that map and states one of its keys again."""
+        keys = self.draw(st.lists(st.sampled_from(KEYS), min_size=1, max_size=4, unique=True))
+        merge = ("source" if source is not None
+                 else self.draw(st.sampled_from(["none", "alias", "inline"])) if self.maps
+                 else "none")
+        if merge == "source":
+            self.lines.append(f"{' ' * indent}<<: *{source}")
+            override = self.draw(st.sampled_from(self.maps[source]))
+            if override not in keys:
+                keys[self.draw(st.integers(0, len(keys) - 1))] = override
+        elif merge == "alias":
+            sources = self.draw(st.lists(st.sampled_from(list(self.maps)), min_size=1,
+                                         max_size=2, unique=True))
             merge = (f"*{sources[0]}" if len(sources) == 1
                      else "[" + ", ".join(f"*{name}" for name in sources) + "]")
             self.lines.append(f"{' ' * indent}<<: {merge}")
-        keys = self.draw(st.lists(st.sampled_from(KEYS), min_size=1, max_size=4, unique=True))
+        elif merge == "inline" and depth > 0:
+            # PyYAML's flatten_mapping rewrites this map in place when it
+            # flattens the map that merges it; an alias may build it later
+            anchor = f"n{len(self.lines)}"
+            self.lines.append(f"{' ' * indent}<<: &{anchor}")
+            inner = self.mapping(indent + 2, depth - 1,
+                                 self.draw(st.sampled_from(list(self.maps))))
+            self.anchors.append(anchor)
+            self.maps[anchor] = inner
         at = None
-        if self.repeat and self.repeated is None and self.draw(st.booleans()):
+        # a repeat in a merge source written in place would be built only
+        # where an alias names it
+        if self.repeat and self.repeated is None and source is None and self.draw(st.booleans()):
             at = self.draw(st.integers(1, len(keys)))
             keys.insert(at, self.draw(st.sampled_from(keys[:at])))
             self.repeated = (keys[at], None, indent)  # its line is known when written
@@ -544,6 +567,7 @@ class YamlText:
             if i == at:
                 self.repeated = (key, len(self.lines), indent)
             self.node(f"{key}:", indent, depth)
+        return keys
 
 
 @st.composite
@@ -794,6 +818,33 @@ class TestYamlLimits:
         column = len("  - a1: &a1 ") + 1 + (_MAX_DEPTH - 2 - depth) * len(opener)
         assert str(caught.value) == (f"invalid YAML in custom.yaml at line 3, column {column}: "
                                      f"collections nest deeper than {_MAX_DEPTH} levels")
+
+    @staticmethod
+    def merge_chain(links):
+        # an !!omap of anchored maps, each merging the one before. The !!omap's
+        # members are built after "y", so flattening "y" flattens every link,
+        # and PyYAML's flatten_mapping recurses once a link
+        members = "".join(f"  - a{i}: &a{i} {{<<: *a{i - 1}, k{i}: {i}}}\n"
+                          for i in range(1, links))
+        return f"x: !!omap\n  - a0: &a0 {{k0: 0}}\n{members}y: {{<<: *a{links - 1}}}\n"
+
+    @pytest.mark.parametrize("loader", BOTH_LOADERS)
+    def test_merge_chain_is_invalid_yaml(self, loader, monkeypatch):
+        # 1,000 links overflowed the Python stack in flatten_mapping; "y" is
+        # built 2 deep, so the 199th link flattened from it, a802, is too deep
+        monkeypatch.setattr(config_module, "_LOADER", getattr(yaml, loader))
+        with pytest.raises(ConfigError) as caught:
+            loads_config(self.merge_chain(1000), source="chain.yaml")
+        assert str(caught.value) == ("invalid YAML in chain.yaml at line 804, column 11: "
+                                     f"merge keys nest deeper than {_MAX_DEPTH} levels")
+
+    @pytest.mark.parametrize("loader", BOTH_LOADERS)
+    def test_merge_chain_up_to_the_limit_loads(self, loader):
+        # "y" is built 2 deep and flattened 1 deep; each link adds a level
+        base = getattr(yaml, loader)
+        text = self.merge_chain(_MAX_DEPTH - 3)
+        assert_same(yaml.load(text, Loader=config_module._one_pass(base)),
+                    yaml.load(text, Loader=base))
 
     def test_deep_nesting_under_the_pure_python_loader(self, monkeypatch):
         monkeypatch.setattr(config_module, "_LOADER", yaml.SafeLoader)

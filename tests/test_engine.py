@@ -3,9 +3,11 @@ the year loop's bit identity with the public helpers."""
 
 import dataclasses
 import math
+import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 from robolabor import (
@@ -14,6 +16,7 @@ from robolabor import (
     HeadcountBreakdown,
     JobCreationRamp,
     JobCreationRatio,
+    ModelParams,
     RawShocks,
     ResultSummary,
     Scenario,
@@ -27,13 +30,21 @@ from robolabor import (
     displacement_headcounts,
     job_creation,
     labor_demand_ratio,
+    load_config,
+    loads_config,
+    one_at_a_time,
     production_output,
     remittance_impact,
     run_scenario,
     tfp_step,
     theta_at,
 )
-from robolabor.core import _filled
+from robolabor import engine as engine_module
+from robolabor.core import _cobb_douglas, _filled, _theta_extremes
+from robolabor.engine import _Checked, _effective_params, _resolved, _terminal_labor
+from robolabor.errors import _require
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 STATIC_HORIZON = (2030, 2030)
 
@@ -538,3 +549,246 @@ class TestKernelMatchesHelpers:
         scenario, param_changes, state_changes = inputs
         assert_kernel_matches_helpers(scenario, dataclasses.replace(params, **param_changes),
                                       dataclasses.replace(state0, **state_changes), baseline)
+
+
+def _ramp_theta_oracle(index, ramp):
+    """``theta_at``'s ramp rule as it was stated before the schedule function."""
+    if index >= ramp.ramp_years:
+        return ramp.end
+    if index == 0:
+        return ramp.start
+    return ramp.start + (ramp.end - ramp.start) * (index / ramp.ramp_years)
+
+
+def year_by_year_oracle(scenario, params, state0):
+    """``engine._effective_params`` as it was before the terminal-stock proof:
+    every year's stocks, powers, output bound and gain checked in turn."""
+    sigma, theta_mode, exposure = _resolved(scenario, params)
+    for value in _theta_extremes(theta_mode):
+        _require(params.alpha + value < 1,
+                 "alpha + theta must stay below 1, got {} + {}", params.alpha, value)
+    n_years = scenario.n_years
+    thetas = ((theta_mode.value,) * n_years if isinstance(theta_mode, StaticTheta)
+              else [_ramp_theta_oracle(index, theta_mode) for index in range(n_years)])
+    alpha = params.alpha
+    first, *others = dict.fromkeys(thetas)
+    base_by_theta = {first: production_output(state0, alpha, first)}
+    for theta in others:
+        base_by_theta[theta] = _cobb_douglas(state0, alpha, theta)
+    for theta, base in base_by_theta.items():
+        _require(0 < base < math.inf, "initial_state gives output {} at theta {}, "
+                 "which must be positive and finite", base, theta)
+    ratio = _terminal_labor(scenario, state0, sigma, exposure)
+    labor0, boost = state0.labor, params.tfp_boost_per_adoption_pct
+    labor_cap = max(labor0, 1.0)
+    robotics, tfp = state0.robotics, state0.tfp
+    base_low = min(base_by_theta.values())
+    kalpha = state0.capital ** alpha
+    overflow = output_overflow = gain_overflow = None
+    for year, g_t in enumerate(scenario.growth_path(), start=scenario.horizon[0]):
+        robotics = robotics * (1.0 + g_t)
+        if scenario.tfp_enabled:
+            tfp = tfp * (1.0 + boost * (100.0 * g_t))
+        if not 0 < robotics < math.inf:
+            raise DomainError(f"robotics_growth compounds the robotics stock to "
+                              f"{robotics} by {year}, outside the float range")
+        if tfp == math.inf:
+            raise DomainError(f"robotics_growth compounds TFP to {tfp} by {year} "
+                              f"through tfp_enabled, outside the float range")
+        if overflow is None and tfp * robotics == math.inf:
+            theta_t = thetas[year - scenario.horizon[0]]
+            if tfp * robotics ** theta_t == math.inf:
+                overflow = f"the power {theta_t} to inf by {year}"
+        robotics_cap = robotics if robotics > 1.0 else 1.0
+        if tfp * kalpha * labor_cap * robotics_cap / base_low == math.inf:
+            theta_t = thetas[year - scenario.horizon[0]]
+            output = tfp * kalpha * labor0 ** (1.0 - alpha - theta_t) * robotics ** theta_t
+            if output_overflow is None and output == math.inf:
+                output_overflow = year
+            if gain_overflow is None and output / base_by_theta[theta_t] == math.inf:
+                gain_overflow = year
+    gain = (tfp / state0.tfp) * (robotics / state0.robotics) ** thetas[-1] - 1.0
+    if gain_overflow is None and gain == math.inf:
+        gain_overflow = scenario.horizon[1]
+    if overflow is not None:
+        raise DomainError(f"robotics_growth compounds TFP times the robotics stock to "
+                          f"{overflow}, outside the float range")
+    if output_overflow is not None:
+        raise DomainError(f"robotics_growth compounds output at baseline labor to inf "
+                          f"by {output_overflow}, outside the float range")
+    if gain_overflow is not None:
+        raise DomainError(f"robotics_growth compounds the gain over initial_state to inf "
+                          f"by {gain_overflow}, outside the float range")
+    raw, raw_gain = scenario.raw_shocks, None
+    if raw is not None and raw.robotics_growth is not None:
+        g_raw = raw.robotics_growth
+        factor = 1.0 + boost * 100.0 * g_raw if scenario.tfp_enabled else 1.0
+        raw_gain = factor * (1.0 + g_raw) ** thetas[0] - 1.0
+        _require(raw_gain < math.inf, "raw robotics_growth {} gives a raw gdp_gain of inf "
+                 "through tfp_enabled, outside the float range", g_raw)
+    return _Checked(sigma, thetas, base_by_theta, exposure, ratio, tfp, robotics, gain,
+                    raw_gain)
+
+
+def bits(value):
+    """``value`` with every float as its hex string, sequences and dicts by type."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (tuple, list)):
+        return type(value).__name__, tuple(map(bits, value))
+    if isinstance(value, dict):
+        return tuple((bits(key), bits(item)) for key, item in value.items())
+    return value
+
+
+def pass_outcome(check, scenario, params, state0):
+    """Each field of ``check``'s record in bits, or its error's type and message."""
+    try:
+        checked = check(scenario, params, state0)
+    except Exception as error:  # noqa: BLE001 - the types are compared
+        return type(error), str(error)
+    return {name: bits(value) for name, value in checked._asdict().items()}
+
+
+def pass_case(n_years=82, growth=0.05, theta=StaticTheta(0.5), tfp_enabled=False,
+              boost=0.002, alpha=0.35, raw_growth=None, **state):
+    """A pass's inputs: a dynamic scenario from 2019, parameters and a state."""
+    scenario = Scenario(name="drawn", mode=SimulationMode.DYNAMIC,
+                        horizon=(2019, 2018 + n_years), robotics_growth=growth,
+                        cost_ratio_path=1.05, theta_override=theta, tfp_enabled=tfp_enabled,
+                        raw_shocks=None if raw_growth is None else RawShocks(raw_growth))
+    params = ModelParams(alpha=alpha, theta=StaticTheta(0.5), sigma=0.65,
+                         tfp_boost_per_adoption_pct=boost)
+    state0 = EconomyState(**{"year": 2019, "tfp": 1.0, "capital": 1.0, "labor": 2.13e6,
+                             "robotics": 1.0, **state})
+    return scenario, params, state0
+
+
+# one case per overflow the pass reports, each failing one terminal bound alone
+# where it can: a stock leaving the range, TFP, TFP times the stock to the power
+# theta (with a capital so small that the output bound stays finite), the output
+# at baseline labor and the gain over a tiny initial stock
+OVERFLOWS = {
+    "the robotics stock to inf by 2096": pass_case(growth=1e4),
+    "TFP to inf by 2096": pass_case(growth=10.0, tfp_enabled=True, boost=10.0),
+    "TFP times the robotics stock to the power 0.6 to inf by 2022": pass_case(
+        n_years=4, growth=5e3, theta=StaticTheta(0.6), tfp=1e300, capital=1e-300),
+    "output at baseline labor to inf by 2021": pass_case(
+        n_years=4, growth=1e5, theta=StaticTheta(0.3), tfp=1e200, labor=1e300),
+    "the gain over initial_state to inf by 2063": pass_case(
+        n_years=45, growth=2e7, theta=StaticTheta(0.6), robotics=1e-300),
+}
+
+def with_overflows(test):
+    """``test`` with each of :data:`OVERFLOWS` as an explicit example."""
+    for inputs in OVERFLOWS.values():
+        test = example(inputs=inputs)(test)
+    return test
+
+
+# stocks, TFP, capital and labor from tiny to huge
+LEVELS = st.sampled_from([1e-300, 1e-30, 0.5, 1.0, 2.13e6, 1e30, 1e300]) | st.floats(1e-3, 1e3)
+GROWTH = (st.sampled_from([0.0, 0.05, -0.5, -0.999999, 300.0, 607.9498436903095, 5e3, 1e4,
+                           2e7, 1e300])
+          | st.floats(-0.99, 10.0))
+
+
+@st.composite
+def pass_inputs(draw):
+    n_years = draw(st.sampled_from([1, 2, 4, 45, 82]) | st.integers(1, 82))
+    tfp_enabled = draw(st.booleans())
+    entries = GROWTH.map(abs) if tfp_enabled else GROWTH  # the spillover's rule
+    growth = draw(entries | st.lists(entries, min_size=n_years, max_size=n_years).map(tuple))
+    thetas = st.floats(0.05, 0.6)
+    theta = draw(thetas.map(StaticTheta)
+                 | st.builds(ThetaRamp, thetas, thetas, st.integers(1, 90)))
+    return pass_case(n_years, growth, theta, tfp_enabled,
+                     boost=draw(st.sampled_from([0.0, 0.002, 10.0]) | st.floats(0.0, 0.01)),
+                     alpha=draw(st.floats(0.05, 0.39)),
+                     raw_growth=draw(st.none() | GROWTH.map(abs)),
+                     **{name: draw(LEVELS) for name in ("tfp", "capital", "labor", "robotics")})
+
+
+class TestTerminalProof:
+    """The pass proves a horizon from its terminal stocks and checks year by
+    year only where that fails, with the year-by-year pass's floats and errors."""
+
+    @pytest.mark.parametrize("reached", OVERFLOWS)
+    def test_each_overflow_is_reached(self, reached):
+        with pytest.raises(DomainError, match=f"^robotics_growth compounds {reached}[ ,]"):
+            _effective_params(*OVERFLOWS[reached])
+
+    @settings(max_examples=600)
+    @given(inputs=pass_inputs())
+    @with_overflows
+    # the stock to 0.0 over years, and in one year from the least subnormal
+    @example(inputs=pass_case(n_years=41, growth=-0.999999))
+    @example(inputs=pass_case(n_years=1, growth=-0.5, robotics=5e-324))
+    # the stock overflows TFP times it to the power theta in 2019, then falls back
+    @example(inputs=pass_case(n_years=6, growth=(1e20,) + (-0.999999,) * 5,
+                              theta=StaticTheta(0.6), tfp=1e300))
+    # 100 * 1e300 is inf, and 0.0 * inf a NaN TFP
+    @example(inputs=pass_case(growth=1e300, tfp_enabled=True, boost=0.0, robotics=1e-300))
+    def test_pass_matches_the_year_by_year_pass(self, inputs):
+        assert (pass_outcome(_effective_params, *inputs)
+                == pass_outcome(year_by_year_oracle, *inputs))
+
+    @pytest.fixture
+    def located(self, monkeypatch):
+        """A list that gets one entry per call of the year-by-year check."""
+        calls = []
+
+        def counted(*args, _original=engine_module._locate_failure):
+            calls.append(args[0].name)
+            return _original(*args)
+
+        monkeypatch.setattr(engine_module, "_locate_failure", counted)
+        return calls
+
+    @pytest.mark.parametrize("name", ["bundled", "sweep", "wide"])
+    def test_loads_runs_and_tornados_need_no_year_by_year_check(self, name, located,
+                                                                load_perfbench):
+        if name == "bundled":
+            cfg = load_config("default")
+        else:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setitem(sys.modules, "reference", load_perfbench("reference"))
+                gen = load_perfbench("gen")
+            inputs = getattr(gen, f"{name}_inputs")(1, gen.bundled_config(PERFBENCH.parent))
+            cfg = loads_config(gen.to_yaml(inputs["cfg"]))
+        for scenario in cfg.scenarios:
+            run_scenario(scenario, cfg.params, cfg.initial_state, cfg.baseline, cfg.sectors)
+            one_at_a_time(scenario, cfg.params, cfg.initial_state, cfg.baseline,
+                          sectors=cfg.sectors)
+        assert located == []
+
+    def test_negative_growth_and_overflows_are_checked_year_by_year(self, located):
+        falling = pass_case(n_years=3, growth=(0.05, -0.01, 0.02))
+        _effective_params(*falling)
+        assert located == ["drawn"]
+        for inputs in OVERFLOWS.values():
+            with pytest.raises(DomainError):
+                _effective_params(*inputs)
+        assert len(located) == 1 + len(OVERFLOWS)
+
+
+class TestThetaSchedule:
+    """The engine's theta schedule and ``theta_at`` read one statement of the rule."""
+
+    @pytest.mark.parametrize("start,end", [(0.4, 0.6), (0.6, 0.3), (0.1, 0.1),
+                                           (0.123456789, 0.5987654321)])
+    def test_engine_schedule_is_theta_at(self, start, end):
+        params = ModelParams(alpha=0.35, theta=StaticTheta(0.5), sigma=0.65)
+        state0 = EconomyState(2019, 1.0, 1.0, 2.13e6, 1.0)
+        for ramp_years in range(1, 91):
+            ramp = ThetaRamp(start, end, ramp_years)
+            for n_years in range(1, 83):
+                scenario = Scenario(name="ramp", mode=SimulationMode.DYNAMIC,
+                                    horizon=(2019, 2018 + n_years), theta_override=ramp)
+                schedule = _effective_params(scenario, params, state0).thetas
+                assert len(schedule) == n_years
+                for index, theta in enumerate(schedule):
+                    assert theta.hex() == theta_at(index, ramp).hex()
+                    assert theta.hex() == _ramp_theta_oracle(index, ramp).hex()
+                    if index >= ramp_years:
+                        assert theta == end
