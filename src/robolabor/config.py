@@ -7,10 +7,11 @@ converted by the field's declared type. Validation is strict: unknown keys
 are rejected, every error names the offending field by its dotted path,
 and parse failures carry line and column.
 
-The YAML is composed by libyaml when PyYAML has it, else by PyYAML's
-pure-Python parser. One loader mixin over either, ``_OnePass``, builds plain
-scalars, lists and maps in one recursive pass, rejecting a repeated key and
-a recursive alias, and leaves every other tag to PyYAML's SafeConstructor.
+The YAML is parsed by libyaml when PyYAML has it, else by PyYAML's
+pure-Python parser. Over either, ``_OnePass`` builds the document from the
+parser's events on one explicit stack, so nothing recurses, and reports the
+first fault in document order. Tags other than a plain scalar's, list's or
+map's go to PyYAML's SafeConstructor, with their items already built.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import enum
 import functools
 import importlib.resources
 import math
-import re
 import sys
 import types
 from collections.abc import Mapping
@@ -52,162 +52,152 @@ __all__ = [
 
 _FORMATS = ("csv", "json")
 
-# libyaml's C parser when PyYAML was built with it. Both loaders share
-# _OnePass, PyYAML's SafeConstructor and its Resolver, so they build the
-# same document.
+# libyaml's C parser when PyYAML was built with it. Both build the same
+# document through _OnePass, PyYAML's SafeConstructor and its Resolver.
 _LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 _TAGS = "tag:yaml.org,2002:"
 _STR, _SEQ, _MAP, _MERGE = (_TAGS + name for name in ("str", "seq", "map", "merge"))
 # the scalar tags whose PyYAML function reads the node's text alone
 _SCALAR_TAGS = frozenset(_TAGS + name for name in ("int", "float", "bool", "null"))
-# the key tags PyYAML's flatten_mapping rewrites: "<<" merges, a plain "=" is a str
-_REWRITTEN = frozenset((_MERGE, _TAGS + "value"))
+# the tags PyYAML reads in a key alone: "<<" merges, a plain "=" is a str
+_KEY_TAGS = frozenset((_MERGE, _TAGS + "value"))
 
-# how deep collections may nest. PyYAML's composers recurse once per level:
-# libyaml's crashes the process somewhere between 20,000 and 50,000 levels,
-# and the pure-Python one raises RecursionError past about 490. _OnePass
-# recurses two or three frames a level, and an alias can place a collection
-# deeper than the text shows, so it bounds the depth it builds to as well,
-# counting the merge sources PyYAML's flatten_mapping recurses into.
+# how deep collections may nest in the text, the root being level 1 (the
+# bundled config nests 4 deep): the most the builder's stack ever holds
 _MAX_DEPTH = 200
+
+# a map's key slot before a key and after "<<"; an anchor while its node is built
+_NO_KEY, _MERGE_KEY, _BUILDING = object(), object(), object()
+
+
+class _Built(yaml.ScalarNode):
+    """A value already built, as an item of a node handed to SafeConstructor."""
+
+
+def _fault(problem: str, mark, context: str | None = None, context_mark=None):
+    return yaml.MarkedYAMLError(context, context_mark, problem, mark)
+
+
+def _tagged_node(tag: str, value: dict | list, mark) -> yaml.Node:
+    """A node of ``tag`` over built items, a list's maps as !!omap and !!pairs read them."""
+    def node(items, tag=_MAP):
+        return yaml.MappingNode(tag, [(_Built(None, key, mark), _Built(None, item, mark))
+                                      for key, item in items.items()], mark)
+    if isinstance(value, dict):
+        return node(value, tag)
+    return yaml.SequenceNode(tag, [node(item) if isinstance(item, dict)
+                                   else _Built(None, item, mark) for item in value], mark)
+
+
+def _merged(merged: dict, value: Any, mark) -> dict:
+    """``merged`` and the maps a ``<<`` key's ``value`` gives, a list's first map winning."""
+    sources = value if isinstance(value, list) else [value]
+    for source in sources:
+        if not isinstance(source, dict):
+            kind = {list: "sequence", set: "mapping"}.get(type(source), "scalar")
+            wanted = "a mapping" if sources is value else "a mapping or list of mappings"
+            raise _fault(f"expected {wanted} for merging, but found {kind}", mark)
+    for source in reversed(sources):
+        merged.update(source)
+    return merged
 
 
 class _OnePass:
-    """Loader mixin: builds plain scalars, lists and maps in one recursive pass.
+    """Loader mixin: builds the document from the parser's events.
 
-    Each plain list and map is built once, so an alias gives the same object,
-    and an alias inside the collection it names is an error, as is building
-    past ``_MAX_DEPTH`` levels. A key stated twice in one map is an error;
-    one merged by ``<<`` is not. Every other tag is left to ``SafeConstructor``.
+    The open lists and maps are held on one stack. An alias gives the value
+    its anchored node built, and one inside that node is an error. A key
+    stated twice in one map is an error; one merged by ``<<`` is not.
     """
 
-    def __init__(self, stream):
-        super().__init__(stream)
-        self.merged_pairs = {}  # each flattened map: how many of its pairs were merged
-        self.flattening = 0     # the maps flatten_mapping is flattening
-
     def construct_object(self, node, deep=False):
-        kind = type(node)
-        if kind is yaml.ScalarNode:
-            if node.tag == _STR:
-                return node.value
-            if node.tag in _SCALAR_TAGS:
-                return self.yaml_constructors[node.tag](self, node)
-        elif node.tag == (_MAP if kind is yaml.MappingNode else _SEQ):
-            built = self.constructed_objects
-            if node in built:
-                return built[node]
-            if node in self.recursive_objects:
-                raise yaml.constructor.ConstructorError(
-                    None, None, "found unconstructable recursive node", node.start_mark)
-            if len(self.recursive_objects) >= _MAX_DEPTH:  # the lists and maps being built
-                raise yaml.constructor.ConstructorError(
-                    None, None, f"collections nest deeper than {_MAX_DEPTH} levels",
-                    node.start_mark)
-            self.recursive_objects[node] = None
-            built[node] = (self.construct_mapping(node) if kind is yaml.MappingNode
-                           else [self.construct_object(child) for child in node.value])
-            del self.recursive_objects[node]
-            return built[node]
-        return super().construct_object(node, deep=deep)
+        return node.value if type(node) is _Built else super().construct_object(node, deep)
 
-    def construct_mapping(self, node, deep=False):
-        # also the pairs of a tag left to SafeConstructor, such as !!set
-        if not isinstance(node, yaml.MappingNode):
-            return super().construct_mapping(node, deep=deep)  # raises
-        cut = self.merged_pairs.get(node)
-        if cut is None:
-            # no "<<" or "=" key, the common case: flatten_mapping would change nothing
-            if not any(key.tag in _REWRITTEN for key, _ in node.value):
-                return self._build_pairs(node, node.value, unique=True)
-            self.flatten_mapping(node)  # the merged pairs first, then the own ones
-            cut = self.merged_pairs[node]
-        data = self._build_pairs(node, node.value[:cut], unique=False)
-        data.update(self._build_pairs(node, node.value[cut:], unique=True))
-        return data
-
-    def flatten_mapping(self, node):
-        # PyYAML flattens a map's merge sources in place, recursing into each
-        # from the map that merges it: record every map it flattens, so that one
-        # built later, through an alias, still tells its merged pairs from its own
-        if node in self.merged_pairs:
-            return
-        if self.flattening + len(self.recursive_objects) >= _MAX_DEPTH:
-            raise yaml.constructor.ConstructorError(
-                None, None, f"merge keys nest deeper than {_MAX_DEPTH} levels", node.start_mark)
-        own = sum(key.tag != _MERGE for key, _ in node.value)
-        self.flattening += 1
-        super().flatten_mapping(node)
-        self.flattening -= 1
-        self.merged_pairs[node] = len(node.value) - own
-
-    def _build_pairs(self, node, pairs, unique):
-        data = {}
-        for key_node, value_node in pairs:
-            key = self.construct_object(key_node)
-            try:
-                repeated = key in data
-            except TypeError:
-                raise yaml.constructor.ConstructorError(
-                    "while constructing a mapping", node.start_mark,
-                    "found unhashable key", key_node.start_mark) from None
-            if repeated and unique:
-                raise yaml.constructor.ConstructorError(
-                    None, None, f"found duplicate key {key!r}", key_node.start_mark)
-            data[key] = self.construct_object(value_node)
-        return data
+    def get_single_data(self):
+        get_event, resolve, constructors = self.get_event, self.resolve, self.yaml_constructors
+        ScalarEvent, ScalarNode, AliasEvent = yaml.ScalarEvent, yaml.ScalarNode, yaml.AliasEvent
+        ends = (yaml.MappingEndEvent, yaml.SequenceEndEvent)
+        get_event()  # the stream's start
+        if self.check_event(yaml.StreamEndEvent):
+            return None
+        get_event()  # the document's start
+        anchors = {}  # each anchor: its node's value, or _BUILDING, and start mark
+        # per open collection: items, key slot, merged pairs, tag, anchor, start mark
+        stack, top = [], None
+        while True:
+            event = get_event()
+            kind, mark = event.__class__, event.start_mark
+            if kind is AliasEvent:
+                if event.anchor not in anchors:
+                    raise _fault(f"found undefined alias {event.anchor!r}", mark)
+                value, mark = anchors[event.anchor]
+                anchor = None  # an alias sets no anchor
+                if value is _BUILDING:
+                    raise _fault("found unconstructable recursive node", mark)
+            elif kind in ends:
+                value, _, merged, tag, anchor, mark = stack.pop()
+                if merged is not None:
+                    value = {**merged, **value}  # the map's own pairs last
+                if tag not in (None, "!", _MAP if type(value) is dict else _SEQ):
+                    value = self.construct_document(_tagged_node(tag, value, mark))
+                top = stack[-1] if stack else None
+            else:  # a scalar or a collection's start, either maybe anchored
+                anchor, tag = event.anchor, event.tag
+                if anchor is not None:
+                    if anchor in anchors:
+                        raise _fault("second occurrence", mark, f"found duplicate anchor "
+                                     f"{anchor!r}; first occurrence", anchors[anchor][1])
+                    anchors[anchor] = (_BUILDING, mark)
+                if kind is not ScalarEvent:
+                    if len(stack) == _MAX_DEPTH:
+                        raise _fault(f"collections nest deeper than {_MAX_DEPTH} levels", mark)
+                    top = [{} if kind is yaml.MappingStartEvent else [], _NO_KEY, None, tag,
+                           anchor, mark]
+                    stack.append(top)
+                    continue
+                if tag is None or tag == "!":
+                    tag = resolve(ScalarNode, event.value, event.implicit)
+                if tag == _STR:
+                    value = event.value
+                elif (tag in _KEY_TAGS and top is not None and top[1] is _NO_KEY
+                      and type(top[0]) is dict):
+                    if tag == _MERGE:
+                        top[1] = _MERGE_KEY
+                        continue
+                    value = event.value
+                else:
+                    node = ScalarNode(tag, event.value, mark, event.end_mark)
+                    value = (constructors[tag](self, node) if tag in _SCALAR_TAGS
+                             else self.construct_document(node))
+            if anchor is not None:
+                anchors[anchor] = (value, mark)
+            if top is None:  # the root is built
+                break
+            items, key = top[0], top[1]
+            if type(items) is list:
+                items.append(value)
+            elif key is _NO_KEY:
+                try:
+                    repeated = value in items
+                except TypeError:
+                    raise _fault("found unhashable key", mark,
+                                 "while constructing a mapping", top[5]) from None
+                if repeated:
+                    raise _fault(f"found duplicate key {value!r}", mark)
+                top[1] = value
+            elif key is _MERGE_KEY:
+                top[1], top[2] = _NO_KEY, _merged(top[2] or {}, value, mark)
+            else:
+                top[1], items[key] = _NO_KEY, value
+        get_event()  # the document's end
+        if not self.check_event(yaml.StreamEndEvent):
+            raise _fault("but found another document", get_event().start_mark,
+                         "expected a single document in the stream", mark)
+        return value
 
 
 _one_pass = functools.cache(lambda loader: type(loader.__name__, (_OnePass, loader), {}))
-
-# a flow collection holding no bracket, quote, comment or tag. Only those
-# can hide a closer: an unquoted "]" or "}" inside a flow collection always
-# closes it, so such a collection closes where it seems to and is a leaf.
-# One holding a quoted scalar counts as no leaf, so a text with many such
-# collections, such as indented JSON, takes the exact walk.
-_FLOW_LEAF = re.compile(r"""[\[{][^\[\]{}'"#!]*[\]}]""")
-
-
-def _may_nest_deeper(text: str, depth: int) -> bool:
-    """Whether collections in ``text`` could nest deeper than ``depth``.
-
-    A cheap bound, never below the true depth. Block collections on one path
-    start at ever deeper columns (a sequence may share its key's column), all
-    within a line's leading run of indentation and block indicators, so with
-    no run of ``depth // 4`` they nest at most ``depth // 2`` deep. Every flow
-    collection on one path but the last holds another, so it is no leaf;
-    counting the single-pair mapping a flow sequence may hold, ``depth // 4 -
-    2`` such openers nest at most ``depth // 2 - 2`` deep.
-    """
-    run = depth // 4
-    if any(brk in text for brk in "\r\x85\u2028\u2029"):  # YAML's other line breaks
-        text = re.sub("[\r\x85\u2028\u2029]", "\n", text)
-    if re.search(r"\n[\ufeff \t?:-]{%d}" % run, "\n" + text):
-        return True
-    openers = text.count("[") + text.count("{")
-    return openers > run - 2 and openers - len(_FLOW_LEAF.findall(text)) > run - 2
-
-
-def _check_nesting(text: str, loader: type) -> None:
-    """Raise a composer error where collections first nest past ``_MAX_DEPTH``.
-
-    Walking the events costs a third of a parse, so only a text that
-    :func:`_may_nest_deeper` cannot clear is walked. Both parsers keep their
-    own stack, so the walk never recurses.
-    """
-    if not _may_nest_deeper(text, _MAX_DEPTH):
-        return
-    depth = 0
-    for event in yaml.parse(text, Loader=loader):
-        if isinstance(event, yaml.CollectionStartEvent):
-            depth += 1
-            if depth > _MAX_DEPTH:
-                raise yaml.composer.ComposerError(
-                    None, None, f"collections nest deeper than {_MAX_DEPTH} levels",
-                    event.start_mark)
-        elif isinstance(event, yaml.CollectionEndEvent):
-            depth -= 1
 
 
 @dataclass(frozen=True)
@@ -299,8 +289,8 @@ def _kind(node: Any) -> str:
 
 
 def _shown(node: Any) -> str:
-    """A scalar as an error shows it: null by its YAML name, else its repr."""
-    return _kind(node) if node is None else repr(node)
+    """A value as an error shows it: a scalar by its repr, null and collections by kind."""
+    return _kind(node) if node is None or isinstance(node, (dict, list, set)) else repr(node)
 
 
 def _as_map(node: Any, path: str) -> dict:
@@ -501,7 +491,6 @@ def loads_config(text: str, source: str = "<string>") -> RunConfig:
     """Parse and validate config YAML from a string."""
     loader = _one_pass(_LOADER)
     try:
-        _check_nesting(text, loader)
         data = yaml.load(text, Loader=loader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)

@@ -495,7 +495,7 @@ def _locate_failure(scenario: Scenario, params: ModelParams, state0: EconomyStat
         if not 0 < robotics < math.inf:
             raise DomainError(f"robotics_growth compounds the robotics stock to "
                               f"{robotics} by {year}, outside the float range")
-        if tfp == math.inf:
+        if not tfp < math.inf:  # also a NaN, from a boost of 0 times an inf
             raise DomainError(f"robotics_growth compounds TFP to {tfp} by {year} "
                               f"through tfp_enabled, outside the float range")
         # TFP is finite here and theta lies in (0, 1], so TFP times

@@ -34,7 +34,7 @@ from robolabor import (
 )
 from robolabor import config as config_module
 from robolabor.cli import cli_dispatch
-from robolabor.config import _MAX_DEPTH, _may_nest_deeper
+from robolabor.config import _MAX_DEPTH
 
 MINIMAL = """
 params:
@@ -305,6 +305,17 @@ sectors:
         with pytest.raises(ConfigError) as caught:
             loads_config(text)
         assert str(caught.value) == f"tasks.site[0]: weld: {key} must lie in [0, 1], got 1.5"
+
+    def test_nan_tfp_is_rejected(self):
+        # with a boost of 0, TFP grows by 0 * (100 * 1e307), which is 0 * inf
+        text = (ONE_SCENARIO.replace("  sigma: 0.65\n",
+                                     "  sigma: 0.65\n  tfp_boost_per_adoption_pct: 0\n")
+                .replace("    robotics_growth: 0.05\n",
+                         "    robotics_growth: 1.0e+307\n    tfp_enabled: true\n"))
+        with pytest.raises(ConfigError) as caught:
+            loads_config(text)
+        assert str(caught.value) == ("scenarios[0]: robotics_growth compounds TFP to nan by "
+                                     "2030 through tfp_enabled, outside the float range")
 
     def test_figure_scenario_must_exist(self):
         text = ONE_SCENARIO + """
@@ -665,10 +676,14 @@ class TestLoaders:
         # a repeated key nested deep, before an unknown tag at the top level:
         # PyYAML's own constructor, shallowest first, reported the tag
         ("a: {b: {c: {d: 1, d: 2}}}\ne: !!bogus 1\n", 1, 19, "found duplicate key 'd'"),
-        # a !!set's members are checked after every plain node
-        ("s: !!set {? x, ? x}\nt: {u: 1, u: 2}\n", 2, 11, "found duplicate key 'u'"),
+        # a !!set's members are checked where they stand, before a later map
+        ("s: !!set {? x, ? x}\nt: {u: 1, u: 2}\n", 1, 18, "found duplicate key 'x'"),
         ("s: !!set {? x, ? x}\nt: {u: 1}\n", 1, 18, "found duplicate key 'x'"),
-    ], ids=["deep_before_shallow", "set_members_last", "set_member"])
+        # a tag holding a closer, on the first of 250 nested lists: the tag
+        # is unknown before the lists pass the limit
+        ("params: " + "[!<a]> x, " * 250 + "]" * 250, 1, 10,
+         "could not determine a constructor for the tag 'a]'"),
+    ], ids=["deep_before_shallow", "set_members_last", "set_member", "tag_before_depth"])
     def test_first_fault_in_document_order_is_reported(self, loader, text, line, column,
                                                        problem, monkeypatch):
         monkeypatch.setattr(config_module, "_LOADER", getattr(yaml, loader))
@@ -685,6 +700,27 @@ class TestLoaders:
             loads_config(text, source="custom.yaml")
         assert str(caught.value) == ("invalid YAML in custom.yaml at line 1, column 9: "
                                      "found unconstructable recursive node")
+
+    @pytest.mark.parametrize("loader", BOTH_LOADERS)
+    @pytest.mark.parametrize("text,line,column,problem", [
+        ("a: 1\n---\nb: 2\n", 2, 1, "but found another document"),
+        ("a: *x\n", 1, 4, "found undefined alias 'x'"),
+        ("a: &x 1\nb: &x 2\n", 2, 4, "second occurrence"),
+        ("a: {<<: 1}\n", 1, 9,
+         "expected a mapping or list of mappings for merging, but found scalar"),
+        ("a: {<<: [1, 2]}\n", 1, 9, "expected a mapping for merging, but found scalar"),
+        ("a: {[1]: 2}\n", 1, 5, "found unhashable key"),
+    ], ids=["two_documents", "undefined_alias", "duplicate_anchor", "scalar_merge",
+            "scalar_list_merge", "unhashable_key"])
+    def test_stream_faults_are_invalid_yaml(self, loader, text, line, column, problem,
+                                            monkeypatch):
+        # the composer's rules and the merge rules, each in the pure-Python
+        # parser's words under both parsers
+        monkeypatch.setattr(config_module, "_LOADER", getattr(yaml, loader))
+        with pytest.raises(ConfigError) as caught:
+            loads_config(text, source="custom.yaml")
+        assert str(caught.value) == (f"invalid YAML in custom.yaml at line {line}, "
+                                     f"column {column}: {problem}")
 
     @pytest.mark.parametrize("loader", BOTH_LOADERS)
     def test_plain_nodes_skip_pyyamls_generic_constructor(self, loader, monkeypatch,
@@ -725,7 +761,7 @@ def deep_flow(levels):
 
 
 # texts nesting past the limit in ways a plain bracket count misses: closers
-# in quoted scalars, comments and tags, quotes inside plain scalars, pairs
+# in quoted scalars and comments, quotes inside plain scalars, pairs
 # that nest without a brace, and block collections indented across YAML's
 # other line breaks. Each stays within what the pure-Python composer
 # survives, so a guard that misses one shows as a missing error, not a crash.
@@ -735,7 +771,6 @@ DEEP_TEXTS = {
     "escaped_quote_closers": "params: " + '["\\"]", ' * LEVELS + "]" * LEVELS,
     "single_quoted_closers": "params: " + "['a]''}', " * LEVELS + "]" * LEVELS,
     "commented_closers": "params: " + "[ # ]}\n" * LEVELS + "]" * LEVELS,
-    "tagged_closers": "params: " + "[!<a]> x, " * LEVELS + "]" * LEVELS,
     # each plain scalar's quote would pair with the next scalar's opening
     # quote and close the list at the "]" inside that scalar
     "quote_after_a_space": "params: " + '[a "x, "]", ' * LEVELS + "]" * LEVELS,
@@ -751,15 +786,6 @@ DEEP_TEXTS = {
     "block_then_flow": ("".join(" " * i + "a:\n" for i in range(LEVELS // 2))
                         + " " * (LEVELS // 2) + "[" * (LEVELS // 2) + "]" * (LEVELS // 2) + "\n"),
 }
-
-TRICKY = "a[]{}'\"#!:-, ?"
-DOCUMENTS = st.recursive(
-    st.text(TRICKY, max_size=4) | st.integers(-3, 3) | st.none(),
-    lambda kids: (st.lists(kids, min_size=1, max_size=3)
-                  | st.dictionaries(st.text(TRICKY, max_size=3), kids, min_size=1,
-                                    max_size=3)),
-    max_leaves=40)
-
 
 class TestYamlLimits:
     """Deep nesting and bad characters are config errors with a line and column."""
@@ -804,47 +830,84 @@ class TestYamlLimits:
                              ids=["lists", "maps"])
     def test_nesting_through_aliases(self, loader, opener, closer, monkeypatch):
         # three anchored collections, each 190 deep and holding an alias to
-        # the one before. The !!omap's members are built after "y", so "y"
-        # builds all three at once, 2 + 3 * 190 levels deep, where the text
-        # nests 193: level 201 is a1's ninth opener
+        # the one before: "y" holds a value 1 + 3 * 190 levels deep where the
+        # text nests 193. An alias gives the value already built, so only the
+        # text's nesting counts, and the text reaches the schema
         depth = 190
         members = "".join(f"  - a{i}: &a{i} {opener * depth}{f'*a{i - 1}' if i else 0}"
                           f"{closer * depth}\n" for i in range(3))
         text = f"x: !!omap\n{members}y: [*a2]\n"
         assert nesting(text) == 3 + depth
         monkeypatch.setattr(config_module, "_LOADER", getattr(yaml, loader))
-        with pytest.raises(ConfigError) as caught:
+        with pytest.raises(ConfigError, match=r"^<root>: unknown key\(s\) 'x', 'y'; allowed: "):
             loads_config(text, source="custom.yaml")
-        column = len("  - a1: &a1 ") + 1 + (_MAX_DEPTH - 2 - depth) * len(opener)
-        assert str(caught.value) == (f"invalid YAML in custom.yaml at line 3, column {column}: "
-                                     f"collections nest deeper than {_MAX_DEPTH} levels")
 
     @staticmethod
     def merge_chain(links):
-        # an !!omap of anchored maps, each merging the one before. The !!omap's
-        # members are built after "y", so flattening "y" flattens every link,
-        # and PyYAML's flatten_mapping recurses once a link
+        # an !!omap of anchored maps, each merging the one before, and a map
+        # merging the last
         members = "".join(f"  - a{i}: &a{i} {{<<: *a{i - 1}, k{i}: {i}}}\n"
                           for i in range(1, links))
         return f"x: !!omap\n  - a0: &a0 {{k0: 0}}\n{members}y: {{<<: *a{links - 1}}}\n"
 
     @pytest.mark.parametrize("loader", BOTH_LOADERS)
-    def test_merge_chain_is_invalid_yaml(self, loader, monkeypatch):
-        # 1,000 links overflowed the Python stack in flatten_mapping; "y" is
-        # built 2 deep, so the 199th link flattened from it, a802, is too deep
+    def test_merge_chain_adds_no_depth(self, loader, monkeypatch):
+        # a merge copies a map already built, so 1,000 links load as YAML,
+        # and the text fails on the schema
         monkeypatch.setattr(config_module, "_LOADER", getattr(yaml, loader))
-        with pytest.raises(ConfigError) as caught:
+        with pytest.raises(ConfigError, match=r"^<root>: unknown key\(s\) 'x', 'y'; allowed: "):
             loads_config(self.merge_chain(1000), source="chain.yaml")
-        assert str(caught.value) == ("invalid YAML in chain.yaml at line 804, column 11: "
-                                     f"merge keys nest deeper than {_MAX_DEPTH} levels")
+
+    @pytest.mark.parametrize("loader", BOTH_LOADERS)
+    @pytest.mark.parametrize("chain", ["merges", "aliases"])
+    def test_chains_past_the_recursion_limit_load(self, loader, chain):
+        # 10,000 links, each merging or holding the one before: the builder
+        # keeps its own stack, so nothing recurses
+        links = 10_000
+        assert links > sys.getrecursionlimit()
+        if chain == "merges":
+            members = "".join(f"  - &a{i} {{<<: *a{i - 1}, k: {i}}}\n" for i in range(1, links))
+            text = f"x:\n  - &a0 {{k: 0}}\n{members}y: {{<<: *a{links - 1}}}\n"
+        else:
+            members = "".join(f"  - &a{i} [*a{i - 1}]\n" for i in range(1, links))
+            text = f"x:\n  - &a0 [0]\n{members}y: *a{links - 1}\n"
+        data = yaml.load(text, Loader=config_module._one_pass(getattr(yaml, loader)))
+        if chain == "merges":
+            assert data["y"] == {"k": links - 1}
+        else:
+            value, depth = data["y"], 1
+            while value != [0]:
+                (value,), depth = value, depth + 1
+            assert depth == links
 
     @pytest.mark.parametrize("loader", BOTH_LOADERS)
     def test_merge_chain_up_to_the_limit_loads(self, loader):
-        # "y" is built 2 deep and flattened 1 deep; each link adds a level
+        # PyYAML's own flatten_mapping recurses once a link: a chain it survives
         base = getattr(yaml, loader)
         text = self.merge_chain(_MAX_DEPTH - 3)
         assert_same(yaml.load(text, Loader=config_module._one_pass(base)),
                     yaml.load(text, Loader=base))
+
+    @pytest.mark.parametrize("loader", BOTH_LOADERS)
+    @pytest.mark.parametrize("shape", ["deep", "wide"])
+    def test_alias_built_values_are_named_by_kind(self, loader, shape, monkeypatch):
+        # eight anchored 190-deep lists, each holding the one before, nest
+        # 1,520 deep, past what repr survives; a 10-wide, 6-level lattice,
+        # each list holding every list of the level below, repeats its
+        # leaves a million times
+        if shape == "deep":
+            value = ", ".join(f"&a{i} {'[' * 190}{f'*a{i - 1}' if i else 0}{']' * 190}"
+                              for i in range(8))
+        else:
+            value = ", ".join(
+                f"&n{level}_{i} [" + (", ".join(f"*n{level - 1}_{j}" for j in range(10))
+                                      if level else str(i)) + "]"
+                for level in range(6) for i in range(10))
+        text = MINIMAL.replace("  alpha: 0.35\n", f"  alpha: [{value}]\n")
+        monkeypatch.setattr(config_module, "_LOADER", getattr(yaml, loader))
+        with pytest.raises(ConfigError) as caught:
+            loads_config(text)
+        assert str(caught.value) == "params.alpha: expected a number, got list"
 
     def test_deep_nesting_under_the_pure_python_loader(self, monkeypatch):
         monkeypatch.setattr(config_module, "_LOADER", yaml.SafeLoader)
@@ -866,33 +929,6 @@ class TestYamlLimits:
         assert run.stderr == (f"validation error: invalid YAML in {path} at line 1, "
                               f"column 208: collections nest deeper than 200 levels\n")
 
-    def test_verified_configs_are_not_walked(self, monkeypatch, load_perfbench):
-        # the bundled config and the benchmark's generated ones: the cheap
-        # bound clears each, so loading them costs no walk over the events
-        # gen imports the reference model by its bare module name
-        monkeypatch.setitem(sys.modules, "reference", load_perfbench("reference"))
-        gen = load_perfbench("gen")
-        bundled = gen.bundled_config(PERFBENCH.parent)
-        configs = [gen.fault_inputs(bundled)["cfg"]]
-        for seed in (1, 5):
-            configs += [gen.wide_inputs(seed, bundled)["cfg"],
-                        gen.sweep_inputs(seed, bundled)["cfg"],
-                        gen.batch_inputs(seed, bundled)["cfg"]]
-        texts = [default_config_path().read_text(encoding="utf-8"),
-                 *map(gen.to_yaml, configs)]
-        for text in texts:
-            assert not _may_nest_deeper(text, _MAX_DEPTH)
-
-    @given(document=DOCUMENTS, flow=st.sampled_from([None, True, False]),
-           indent=st.integers(2, 5), width=st.integers(20, 60),
-           line_break=st.sampled_from(["\n", "\r", "\r\n", "\x85", "\u2028"]))
-    def test_cheap_bound_is_never_below_the_depth(self, document, flow, indent, width,
-                                                  line_break):
-        text = yaml.safe_dump(document, default_flow_style=flow, indent=indent,
-                              width=width).replace("\n", line_break)
-        depth = nesting(text)
-        for limit in range(depth):
-            assert _may_nest_deeper(text, limit)
 
 # every key of every section set, so each one can be broken or removed alone
 FULL = {

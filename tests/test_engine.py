@@ -592,7 +592,7 @@ def year_by_year_oracle(scenario, params, state0):
         if not 0 < robotics < math.inf:
             raise DomainError(f"robotics_growth compounds the robotics stock to "
                               f"{robotics} by {year}, outside the float range")
-        if tfp == math.inf:
+        if not tfp < math.inf:
             raise DomainError(f"robotics_growth compounds TFP to {tfp} by {year} "
                               f"through tfp_enabled, outside the float range")
         if overflow is None and tfp * robotics == math.inf:
@@ -671,6 +671,8 @@ def pass_case(n_years=82, growth=0.05, theta=StaticTheta(0.5), tfp_enabled=False
 OVERFLOWS = {
     "the robotics stock to inf by 2096": pass_case(growth=1e4),
     "TFP to inf by 2096": pass_case(growth=10.0, tfp_enabled=True, boost=10.0),
+    # 100 * 1e307 is inf, and a boost of 0 times it a NaN
+    "TFP to nan by 2019": pass_case(n_years=1, growth=1e307, tfp_enabled=True, boost=0.0),
     "TFP times the robotics stock to the power 0.6 to inf by 2022": pass_case(
         n_years=4, growth=5e3, theta=StaticTheta(0.6), tfp=1e300, capital=1e-300),
     "output at baseline labor to inf by 2021": pass_case(
@@ -727,8 +729,6 @@ class TestTerminalProof:
     # the stock overflows TFP times it to the power theta in 2019, then falls back
     @example(inputs=pass_case(n_years=6, growth=(1e20,) + (-0.999999,) * 5,
                               theta=StaticTheta(0.6), tfp=1e300))
-    # 100 * 1e300 is inf, and 0.0 * inf a NaN TFP
-    @example(inputs=pass_case(growth=1e300, tfp_enabled=True, boost=0.0, robotics=1e-300))
     def test_pass_matches_the_year_by_year_pass(self, inputs):
         assert (pass_outcome(_effective_params, *inputs)
                 == pass_outcome(year_by_year_oracle, *inputs))
