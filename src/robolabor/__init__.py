@@ -18,15 +18,20 @@ sector outcome for a run with the same terminal rate and baseline.
 the module itself, is first looked up on the package (``robolabor.run_scenario``,
 ``from robolabor import *``), and binds that name on the package, so every
 later lookup is a plain attribute read. A command-line run therefore loads
-only the modules its command uses. Which modules are loaded, and when,
-changes no result.
+only the modules its command uses; ``robolabor.cli`` resolves the names its
+commands call, and those a tracer wraps on it, the same lazy way. Which
+modules are loaded, and when, changes no result.
+
+``_EXPORTS`` is the one list of public names: the loader must know which
+module holds a name without importing it, and each module's ``__all__`` is
+its entry there.
 """
 
 import sys
 
 __version__ = "0.1.0"
 
-# each module's public names, as its own __all__ lists them
+# each module's public names: the one list, which each module takes as its __all__
 _EXPORTS = {
     "core": ("EconomyState", "StaticTheta", "ThetaRamp", "ThetaMode", "ModelParams",
              "production_output", "robotics_output_gain", "labor_demand_ratio", "theta_at",

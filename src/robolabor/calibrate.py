@@ -21,17 +21,14 @@ import math
 from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
+from . import _EXPORTS
 from .core import (EconomyState, ModelParams, StaticTheta, _with_field, production_output,
                    theta_at)
 from .engine import Scenario, _leaves_labor, _resolved, _terminal_metric
 from .errors import (CalibrationError, MaxIterationsError, NoSignChangeError,
                      UnattainableTargetError, _require)
 
-__all__ = [
-    "SolverConfig", "CalibrationReport", "SUPPORTED_PAIRS", "calibrate_scenario",
-    "bisect", "solve_tfp_level", "implied_theta", "implied_sigma", "implied_exposure",
-    "implied_cost_ratio", "implied_robotics_growth",
-]
+__all__ = _EXPORTS["calibrate"]
 
 @dataclass(frozen=True)
 class SolverConfig:

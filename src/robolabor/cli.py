@@ -9,11 +9,13 @@ Each command imports only the modules it runs. Every command loads its
 config, and so ``config``, ``core``, ``engine``, ``errors`` and ``sectors``,
 which this module imports at its top. A command looks the other names it
 calls up on this module when it starts; this module's ``__getattr__``
-(PEP 562) takes each from the package, which imports the name's module on
-first use. So ``simulate`` adds ``report``, ``sensitivity`` adds
-``sensitivity`` and ``report``, ``calibrate`` adds ``calibrate``, and
-``validate`` adds nothing. A name wrapped on this module, as a tracer
-does, is called as wrapped.
+(PEP 562) takes any public name of the package from the package, which
+imports the name's module on first use. The package's ``_EXPORTS`` is the
+one list of those names, and each module's ``__all__`` is its entry. So
+``simulate`` adds ``report``, ``sensitivity`` adds ``sensitivity`` and
+``report``, ``calibrate`` adds ``calibrate``, and ``validate`` adds
+nothing. A name wrapped on this module, as a tracer does, is called as
+wrapped: that is why names resolve here rather than in each command.
 
 Exit codes: 0 success, 1 config validation failure, 2 domain or solver
 error, 64 usage error. Human-readable diagnostics go to stderr; data goes
@@ -38,21 +40,14 @@ EXIT_VALIDATION = 1
 EXIT_DOMAIN = 2
 EXIT_USAGE = 64
 
-# the names the commands import on their first call, and bisect, solve_tfp_level
-# and the implied_* names, which no command calls but perfbench/spans.py wraps
-# here when it traces a CLI run
-_LATE = frozenset({
-    "build_output_bundle", "summary_table", "write_outputs", "write_sensitivity_csv",
-    "default_specs", "one_at_a_time", "SUPPORTED_PAIRS", "calibrate_scenario",
-    "bisect", "solve_tfp_level", "implied_theta", "implied_sigma", "implied_exposure",
-    "implied_cost_ratio",
-})
-
-
 def __getattr__(name):
-    if name not in _LATE:
+    # any of the package's public names: the ones the commands import on their
+    # first call, and bisect, solve_tfp_level and the implied_* names, which no
+    # command calls but perfbench/spans.py wraps here when it traces a CLI run
+    package = sys.modules[__package__]
+    if name not in package._MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(sys.modules[__package__], name)  # the package imports its module
+    value = getattr(package, name)  # the package imports its module
     globals()[name] = value
     return value
 

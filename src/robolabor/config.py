@@ -29,6 +29,7 @@ from typing import Any, Callable, Union, get_args, get_origin
 
 import yaml
 
+from . import _EXPORTS
 from .core import EconomyState, ModelParams, StaticTheta, ThetaMode, ThetaRamp
 from .engine import Scenario, _effective_params
 from .errors import ConfigError, DomainError, _require
@@ -42,13 +43,7 @@ from .sectors import (
     _Table,
 )
 
-__all__ = [
-    "OutputOptions",
-    "RunConfig",
-    "load_config",
-    "loads_config",
-    "default_config_path",
-]
+__all__ = _EXPORTS["config"]
 
 _FORMATS = ("csv", "json")
 
@@ -67,7 +62,8 @@ _KEY_TAGS = frozenset((_MERGE, _TAGS + "value"))
 # bundled config nests 4 deep): the most the builder's stack ever holds
 _MAX_DEPTH = 200
 
-# a map's key slot before a key and after "<<"; an anchor while its node is built
+# a map's key slot before a key and after "<<" (the value an anchored "<<"
+# holds); an anchor while its node is built
 _NO_KEY, _MERGE_KEY, _BUILDING = object(), object(), object()
 
 
@@ -162,10 +158,7 @@ class _OnePass:
                     value = event.value
                 elif (tag in _KEY_TAGS and top is not None and top[1] is _NO_KEY
                       and type(top[0]) is dict):
-                    if tag == _MERGE:
-                        top[1] = _MERGE_KEY
-                        continue
-                    value = event.value
+                    value = _MERGE_KEY if tag == _MERGE else event.value
                 else:
                     node = ScalarNode(tag, event.value, mark, event.end_mark)
                     value = (constructors[tag](self, node) if tag in _SCALAR_TAGS
@@ -175,6 +168,10 @@ class _OnePass:
             if top is None:  # the root is built
                 break
             items, key = top[0], top[1]
+            if value is _MERGE_KEY and (type(items) is list
+                                        or key is not _NO_KEY and key is not _MERGE_KEY):
+                # an alias to an anchored "<<" merges only in a map's key slot
+                raise _fault(f"could not determine a constructor for the tag {_MERGE!r}", mark)
             if type(items) is list:
                 items.append(value)
             elif key is _NO_KEY:

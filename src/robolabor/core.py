@@ -23,20 +23,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
+from . import _EXPORTS
 from .errors import DomainError, _require
 
-__all__ = [
-    "EconomyState",
-    "StaticTheta",
-    "ThetaRamp",
-    "ThetaMode",
-    "ModelParams",
-    "production_output",
-    "robotics_output_gain",
-    "labor_demand_ratio",
-    "theta_at",
-    "tfp_step",
-]
+__all__ = _EXPORTS["core"]
 
 YEAR_MIN = 2019
 YEAR_MAX = 2100

@@ -53,6 +53,7 @@ import re
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
+from . import _EXPORTS
 from .core import (
     EconomyState,
     ModelParams,
@@ -84,17 +85,7 @@ from .sectors import (
     displacement_headcounts,
 )
 
-__all__ = [
-    "SimulationMode",
-    "TargetSet",
-    "RawShocks",
-    "Scenario",
-    "YearRecord",
-    "ResultSummary",
-    "TargetGap",
-    "SimulationResult",
-    "run_scenario",
-]
+__all__ = _EXPORTS["engine"]
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_-]+$")
 

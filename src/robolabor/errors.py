@@ -7,16 +7,9 @@ the CLI exit codes (1 for bad input files, 2 for bad numbers).
 
 from __future__ import annotations
 
-__all__ = [
-    "ModelError",
-    "DomainError",
-    "ValidationError",
-    "ConfigError",
-    "CalibrationError",
-    "NoSignChangeError",
-    "MaxIterationsError",
-    "UnattainableTargetError",
-]
+from . import _EXPORTS
+
+__all__ = _EXPORTS["errors"]
 
 
 class ModelError(Exception):

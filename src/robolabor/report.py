@@ -31,6 +31,7 @@ from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+from . import _EXPORTS
 from .config import _FORMATS, RunConfig
 from .engine import ResultSummary, SimulationResult, TargetGap, YearRecord
 from .sectors import HeadcountBreakdown
@@ -38,14 +39,7 @@ from .sectors import HeadcountBreakdown
 if TYPE_CHECKING:
     from .sensitivity import SensitivityRecord
 
-__all__ = [
-    "OutputBundle",
-    "build_output_bundle",
-    "write_outputs",
-    "write_sensitivity_csv",
-    "summary_table",
-    "format_number",
-]
+__all__ = _EXPORTS["report"]
 
 # 12 significant digits, for CSV cells and JSON numbers alike
 _NUMBER_FORMAT = ".12g"

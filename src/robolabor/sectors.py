@@ -20,22 +20,11 @@ from itertools import accumulate
 from operator import itemgetter, mul
 from typing import Iterable, Mapping, Sequence, Union
 
+from . import _EXPORTS
 from .core import _filled
 from .errors import DomainError, UnattainableTargetError, _require
 
-__all__ = [
-    "Readiness",
-    "SectorProfile",
-    "LaborBaseline",
-    "HeadcountBreakdown",
-    "JobCreationRatio",
-    "JobCreationRamp",
-    "JobCreationModel",
-    "disaggregate_displacement",
-    "displacement_headcounts",
-    "remittance_impact",
-    "job_creation",
-]
+__all__ = _EXPORTS["sectors"]
 
 # employment-weighted sector rates must recover the national rate this closely
 MEAN_TOLERANCE = 1e-9

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
+from . import _EXPORTS
 from .core import EconomyState, ModelParams, StaticTheta, ThetaRamp, _with_field
 # one_at_a_time makes no full run; run_scenario stays imported because the
 # benchmark's tracer (perfbench/spans.py) counts a tornado's engine runs by
@@ -29,15 +30,7 @@ from .engine import (Scenario, _effective_params, _side_checked, _terminal_metri
 from .errors import ModelError, _require
 from .sectors import LaborBaseline, SectorProfile
 
-__all__ = [
-    "PARAMETERS",
-    "METRICS",
-    "PerturbationSpec",
-    "SensitivityRecord",
-    "default_specs",
-    "one_at_a_time",
-    "elasticity_fd",
-]
+__all__ = _EXPORTS["sensitivity"]
 
 
 class _Parameter(NamedTuple):

@@ -496,7 +496,9 @@ class YamlText:
 
     Anchors are set only on nodes already written, so no alias is recursive.
     A merge source is an alias, a list of aliases, or an anchored map written
-    in place that itself merges a map and states one of its keys again.
+    in place that itself merges a map and states one of its keys again. A
+    ``<<`` key may be anchored, and a later map may name it by an alias as
+    its own merge key.
     With ``repeat``, one map states one of its keys a second time, and
     ``repeated`` holds that key and its 0-based line and column.
     """
@@ -504,6 +506,7 @@ class YamlText:
     def __init__(self, draw, repeat):
         self.draw, self.repeat = draw, repeat
         self.lines, self.anchors, self.maps = [], [], {}  # maps: anchor -> own keys
+        self.merge_keys = []  # the anchors set on "<<" keys
         self.repeated = None
         self.mapping(0, depth=3)
         if repeat and self.repeated is None:  # no map drew the repeat: the root does
@@ -540,6 +543,17 @@ class YamlText:
             if kind == "map":
                 self.maps[anchor] = keys
 
+    def merge_key(self):
+        """A ``<<`` key, maybe anchored, or an alias to one written before."""
+        kinds = ["plain", "anchored"] + ["alias"] * bool(self.merge_keys)
+        kind = self.draw(st.sampled_from(kinds))
+        if kind == "alias":
+            return f"*{self.draw(st.sampled_from(self.merge_keys))} "
+        if kind == "plain":
+            return "<<"
+        self.merge_keys.append(f"m{len(self.lines)}")
+        return f"&{self.merge_keys[-1]} <<"
+
     def mapping(self, indent, depth, source=None):
         """Write a block map at ``indent``; return its own keys. A map given a
         ``source`` merges that map and states one of its keys again."""
@@ -548,7 +562,7 @@ class YamlText:
                  else self.draw(st.sampled_from(["none", "alias", "inline"])) if self.maps
                  else "none")
         if merge == "source":
-            self.lines.append(f"{' ' * indent}<<: *{source}")
+            self.lines.append(f"{' ' * indent}{self.merge_key()}: *{source}")
             override = self.draw(st.sampled_from(self.maps[source]))
             if override not in keys:
                 keys[self.draw(st.integers(0, len(keys) - 1))] = override
@@ -557,12 +571,12 @@ class YamlText:
                                          max_size=2, unique=True))
             merge = (f"*{sources[0]}" if len(sources) == 1
                      else "[" + ", ".join(f"*{name}" for name in sources) + "]")
-            self.lines.append(f"{' ' * indent}<<: {merge}")
+            self.lines.append(f"{' ' * indent}{self.merge_key()}: {merge}")
         elif merge == "inline" and depth > 0:
             # PyYAML's flatten_mapping rewrites this map in place when it
             # flattens the map that merges it; an alias may build it later
             anchor = f"n{len(self.lines)}"
-            self.lines.append(f"{' ' * indent}<<: &{anchor}")
+            self.lines.append(f"{' ' * indent}{self.merge_key()}: &{anchor}")
             inner = self.mapping(indent + 2, depth - 1,
                                  self.draw(st.sampled_from(list(self.maps))))
             self.anchors.append(anchor)
@@ -710,8 +724,10 @@ class TestLoaders:
          "expected a mapping or list of mappings for merging, but found scalar"),
         ("a: {<<: [1, 2]}\n", 1, 9, "expected a mapping for merging, but found scalar"),
         ("a: {[1]: 2}\n", 1, 5, "found unhashable key"),
+        ("a: {&m <<: {x: 1}}\nb: *m\n", 1, 5,
+         "could not determine a constructor for the tag 'tag:yaml.org,2002:merge'"),
     ], ids=["two_documents", "undefined_alias", "duplicate_anchor", "scalar_merge",
-            "scalar_list_merge", "unhashable_key"])
+            "scalar_list_merge", "unhashable_key", "merge_key_as_value"])
     def test_stream_faults_are_invalid_yaml(self, loader, text, line, column, problem,
                                             monkeypatch):
         # the composer's rules and the merge rules, each in the pure-Python

@@ -41,6 +41,12 @@ def test_each_name_is_its_module_object():
             assert getattr(robolabor, name) is getattr(module, name), name
 
 
+def test_each_module_all_is_its_export_table_entry():
+    # the package's table is the one declaration: no module restates it
+    for name, names in robolabor._EXPORTS.items():
+        assert getattr(robolabor, name).__all__ is names, name
+
+
 SUBMODULES = [module.__name__.rpartition(".")[2] for module in MODULES]
 
 
