@@ -34,6 +34,12 @@ terminal displacement rate and baseline as the table's last run copies that
 run's sector rates and headcounts instead of computing them again. A run
 with no table, or with a plain sequence, computes them.
 
+Given a base's record and the one field a tornado side changes,
+``_effective_params`` re-runs only the stage that ``_STAGE_OF`` names for
+that field: the terminal labour check, the theta stage or the compounding
+of the stocks. A theta or stock stage is followed by the terminal proof;
+the other stages' values are the base's.
+
 A caller that reads only terminal metrics calls ``_terminal_metric``.
 ``Scenario._CHECKS`` lists each check with the fields it reads: all run in
 ``__post_init__``, and those that read one field in ``core._with_field``.
@@ -332,10 +338,18 @@ def _leaves_labor(state0: EconomyState, cost_ratio: float, sigma: float,
     return ratio if state0.labor * ratio > 0 else 0.0
 
 
-# the Scenario and ModelParams fields that, of all the checks and the
-# compounding pass, only _terminal_labor reads
-_LABOR_ONLY_FIELDS = frozenset(
-    ("sigma", "sigma_override", "exposure_share", "exposure_override", "cost_ratio_path"))
+# each Scenario and ModelParams field a tornado side changes, with the one
+# stage of _effective_params that reads it: the labour stage is
+# _terminal_labor, the theta stage the alpha + theta checks, the schedule and
+# state0's output at each theta, and the stock stage the compounding loop
+_LABOR, _THETA, _STOCKS = "labour", "theta", "stocks"
+_STAGE_OF = {
+    "sigma": _LABOR, "sigma_override": _LABOR, "exposure_share": _LABOR,
+    "exposure_override": _LABOR, "cost_ratio_path": _LABOR,
+    "alpha": _THETA, "theta": _THETA, "theta_override": _THETA,
+    "robotics_growth": _STOCKS, "tfp_boost_per_adoption_pct": _STOCKS,
+}
+_LABOR_ONLY_FIELDS = frozenset(name for name, stage in _STAGE_OF.items() if stage is _LABOR)
 
 
 class _Checked(NamedTuple):
@@ -381,8 +395,8 @@ def _terminal_labor(scenario: Scenario, state0: EconomyState, sigma: float,
     return ratio
 
 
-def _effective_params(scenario: Scenario, params: ModelParams,
-                      state0: EconomyState) -> _Checked:
+def _effective_params(scenario: Scenario, params: ModelParams, state0: EconomyState,
+                      base: _Checked | None = None, field: str | None = None) -> _Checked:
     """Resolve the scenario overrides; prove every simulated year in-domain.
 
     Every value of the theta schedule must keep ``alpha + theta < 1``, and
@@ -407,37 +421,57 @@ def _effective_params(scenario: Scenario, params: ModelParams,
     that proof fails, or a growth entry is negative, :func:`_locate_failure`
     walks the horizon year by year to raise the first failure's error.
 
-    :func:`_side_checked` states which of these a one-field copy may reuse.
+    ``base``, where given, is this function's record for inputs that differ
+    from these in ``field`` alone, as a tornado side's do. Then only the
+    stage that :data:`_STAGE_OF` names for ``field`` runs, and the others'
+    values are ``base``'s: they read nothing that differs, and ``base``
+    passed their checks. A theta or stock stage is followed by the proof
+    from the terminal stocks and the raw gain, which read both; a labour
+    stage is not, since neither reads the labour ratio.
     """
+    stage = None if base is None else _STAGE_OF[field]
     sigma, theta_mode, exposure = _resolved(scenario, params)
-    for value in _theta_extremes(theta_mode):
-        _require(params.alpha + value < 1,
-                 "alpha + theta must stay below 1, got {} + {}", params.alpha, value)
-    thetas = _theta_schedule(theta_mode, scenario.n_years)
-    # the first theta through the checked helper, which also checks alpha;
-    # the others through its product alone: ThetaRamp checked their range
     alpha = params.alpha
-    first, *others = dict.fromkeys(thetas)
-    base_by_theta = {first: production_output(state0, alpha, first)}
-    for theta in others:
-        base_by_theta[theta] = _cobb_douglas(state0, alpha, theta)
-    # positive, finite factors give no NaN, so the extremes decide
-    base_low = min(base_by_theta.values())
-    if not (0 < base_low and max(base_by_theta.values()) < math.inf):
-        for theta, base in base_by_theta.items():
-            _require(0 < base < math.inf, "initial_state gives output {} at theta {}, "
-                     "which must be positive and finite", base, theta)
-    ratio = _terminal_labor(scenario, state0, sigma, exposure)
-    # compound exactly as run_scenario does, so the terminal stocks are its own
-    growth, boost = scenario.growth_path(), params.tfp_boost_per_adoption_pct
-    robotics, tfp = state0.robotics, state0.tfp
-    if scenario.tfp_enabled:
-        for g_t in growth:
-            robotics = robotics * (1.0 + g_t)
-            tfp = tfp * (1.0 + boost * (100.0 * g_t))
+    if stage is None or stage is _THETA:
+        for value in _theta_extremes(theta_mode):
+            _require(alpha + value < 1,
+                     "alpha + theta must stay below 1, got {} + {}", alpha, value)
+        thetas = _theta_schedule(theta_mode, scenario.n_years)
+        # the first theta through the checked helper, which also checks alpha;
+        # the others through its product alone: ThetaRamp checked their range
+        first, *others = dict.fromkeys(thetas)
+        base_by_theta = {first: production_output(state0, alpha, first)}
+        for theta in others:
+            base_by_theta[theta] = _cobb_douglas(state0, alpha, theta)
+        # positive, finite factors give no NaN, so the extremes decide
+        base_low = min(base_by_theta.values())
+        if not (0 < base_low and max(base_by_theta.values()) < math.inf):
+            for theta, output in base_by_theta.items():
+                _require(0 < output < math.inf, "initial_state gives output {} at theta {}, "
+                         "which must be positive and finite", output, theta)
     else:
-        for g_t in growth:
-            robotics = robotics * (1.0 + g_t)
+        thetas, base_by_theta = base.thetas, base.base_by_theta
+        base_low = min(base_by_theta.values())
+    if stage is None or stage is _LABOR:
+        ratio = _terminal_labor(scenario, state0, sigma, exposure)
+        if stage is _LABOR:
+            return _Checked(sigma, thetas, base_by_theta, exposure, ratio, base.tfp,
+                            base.robotics, base.gain, base.raw_gain)
+    else:
+        ratio = base.ratio
+    growth, boost = scenario.growth_path(), params.tfp_boost_per_adoption_pct
+    if stage is None or stage is _STOCKS:
+        # compound exactly as run_scenario does, so the terminal stocks are its own
+        robotics, tfp = state0.robotics, state0.tfp
+        if scenario.tfp_enabled:
+            for g_t in growth:
+                robotics = robotics * (1.0 + g_t)
+                tfp = tfp * (1.0 + boost * (100.0 * g_t))
+        else:
+            for g_t in growth:
+                robotics = robotics * (1.0 + g_t)
+    else:
+        robotics, tfp = base.robotics, base.tfp
     # gdp_gain, the terminal year's channel gain: robotics stock and TFP
     # moved, labor held at baseline
     gain = (tfp / state0.tfp) * (robotics / state0.robotics) ** thetas[-1] - 1.0
@@ -519,20 +553,6 @@ def _locate_failure(scenario: Scenario, params: ModelParams, state0: EconomyStat
                           f"by {gain_overflow}, outside the float range")
 
 
-def _side_checked(base: _Checked, field: str, scenario: Scenario, params: ModelParams,
-                  state0: EconomyState) -> _Checked:
-    """``_effective_params(scenario, params, state0)`` for inputs that differ
-    in ``field`` alone from those that gave ``base``, as a tornado side's do.
-    For a field in :data:`_LABOR_ONLY_FIELDS` (sigma, the exposure share,
-    the cost path and their overrides), only :func:`_terminal_labor` runs."""
-    if field not in _LABOR_ONLY_FIELDS:
-        return _effective_params(scenario, params, state0)
-    sigma, _, exposure = _resolved(scenario, params)
-    return _Checked(sigma, base.thetas, base.base_by_theta, exposure,
-                    _terminal_labor(scenario, state0, sigma, exposure),
-                    base.tfp, base.robotics, base.gain, base.raw_gain)
-
-
 def _terminal_metric(metric: str, scenario: Scenario, params: ModelParams,
                      state0: EconomyState,
                      sectors: Sequence[SectorProfile] | None = None,
@@ -549,7 +569,7 @@ def _terminal_metric(metric: str, scenario: Scenario, params: ModelParams,
     :class:`UnattainableTargetError`.
 
     ``checked`` is what ``_effective_params`` gives for exactly these
-    inputs (:func:`_side_checked` gives a tornado side's), computed here
+    inputs (given its base's record, a tornado side's), computed here
     when not given; none of its checks runs again.
     """
     if checked is None:

@@ -3,9 +3,12 @@
 Each listed parameter is perturbed multiplicatively around its scenario
 value while everything else stays put, the chosen result metric is
 evaluated again, and its swing is recorded. Nothing runs in full: each
-metric is evaluated alone by ``engine._terminal_metric``; ``_side_checked``
-says what a side reuses of its base. Records come back in tornado order:
-largest absolute swing first, failed perturbations last, names breaking ties.
+metric is evaluated alone by ``engine._terminal_metric``. A side re-runs
+only the stage of ``engine._effective_params`` that reads its field
+(``engine._STAGE_OF``: the terminal labour, the theta schedule or the
+compounded stocks) and reuses its base's record for the rest. Records come
+back in tornado order: largest absolute swing first, failed perturbations
+last, names breaking ties.
 
 A parameter is scaled where the run reads it: the scenario's override when
 one is set, otherwise the model parameter. A shock path scales every entry
@@ -25,7 +28,7 @@ from .core import EconomyState, ModelParams, StaticTheta, ThetaRamp, _with_field
 # one_at_a_time makes no full run; run_scenario stays imported because the
 # benchmark's tracer (perfbench/spans.py) counts a tornado's engine runs by
 # wrapping this name
-from .engine import (Scenario, _effective_params, _side_checked, _terminal_metric,
+from .engine import (_LABOR_ONLY_FIELDS, Scenario, _effective_params, _terminal_metric,
                      run_scenario)
 from .errors import ModelError, _require
 from .sectors import LaborBaseline, SectorProfile
@@ -125,10 +128,13 @@ def _scaled(value, factor: float, field: str):
     if isinstance(value, ThetaRamp):
         return ThetaRamp(start=value.start * factor, end=value.end * factor,
                          ramp_years=value.ramp_years)
-    deviation = field == "cost_ratio_path"
+    if field == "cost_ratio_path":
+        if isinstance(value, tuple):
+            return tuple([1.0 + (v - 1.0) * factor for v in value])
+        return 1.0 + (value - 1.0) * factor
     if isinstance(value, tuple):
-        return tuple(1.0 + (v - 1.0) * factor if deviation else v * factor for v in value)
-    return 1.0 + (value - 1.0) * factor if deviation else value * factor
+        return tuple([v * factor for v in value])
+    return value * factor
 
 
 def _first(value) -> float:
@@ -155,14 +161,19 @@ def one_at_a_time(scenario: Scenario, params: ModelParams, state0: EconomyState,
 
     No scenario runs in full: the base and each side evaluate only their
     metrics, by ``engine._terminal_metric``, on the base's record checked
-    once or a side's from ``engine._side_checked``. A side changes one
-    field of the scenario or the parameters and runs only the checks that
-    read that field, which raise what ``dataclasses.replace`` would. A
-    perturbation that violates a domain constraint, or whose national rate
-    the sector table cannot split, produces a record with the error message
-    instead of aborting the whole analysis. Records come back in tornado
-    order; an empty ``specs`` gives no records and evaluates nothing.
-    ``baseline`` is not read: no tornado metric reads headcounts.
+    once or a side's. A side changes one field of the scenario or the
+    parameters and runs only the checks that read that field, which raise
+    what ``dataclasses.replace`` would. Its record comes from
+    ``engine._effective_params`` given the base's record and that field,
+    which re-runs only the field's stage, with the terminal proof after a
+    theta or stock stage. Only a labour side (sigma, the exposure share or
+    the cost ratio) moves the national rate, so only a labour side splits
+    it over ``sectors``; the others keep the rate whose split the base
+    checked. A perturbation that violates a domain constraint, or whose
+    national rate the sector table cannot split, produces a record with the
+    error message instead of aborting the whole analysis. Records come back
+    in tornado order; an empty ``specs`` gives no records and evaluates
+    nothing. ``baseline`` is not read: no tornado metric reads headcounts.
     """
     if specs is None:
         specs = default_specs()
@@ -177,6 +188,7 @@ def one_at_a_time(scenario: Scenario, params: ModelParams, state0: EconomyState,
     for spec in specs:
         holder, field = _holder(spec.parameter, scenario, params)
         value = getattr(holder, field)
+        side_sectors = sectors if field in _LABOR_ONLY_FIELDS else None
         base_value = _first(value)
         base_metric = base_metrics[spec.metric]
         side_values: list[float] = []
@@ -187,9 +199,9 @@ def one_at_a_time(scenario: Scenario, params: ModelParams, state0: EconomyState,
             try:
                 changed = _with_field(holder, field, _scaled(value, factor, field))
                 inputs = (changed, params) if holder is scenario else (scenario, changed)
-                side_results.append(_terminal_metric(spec.metric, *inputs, state0, sectors,
-                                                     _side_checked(checked, field, *inputs,
-                                                                   state0)))
+                side_results.append(_terminal_metric(
+                    spec.metric, *inputs, state0, side_sectors,
+                    _effective_params(*inputs, state0, checked, field)))
             except ModelError as exc:
                 side = "low" if factor < 1 else "high"
                 message = f"{side} perturbation invalid: {exc}"

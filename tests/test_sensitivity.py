@@ -51,20 +51,33 @@ def by_parameter(records):
 class TestOneAtATime:
     def test_terminal_labor_runs_once_per_checked_record(self, cfg, params, state0,
                                                          baseline, sectors, monkeypatch):
-        # once for the base, whatever its metrics, and once for each side
+        # once for the base, whatever its metrics, and once for each side of
+        # sigma, the cost ratio and the exposure share: no other side moves it
         calls = []
         terminal_labor = engine_module._terminal_labor
         monkeypatch.setattr(engine_module, "_terminal_labor",
                             lambda *args: calls.append(args) or terminal_labor(*args))
         one_at_a_time(cfg.scenario("baseline"), params, state0, baseline,
                       default_specs(0.10), sectors)
-        assert len(calls) == 1 + 2 * len(PARAMETERS) == 15
+        assert len(calls) == 1 + 2 * 3 == 7
 
-    @pytest.mark.parametrize("name, calls", [("baseline", 15), ("staged_adoption", 13)])
+    def test_theta_schedule_runs_once_per_theta_stage(self, cfg, params, state0, baseline,
+                                                      sectors, monkeypatch):
+        # once for the base and once for each side of alpha and theta
+        calls = []
+        schedule = engine_module._theta_schedule
+        monkeypatch.setattr(engine_module, "_theta_schedule",
+                            lambda *args: calls.append(args) or schedule(*args))
+        one_at_a_time(cfg.scenario("baseline"), params, state0, baseline,
+                      default_specs(0.10), sectors)
+        assert len(calls) == 1 + 2 * 2 == 5
+
+    @pytest.mark.parametrize("name, calls", [("baseline", 7), ("staged_adoption", 6)])
     def test_base_checks_the_split_once(self, cfg, params, state0, baseline, sectors,
                                         monkeypatch, name, calls):
-        # once for the base, whatever its metrics, and once for each side that
-        # passes its checks: staged_adoption's high theta and exposure sides fail
+        # once for the base, whatever its metrics, and once for each side of
+        # sigma, the cost ratio and the exposure share that passes its checks:
+        # staged_adoption's high exposure side fails. No other side moves the rate
         counted = []
         split_fits = engine_module._split_fits
         monkeypatch.setattr(engine_module, "_split_fits",
@@ -441,21 +454,49 @@ class TestTerminalMetric:
         assert min(seen.values()) > 0, seen
 
     def test_reused_side_equals_the_full_run(self, config, full_metric):
-        """A sigma, cost-ratio or exposure side that reuses its base's
-        compounding pass gives every metric as a full run of the side does."""
+        """A side whose record re-runs only its field's stage of
+        ``_effective_params`` on its base's record, and that splits its rate
+        only where its field is a labour field, as a tornado's side does,
+        gives every metric as a full run of the side does, or its error."""
         wide = _tight_wide_table()
         base = config.scenario("baseline")
+        state0 = config.initial_state
         # the base keeps 1.5**-80, about 8e-15, of the workforce; sigma 20%
         # higher keeps none
         edge = replace(base, name="edge", sigma_override=80.0, exposure_override=1.0,
                        cost_ratio_path=1.5)
         # a creation ratio that overflows once 5% more workers are displaced
-        displaced = config.initial_state.labor * run_scenario(
-            base, config.params, config.initial_state, config.baseline).summary.displacement_rate
+        displaced = state0.labor * run_scenario(
+            base, config.params, state0, config.baseline).summary.displacement_rate
         jobs = replace(base, name="jobs",
                        job_creation_model=JobCreationRatio(sys.float_info.max / displaced / 1.05))
-        scenarios = [*config.scenarios, edge, jobs]
-        seen = {"value": 0, "split": 0, "workforce": 0, "job_creation": 0, "unattainable": 0}
+        # a raw gain of about 1.2e308 under the spillover: theta 20% higher
+        # or the boost 90% higher overflows it
+        raw = replace(base, name="raw", tfp_enabled=True,
+                      raw_shocks=RawShocks(robotics_growth=7e205))
+        params = config.params
+        cases = [*((scenario, params, state0)
+                   for scenario in (*config.scenarios, edge, jobs, raw)),
+                 # a model theta below the scenario's, so that alpha 90% higher
+                 # passes the parameters' own check and breaches alpha + theta
+                 # only at the scenario's theta
+                 (base, replace(params, theta=StaticTheta(0.3)), state0),
+                 # over a tiny initial stock, 45 years of growth 6e6 raise the
+                 # stock about 1e306-fold: growth 20% higher overflows that
+                 # ratio, which the gain divides by, as the year-by-year pass finds
+                 (replace(base, name="tiny", mode=SimulationMode.DYNAMIC, horizon=(2026, 2070),
+                          robotics_growth=6e6), params, replace(state0, robotics=1e-300)),
+                 # TFP 1e300 times the stock 5e3**4 to the power 0.5 stays
+                 # finite, to the power 0.6 does not; the tiny capital keeps
+                 # the output bound finite
+                 (replace(base, name="huge", mode=SimulationMode.DYNAMIC, horizon=(2026, 2029),
+                          robotics_growth=5e3), params,
+                  replace(state0, tfp=1e300, capital=1e-300))]
+        seen = dict.fromkeys(("value", "split", "workforce", "job_creation", "unattainable",
+                              "alpha + theta on alpha", "alpha + theta on theta",
+                              "alpha + theta on a theta ramp", "theta value", "stocks value",
+                              "stock overflow on theta", "stock overflow on robotics_growth",
+                              "raw gain on theta", "raw gain on tfp_boost"), 0)
 
         def outcome(call):
             try:
@@ -463,41 +504,56 @@ class TestTerminalMetric:
             except ModelError as exc:
                 return type(exc), str(exc)
 
-        for scenario, table in itertools.product(scenarios, (None, config.sectors, wide)):
-            inputs = (scenario, config.params, config.initial_state)
+        for (scenario, params, state), table in itertools.product(
+                cases, (None, config.sectors, wide)):
+            inputs = (scenario, params, state)
             try:
                 checked = engine_module._effective_params(*inputs)
+                engine_module._terminal_metric("displacement", *inputs, table, checked)
             except ModelError:
                 continue  # the tornado raises before any side
             for parameter, factor in itertools.product(
-                    ("sigma", "cost_ratio", "exposure_share"),
-                    (0.0, 0.1, 0.8, 1.0, 1.2, 1.9, 3.0)):
-                holder, field = sensitivity_module._holder(parameter, scenario, config.params)
-                assert field in engine_module._LABOR_ONLY_FIELDS
+                    PARAMETERS, (0.0, 0.1, 0.8, 1.0, 1.2, 1.9, 3.0)):
+                holder, field = sensitivity_module._holder(parameter, scenario, params)
+                stage = engine_module._STAGE_OF[field]
                 try:
                     changed = replace(holder, **{field: sensitivity_module._scaled(
                         getattr(holder, field), factor, field)})
                 except ModelError:
                     continue  # the side fails before either evaluation
-                side = ((changed, config.params) if holder is scenario
-                        else (scenario, changed)) + (config.initial_state,)
+                side = ((changed, params) if holder is scenario
+                        else (scenario, changed)) + (state,)
                 full = {metric: outcome(lambda: full_metric(
                             metric, run_scenario(*side, config.baseline, table)))
                         for metric in METRICS}
+                labour = field in engine_module._LABOR_ONLY_FIELDS
                 reused = {metric: outcome(lambda: engine_module._terminal_metric(
-                              metric, *side, table,
-                              engine_module._side_checked(checked, field, *side)))
+                              metric, *side, table if labour else None,
+                              engine_module._effective_params(*side, checked, field)))
                           for metric in METRICS}
                 assert reused == full, (scenario.name, parameter, factor)
                 rate = full["displacement"]
                 if isinstance(rate, str):
-                    seen["split" if table is wide else "value"] += 1
+                    seen["split" if labour and table is wide
+                         else "value" if labour else f"{stage} value"] += 1
                 elif rate[0] is UnattainableTargetError:
                     seen["unattainable"] += 1
-                else:
+                elif labour:
                     seen["workforce" if "whole workforce" in rate[1] else "job_creation"] += 1
-        # each outcome of the terminal-labour check and the split was reached
+                elif rate[1].startswith("alpha + theta"):
+                    ramp = isinstance(getattr(holder, field), ThetaRamp)
+                    seen[f"alpha + theta on {'a theta ramp' if ramp else parameter}"] += 1
+                else:
+                    kind = "raw gain" if rate[1].startswith("raw ") else "stock overflow"
+                    seen[f"{kind} on {parameter}"] += 1
+        # each outcome of each stage and of the split was reached
         assert min(seen.values()) > 0, seen
+
+    def test_every_tornado_field_has_a_stage(self):
+        fields = {name for params_field, scenario_field, _ in sensitivity_module._TABLE.values()
+                  for name in (params_field, scenario_field) if name is not None}
+        assert fields == set(engine_module._STAGE_OF)
+        assert engine_module._LABOR_ONLY_FIELDS < fields
 
 
 # every field, not only those a tornado side or a calibration step changes: a
