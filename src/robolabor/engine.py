@@ -23,10 +23,12 @@ before the first year, from the terminal stocks alone: it compounds the
 robotics stock and TFP to the horizon's end without a check, and where no
 growth entry is negative, neither stock falls, so bounds that hold at the
 terminal year hold in every year. Only where that proof fails, or a growth
-entry is negative, does ``_locate_failure`` check year by year, to raise
-the first failing year's error. The year loop is then unchecked
-arithmetic, and it must give the same floats as the public helpers of
-``core`` and ``sectors``.
+entry is negative, does ``_locate_failure`` walk the horizon, computing
+each year's values exactly, to raise the first failing year's error.
+Given a sector table, the pass last checks that the table splits the
+terminal national rate: its record proves that ``run_scenario`` does not
+raise. The year loop is then unchecked arithmetic, and it must give the same
+floats as the public helpers of ``core`` and ``sectors``.
 
 The engine keeps no process-global state. The one reuse is a one-slot memo
 on a config's compiled sector table: a run on that table with the same
@@ -37,10 +39,12 @@ with no table, or with a plain sequence, computes them.
 Given a base's record and the one field a tornado side changes,
 ``_effective_params`` re-runs only the stage that ``_STAGE_OF`` names for
 that field: the terminal labour check, the theta stage or the compounding
-of the stocks. A theta or stock stage is followed by the terminal proof;
-the other stages' values are the base's.
+of the stocks. A theta or stock stage is followed by the terminal proof,
+and a labour stage by the split check, since only it moves the national
+rate; the other stages' values are the base's.
 
-A caller that reads only terminal metrics calls ``_terminal_metric``.
+A caller that reads only terminal metrics reads them off that record with
+``_terminal_metric``.
 ``Scenario._CHECKS`` lists each check with the fields it reads: all run in
 ``__post_init__``, and those that read one field in ``core._with_field``.
 
@@ -349,7 +353,6 @@ _STAGE_OF = {
     "alpha": _THETA, "theta": _THETA, "theta_override": _THETA,
     "robotics_growth": _STOCKS, "tfp_boost_per_adoption_pct": _STOCKS,
 }
-_LABOR_ONLY_FIELDS = frozenset(name for name, stage in _STAGE_OF.items() if stage is _LABOR)
 
 
 class _Checked(NamedTuple):
@@ -396,8 +399,10 @@ def _terminal_labor(scenario: Scenario, state0: EconomyState, sigma: float,
 
 
 def _effective_params(scenario: Scenario, params: ModelParams, state0: EconomyState,
-                      base: _Checked | None = None, field: str | None = None) -> _Checked:
-    """Resolve the scenario overrides; prove every simulated year in-domain.
+                      base: _Checked | None = None, field: str | None = None,
+                      sectors: Sequence[SectorProfile] | None = None) -> _Checked:
+    """Resolve the scenario overrides; prove every simulated year in-domain,
+    and, given ``sectors``, that they split the terminal national rate.
 
     Every value of the theta schedule must keep ``alpha + theta < 1``, and
     ``state0``'s output at each must be positive and finite, since each
@@ -411,7 +416,9 @@ def _effective_params(scenario: Scenario, params: ModelParams, state0: EconomySt
     stays finite. The raw gain must be finite too; with the raw shocks' own
     rules it exceeds -1, and the raw displacement lies in [0, 1]. With the
     inputs' own rules, every precondition of the public helpers then holds
-    every year.
+    every year. Last, the split of the terminal rate ``1 - ratio`` over a
+    nonempty ``sectors`` must not raise: the record then proves that
+    ``run_scenario`` does not raise, and an error is the one it raises first.
 
     The stocks are compounded to the terminal year unchecked, and the
     horizon is proven from the terminal stocks alone: where no growth entry
@@ -422,12 +429,13 @@ def _effective_params(scenario: Scenario, params: ModelParams, state0: EconomySt
     walks the horizon year by year to raise the first failure's error.
 
     ``base``, where given, is this function's record for inputs that differ
-    from these in ``field`` alone, as a tornado side's do. Then only the
-    stage that :data:`_STAGE_OF` names for ``field`` runs, and the others'
-    values are ``base``'s: they read nothing that differs, and ``base``
-    passed their checks. A theta or stock stage is followed by the proof
-    from the terminal stocks and the raw gain, which read both; a labour
-    stage is not, since neither reads the labour ratio.
+    from these in ``field`` alone, as a tornado side's do, on the same
+    ``sectors``. Then only the stage that :data:`_STAGE_OF` names for
+    ``field`` runs, and the others' values are ``base``'s: they read nothing
+    that differs, and ``base`` passed their checks. A theta or stock stage
+    is followed by the proof from the terminal stocks and the raw gain,
+    which read both; a labour stage by the split check, the one check that
+    reads the labour ratio.
     """
     stage = None if base is None else _STAGE_OF[field]
     sigma, theta_mode, exposure = _resolved(scenario, params)
@@ -455,6 +463,8 @@ def _effective_params(scenario: Scenario, params: ModelParams, state0: EconomySt
     if stage is None or stage is _LABOR:
         ratio = _terminal_labor(scenario, state0, sigma, exposure)
         if stage is _LABOR:
+            if sectors:
+                _check_split(1.0 - ratio, sectors)
             return _Checked(sigma, thetas, base_by_theta, exposure, ratio, base.tfp,
                             base.robotics, base.gain, base.raw_gain)
     else:
@@ -476,9 +486,10 @@ def _effective_params(scenario: Scenario, params: ModelParams, state0: EconomySt
     # moved, labor held at baseline
     gain = (tfp / state0.tfp) * (robotics / state0.robotics) ** thetas[-1] - 1.0
     # the terminal year's stock, TFP times the stock (finite only where TFP
-    # is), the output bound of _locate_failure and the gain, each compared
-    # so that a NaN fails; where no entry is negative, every year's are at
-    # most these. Under tfp_enabled none is, and one year is its own terminal year
+    # is), a bound on the year's gain (its output at state0's labor, each power
+    # at most max(base, 1), over the lowest baseline output) and the gain, each
+    # compared so that a NaN fails; where no entry is negative, every year's
+    # are at most these. Under tfp_enabled none is, and one year is its own terminal year
     if not (0 < robotics < math.inf and tfp * robotics < math.inf and gain < math.inf
             and (tfp * state0.capital ** alpha * max(state0.labor, 1.0)
                  * (robotics if robotics > 1.0 else 1.0) / base_low < math.inf)
@@ -492,6 +503,8 @@ def _effective_params(scenario: Scenario, params: ModelParams, state0: EconomySt
         raw_gain = factor * (1.0 + g_raw) ** thetas[0] - 1.0
         _require(raw_gain < math.inf, "raw robotics_growth {} gives a raw gdp_gain of inf "
                  "through tfp_enabled, outside the float range", g_raw)
+    if sectors and stage is None:
+        _check_split(1.0 - ratio, sectors)
     return _Checked(sigma, thetas, base_by_theta, exposure, ratio, tfp, robotics, gain,
                     raw_gain)
 
@@ -503,17 +516,17 @@ def _locate_failure(scenario: Scenario, params: ModelParams, state0: EconomyStat
     :func:`_effective_params` could not prove from its terminal stocks;
     raise the error of the first year that fails, else return.
 
+    Each year's TFP times the stock to the power theta, output at
+    ``state0``'s labor and gain over ``state0`` are computed exactly.
     ``gain`` is the terminal ``gdp_gain``; a stock that leaves the range
     anywhere is reported before any other overflow.
     """
     alpha, boost = params.alpha, params.tfp_boost_per_adoption_pct
-    labor0 = state0.labor
-    labor_cap = max(labor0, 1.0)  # labor <= labor0, and x ** p <= max(x, 1) for p in (0, 1]
     robotics, tfp = state0.robotics, state0.tfp
-    base_low = min(base_by_theta.values())
     kalpha = state0.capital ** alpha
     overflow = output_overflow = gain_overflow = None
-    for year, g_t in enumerate(scenario.growth_path(), start=scenario.horizon[0]):
+    for year, g_t, theta_t in zip(itertools.count(scenario.horizon[0]),
+                                  scenario.growth_path(), thetas):
         robotics = robotics * (1.0 + g_t)
         if scenario.tfp_enabled:
             tfp = tfp * (1.0 + boost * (100.0 * g_t))
@@ -523,23 +536,14 @@ def _locate_failure(scenario: Scenario, params: ModelParams, state0: EconomyStat
         if not tfp < math.inf:  # also a NaN, from a boost of 0 times an inf
             raise DomainError(f"robotics_growth compounds TFP to {tfp} by {year} "
                               f"through tfp_enabled, outside the float range")
-        # TFP is finite here and theta lies in (0, 1], so TFP times
-        # robotics**theta can overflow only once TFP times the stock does
-        if overflow is None and tfp * robotics == math.inf:
-            theta_t = thetas[year - scenario.horizon[0]]
-            if tfp * robotics ** theta_t == math.inf:
-                overflow = f"the power {theta_t} to inf by {year}"
-        robotics_cap = robotics if robotics > 1.0 else 1.0  # max() costs more here
-        # bounds the year's output at state0's labor, its highest, and over the
-        # lowest baseline output the year's gain; only an overflowing bound
-        # needs the exact values
-        if tfp * kalpha * labor_cap * robotics_cap / base_low == math.inf:
-            theta_t = thetas[year - scenario.horizon[0]]
-            output = tfp * kalpha * labor0 ** (1.0 - alpha - theta_t) * robotics ** theta_t
-            if output_overflow is None and output == math.inf:
-                output_overflow = year
-            if gain_overflow is None and output / base_by_theta[theta_t] == math.inf:
-                gain_overflow = year
+        power = robotics ** theta_t
+        if overflow is None and tfp * power == math.inf:
+            overflow = f"the power {theta_t} to inf by {year}"
+        output = tfp * kalpha * state0.labor ** (1.0 - alpha - theta_t) * power
+        if output_overflow is None and output == math.inf:
+            output_overflow = year
+        if gain_overflow is None and output / base_by_theta[theta_t] == math.inf:
+            gain_overflow = year
     if gain_overflow is None and gain == math.inf:
         gain_overflow = scenario.horizon[1]
     if overflow is not None:
@@ -554,38 +558,38 @@ def _locate_failure(scenario: Scenario, params: ModelParams, state0: EconomyStat
 
 
 def _terminal_metric(metric: str, scenario: Scenario, params: ModelParams,
-                     state0: EconomyState,
-                     sectors: Sequence[SectorProfile] | None = None,
-                     checked: _Checked | None = None) -> float:
+                     state0: EconomyState, checked: _Checked | None = None) -> float:
     """One terminal metric of :func:`run_scenario`, computed alone.
 
     ``"output_gain"`` is the summary ``gdp_gain``, ``"displacement"`` the
     summary ``displacement_rate`` and ``"terminal_output"`` the last
     record's ``output``, each the same float as the full run gives, from the
-    same operands; no record, headcount or sector rate is built. Where the
-    full run raises, this raises the same error: every check is in
-    :func:`_effective_params`, except the sector split. The split runs only
-    where ``sectors._split_fits`` cannot rule out its
-    :class:`UnattainableTargetError`.
+    same operands; no record, headcount or sector rate is built. Every
+    check is in :func:`_effective_params`, so this only reads its record.
 
     ``checked`` is what ``_effective_params`` gives for exactly these
-    inputs (given its base's record, a tornado side's), computed here
-    when not given; none of its checks runs again.
+    inputs (given its base's record, a tornado side's; given a sector table,
+    one whose split it checked), computed here, with no table, when not
+    given; none of its checks runs again.
     """
     if checked is None:
         checked = _effective_params(scenario, params, state0)
-    rate = 1.0 - checked.ratio
-    if sectors:
-        table = _compiled(sectors)
-        if not _split_fits(rate, table):
-            disaggregate_displacement(rate, table)
     if metric == "displacement":
-        return rate
+        return 1.0 - checked.ratio
     if metric == "output_gain":
         return checked.gain
     alpha, theta, ratio = params.alpha, checked.thetas[-1], checked.ratio
     return (checked.tfp * state0.capital ** alpha
             * (state0.labor * ratio) ** (1.0 - alpha - theta) * checked.robotics ** theta)
+
+
+def _check_split(rate: float, sectors: Sequence[SectorProfile]) -> None:
+    """Raise what :func:`run_scenario`'s split of ``rate`` over ``sectors``
+    raises, else return: the split runs only where ``_split_fits`` cannot
+    rule out its :class:`UnattainableTargetError`."""
+    table = _compiled(sectors)
+    if not _split_fits(rate, table):
+        disaggregate_displacement(rate, table)
 
 
 def run_scenario(scenario: Scenario, params: ModelParams, state0: EconomyState,

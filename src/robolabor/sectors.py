@@ -231,17 +231,15 @@ def _compiled(sectors: Sequence[SectorProfile]) -> _Table:
     return table
 
 
-def _split_fits(national_rate: float, sectors: Sequence[SectorProfile]) -> bool:
-    """Whether :func:`disaggregate_displacement` surely splits a rate in [0, 1].
+def _split_fits(national_rate: float, table: _Table) -> bool:
+    """Whether :func:`disaggregate_displacement` surely splits a rate in [0, 1]
+    over a compiled table.
 
     True when a named sector can take more and the rate's weighted sum is
     within ``reach[-1]``, the sum with all of them capped: what the split's
     named sectors must cover is at most that sum, so it cannot raise.
-    False proves nothing. A compiled table's columns are read as they are;
-    any other sequence is checked and compiled as the split does it, so a
-    bad table raises the split's error here.
+    False proves nothing.
     """
-    table = _compiled(sectors)
     return bool(table.reach) and national_rate * table.total <= table.reach[-1]
 
 

@@ -3,12 +3,13 @@
 Each listed parameter is perturbed multiplicatively around its scenario
 value while everything else stays put, the chosen result metric is
 evaluated again, and its swing is recorded. Nothing runs in full: each
-metric is evaluated alone by ``engine._terminal_metric``. A side re-runs
-only the stage of ``engine._effective_params`` that reads its field
-(``engine._STAGE_OF``: the terminal labour, the theta schedule or the
-compounded stocks) and reuses its base's record for the rest. Records come
-back in tornado order: largest absolute swing first, failed perturbations
-last, names breaking ties.
+metric is read alone by ``engine._terminal_metric`` off the record of
+``engine._effective_params``, which makes every check of a run, the sector
+split's included. A side re-runs only the stage of that function that
+reads its field (``engine._STAGE_OF``: the terminal labour, the theta
+schedule or the compounded stocks) and reuses its base's record for the
+rest. Records come back in tornado order: largest absolute swing first,
+failed perturbations last, names breaking ties.
 
 A parameter is scaled where the run reads it: the scenario's override when
 one is set, otherwise the model parameter. A shock path scales every entry
@@ -28,8 +29,7 @@ from .core import EconomyState, ModelParams, StaticTheta, ThetaRamp, _with_field
 # one_at_a_time makes no full run; run_scenario stays imported because the
 # benchmark's tracer (perfbench/spans.py) counts a tornado's engine runs by
 # wrapping this name
-from .engine import (_LABOR_ONLY_FIELDS, Scenario, _effective_params, _terminal_metric,
-                     run_scenario)
+from .engine import Scenario, _effective_params, _terminal_metric, run_scenario
 from .errors import ModelError, _require
 from .sectors import LaborBaseline, SectorProfile
 
@@ -163,32 +163,29 @@ def one_at_a_time(scenario: Scenario, params: ModelParams, state0: EconomyState,
     metrics, by ``engine._terminal_metric``, on the base's record checked
     once or a side's. A side changes one field of the scenario or the
     parameters and runs only the checks that read that field, which raise
-    what ``dataclasses.replace`` would. Its record comes from
-    ``engine._effective_params`` given the base's record and that field,
-    which re-runs only the field's stage, with the terminal proof after a
-    theta or stock stage. Only a labour side (sigma, the exposure share or
-    the cost ratio) moves the national rate, so only a labour side splits
-    it over ``sectors``; the others keep the rate whose split the base
-    checked. A perturbation that violates a domain constraint, or whose
-    national rate the sector table cannot split, produces a record with the
-    error message instead of aborting the whole analysis. Records come back
-    in tornado order; an empty ``specs`` gives no records and evaluates
-    nothing. ``baseline`` is not read: no tornado metric reads headcounts.
+    what ``dataclasses.replace`` would. Every record comes from
+    ``engine._effective_params`` given ``sectors``, a side's also given the
+    base's record and that field, so it re-runs only the field's stage, and
+    the engine decides which records check the split: the base's and each
+    labour side's (sigma, the exposure share or the cost ratio), the only
+    sides that move the national rate. A perturbation that violates a
+    domain constraint, or whose national rate the sector table cannot
+    split, produces a record with the error message instead of aborting the
+    whole analysis. Records come back in tornado order; an empty ``specs``
+    gives no records and evaluates nothing. ``baseline`` is not read: no
+    tornado metric reads headcounts.
     """
     if specs is None:
         specs = default_specs()
     if not specs:
         return []
-    checked = _effective_params(scenario, params, state0)
-    # every base metric reads one rate, so only the first checks its split
-    base_metrics = {metric: _terminal_metric(metric, scenario, params, state0,
-                                             None if index else sectors, checked)
-                    for index, metric in enumerate(dict.fromkeys(s.metric for s in specs))}
+    checked = _effective_params(scenario, params, state0, sectors=sectors)
+    base_metrics = {metric: _terminal_metric(metric, scenario, params, state0, checked)
+                    for metric in dict.fromkeys(s.metric for s in specs)}
     records: list[SensitivityRecord] = []
     for spec in specs:
         holder, field = _holder(spec.parameter, scenario, params)
         value = getattr(holder, field)
-        side_sectors = sectors if field in _LABOR_ONLY_FIELDS else None
         base_value = _first(value)
         base_metric = base_metrics[spec.metric]
         side_values: list[float] = []
@@ -200,8 +197,8 @@ def one_at_a_time(scenario: Scenario, params: ModelParams, state0: EconomyState,
                 changed = _with_field(holder, field, _scaled(value, factor, field))
                 inputs = (changed, params) if holder is scenario else (scenario, changed)
                 side_results.append(_terminal_metric(
-                    spec.metric, *inputs, state0, side_sectors,
-                    _effective_params(*inputs, state0, checked, field)))
+                    spec.metric, *inputs, state0,
+                    _effective_params(*inputs, state0, checked, field, sectors)))
             except ModelError as exc:
                 side = "low" if factor < 1 else "high"
                 message = f"{side} perturbation invalid: {exc}"

@@ -92,3 +92,27 @@ def fresh_python():
                               env=env, cwd=cwd, timeout=120)
 
     return run
+
+
+# CI's capped.yaml with a cost ratio of 1.5: two sectors, each capped at 0.1,
+# so no split reaches a national rate above 0.1, and the base rate is about 0.185
+CAPPED_YAML = """\
+params: {alpha: 0.35, theta: {mode: static, value: 0.5}, sigma: 0.65}
+baseline: {total_labor_force: 1000, expat_share: 0.9, sector_shares: {a: 0.5, rest: 0.5},
+           min_wage: 1000, low_wage_headcount: 100, remittance_base: 1.0e+9}
+sectors:
+  - {name: a, employment_share: 0.5, risk_multiplier: 1.0, automation_potential: 0.1,
+     readiness: moderate}
+  - {name: rest, employment_share: 0.5, risk_multiplier: null,
+     automation_potential: 0.1, readiness: low, residual: true}
+scenarios:
+  - {name: capped, mode: comparative_static, horizon: [2030, 2030],
+     robotics_growth: 0.05, cost_ratio_path: 1.5, exposure_share: 0.8}
+"""
+
+
+@pytest.fixture(scope="session")
+def capped_yaml():
+    """A config whose one scenario's national rate exceeds what its sector
+    table's caps reach."""
+    return CAPPED_YAML

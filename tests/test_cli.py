@@ -394,6 +394,16 @@ class TestSensitivity:
         assert cli_dispatch(["sensitivity"]) == 64
         capsys.readouterr()
 
+    def test_base_beyond_the_caps_exits_two(self, tmp_path, capsys, capped_yaml):
+        path = tmp_path / "capped.yaml"
+        path.write_text(capped_yaml, encoding="utf-8")
+        assert cli_dispatch(["sensitivity", "--config", str(path), "--scenario", "capped",
+                             "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not (tmp_path / "out").exists()
+        assert captured.err == ("error: national rate 0.18534606175010648 is unattainable: "
+                                "every sector is pinned at its automation_potential cap\n")
+
 
 class TestUsageErrors:
     def test_no_arguments(self, capsys):

@@ -6,6 +6,7 @@ import random
 import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -285,7 +286,7 @@ class TestExactSplit:
     @example(case=(0.6, (profile("a", 0.5, 0.5, 0.9), profile("b", 0.5, 3.0, 0.3))))
     def test_split_returns_where_the_bound_holds(self, case):
         national, table = case
-        if sectors_module._split_fits(national, table):
+        if sectors_module._split_fits(national, _Table(table)):
             disaggregate_displacement(national, table)
 
     @pytest.mark.parametrize("national", [0.0, 0.01, 0.032, 0.08, 0.2, 0.3])
@@ -328,6 +329,103 @@ class TestExactSplit:
         for _ in range(2):
             with pytest.raises(DomainError):
                 disaggregate_displacement(0.03, bad)
+
+
+def cap_sum_rate(table):
+    """The largest national rate a table's split reaches: each sector that
+    can take more, and the residual, at its cap."""
+    capped = sum(s.employment_share * s.automation_potential for s in table
+                 if s.residual or (s.employment_share * s.risk_multiplier > 0
+                                   and s.automation_potential > 0))
+    return capped / sum(s.employment_share for s in table)
+
+
+@pytest.fixture(scope="module")
+def relation_tables(load_perfbench):
+    """The bundled table and the benchmark's wide table at seed 43, each
+    with its cap-sum rate as measured."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(sys.modules, "reference", load_perfbench("reference"))
+        gen = load_perfbench("gen")
+    inputs = gen.wide_inputs(43, gen.bundled_config(Path(gen.__file__).parents[1]))
+    return {"bundled": (loads_config(default_config_path().read_text(encoding="utf-8")).sectors,
+                        0.53972),
+            "wide": (loads_config(gen.to_yaml(inputs["cfg"])).sectors, 0.4679470137)}
+
+
+def assert_rates_close(rates, expected):
+    assert list(rates) == list(expected)
+    assert max(abs(rates[name] - expected[name]) for name in rates) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["bundled", "wide"])
+class TestSplitRelations:
+    """Relations the split obeys on a whole table, whatever its rates are."""
+
+    def test_cap_sum_rate_is_the_split_limit(self, relation_tables, name):
+        table, measured = relation_tables[name]
+        top = cap_sum_rate(table)
+        assert top == pytest.approx(measured, rel=0, abs=1e-10)
+        disaggregate_displacement(top * (1 + 1e-9), table)
+        with pytest.raises(UnattainableTargetError):
+            disaggregate_displacement(top * (1 + 3e-9), table)
+
+    def test_zero_rate_gives_zero_rates(self, relation_tables, name):
+        table, _ = relation_tables[name]
+        assert disaggregate_displacement(0.0, table) == dict.fromkeys(table.names, 0.0)
+
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_permuted_table_gives_the_same_rates(self, relation_tables, name, data):
+        table, _ = relation_tables[name]
+        national = data.draw(st.floats(0.0, cap_sum_rate(table)), label="national")
+        order = data.draw(st.permutations(range(len(table))), label="order")
+        permuted = disaggregate_displacement(national, _Table(table[i] for i in order))
+        rates = disaggregate_displacement(national, table)
+        assert_rates_close({sector: permuted[sector] for sector in rates}, rates)
+
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_halved_sector_gives_the_same_rates(self, relation_tables, name, data):
+        table, _ = relation_tables[name]
+        national = data.draw(st.floats(0.0, cap_sum_rate(table)), label="national")
+        index = data.draw(st.sampled_from([i for i, s in enumerate(table) if not s.residual]),
+                          label="index")
+        sector = table[index]
+        halves = [replace(sector, name=f"{sector.name}_{half}",
+                          employment_share=sector.employment_share / 2) for half in "ab"]
+        split = disaggregate_displacement(
+            national, _Table((*table[:index], *halves, *table[index + 1:])))
+        rates = disaggregate_displacement(national, table)
+        for half in halves:
+            assert abs(split.pop(half.name) - rates[sector.name]) <= 1e-12
+        del rates[sector.name]
+        assert_rates_close(split, rates)
+
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_rates_never_fall_as_the_national_rate_rises(self, relation_tables, name, data):
+        table, _ = relation_tables[name]
+        rates = st.floats(0.0, cap_sum_rate(table))
+        low, high = sorted((data.draw(rates, label="low"), data.draw(rates, label="high")))
+        lower = disaggregate_displacement(low, table)
+        higher = disaggregate_displacement(high, table)
+        assert all(lower[sector] <= higher[sector] for sector in lower)
+
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_split_holds_up_to_the_cap_sum_rate(self, relation_tables, name, data):
+        table, _ = relation_tables[name]
+        disaggregate_displacement(data.draw(st.floats(0.0, cap_sum_rate(table))), table)
+
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_split_raises_beyond_the_cap_sum_rate(self, relation_tables, name, data):
+        table, _ = relation_tables[name]
+        national = data.draw(st.floats(cap_sum_rate(table) + 2 * MEAN_TOLERANCE, 1.0,
+                                       exclude_min=True))
+        with pytest.raises(UnattainableTargetError):
+            disaggregate_displacement(national, table)
 
 
 class TestSectorProfile:
@@ -791,11 +889,12 @@ class TestLastOutcome:
         tornado = one_at_a_time(scenario, params, state0, baseline, default_specs(0.2),
                                 WIDE_TABLE)
 
-        def cold_run(metric, side, side_params, side_state, table, checked=None):
-            # the oracle: the base and every side a full run that reuses
-            # nothing, neither a table's memo nor the base's checked values
+        def cold_run(metric, side, side_params, side_state, checked=None):
+            # the oracle: the base and every side a full run that splits its
+            # rate and reuses nothing, neither a table's memo nor the base's
+            # checked values
             return full_metric(
-                metric, run_scenario(side, side_params, side_state, baseline, cold(table)))
+                metric, run_scenario(side, side_params, side_state, baseline, cold(WIDE_TABLE)))
 
         monkeypatch.setattr(sensitivity_module, "_terminal_metric", cold_run)
         # repr, because an invalid side's results are nan

@@ -131,6 +131,25 @@ class TestOneAtATime:
                         == full_metric(record.metric, full).hex()), (
                     scenario.name, record.parameter)
 
+    def test_base_beyond_the_caps_fails_as_its_full_run(self, capped_yaml):
+        # no split of the table reaches the base's national rate, and a
+        # growth of 1e4 over 2019-2100, which validate rejects, overflows the
+        # stock: the tornado raises what a full run of its base raises
+        capped = loads_config(capped_yaml)
+        scenario = capped.scenario("capped")
+        cases = [(scenario, UnattainableTargetError, "national rate 0.18534606175010648 is "
+                  "unattainable: every sector is pinned at its automation_potential cap"),
+                 (replace(scenario, mode=SimulationMode.DYNAMIC, horizon=(2019, 2100),
+                          robotics_growth=1e4), DomainError,
+                  "robotics_growth compounds the robotics stock to inf by 2096, "
+                  "outside the float range")]
+        for case, error, message in cases:
+            inputs = (case, capped.params, capped.initial_state, capped.baseline)
+            for run in (run_scenario, one_at_a_time):
+                with pytest.raises(error) as raised:
+                    run(*inputs, sectors=capped.sectors)
+                assert type(raised.value) is error and str(raised.value) == message, run
+
     def test_no_specs_evaluate_nothing(self, cfg, params, state0, baseline):
         # a base the engine rejects: alpha + theta reaches 1
         steep = replace(cfg.scenario("baseline"), theta_override=StaticTheta(0.7))
@@ -402,7 +421,8 @@ class TestTerminalMetric:
                             metric, run_scenario(*inputs, config.baseline, table)))
                         for metric in METRICS}
                 alone = {metric: outcome(lambda: sensitivity_module._terminal_metric(
-                             metric, *inputs, table))
+                             metric, *inputs,
+                             engine_module._effective_params(*inputs, sectors=table)))
                          for metric in METRICS}
                 assert alone == full, (side.name, parameter, factor)
                 rate = full["displacement"]
@@ -455,9 +475,9 @@ class TestTerminalMetric:
 
     def test_reused_side_equals_the_full_run(self, config, full_metric):
         """A side whose record re-runs only its field's stage of
-        ``_effective_params`` on its base's record, and that splits its rate
-        only where its field is a labour field, as a tornado's side does,
-        gives every metric as a full run of the side does, or its error."""
+        ``_effective_params`` on its base's record, given the table, as a
+        tornado's side does, gives every metric as a full run of the side
+        does, or its error."""
         wide = _tight_wide_table()
         base = config.scenario("baseline")
         state0 = config.initial_state
@@ -508,8 +528,7 @@ class TestTerminalMetric:
                 cases, (None, config.sectors, wide)):
             inputs = (scenario, params, state)
             try:
-                checked = engine_module._effective_params(*inputs)
-                engine_module._terminal_metric("displacement", *inputs, table, checked)
+                checked = engine_module._effective_params(*inputs, sectors=table)
             except ModelError:
                 continue  # the tornado raises before any side
             for parameter, factor in itertools.product(
@@ -526,10 +545,10 @@ class TestTerminalMetric:
                 full = {metric: outcome(lambda: full_metric(
                             metric, run_scenario(*side, config.baseline, table)))
                         for metric in METRICS}
-                labour = field in engine_module._LABOR_ONLY_FIELDS
+                labour = stage is engine_module._LABOR
                 reused = {metric: outcome(lambda: engine_module._terminal_metric(
-                              metric, *side, table if labour else None,
-                              engine_module._effective_params(*side, checked, field)))
+                              metric, *side,
+                              engine_module._effective_params(*side, checked, field, table)))
                           for metric in METRICS}
                 assert reused == full, (scenario.name, parameter, factor)
                 rate = full["displacement"]
@@ -553,7 +572,6 @@ class TestTerminalMetric:
         fields = {name for params_field, scenario_field, _ in sensitivity_module._TABLE.values()
                   for name in (params_field, scenario_field) if name is not None}
         assert fields == set(engine_module._STAGE_OF)
-        assert engine_module._LABOR_ONLY_FIELDS < fields
 
 
 # every field, not only those a tornado side or a calibration step changes: a
