@@ -3,9 +3,12 @@
 Configs are YAML mappings with a fixed schema (see docs/config_schema.md).
 Each section is read into the dataclass that declares it: the fields are
 the allowed keys, a field without a default is required, and each value is
-converted by the field's declared type. Validation is strict: unknown keys
-are rejected, every error names the offending field by its dotted path,
-and parse failures carry line and column.
+converted by the field's declared type, read from ``dataclasses.Field.type``.
+So this module and the three whose dataclasses it reads (``core``,
+``sectors``, ``engine``) do not postpone their annotations (PEP 563): each
+``Field.type`` is then the type itself, not its text. Validation is strict:
+unknown keys are rejected, every error names the offending field by its
+dotted path, and parse failures carry line and column.
 
 The YAML is parsed by libyaml when PyYAML has it, else by PyYAML's
 pure-Python parser. Over either, ``_OnePass`` builds the document from the
@@ -14,13 +17,10 @@ first fault in document order. Tags other than a plain scalar's, list's or
 map's go to PyYAML's SafeConstructor, with their items already built.
 """
 
-from __future__ import annotations
-
 import enum
 import functools
 import importlib.resources
 import math
-import sys
 import types
 from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
@@ -422,38 +422,28 @@ def _keys(cls: type) -> frozenset[str]:
     return keys | {"mode"} if cls in _MODE_OF else keys
 
 
-def _field_types(cls: type) -> dict[str, Any]:
-    """Each field's declared type: its annotation evaluated in the module of ``cls``.
-
-    What ``typing.get_type_hints`` returns for these dataclasses, at a
-    fraction of its cost; a test keeps the two equal.
-    """
-    namespace = vars(sys.modules[cls.__module__])
-    return {f.name: eval(f.type, namespace) if isinstance(f.type, str) else f.type
-            for f in fields(cls)}
-
-
 @functools.cache
 def _plan(cls: type) -> tuple[frozenset[str], tuple]:
     """Accepted keys, and per field its name, key, converter and whether it is required.
 
-    Built once per class, on first use, so reading a value never inspects
-    type hints.
+    Built once per class, on first use, from each field's ``Field.type``:
+    the declared type itself, since the modules that declare these
+    dataclasses evaluate their annotations (a test keeps it equal to
+    ``typing.get_type_hints``).
     """
-    declared = _field_types(cls)
     plan = []
     for f in fields(cls):
         key = _KEYS.get(f.name, f.name)
         required = f.default is MISSING and f.default_factory is MISSING
-        plan.append((f.name, key, _converter(declared[f.name], key), required))
+        plan.append((f.name, key, _converter(f.type, key), required))
     return _keys(cls), tuple(plan)
 
 
-def _build(cls: type, node: Any, path: str, defaults: dict | None = None) -> Any:
+def _build(cls: type, node: Any, path: str) -> Any:
     """Read the mapping ``node`` into the dataclass ``cls``.
 
-    A key left out takes its value from ``defaults``, else the field's own
-    default; a field with neither is a required key.
+    A key left out takes the field's default; a field without one is a
+    required key.
     """
     node = _as_map(node, path)
     keys, plan = _plan(cls)
@@ -462,22 +452,19 @@ def _build(cls: type, node: Any, path: str, defaults: dict | None = None) -> Any
     for name, key, convert, required in plan:
         if key in node:
             kwargs[name] = convert(node[key], f"{path}.{key}")
-        elif defaults is not None and name in defaults:
-            kwargs[name] = defaults[name]
         elif required:
             raise ConfigError(f"missing required key {key!r}", path=path)
     return _domain_checked(lambda: cls(**kwargs), path)
 
 
-def _section(data: dict, key: str, empty: dict | list, **kwargs: Any) -> Any:
+def _section(data: dict, key: str, empty: dict | list) -> Any:
     """Read the optional top-level section ``key`` as RunConfig declares it.
 
-    Left out or null, the section reads as ``empty``. ``kwargs`` go to the
-    section's reader, such as the ``defaults`` of one read into a dataclass.
+    Left out or null, the section reads as ``empty``.
     """
     node = data.get(key)
     convert = next(convert for name, _, convert, _ in _plan(RunConfig)[1] if name == key)
-    return convert(empty if node is None else node, key, **kwargs)
+    return convert(empty if node is None else node, key)
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +501,11 @@ def loads_config(text: str, source: str = "<string>") -> RunConfig:
         raise ConfigError(f"must be >= 1, got {version}", path="dataset_version")
     params = _build(ModelParams, _get(data, "params", "<root>"), "params")
     baseline = _build(LaborBaseline, _get(data, "baseline", "<root>"), "baseline")
-    state = _section(data, "initial_state", {}, defaults={
+    node = data.get("initial_state")
+    state = _build(EconomyState, {
         "year": 2024, "tfp": 1.0, "capital": 1.0, "labor": baseline.total_labor_force,
-        "robotics": 1.0})
+        "robotics": 1.0, **_as_map({} if node is None else node, "initial_state")},
+        "initial_state")
     sectors = _domain_checked(functools.partial(_Table, _section(data, "sectors", [])),
                               "sectors")
     tasks = _section(data, "tasks", {})

@@ -17,8 +17,6 @@ dataclasses; the public classes and helpers validate eagerly, at construction
 or call time, and raise :class:`~robolabor.errors.DomainError`.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union

@@ -53,8 +53,6 @@ Output records (``YearRecord``, ``ResultSummary``, ``TargetGap``,
 filling its instance dict: a frozen ``__init__`` pays a setattr call per field.
 """
 
-from __future__ import annotations
-
 import enum
 import itertools
 import math

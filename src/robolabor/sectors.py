@@ -10,8 +10,6 @@ is compiled once (``_Table``), and the one reuse is a one-slot memo on it
 that ``run_scenario`` keeps; no function here reads or writes it.
 """
 
-from __future__ import annotations
-
 import enum
 import math
 from bisect import bisect_left

@@ -1167,7 +1167,7 @@ class TestPlan:
                              ids=lambda c: c.__name__)
     def test_plan_matches_type_hints(self, cls):
         keys, plan = config_module._plan(cls)
-        declared = config_module._field_types(cls)
+        declared = {f.name: f.type for f in fields(cls)}
         assert [(name, key, declared[name], required) for name, key, _, required in plan] \
             == plan_from_type_hints(cls)
         assert keys == config_module._keys(cls)

@@ -1,12 +1,15 @@
 """Scenario runs: comparative statics, multi-year dynamics, target gaps, and
 the year loop's bit identity with the public helpers."""
 
+import collections
 import dataclasses
+import json
 import math
 import sys
 from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
@@ -16,6 +19,7 @@ from robolabor import (
     HeadcountBreakdown,
     JobCreationRamp,
     JobCreationRatio,
+    ModelError,
     ModelParams,
     RawShocks,
     ResultSummary,
@@ -27,6 +31,8 @@ from robolabor import (
     TargetSet,
     ThetaRamp,
     YearRecord,
+    build_output_bundle,
+    default_config_path,
     displacement_headcounts,
     job_creation,
     labor_demand_ratio,
@@ -38,10 +44,18 @@ from robolabor import (
     run_scenario,
     tfp_step,
     theta_at,
+    write_outputs,
 )
 from robolabor import engine as engine_module
-from robolabor.core import _cobb_douglas, _filled, _theta_extremes
-from robolabor.engine import _Checked, _effective_params, _resolved, _terminal_labor
+from robolabor.core import YEAR_MAX, YEAR_MIN, _cobb_douglas, _filled, _theta_extremes
+from robolabor.engine import (
+    _LABOR,
+    _STAGE_OF,
+    _Checked,
+    _effective_params,
+    _resolved,
+    _terminal_labor,
+)
 from robolabor.errors import _require
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -792,3 +806,275 @@ class TestThetaSchedule:
                     assert theta.hex() == _ramp_theta_oracle(index, ramp).hex()
                     if index >= ramp_years:
                         assert theta == end
+
+
+# ---------------------------------------------------------------------------
+# metamorphic relations: how a run's outputs move when its inputs move in a
+# known way, checked without an oracle
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def relation_cases(cfg, load_perfbench):
+    """Each scenario of the bundled config and of the benchmark's sweep config
+    at seed 43, with its config's parameters, state, baseline and table."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(sys.modules, "reference", load_perfbench("reference"))
+        gen = load_perfbench("gen")
+    sweep = loads_config(gen.to_yaml(
+        gen.sweep_inputs(43, gen.bundled_config(PERFBENCH.parent))["cfg"]))
+    return [(scenario, config.params, config.initial_state, config.baseline, config.sectors)
+            for config in (cfg, sweep) for scenario in config.scenarios]
+
+
+def draw_case(data, cases, cfg):
+    """One of ``cases``, or a dynamic scenario drawn by :func:`kernel_inputs`
+    on the bundled baseline and sector table."""
+    if data.draw(st.booleans(), label="drawn"):
+        scenario, param_changes, state_changes = data.draw(kernel_inputs(), label="inputs")
+        return (scenario, dataclasses.replace(cfg.params, **param_changes),
+                dataclasses.replace(cfg.initial_state, **state_changes), cfg.baseline,
+                cfg.sectors)
+    return data.draw(st.sampled_from(cases), label="case")
+
+
+def assert_holds_where_it_runs(relation, cases, cfg):
+    """Check ``relation(data, case)`` on drawn cases. It returns False for a
+    case it skips because an input raised; at most a quarter may be."""
+    counts = collections.Counter()
+
+    @given(data=st.data())
+    def check(data):
+        counts[relation(data, draw_case(data, cases, cfg))] += 1
+
+    check()
+    assert counts[False] * 3 <= counts[True], counts
+
+
+def with_fields(case, **changes):
+    """``case`` with each named field of its scenario or parameters changed."""
+    scenario, params, state0, baseline, sectors = case
+    own = {f.name for f in dataclasses.fields(Scenario)}
+    scenario = dataclasses.replace(scenario, **{k: v for k, v in changes.items() if k in own})
+    params = dataclasses.replace(params, **{k: v for k, v in changes.items() if k not in own})
+    return scenario, params, state0, baseline, sectors
+
+
+def runs(*cases):
+    """``run_scenario``'s result on each case, or None where one raises."""
+    try:
+        return [run_scenario(*case) for case in cases]
+    except ModelError:
+        return None
+
+
+RELATION_THETAS = st.floats(0.05, 0.6)
+RELATION_THETA_MODES = (RELATION_THETAS.map(StaticTheta)
+                        | st.builds(ThetaRamp, RELATION_THETAS, RELATION_THETAS,
+                                    st.integers(1, 30)))
+
+
+def per_year(entries, n_years, rising=False):
+    """A scalar path entry, or one entry per year, sorted where ``rising``."""
+    lists = st.lists(entries, min_size=n_years, max_size=n_years)
+    return entries | (lists.map(sorted) if rising else lists).map(tuple)
+
+
+# each field a tornado side changes: the values it may take, given the scenario
+FIELD_VALUES = {
+    "sigma": lambda scenario: st.floats(0.0, 3.0),
+    "sigma_override": lambda scenario: st.none() | st.floats(0.0, 3.0),
+    "exposure_share": lambda scenario: st.floats(0.0, 1.0),
+    "exposure_override": lambda scenario: st.none() | st.floats(0.0, 1.0),
+    "cost_ratio_path": lambda scenario: per_year(st.floats(1.0, 3.0), scenario.n_years,
+                                                 rising=True),
+    "alpha": lambda scenario: st.floats(0.1, 0.39),
+    "theta": lambda scenario: RELATION_THETA_MODES,
+    "theta_override": lambda scenario: st.none() | RELATION_THETA_MODES,
+    "robotics_growth": lambda scenario: per_year(
+        st.floats(0.0 if scenario.tfp_enabled else -0.05, 0.1), scenario.n_years),
+    "tfp_boost_per_adoption_pct": lambda scenario: st.floats(0.0, 0.01),
+}
+LABOUR_FIELDS = sorted(name for name, stage in _STAGE_OF.items() if stage == _LABOR)
+OTHER_FIELDS = sorted(set(_STAGE_OF) - set(LABOUR_FIELDS))
+RECORD_LABOUR = ("labor", "displacement_rate", "displaced_cumulative",
+                 "jobs_created_cumulative", "remittance_low", "remittance_high")
+
+
+def gain_channel(result):
+    """What the theta and stock stages alone decide, in bits."""
+    summary = result.summary
+    return bits((summary.gdp_gain, summary.raw_gdp_gain,
+                 [(record.theta, record.tfp) for record in result.records]))
+
+
+def labour_channel(result):
+    """What the labour stage alone decides, in bits."""
+    summary = result.summary
+    return bits((summary.displacement_rate, summary.raw_displacement_rate,
+                 summary.displaced_total, summary.jobs_created, result.sector_rates,
+                 dataclasses.astuple(result.headcounts),
+                 [tuple(getattr(record, name) for name in RECORD_LABOUR)
+                  for record in result.records]))
+
+
+def stage_relation(fields, channel):
+    """Changing one of ``fields`` leaves ``channel`` bit-identical."""
+    def relation(data, case):
+        name = data.draw(st.sampled_from(fields), label="field")
+        value = data.draw(FIELD_VALUES[name](case[0]), label="value")
+        try:
+            moved = with_fields(case, **{name: value})
+        except DomainError:
+            return False
+        results = runs(case, moved)
+        if results is None:
+            return False
+        assert channel(results[1]) == channel(results[0])
+        return True
+    return relation
+
+
+def shift_relation(data, case):
+    """Moving the horizon by k years changes only each record's year, by k."""
+    scenario = case[0]
+    start, end = scenario.horizon
+    k = data.draw(st.integers(YEAR_MIN - start, YEAR_MAX - end), label="k")
+    results = runs(case, with_fields(case, horizon=(start + k, end + k)))
+    if results is None:
+        return False
+    expected = dataclasses.asdict(results[0])
+    for record in expected["records"]:
+        record["year"] += k
+    assert bits(dataclasses.asdict(results[1])) == bits(expected)
+    return True
+
+
+def scaling_relation(data, case):
+    """Scaling the labour force, the low-wage headcount and the remittance
+    base by 2^k scales each headcount and remittance by 2^k, exactly."""
+    scenario, params, state0, baseline, sectors = case
+    factor = 2.0 ** data.draw(st.integers(-40, 40), label="k")
+    scaled = dataclasses.replace(baseline, **{
+        name: getattr(baseline, name) * factor
+        for name in ("total_labor_force", "low_wage_headcount", "remittance_base")})
+    results = runs(case, (scenario, params, state0, scaled, sectors))
+    if results is None:
+        return False
+    expected = dataclasses.asdict(results[0])
+    headcounts = expected["headcounts"]
+    headcounts["total"] *= factor
+    headcounts["expat"] *= factor
+    headcounts["by_sector"] = {name: count * factor
+                               for name, count in headcounts["by_sector"].items()}
+    for record in expected["records"]:
+        record["remittance_low"] *= factor
+        record["remittance_high"] *= factor
+    assert bits(dataclasses.asdict(results[1])) == bits(expected)
+    return True
+
+
+def ordered_pair(data, low, high):
+    """Floats ``x <= y`` in [low, high]: equal, adjacent or any two."""
+    x = data.draw(st.floats(low, high), label="x")
+    y = data.draw(st.sampled_from([x, min(math.nextafter(x, math.inf), high)])
+                  | st.floats(x, high), label="y")
+    return x, y
+
+
+def displacement_rates(result):
+    return [record.displacement_rate for record in result.records]
+
+
+def gdp_gain(result):
+    return [result.summary.gdp_gain]
+
+
+def monotone_relation(name, low, high, metric, **fixed):
+    """``metric`` never falls as the field ``name`` rises in [low, high]; each
+    other field in ``fixed`` is set to a value drawn once for the pair."""
+    def relation(data, case):
+        settled = {key: data.draw(values, label=key) for key, values in fixed.items()}
+        floor = 0.0 if settled.get("tfp_enabled") else low  # the spillover's rule
+        x, y = ordered_pair(data, floor, high)
+        try:
+            # with no sector table: the metrics do not read the split, which
+            # raises above its cap sum
+            pair = [with_fields(case[:-1] + (None,), **settled, **{name: value})
+                    for value in (x, y)]
+        except DomainError:
+            return False
+        results = runs(*pair)
+        if results is None:
+            return False
+        lower, higher = map(metric, results)
+        assert all(a <= b for a, b in zip(lower, higher)), (x, y, lower, higher)
+        return True
+    return relation
+
+
+MONOTONE = {
+    # where the terminal cost ratio is 1, no sigma displaces anyone
+    "displacement_in_sigma": monotone_relation("sigma_override", 0.0, 3.0,
+                                               displacement_rates),
+    "displacement_in_exposure": monotone_relation("exposure_override", 0.0, 1.0,
+                                                  displacement_rates),
+    "displacement_in_cost_ratio": monotone_relation("cost_ratio_path", 1.0, 3.0,
+                                                    displacement_rates),
+    "gain_in_growth": monotone_relation("robotics_growth", -0.05, 0.2, gdp_gain,
+                                        tfp_enabled=st.booleans()),
+    "gain_in_boost": monotone_relation("tfp_boost_per_adoption_pct", 0.0, 0.01, gdp_gain,
+                                       tfp_enabled=st.just(True)),
+}
+
+
+def simulated(text, directory):
+    """The files ``robolabor simulate`` writes for the config ``text``."""
+    config = loads_config(text)
+    results = [run_scenario(scenario, config.params, config.initial_state,
+                            config.baseline, config.sectors)
+               for scenario in config.scenarios]
+    write_outputs(build_output_bundle(config, results), directory, config.output.formats)
+    return {path.name: path.read_bytes() for path in Path(directory).iterdir()}
+
+
+class TestEngineRelations:
+    """Relations between runs whose inputs differ in a known way."""
+
+    def test_every_staged_field_has_values(self):
+        assert set(FIELD_VALUES) == set(_STAGE_OF)
+
+    @pytest.mark.parametrize("fields,channel", [(LABOUR_FIELDS, gain_channel),
+                                                (OTHER_FIELDS, labour_channel)],
+                             ids=["labour_leaves_gain", "theta_and_stocks_leave_labour"])
+    def test_a_stage_moves_only_its_channel(self, relation_cases, cfg, fields, channel):
+        assert_holds_where_it_runs(stage_relation(fields, channel), relation_cases, cfg)
+
+    def test_horizon_shift_moves_only_the_years(self, relation_cases, cfg):
+        assert_holds_where_it_runs(shift_relation, relation_cases, cfg)
+
+    def test_baseline_scaling_scales_headcounts_and_remittances(self, relation_cases, cfg):
+        assert_holds_where_it_runs(scaling_relation, relation_cases, cfg)
+
+    @pytest.mark.parametrize("name", MONOTONE)
+    def test_monotone(self, relation_cases, cfg, name):
+        assert_holds_where_it_runs(MONOTONE[name], relation_cases, cfg)
+
+    @given(data=st.data())
+    def test_reordered_scenarios_write_the_same_files(self, tmp_path_factory, data):
+        document = yaml.safe_load(default_config_path().read_text(encoding="utf-8"))
+        order = data.draw(st.permutations(document["scenarios"]), label="order")
+        directory = tmp_path_factory.mktemp("reordered")
+        written = simulated(yaml.safe_dump(document), directory / "written")
+        permuted = simulated(yaml.safe_dump({**document, "scenarios": order}),
+                             directory / "permuted")
+        assert set(permuted) == set(written)
+        for name in set(written) - {"summary.csv", "summary.json"}:
+            assert permuted[name] == written[name], name
+        names = [scenario["name"] for scenario in order]
+        header, *rows = written["summary.csv"].decode().splitlines()
+        by_name = {row.split(",", 1)[0]: row for row in rows}
+        assert permuted["summary.csv"].decode().splitlines() == \
+            [header] + [by_name[name] for name in names]
+        summary, reordered = (json.loads(files["summary.json"]) for files in (written, permuted))
+        entries = {entry["scenario"]: entry for entry in summary["scenarios"]}
+        assert reordered == {**summary, "scenarios": [entries[name] for name in names]}
