@@ -24,7 +24,7 @@ from typing import Callable
 from . import _EXPORTS
 from .core import (EconomyState, ModelParams, StaticTheta, _with_field, production_output,
                    theta_at)
-from .engine import Scenario, _leaves_labor, _resolved, _terminal_metric
+from .engine import Scenario, _effective_params, _leaves_labor, _resolved, _terminal_metric
 from .errors import (CalibrationError, MaxIterationsError, NoSignChangeError,
                      UnattainableTargetError, _require)
 
@@ -309,8 +309,9 @@ def calibrate_scenario(scenario: Scenario, params: ModelParams, state0: EconomyS
     ``displacement_rate`` of a run without a sector table, with the solved
     value in place of the scenario's field or whole path. ``iterations``
     counts evaluations of the metric, each the checks that read the solved
-    field, then the engine's checks and terminal-year arithmetic without the
-    year records; ``residual`` is the engine's gap at the solved value.
+    field, then the engine's checks of the stage it feeds, on the record of
+    the first step, and terminal-year arithmetic without the year records;
+    ``residual`` is the engine's gap at the solved value.
     ``output`` solves TFP at the initial state and runs no engine. Raises
     :class:`DomainError` for a target that is not finite or an ``output``
     target that is not positive, and :class:`UnattainableTargetError` when
@@ -336,10 +337,12 @@ def calibrate_scenario(scenario: Scenario, params: ModelParams, state0: EconomyS
     hi = _labor_end(scenario, params, state0, parameter, lo, hi)
     metric = _METRICS[target_name]
     runs: list[tuple[float, float]] = []
+    base = _effective_params(_with_field(scenario, field, wrap(lo)), params, state0)
 
     def engine_metric(x: float) -> float:
         trial = _with_field(scenario, field, wrap(x))
-        runs.append((x, _terminal_metric(metric, trial, params, state0)))
+        checked = _effective_params(trial, params, state0, base, field)
+        runs.append((x, _terminal_metric(metric, trial, params, state0, checked)))
         return runs[-1][1]
 
     try:

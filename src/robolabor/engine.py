@@ -36,12 +36,13 @@ terminal displacement rate and baseline as the table's last run copies that
 run's sector rates and headcounts instead of computing them again. A run
 with no table, or with a plain sequence, computes them.
 
-Given a base's record and the one field a tornado side changes,
-``_effective_params`` re-runs only the stage that ``_STAGE_OF`` names for
-that field: the terminal labour check, the theta stage or the compounding
-of the stocks. A theta or stock stage is followed by the terminal proof,
-and a labour stage by the split check, since only it moves the national
-rate; the other stages' values are the base's.
+Given a base's record and the one field a tornado side or a calibrate
+step changes, ``_effective_params`` re-runs only the stage that
+``_STAGE_OF`` names for that field: the terminal labour check, the theta
+stage or the compounding of the stocks; a solve's base is its first step.
+A theta or stock stage is followed by the terminal proof, and a labour
+stage by the split check, since only it moves the national rate; the
+other stages' values are the base's.
 
 A caller that reads only terminal metrics reads them off that record with
 ``_terminal_metric``.
@@ -556,7 +557,7 @@ def _locate_failure(scenario: Scenario, params: ModelParams, state0: EconomyStat
 
 
 def _terminal_metric(metric: str, scenario: Scenario, params: ModelParams,
-                     state0: EconomyState, checked: _Checked | None = None) -> float:
+                     state0: EconomyState, checked: _Checked) -> float:
     """One terminal metric of :func:`run_scenario`, computed alone.
 
     ``"output_gain"`` is the summary ``gdp_gain``, ``"displacement"`` the
@@ -566,12 +567,10 @@ def _terminal_metric(metric: str, scenario: Scenario, params: ModelParams,
     check is in :func:`_effective_params`, so this only reads its record.
 
     ``checked`` is what ``_effective_params`` gives for exactly these
-    inputs (given its base's record, a tornado side's; given a sector table,
-    one whose split it checked), computed here, with no table, when not
-    given; none of its checks runs again.
+    inputs (given its base's record, a tornado side's or a calibrate step's;
+    given a sector table, one whose split it checked); none of its checks
+    runs again.
     """
-    if checked is None:
-        checked = _effective_params(scenario, params, state0)
     if metric == "displacement":
         return 1.0 - checked.ratio
     if metric == "output_gain":

@@ -10,9 +10,10 @@ whose cell types match its table's declared types (an ``int`` year, then
 ``float`` values, as the engine's records carry) is formatted by one ``%``
 template; ``%.12g`` gives the same text as ``format_number`` for every
 float. Any other row, and every row of a table that holds strings, goes
-cell by cell through ``format_number`` and ``csv`` quoting. JSON files are
-streamed one ``summary.json`` scenario entry at a time, so a wide file is
-never held whole in memory; each entry is built as one string with joins.
+cell by cell through ``format_number`` and ``csv`` quoting. ``summary.json``
+is written one scenario entry at a time: each entry is built, then written
+as one string built with joins, before the next is built, so neither the
+file's text nor its tree of entries is ever held whole.
 A dict whose values are all exact floats, such as a scenario's sector
 rates or sector headcounts, is formatted by one ``%.12g`` call for all its
 values; only its integral, exponent and non-finite cells are respelled,
@@ -200,39 +201,6 @@ def _json_text(node, indent: str, layouts: dict) -> str:
     return opener + inner + ("," + inner).join(items) + indent + closer
 
 
-def _json_chunks(node, indent: str = "\n", levels: int = 2, layouts: dict | None = None):
-    """Yield ``json.dumps(node, indent=2)`` for a dict or list, floats at 12 digits.
-
-    The outer ``levels`` containers are streamed an item at a time, like
-    ``json.dump``, so a wide ``summary.json`` goes out one scenario entry
-    at a time and is never held whole in memory. ``layouts`` holds the
-    all-float dicts' layouts for the whole call.
-    """
-    if layouts is None:
-        layouts = {}
-    if not (levels and isinstance(node, _CONTAINERS) and node):
-        yield _json_text(node, indent, layouts)
-        return
-    if isinstance(node, dict):
-        opener, closer = "{", "}"
-        items = [(encode_basestring_ascii(key) + ": ", value) for key, value in node.items()]
-    else:
-        opener, closer = "[", "]"
-        items = [("", value) for value in node]
-    inner = indent + "  "
-    for key, value in items:
-        yield opener + inner + key
-        yield from _json_chunks(value, inner, levels - 1, layouts)
-        opener = ","
-    yield indent + closer
-
-
-def _write_json(path: Path, payload) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.writelines(_json_chunks(payload))
-        handle.write("\n")
-
-
 def _summary_rows(results: Sequence[SimulationResult]) -> list[list]:
     rows = []
     for result in results:
@@ -257,18 +225,27 @@ def _as_dict(record, names: Sequence[str]) -> dict:
     return {name: getattr(record, name) for name in names}
 
 
-def _summary_payload(results: Sequence[SimulationResult]) -> dict:
-    scenarios = []
-    for result in results:
-        entry = {"scenario": result.scenario, "mode": result.mode.value,
-                 **_as_dict(result.summary, _RESULT_SUMMARY_FIELDS),
-                 "sector_rates": result.sector_rates,
-                 "headcounts": _as_dict(result.headcounts, _HEADCOUNT_FIELDS)}
-        if result.target_comparison:
-            entry["target_comparison"] = [_as_dict(gap, _TARGET_GAP_FIELDS)
-                                          for gap in result.target_comparison]
-        scenarios.append(entry)
-    return {"notes": [GAIN_SEMANTICS_NOTE, RATIO_SPACE_NOTE], "scenarios": scenarios}
+def _write_summary_json(path: Path, results: Sequence[SimulationResult]) -> None:
+    """Write the notes, then each result's scenario entry, built and written
+    before the next is built; one ``layouts`` serves the whole file."""
+    layouts: dict = {}
+    notes = _json_text([GAIN_SEMANTICS_NOTE, RATIO_SPACE_NOTE], "\n  ", layouts)
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write('{\n  "notes": ' + notes + ',\n  "scenarios": ')
+        separator = "["
+        for result in results:
+            entry = {"scenario": result.scenario, "mode": result.mode.value,
+                     **_as_dict(result.summary, _RESULT_SUMMARY_FIELDS),
+                     "sector_rates": result.sector_rates,
+                     "headcounts": _as_dict(result.headcounts, _HEADCOUNT_FIELDS)}
+            if result.target_comparison:
+                entry["target_comparison"] = [_as_dict(gap, _TARGET_GAP_FIELDS)
+                                              for gap in result.target_comparison]
+            handle.write(separator + "\n    ")
+            # written alone: joined to its separator, a large entry would be copied
+            handle.write(_json_text(entry, "\n    ", layouts))
+            separator = ","
+        handle.write("\n  ]\n}\n" if results else "[]\n}\n")
 
 
 def write_outputs(bundle: OutputBundle, directory: str | Path,
@@ -305,7 +282,7 @@ def write_outputs(bundle: OutputBundle, directory: str | Path,
 
     if "json" in formats:
         path = directory / "summary.json"
-        _write_json(path, _summary_payload(bundle.results))
+        _write_summary_json(path, bundle.results)
         manifest.append(path)
 
     return sorted(manifest)

@@ -8,7 +8,8 @@ metric is read alone by ``engine._terminal_metric`` off the record of
 split's included. A side re-runs only the stage of that function that
 reads its field (``engine._STAGE_OF``: the terminal labour, the theta
 schedule or the compounded stocks) and reuses its base's record for the
-rest. Records come back in tornado order: largest absolute swing first,
+rest; a ``calibrate`` step does the same on its solve's first step's
+record. Records come back in tornado order: largest absolute swing first,
 failed perturbations last, names breaking ties.
 
 A parameter is scaled where the run reads it: the scenario's override when

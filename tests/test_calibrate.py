@@ -1,7 +1,9 @@
 """Closed-form inversions, the root solver, and solves through the engine."""
 
 import math
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,10 @@ from robolabor import (
     CalibrationReport,
     DomainError,
     MaxIterationsError,
+    ModelError,
     NoSignChangeError,
+    Scenario,
+    SimulationMode,
     SolverConfig,
     StaticTheta,
     UnattainableTargetError,
@@ -25,6 +30,7 @@ from robolabor import (
     implied_sigma,
     implied_theta,
     labor_demand_ratio,
+    loads_config,
     production_output,
     robotics_output_gain,
     run_scenario,
@@ -32,7 +38,7 @@ from robolabor import (
 )
 from robolabor.calibrate import _ENGINE_SOLVES, _labor_end
 from robolabor.core import EconomyState
-from robolabor.engine import _leaves_labor
+from robolabor.engine import _effective_params, _leaves_labor, _terminal_metric
 
 
 def midpoint_oracle(f, target, config):
@@ -617,3 +623,78 @@ class TestCalibrateScenario:
         assert ("gain", "sigma") not in SUPPORTED_PAIRS
         with pytest.raises(CalibrationError, match="cannot solve 'sigma'"):
             solve(cfg, "baseline", "gain", 0.015, "sigma")
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class TestReusedSteps:
+    """A calibrate step re-runs only the stage of ``_effective_params`` that
+    its field feeds, on the record of the solve's first step, bisect's
+    ``lo``."""
+
+    @pytest.fixture(scope="class")
+    def cases(self, cfg, load_perfbench):
+        with pytest.MonkeyPatch.context() as patch:
+            # gen imports the reference model by its bare module name
+            patch.setitem(sys.modules, "reference", load_perfbench("reference"))
+            gen = load_perfbench("gen")
+        sweep = loads_config(gen.to_yaml(gen.sweep_inputs(43, gen.bundled_config(ROOT))["cfg"]))
+        # at cost ratio 7 and sigma 20, full exposure displaces the whole
+        # workforce: each labour solve's upper end fails there
+        edge = replace(cfg.scenario("low_adoption"), name="edge", cost_ratio_path=7.0,
+                       sigma_override=20.0)
+        return [(scenario, config.params, config.initial_state, config.baseline)
+                for config, scenarios in ((cfg, (*cfg.scenarios, edge)),
+                                          (sweep, sweep.scenarios))
+                for scenario in scenarios]
+
+    @pytest.mark.parametrize("target_name, parameter", list(_ENGINE_SOLVES))
+    def test_step_equals_the_full_run(self, cases, full_metric, target_name, parameter):
+        """Across each bracket, and at its unlowered upper end, a step gives
+        the full run's metric bit for bit (``float.hex``), or its error."""
+        field, _, lo, hi = _ENGINE_SOLVES[target_name, parameter]
+        metric = {"gain": "output_gain", "displacement": "displacement"}[target_name]
+
+        def outcome(call):
+            try:
+                return call().hex()
+            except ModelError as exc:
+                return type(exc), str(exc)
+
+        seen = {"value": 0, "error": 0}
+        for scenario, params, state0, baseline in cases:
+            try:
+                base = _effective_params(SUBSTITUTE[parameter](scenario, lo), params, state0)
+            except ModelError:
+                continue  # the solve's first step raises the full run's error
+            for fraction in (0.0, 1e-6, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999, 1.0):
+                try:
+                    trial = SUBSTITUTE[parameter](scenario, lo + fraction * (hi - lo))
+                except ModelError:
+                    continue  # the step fails before either evaluation
+                full = outcome(lambda: full_metric(
+                    metric, run_scenario(trial, params, state0, baseline)))
+                step = outcome(lambda: _terminal_metric(
+                    metric, trial, params, state0,
+                    _effective_params(trial, params, state0, base, field)))
+                assert step == full, (scenario.name, fraction)
+                seen["value" if isinstance(full, str) else "error"] += 1
+        assert seen["value"] >= 150, seen
+        if parameter != "robotics_growth":
+            # theta 1 breaches alpha + theta; the edge scenario's labour
+            # steps displace its whole workforce
+            assert seen["error"] > 0, seen
+
+    def test_first_step_is_the_base(self, cfg):
+        # at cost ratio 7, the scenario's own sigma 20 displaces the whole
+        # workforce, and the solve still runs from its first step, sigma 0
+        stated = Scenario(name="all_displaced", mode=SimulationMode.COMPARATIVE_STATIC,
+                          horizon=(2030, 2030), robotics_growth=0.03, cost_ratio_path=7.0,
+                          sigma_override=20.0)
+        with pytest.raises(DomainError, match="displaces the whole workforce"):
+            run_scenario(stated, cfg.params, cfg.initial_state, cfg.baseline)
+        report = calibrate_scenario(stated, cfg.params, cfg.initial_state,
+                                    "displacement", 0.5, "sigma")
+        assert report.value == pytest.approx(math.log(2) / math.log(7), rel=1e-9)
+        assert abs(report.residual) <= 1e-12

@@ -29,12 +29,11 @@ from robolabor import (
     write_sensitivity_csv,
 )
 from robolabor.report import (
+    GAIN_SEMANTICS_NOTE,
     RATIO_SPACE_NOTE,
     _SUMMARY_COLUMNS,
     _TIMESERIES_COLUMNS,
-    _json_chunks,
     _json_text,
-    _summary_payload,
     _write_csv,
     format_number,
 )
@@ -85,6 +84,20 @@ def oracle_json_chunks(node, indent="\n"):
             yield opener + inner + key + json.dumps(value)
         opener = ","
     yield indent + closer
+
+
+def oracle_summary_payload(results) -> dict:
+    """``summary.json``'s tree, read off each result's attributes."""
+    scenarios = []
+    for result in results:
+        entry = {"scenario": result.scenario, "mode": result.mode.value,
+                 **dataclasses.asdict(result.summary), "sector_rates": result.sector_rates,
+                 "headcounts": dataclasses.asdict(result.headcounts)}
+        if result.target_comparison:
+            entry["target_comparison"] = [dataclasses.asdict(gap)
+                                          for gap in result.target_comparison]
+        scenarios.append(entry)
+    return {"notes": [GAIN_SEMANTICS_NOTE, RATIO_SPACE_NOTE], "scenarios": scenarios}
 
 
 # -- the terminal table before it read summary.csv's rows, kept as the oracle
@@ -342,9 +355,17 @@ class TestJsonPayloads:
         assert format_number(entry["gdp_gain"]) == \
             format_number(bundle.results[0].summary.gdp_gain)
 
+    @pytest.mark.parametrize("count", [0, 1, None])
+    def test_summary_json_matches_the_oracle(self, results, tmp_path, count):
+        # no result, one, and all: the top level is written by hand around
+        # the entries, "scenarios": [] included
+        bundle = OutputBundle(results[:count])
+        write_outputs(bundle, tmp_path, formats=["json"])
+        expected = "".join(oracle_json_chunks(oracle_summary_payload(bundle.results))) + "\n"
+        assert (tmp_path / "summary.json").read_text(encoding="utf-8") == expected
+
     def test_json_layout_matches_the_standard_encoder(self):
         import math
-        from robolabor.report import _json_chunks
 
         def rounded(node):
             if isinstance(node, float) and math.isfinite(node):
@@ -362,7 +383,7 @@ class TestJsonPayloads:
                    "scalars": [None, True, False, 3, "caf\u00e9 \"q\""],
                    "empty": {}}
         for node in (payload, [], {}, [0.1 + 0.2, "x"]):
-            assert "".join(_json_chunks(node)) == json.dumps(rounded(node), indent=2)
+            assert _json_text(node, "\n", {}) == json.dumps(rounded(node), indent=2)
 
     @given(st.recursive(
         st.one_of(floats, non_floats, texts),
@@ -371,17 +392,17 @@ class TestJsonPayloads:
         max_leaves=30))
     def test_json_matches_the_per_item_oracle(self, node):
         node = {"root": node}
-        assert "".join(_json_chunks(node)) == "".join(oracle_json_chunks(node))
+        assert _json_text(node, "\n", {}) == "".join(oracle_json_chunks(node))
 
     @settings(max_examples=500)
     @given(floats)
     def test_json_float_text_matches_the_oracle(self, value):
-        assert "".join(_json_chunks([value])) == "".join(oracle_json_chunks([value]))
+        assert _json_text([value], "\n", {}) == "".join(oracle_json_chunks([value]))
 
     @given(float_dicts, float_dicts)
     def test_all_float_dicts_match_the_oracle(self, first, second):
         for node in ({"root": first}, {"scenarios": [{"rates": first, "k": [second]}]}):
-            assert "".join(_json_chunks(node)) == "".join(oracle_json_chunks(node))
+            assert _json_text(node, "\n", {}) == "".join(oracle_json_chunks(node))
 
     @given(st.data(), float_dicts)
     def test_one_key_set_in_two_orders(self, data, first):
@@ -389,7 +410,7 @@ class TestJsonPayloads:
         # at one depth, as two scenarios' sector tables are
         for node in ({"scenarios": [{"rates": first}, {"rates": second}]},
                      {"root": [first, second, first]}):
-            assert "".join(_json_chunks(node)) == "".join(oracle_json_chunks(node))
+            assert _json_text(node, "\n", {}) == "".join(oracle_json_chunks(node))
 
     @settings(max_examples=300)
     @given(st.lists(floats, min_size=1, max_size=40))
@@ -507,7 +528,8 @@ class TestAgainstReference:
     the file set, each timeseries, both summaries, the sector split and the
     figure. The configs are the bundled one and the benchmark's wide
     (240 sectors, caps binding) and horizon-sweep ones at two seeds.
-    ``summary.json`` must also equal ``oracle_json_chunks``' bytes.
+    ``summary.json`` must also equal ``oracle_json_chunks``' bytes of
+    ``oracle_summary_payload``.
     """
 
     @pytest.fixture(scope="class")
@@ -533,7 +555,7 @@ class TestAgainstReference:
         bundle = build_output_bundle(config, results)
         assert summary_table(results) == oracle_summary_table(results)
         write_outputs(bundle, tmp_path)
-        expected = "".join(oracle_json_chunks(_summary_payload(results))) + "\n"
+        expected = "".join(oracle_json_chunks(oracle_summary_payload(results))) + "\n"
         assert (tmp_path / "summary.json").read_bytes() == expected.encode("utf-8")
         checks.check_output_files(checks.read_dir(tmp_path),
                                   [reference.simulate(cfg, s) for s in cfg["scenarios"]],
